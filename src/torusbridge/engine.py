@@ -28,7 +28,7 @@ without changing any output byte.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -434,6 +434,13 @@ def model_from_dict(data: dict) -> DriftModel:
         raise ValueError(
             f"unknown model variant {variant!r}; expected one of {sorted(_VARIANTS)}"
         ) from None
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(data) - set(names))
+    if unknown:
+        raise ValueError(
+            f"unknown key(s) {unknown} for model variant {variant!r}; "
+            f"its fields are {names}"
+        )
     for key in ("endpoint", "target"):
         if key in data:
             data[key] = tuple(data[key])

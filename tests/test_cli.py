@@ -104,6 +104,18 @@ class TestSimulate:
         assert rc == 2
         assert "--target" in capsys.readouterr().err
 
+    def test_unknown_config_key_fails(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({
+            "model": {"variant": "proposed", "sigma": 0.8, "horizon": 1.0,
+                      "target": [0.0, 0.0], "bogus": 1},
+        }))
+        rc = _run("simulate", "--config", cfg_file, "--out", tmp_path)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'bogus'" in err
+
     def test_invalid_sigma_fails(self, tmp_path):
         rc = _run("simulate", "--model", "free-bm", "--sigma", "-1", "--out", tmp_path)
         assert rc == 2

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusbridge import (
     EuclideanBridge,
@@ -21,16 +22,32 @@ from torusbridge.drift import MIN_TIME_TO_GO
 A0 = (0.0, 0.0)
 
 
-def _softmax_drift_oracle(x, a, sigma, tau, k_max):
-    """Independent direct evaluation of the weighted lattice pull."""
-    ks = np.array([[i, j] for i in range(-k_max, k_max + 1) for j in range(-k_max, k_max + 1)], float)
-    lifts = np.asarray(a) + ks
+def _offsets(k_max):
+    return np.array([[i, j] for i in range(-k_max, k_max + 1) for j in range(-k_max, k_max + 1)], float)
+
+
+def _softmax_weights_oracle(x, a, sigma, tau, k_max):
+    """Independent direct evaluation of the (2K+1)^2 lattice softmax."""
+    lifts = np.asarray(a) + _offsets(k_max)
     d2 = ((lifts - x) ** 2).sum(axis=1)
     e = -d2 / (2 * sigma**2 * tau)
     e -= e.max()
     w = np.exp(e)
-    w /= w.sum()
+    return lifts, w / w.sum()
+
+
+def _softmax_drift_oracle(x, a, sigma, tau, k_max):
+    """Independent direct evaluation of the weighted lattice pull."""
+    lifts, w = _softmax_weights_oracle(x, a, sigma, tau, k_max)
     return (w[:, None] * (lifts - x)).sum(axis=0) / tau
+
+
+def _density_oracle(x, y, sigma, delta, k_max):
+    """Independent direct log of the (2K+1)^2 wrapped Gaussian sum."""
+    var = sigma**2 * delta
+    e = -(((np.asarray(x) - y - _offsets(k_max)) ** 2).sum(axis=1)) / (2 * var)
+    m = e.max()
+    return m + np.log(np.exp(e - m).sum()) - np.log(2 * np.pi * var)
 
 
 class TestModelValidation:
@@ -303,3 +320,69 @@ class TestWrappedGaussianLogDensity:
             wrapped_gaussian_log_density(0.0, (0, 0), 0.5, (0, 0), -1.0, 3)
         with pytest.raises(ValueError):
             wrapped_gaussian_log_density(0.0, (0, 0), 0.5, (0, 0), 1.0, -2)
+
+
+def _rounding_slack(x, sigma, tau, k_max):
+    """How far double rounding alone can move the lattice softmax at x.
+
+    Either evaluation rounds the displacement x - (a + k), off by about
+    eps * R with R = |x|_inf + K + 1, and the exponents
+    -|y - x|^2 / (2 sigma^2 tau) amplify that by about R / (sigma^2 tau).
+    It reaches 1e-10 only where sigma^2 tau < 2e-3; near a tie line there
+    the true drift moves by more than any fixed tolerance within one ulp.
+    """
+    r = np.abs(x).max() + k_max + 1
+    return 4 * np.finfo(float).eps * r * (1 + r / (sigma**2 * tau))
+
+
+_sigmas = st.floats(0.05, 3.0)
+_taus = st.floats(1e-6, 1.0)
+_windows = st.integers(0, 6)
+_targets = st.tuples(*[st.floats(-0.5, 0.5, exclude_max=True)] * 2)
+_planes = st.tuples(*[st.floats(-6.0, 6.0)] * 2)
+
+
+class TestSeparableKernelProperties:
+    """The per-coordinate kernels against the direct (2K+1)^2 sums."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sigma=_sigmas, tau=_taus, k_max=_windows, a=_targets, x=_planes)
+    def test_drift_and_weights_match_direct_sum(self, sigma, tau, k_max, a, x):
+        m = TrueBridge(sigma=sigma, horizon=1.0, target=a, truncation=k_max)
+        t = 1.0 - tau
+        tau = 1.0 - t  # the rounded time to go the model sees
+        x = np.asarray(x)
+        lifts, w = _softmax_weights_oracle(x, a, sigma, tau, k_max)
+        sw = softmax_weights(t, x, m)
+        np.testing.assert_array_equal(sw.lattice_points, lifts)
+        slack = _rounding_slack(x, sigma, tau, k_max)
+        np.testing.assert_allclose(sw.weights, w, rtol=1e-10 + slack, atol=1e-12)
+        np.testing.assert_allclose(
+            true_bridge_drift(t, x, m),
+            _softmax_drift_oracle(x, a, sigma, tau, k_max),
+            rtol=1e-10, atol=1e-12 + slack / tau,
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(sigma=_sigmas, delta=_taus, k_max=_windows, y=_targets, x=_planes)
+    def test_density_matches_direct_sum(self, sigma, delta, k_max, y, x):
+        np.testing.assert_allclose(
+            wrapped_gaussian_log_density(0.0, x, delta, y, sigma, k_max),
+            _density_oracle(x, y, sigma, delta, k_max),
+            rtol=1e-10, atol=1e-12,
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(sigma=_sigmas, tau=_taus, k_max=_windows, a=_targets,
+           xs=st.lists(_planes, min_size=1, max_size=6))
+    def test_single_point_equals_batch_row(self, sigma, tau, k_max, a, xs):
+        m = TrueBridge(sigma=sigma, horizon=1.0, target=a, truncation=k_max)
+        t = 1.0 - tau
+        batch = np.asarray(xs)
+        drifts = true_bridge_drift(t, batch, m)
+        weights = softmax_weights(t, batch, m).weights
+        densities = wrapped_gaussian_log_density(0.0, batch, tau, a, sigma, k_max)
+        for row, x in enumerate(xs):
+            np.testing.assert_array_equal(true_bridge_drift(t, x, m), drifts[row])
+            np.testing.assert_array_equal(softmax_weights(t, x, m).weights, weights[row])
+            assert wrapped_gaussian_log_density(0.0, x, tau, a, sigma, k_max) == densities[row]

@@ -306,3 +306,10 @@ class TestConfigRoundTrip:
             SimConfig(model=m, start=A0, n_steps=10, seed=0, n_paths=0)
         with pytest.raises(ValueError):
             SimConfig(model="proposed", start=A0, n_steps=10, seed=0)
+
+    def test_unknown_model_key_rejected(self):
+        cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0))
+        data = config_to_dict(cfg)
+        data["model"]["bogus"] = 1
+        with pytest.raises(ValueError, match=r"'bogus'.*'proposed'.*cut_locus_tol"):
+            config_from_dict(data)
