@@ -39,16 +39,13 @@ from .engine import (
     config_to_dict,
     euler_step,
     simulate_batch,
-    simulate_coupled_pair,
     simulate_path,
     wiener_increments,
 )
 from .girsanov import (
-    WeightedPath,
     drift_bound_constant,
     log_girsanov_weight,
     novikov_bound,
-    weigh_path,
 )
 from .analysis import (
     AgreementReport,
@@ -97,13 +94,10 @@ __all__ = [
     "wiener_increments",
     "simulate_path",
     "simulate_batch",
-    "simulate_coupled_pair",
     "config_to_dict",
     "config_from_dict",
     # measure change
-    "WeightedPath",
     "log_girsanov_weight",
-    "weigh_path",
     "drift_bound_constant",
     "novikov_bound",
     # analysis

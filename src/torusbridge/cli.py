@@ -7,10 +7,12 @@ Subcommands:
   weights    recompute a finished run from its manifest and emit log weights
   check      run the acceptance suite and print one line per criterion
 
-All floating-point CSV values are serialised with 17 significant digits,
-and every run is a pure function of its flags (one master --seed, fixed
-chunking), so re-runs produce byte-identical CSV files for any worker
-count.
+All floating-point CSV values are serialised with 17 significant digits
+("%.17g", enough to round-trip a double), and every run is a pure function
+of its flags (one master --seed, fixed chunking), so re-runs produce
+byte-identical CSV files for any worker count.  Each row is formatted from
+one "%" template; paths.csv formats its step,t columns once per run and
+writes one text block per path.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import agreement_rate, drift_field
 from .engine import (
-    BatchResult,
     SimConfig,
     config_from_dict,
     config_to_dict,
@@ -33,11 +36,6 @@ from .engine import (
 )
 
 __all__ = ["main"]
-
-
-def _fmt(value: float) -> str:
-    """17-significant-digit decimal form, enough to round-trip a double."""
-    return format(float(value), ".17g")
 
 
 def _pair(text: str, flag: str) -> tuple[float, float]:
@@ -51,10 +49,15 @@ def _pair(text: str, flag: str) -> tuple[float, float]:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
+    """Write ``header`` and then ``rows``, text blocks that each end in a newline."""
     with open(path, "w", newline="") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(rows)
+
+
+def _offset_text(k: list[int], unresolved: bool) -> str:
+    """The two columns of a lattice offset, left empty on the cut locus."""
+    return "," if unresolved else "%d,%d" % (k[0], k[1])
 
 
 def _merge_model(cfg_model: dict, ns: argparse.Namespace):
@@ -90,34 +93,11 @@ def _merge_model(cfg_model: dict, ns: argparse.Namespace):
 def _load_config_file(path: str) -> tuple[dict, dict]:
     """Read a config file (bare config block or a full manifest)."""
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object; got {type(data).__name__}")
     if "config" in data and isinstance(data["config"], dict):
         return data["config"], data.get("output", {})
     return data, {}
-
-
-def _endpoint_rows(batch: BatchResult):
-    logw = batch.log_weights
-    for pid in range(batch.n_paths):
-        x = batch.terminal_points[pid]
-        if batch.unresolved[pid]:
-            k1 = k2 = ""
-        else:
-            k1 = str(int(batch.limiting_lattice_points[pid, 0]))
-            k2 = str(int(batch.limiting_lattice_points[pid, 1]))
-        lw = _fmt(logw[pid]) if logw is not None else ""
-        yield [str(pid), _fmt(x[0]), _fmt(x[1]), k1, k2,
-               str(int(batch.unresolved[pid])), lw]
-
-
-def _path_rows(batch: BatchResult, thin: int):
-    n = batch.config.n_steps
-    steps = [i for i in range(n + 1) if i % thin == 0]
-    if steps[-1] != n:
-        steps.append(n)  # the terminal state is always kept
-    for pid, sample in enumerate(batch.paths):
-        for i in steps:
-            yield [str(pid), str(i), _fmt(sample.times[i]),
-                   _fmt(sample.states[i, 0]), _fmt(sample.states[i, 1])]
 
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
@@ -141,12 +121,26 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     batch = simulate_batch(config, n_workers=ns.workers, keep_paths=True, weight_cutoff=cutoff)
-    _write_csv(out_dir / "paths.csv", "path_id,step,t,x1,x2", _path_rows(batch, thin))
-    _write_csv(
-        out_dir / "endpoints.csv",
-        "path_id,xT1,xT2,k1,k2,unresolved,log_weight",
-        _endpoint_rows(batch),
-    )
+
+    n = config.n_steps
+    steps = np.arange(0, n + 1, thin)
+    if steps[-1] != n:
+        steps = np.append(steps, n)  # the terminal state is always kept
+    # The step,t columns are the same for every path, so they are formatted
+    # once; NUL marks where each path's path_id goes.
+    body = "".join("\0%d,%.17g,%%.17g,%%.17g\n" % row
+                   for row in zip(steps.tolist(), config.time_grid()[steps].tolist()))
+    blocks = (body.replace("\0", "%d," % pid) % tuple(path.states[steps].ravel().tolist())
+              for pid, path in enumerate(batch.paths))
+    _write_csv(out_dir / "paths.csv", "path_id,step,t,x1,x2", blocks)
+
+    logw = batch.log_weights
+    logw_text = ["%.17g" % w for w in logw.tolist()] if logw is not None else [""] * batch.n_paths
+    rows = ("%d,%.17g,%.17g,%s,%d,%s\n" % (pid, *x, _offset_text(k, tie), tie, lw)
+            for pid, (x, k, tie, lw) in enumerate(zip(
+                batch.terminal_points.tolist(), batch.limiting_lattice_points.tolist(),
+                batch.unresolved.tolist(), logw_text)))
+    _write_csv(out_dir / "endpoints.csv", "path_id,xT1,xT2,k1,k2,unresolved,log_weight", rows)
     manifest = {
         "command": "simulate",
         "version": __version__,
@@ -191,16 +185,13 @@ def cmd_compare(ns: argparse.Namespace) -> int:
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def rows():
-        for pid in range(report.n_pairs):
-            ka = ["", ""] if report.unresolved_a[pid] else [
-                str(int(report.offsets_a[pid, 0])), str(int(report.offsets_a[pid, 1]))]
-            kb = ["", ""] if report.unresolved_b[pid] else [
-                str(int(report.offsets_b[pid, 0])), str(int(report.offsets_b[pid, 1]))]
-            yield [str(pid), *ka, *kb, str(int(report.agree[pid]))]
-
+    rows = ("%d,%s,%s,%d\n" % (pid, _offset_text(ka, tie_a), _offset_text(kb, tie_b), agree)
+            for pid, (ka, tie_a, kb, tie_b, agree) in enumerate(zip(
+                report.offsets_a.tolist(), report.unresolved_a.tolist(),
+                report.offsets_b.tolist(), report.unresolved_b.tolist(),
+                report.agree.tolist())))
     _write_csv(out_dir / "agreement.csv",
-               "pair_id,k1_prop,k2_prop,k1_true,k2_true,agree", rows())
+               "pair_id,k1_prop,k2_prop,k1_true,k2_true,agree", rows)
     summary = {
         "n_pairs": report.n_pairs,
         "n_agree": report.n_agree,
@@ -227,8 +218,8 @@ def cmd_field(ns: argparse.Namespace) -> int:
     )
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = ([_fmt(p[0]), _fmt(p[1]), _fmt(b[0]), _fmt(b[1])]
-            for p, b in zip(points, vectors))
+    rows = ("%.17g,%.17g,%.17g,%.17g\n" % (*p, *b)
+            for p, b in zip(points.tolist(), vectors.tolist()))
     _write_csv(out_dir / "field.csv", "x1,x2,b1,b2", rows)
     print(f"wrote {len(points)} field samples to {out_dir / 'field.csv'}")
     return 0
@@ -236,7 +227,7 @@ def cmd_field(ns: argparse.Namespace) -> int:
 
 def cmd_weights(ns: argparse.Namespace) -> int:
     manifest = json.loads(Path(ns.manifest).read_text())
-    if "config" not in manifest:
+    if not isinstance(manifest, dict) or "config" not in manifest:
         raise ValueError(f"{ns.manifest} does not look like a run manifest")
     config = config_from_dict(manifest["config"])
     batch = simulate_batch(
@@ -244,7 +235,7 @@ def cmd_weights(ns: argparse.Namespace) -> int:
     )
     out_dir = Path(ns.out) if ns.out else Path(ns.manifest).parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = ([str(pid), _fmt(lw)] for pid, lw in enumerate(batch.log_weights))
+    rows = ("%d,%.17g\n" % row for row in enumerate(batch.log_weights.tolist()))
     _write_csv(out_dir / "weights.csv", "path_id,log_weight", rows)
     print(f"wrote {batch.n_paths} log weights to {out_dir / 'weights.csv'}")
     return 0

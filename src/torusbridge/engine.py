@@ -28,7 +28,7 @@ without changing any output byte.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +53,6 @@ __all__ = [
     "wiener_increments",
     "simulate_path",
     "simulate_batch",
-    "simulate_coupled_pair",
     "require_coupled",
     "diagnostic_target",
     "model_to_dict",
@@ -374,19 +373,6 @@ def require_coupled(config_a: SimConfig, config_b: SimConfig) -> None:
             raise ValueError(f"coupled configs must share {name}; got {va} vs {vb}")
 
 
-def simulate_coupled_pair(
-    config_a: SimConfig, config_b: SimConfig, path_index: int = 0
-) -> tuple[PathSample, PathSample]:
-    """Simulate one path of each model driven by the identical noise.
-
-    Both trajectories consume the same dW sequence (stream of
-    ``(seed, path_index)``), so any difference between them is purely the
-    difference of the two drifts.
-    """
-    require_coupled(config_a, config_b)
-    return simulate_path(config_a, path_index), simulate_path(config_b, path_index)
-
-
 # ---------------------------------------------------------------------------
 # JSON round-trip of configurations (manifest "config" block)
 # ---------------------------------------------------------------------------
@@ -423,6 +409,8 @@ def model_to_dict(model: DriftModel) -> dict:
 
 def model_from_dict(data: dict) -> DriftModel:
     """Inverse of :func:`model_to_dict`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a model block must be a JSON object; got {type(data).__name__}")
     data = dict(data)
     try:
         variant = data.pop("variant")
@@ -460,8 +448,20 @@ def config_to_dict(config: SimConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> SimConfig:
-    """Inverse of :func:`config_to_dict`."""
+    """Inverse of :func:`config_to_dict`.
+
+    Raises:
+        ValueError: if ``data`` is not a dict, holds a key that is not a
+            :class:`SimConfig` field, or lacks a field without a default.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a config block must be a JSON object; got {type(data).__name__}")
+    names = [f.name for f in fields(SimConfig)]
+    unknown = sorted(set(data) - set(names))
+    missing = [f.name for f in fields(SimConfig) if f.default is MISSING and f.name not in data]
+    if unknown or missing:
+        raise ValueError(f"config block has unknown key(s) {unknown} and missing key(s) "
+                         f"{missing}; SimConfig's fields are {names}")
     data = dict(data)
     model = model_from_dict(data.pop("model"))
-    data["start"] = tuple(data["start"])
     return SimConfig(model=model, **data)

@@ -17,7 +17,6 @@ them against simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,11 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .engine import PathSample
 
 __all__ = [
-    "WeightedPath",
     "cutoff_index",
     "path_log_weights",
     "log_girsanov_weight",
-    "weigh_path",
     "drift_bound_constant",
     "novikov_bound",
 ]
@@ -115,24 +112,6 @@ def log_girsanov_weight(path: "PathSample", model: DriftModel, cutoff_S: float) 
         raise ValueError("path does not carry recorded increments")
     out = path_log_weights(path.times, path.states, path.increments, model, cutoff_S)
     return float(out)
-
-
-@dataclass(frozen=True)
-class WeightedPath:
-    """A path together with its log weight on [0, cutoff_S]."""
-
-    path: "PathSample"
-    log_weight: float
-    cutoff_S: float
-
-
-def weigh_path(path: "PathSample", model: DriftModel, cutoff_S: float) -> WeightedPath:
-    """Attach the Girsanov log weight on [0, S] to a recorded path."""
-    return WeightedPath(
-        path=path,
-        log_weight=log_girsanov_weight(path, model, cutoff_S),
-        cutoff_S=cutoff_S,
-    )
 
 
 def drift_bound_constant(model: DriftModel, cutoff_S: float) -> float:

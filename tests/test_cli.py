@@ -1,8 +1,14 @@
 """Tests for the command-line interface and its CSV contracts."""
 
+import dataclasses
 import json
 
-from torusbridge import cli
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from torusbridge import cli, engine
 
 
 def _run(*args):
@@ -12,6 +18,61 @@ def _run(*args):
 def _read_csv(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def _assert_one_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for needle in needles:
+        assert needle in err
+
+
+# Reference writer: one format(v, ".17g") call per float and ",".join per
+# row, as the CLI wrote its CSV files before rows came from "%" templates.
+
+def _fmt(value):
+    return format(float(value), ".17g")
+
+
+def _oracle_csv(header, rows):
+    return "".join(",".join(row) + "\n" for row in [header.split(","), *rows]).encode()
+
+
+def _oracle_offsets(k, unresolved):
+    return ["", ""] if unresolved else [str(int(k[0])), str(int(k[1]))]
+
+
+def _oracle_paths(batch, thin):
+    n = batch.config.n_steps
+    steps = [i for i in range(n + 1) if i % thin == 0]
+    if steps[-1] != n:
+        steps.append(n)
+    return _oracle_csv("path_id,step,t,x1,x2", (
+        [str(pid), str(i), _fmt(p.times[i]), _fmt(p.states[i, 0]), _fmt(p.states[i, 1])]
+        for pid, p in enumerate(batch.paths) for i in steps))
+
+
+def _oracle_endpoints(batch):
+    logw = batch.log_weights
+    return _oracle_csv("path_id,xT1,xT2,k1,k2,unresolved,log_weight", (
+        [str(pid), _fmt(batch.terminal_points[pid, 0]), _fmt(batch.terminal_points[pid, 1]),
+         *_oracle_offsets(batch.limiting_lattice_points[pid], batch.unresolved[pid]),
+         str(int(batch.unresolved[pid])), _fmt(logw[pid]) if logw is not None else ""]
+        for pid in range(batch.n_paths)))
+
+
+def _capture(monkeypatch, name, edit=lambda result: result):
+    """Replace cli.<name> by a wrapper that passes its result through
+    ``edit`` and records what the CLI received."""
+    seen = []
+    real = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        seen.append(edit(real(*args, **kwargs)))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return seen
 
 
 class TestSimulate:
@@ -112,13 +173,91 @@ class TestSimulate:
         }))
         rc = _run("simulate", "--config", cfg_file, "--out", tmp_path)
         assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "'bogus'" in err
+        _assert_one_error_line(capsys, "'bogus'")
 
     def test_invalid_sigma_fails(self, tmp_path):
         rc = _run("simulate", "--model", "free-bm", "--sigma", "-1", "--out", tmp_path)
         assert rc == 2
+
+    def test_config_file_not_an_object_fails(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text("[1, 2]")
+        rc = _run("simulate", "--config", cfg_file, "--model", "free-bm", "--out", tmp_path)
+        assert rc == 2
+        _assert_one_error_line(capsys, "JSON object", "list")
+        assert _run("weights", "--manifest", cfg_file, "--cutoff", "0.5") == 2
+        _assert_one_error_line(capsys, "manifest")
+
+
+class TestWriterBytes:
+    """The CSV writers produce the reference writer's bytes."""
+
+    @pytest.mark.parametrize("thin", [1, 3, 7])
+    @pytest.mark.parametrize("cutoff", [None, 0.5])
+    def test_paths_and_endpoints(self, tmp_path, monkeypatch, thin, cutoff):
+        seen = _capture(monkeypatch, "simulate_batch")
+        args = ["simulate", "--model", "proposed", "--target", "0.1,-0.2", "--sigma", "0.9",
+                "--steps", "20", "--paths", "4", "--seed", "17", "--thin", thin, "--out", tmp_path]
+        assert _run(*args, *(["--cutoff", cutoff] if cutoff else [])) == 0
+        assert (tmp_path / "paths.csv").read_bytes() == _oracle_paths(seen[0], thin)
+        assert (tmp_path / "endpoints.csv").read_bytes() == _oracle_endpoints(seen[0])
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_three_chunks(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(engine, "CHUNK_SIZE", 16)
+        seen = _capture(monkeypatch, "simulate_batch")
+        assert _run("simulate", "--model", "proposed", "--target", "0,0", "--steps", "10",
+                    "--paths", "40", "--seed", "23", "--cutoff", "0.5",
+                    "--workers", workers, "--out", tmp_path) == 0
+        assert (tmp_path / "paths.csv").read_bytes() == _oracle_paths(seen[0], 1)
+        assert (tmp_path / "endpoints.csv").read_bytes() == _oracle_endpoints(seen[0])
+
+    def test_cut_locus_rows(self, tmp_path, monkeypatch):
+        """Rows flagged unresolved leave their offset columns empty."""
+        flags = np.array([True, False, True])
+        seen = _capture(monkeypatch, "simulate_batch",
+                        lambda b: dataclasses.replace(b, unresolved=flags))
+        _run("simulate", "--model", "free-bm", "--steps", "5", "--paths", "3", "--seed", "2",
+             "--out", tmp_path / "s")
+        assert (tmp_path / "s" / "endpoints.csv").read_bytes() == _oracle_endpoints(seen[0])
+
+        reports = _capture(monkeypatch, "agreement_rate", lambda r: dataclasses.replace(
+            r, unresolved_a=flags, unresolved_b=flags[::-1].copy()))
+        _run("compare", "--steps", "20", "--pairs", "3", "--seed", "4", "--out", tmp_path / "c")
+        r = reports[0]
+        expected = _oracle_csv("pair_id,k1_prop,k2_prop,k1_true,k2_true,agree", (
+            [str(pid), *_oracle_offsets(r.offsets_a[pid], r.unresolved_a[pid]),
+             *_oracle_offsets(r.offsets_b[pid], r.unresolved_b[pid]), str(int(r.agree[pid]))]
+            for pid in range(r.n_pairs)))
+        assert (tmp_path / "c" / "agreement.csv").read_bytes() == expected
+
+    def test_field_and_weights(self, tmp_path, monkeypatch):
+        _run("field", "--model", "true-bridge", "--target", "0.1,0", "--sigma", "0.8",
+             "--t", "0.9", "--grid", "5", "--rect=-2,2,-1,1", "--out", tmp_path)
+        points, vectors = cli.drift_field(
+            engine.model_from_dict({"variant": "true-bridge", "sigma": 0.8, "horizon": 1.0,
+                                    "target": (0.1, 0.0)}),
+            0.9, (-2.0, 2.0), (-1.0, 1.0), 5)
+        assert (tmp_path / "field.csv").read_bytes() == _oracle_csv("x1,x2,b1,b2", (
+            [_fmt(p[0]), _fmt(p[1]), _fmt(b[0]), _fmt(b[1])] for p, b in zip(points, vectors)))
+
+        _run("simulate", "--model", "proposed", "--target", "0,0", "--steps", "10",
+             "--paths", "3", "--seed", "8", "--out", tmp_path / "run")
+        seen = _capture(monkeypatch, "simulate_batch")
+        _run("weights", "--manifest", tmp_path / "run" / "manifest.json", "--cutoff", "0.3",
+             "--out", tmp_path / "w")
+        assert (tmp_path / "w" / "weights.csv").read_bytes() == _oracle_csv(
+            "path_id,log_weight",
+            ([str(pid), _fmt(lw)] for pid, lw in enumerate(seen[0].log_weights)))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    @example(5e-324)
+    @example(2.2250738585072009e-308)
+    @example(1e308)
+    @example(-1e308)
+    def test_percent_format_equals_format(self, v):
+        assert "%.17g" % v == format(v, ".17g")
 
 
 class TestCompare:
@@ -186,6 +325,22 @@ class TestWeights:
         _, endpoint_rows = _read_csv(tmp_path / "run" / "endpoints.csv")
         _, weight_rows = _read_csv(tmp_path / "w" / "weights.csv")
         assert [r[6] for r in endpoint_rows] == [r[1] for r in weight_rows]
+
+    @pytest.mark.parametrize("edit, needles", [
+        (lambda c: c.update(bogus=1), ("'bogus'", "SimConfig")),
+        (lambda c: c.pop("start"), ("'start'", "SimConfig")),
+        (lambda c: c.update(model=[1]), ("model block",)),
+    ])
+    def test_bad_manifest_config_fails(self, tmp_path, capsys, edit, needles):
+        _run("simulate", "--model", "free-bm", "--steps", "10", "--paths", "2",
+             "--seed", "1", "--out", tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        edit(manifest["config"])
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = _run("weights", "--manifest", tmp_path / "manifest.json", "--cutoff", "0.5")
+        assert rc == 2
+        _assert_one_error_line(capsys, *needles)
 
     def test_cutoff_off_grid_fails(self, tmp_path):
         _run("simulate", "--model", "proposed", "--target", "0,0", "--steps", "100",

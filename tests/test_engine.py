@@ -14,10 +14,10 @@ from torusbridge import (
     euler_step,
     lattice_endpoint_histogram,
     simulate_batch,
-    simulate_coupled_pair,
     simulate_path,
     wiener_increments,
 )
+from torusbridge.engine import require_coupled
 
 A0 = (0.0, 0.0)
 
@@ -258,8 +258,8 @@ class TestCoupledSimulation:
     def test_identical_models_give_identical_paths(self):
         cfg_a = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0), n_steps=50, seed=30)
         cfg_b = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0), n_steps=50, seed=30)
-        pa, pb = simulate_coupled_pair(cfg_a, cfg_b)
-        np.testing.assert_array_equal(pa.states, pb.states)
+        require_coupled(cfg_a, cfg_b)
+        np.testing.assert_array_equal(simulate_path(cfg_a).states, simulate_path(cfg_b).states)
 
     def test_mismatched_configs_rejected(self):
         base = dict(start=A0, n_steps=50, seed=30, n_paths=1)
@@ -270,7 +270,7 @@ class TestCoupledSimulation:
             SimConfig(model=FreeBrownianMotion(sigma=0.9, horizon=1.0), **base),
         ):
             with pytest.raises(ValueError):
-                simulate_coupled_pair(cfg_a, bad)
+                require_coupled(cfg_a, bad)
 
     def test_small_noise_models_share_limiting_point(self):
         """With sigma = 0.1 both drifts confine the pair to one square and
@@ -312,4 +312,24 @@ class TestConfigRoundTrip:
         data = config_to_dict(cfg)
         data["model"]["bogus"] = 1
         with pytest.raises(ValueError, match=r"'bogus'.*'proposed'.*cut_locus_tol"):
+            config_from_dict(data)
+
+    def test_unknown_config_key_rejected(self):
+        data = config_to_dict(_cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0)))
+        data["bogus"] = 1
+        with pytest.raises(ValueError, match=r"unknown key\(s\) \['bogus'\].*record_increments"):
+            config_from_dict(data)
+
+    def test_missing_config_key_rejected(self):
+        data = config_to_dict(_cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0)))
+        del data["start"], data["n_paths"]  # n_paths has a default, start has none
+        with pytest.raises(ValueError, match=r"missing key\(s\) \['start'\];.*'n_steps'"):
+            config_from_dict(data)
+
+    def test_config_block_must_be_a_dict(self):
+        with pytest.raises(ValueError, match="config block must be a JSON object"):
+            config_from_dict([1, 2])
+        data = config_to_dict(_cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0)))
+        data["model"] = [1, 2]
+        with pytest.raises(ValueError, match="model block must be a JSON object"):
             config_from_dict(data)

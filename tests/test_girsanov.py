@@ -14,7 +14,6 @@ from torusbridge import (
     novikov_bound,
     simulate_batch,
     simulate_path,
-    weigh_path,
 )
 from torusbridge.girsanov import path_log_weights
 
@@ -68,14 +67,6 @@ class TestLogWeight:
         for bad in (1.0, 1.5, 0.0, -0.2, 0.55):  # at T, past T, empty, negative, off grid
             with pytest.raises(ValueError):
                 log_girsanov_weight(path, cfg.model, bad)
-
-    def test_weigh_path_wrapper(self):
-        cfg = SimConfig(model=ProposedBridge(sigma=1.0, horizon=1.0, target=A0),
-                        start=A0, n_steps=20, seed=5, n_paths=1, record_increments=True)
-        path = simulate_path(cfg, 0)
-        wp = weigh_path(path, cfg.model, 0.5)
-        assert wp.cutoff_S == 0.5
-        assert wp.log_weight == log_girsanov_weight(path, cfg.model, 0.5)
 
 
 class TestMartingaleProperty:
