@@ -13,6 +13,7 @@ from .geometry import (
     lattice_lifts,
     lattice_offsets,
     lift_nearest,
+    nearest_offset,
     project,
     torus_distance,
 )
@@ -22,13 +23,10 @@ from .drift import (
     FreeBrownianMotion,
     HorizonError,
     ProposedBridge,
-    SoftmaxWeights,
     TrueBridge,
+    VARIANTS,
     drift,
-    euclidean_bridge_drift,
-    proposed_drift,
     softmax_weights,
-    true_bridge_drift,
     wrapped_gaussian_log_density,
 )
 from .engine import (
@@ -67,6 +65,7 @@ __all__ = [
     # geometry
     "AmbiguousLiftError",
     "project",
+    "nearest_offset",
     "lift_nearest",
     "is_on_cut_locus",
     "torus_distance",
@@ -78,12 +77,9 @@ __all__ = [
     "EuclideanBridge",
     "ProposedBridge",
     "TrueBridge",
-    "SoftmaxWeights",
+    "VARIANTS",
     "HorizonError",
     "drift",
-    "euclidean_bridge_drift",
-    "proposed_drift",
-    "true_bridge_drift",
     "softmax_weights",
     "wrapped_gaussian_log_density",
     # engine

@@ -39,8 +39,6 @@ from .drift import (
     FreeBrownianMotion,
     ProposedBridge,
     TrueBridge,
-    proposed_drift,
-    true_bridge_drift,
     wrapped_gaussian_log_density,
 )
 from .engine import SimConfig, simulate_batch
@@ -190,7 +188,7 @@ def check_drift_bound() -> CriterionResult:
     rng = np.random.default_rng(1008)
     t = rng.uniform(0.0, S, size=100_000)
     x = rng.uniform(-2.0, 2.0, size=(100_000, 2))
-    b = proposed_drift(t, x, model)
+    b = model.drift(t, x)
     sup_bound = np.sqrt(0.5) / (T - S)
     n_viol = int(np.sum(np.linalg.norm(b, axis=-1) > sup_bound * (1 + 1e-12)))
 
@@ -203,7 +201,7 @@ def check_drift_bound() -> CriterionResult:
     states = np.stack([p.states for p in batch.paths])  # (n_paths, n+1, 2)
     bsq = np.empty((cfg.n_paths, k))
     for i in range(k):
-        bi = proposed_drift(times[i], states[:, i], model)
+        bi = model.drift(times[i], states[:, i])
         bsq[:, i] = (bi * bi).sum(axis=-1)
     partial = np.cumsum(bsq * dt, axis=1)
     limits = times[1 : k + 1] * c_s
@@ -230,7 +228,7 @@ def check_gradient_identity() -> CriterionResult:
     while checked < 100:
         t = rng.uniform(0.0, 0.9)
         x = rng.uniform(-0.45, 0.45, size=2)
-        b = true_bridge_drift(t, x, model)
+        b = model.drift(t, x)
         norm_b = np.linalg.norm(b)
         if norm_b < 1e-2:
             continue  # keep the relative comparison well conditioned

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .drift import DriftModel, drift
-from .engine import BatchResult, PathSample, SimConfig, diagnostic_target, require_coupled, simulate_batch
+from .engine import BatchResult, PathSample, SimConfig, require_coupled, simulate_batch
 from .geometry import as_point, project, torus_distance
 
 __all__ = [
@@ -173,7 +173,7 @@ def agreement_rate(
     comparable.  n_pairs is the common n_paths of the two configs.
     """
     require_coupled(config_a, config_b)
-    if diagnostic_target(config_a.model) != diagnostic_target(config_b.model):
+    if config_a.model.diagnostic_target != config_b.model.diagnostic_target:
         raise ValueError("coupled configs must condition on the same target")
     batch_a = simulate_batch(config_a, n_workers=n_workers, keep_paths=False)
     batch_b = simulate_batch(config_b, n_workers=n_workers, keep_paths=False)

@@ -21,16 +21,19 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import agreement_rate, drift_field
+from .drift import VARIANTS
 from .engine import (
     SimConfig,
     config_from_dict,
     config_to_dict,
+    model_class,
     model_from_dict,
     simulate_batch,
 )
@@ -60,33 +63,29 @@ def _offset_text(k: list[int], unresolved: bool) -> str:
     return "," if unresolved else "%d,%d" % (k[0], k[1])
 
 
-def _merge_model(cfg_model: dict, ns: argparse.Namespace):
+# The namespace attribute (flag --<attr>) that sets each model field.  Unset flags leave
+# a field to the config file, then to the defaults below or the model's own.
+_FIELD_FLAGS = {"sigma": "sigma", "horizon": "T", "endpoint": "endpoint", "target": "target",
+                "scale_by_sigma_sq": "scale_drift_by_sigma_sq", "truncation": "truncation"}
+_PAIR_FIELDS = ("endpoint", "target")
+
+
+def _merge_model(variant: str | None, cfg_model: dict, ns: argparse.Namespace):
     """Model description from flags, with a config file filling the gaps."""
-    variant = ns.model or cfg_model.get("variant")
+    if not isinstance(cfg_model, dict):
+        raise ValueError(f"a model block must be a JSON object; got {type(cfg_model).__name__}")
+    variant = variant or cfg_model.get("variant")
     if variant is None:
         raise ValueError("a model is required (--model or --config)")
     base = dict(cfg_model) if cfg_model.get("variant") == variant else {}
-    base["variant"] = variant
-    if ns.sigma is not None:
-        base["sigma"] = ns.sigma
-    base.setdefault("sigma", cfg_model.get("sigma", 1.0))
-    if ns.T is not None:
-        base["horizon"] = ns.T
-    base.setdefault("horizon", cfg_model.get("horizon", 1.0))
-    if variant == "euclid-bridge":
-        if ns.endpoint:
-            base["endpoint"] = list(_pair(ns.endpoint, "--endpoint"))
-        if "endpoint" not in base:
-            raise ValueError("--endpoint x,y is required for euclid-bridge")
-    if variant in ("proposed", "true-bridge"):
-        if ns.target:
-            base["target"] = list(_pair(ns.target, "--target"))
-        if "target" not in base:
-            raise ValueError(f"--target x,y is required for {variant}")
-    if variant == "proposed" and getattr(ns, "scale_drift_by_sigma_sq", False):
-        base["scale_by_sigma_sq"] = True
-    if variant == "true-bridge" and ns.truncation is not None:
-        base["truncation"] = ns.truncation
+    base.update(variant=variant, sigma=cfg_model.get("sigma", 1.0),
+                horizon=cfg_model.get("horizon", 1.0))
+    for name in [f.name for f in fields(model_class(variant)) if f.name in _FIELD_FLAGS]:
+        value = getattr(ns, _FIELD_FLAGS[name], None)
+        if value is not None:
+            base[name] = list(_pair(value, f"--{name}")) if name in _PAIR_FIELDS else value
+        elif name in _PAIR_FIELDS and name not in base:
+            raise ValueError(f"--{name} x,y is required for {variant}")
     return model_from_dict(base)
 
 
@@ -96,14 +95,17 @@ def _load_config_file(path: str) -> tuple[dict, dict]:
     if not isinstance(data, dict):
         raise ValueError(f"{path} must hold a JSON object; got {type(data).__name__}")
     if "config" in data and isinstance(data["config"], dict):
-        return data["config"], data.get("output", {})
+        output = data.get("output", {})
+        if not isinstance(output, dict):
+            raise ValueError(f"an output block must be a JSON object; got {type(output).__name__}")
+        return data["config"], output
     return data, {}
 
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
     cfg_block, out_block = _load_config_file(ns.config) if ns.config else ({}, {})
-    model = _merge_model(cfg_block.get("model", {}), ns)
-    start = _pair(ns.start, "--start") if ns.start else tuple(cfg_block.get("start", (0.0, 0.0)))
+    model = _merge_model(ns.model, cfg_block.get("model", {}), ns)
+    start = _pair(ns.start, "--start") if ns.start else cfg_block.get("start", (0.0, 0.0))
     config = SimConfig(
         model=model,
         start=start,
@@ -112,7 +114,9 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         n_paths=ns.paths if ns.paths is not None else cfg_block.get("n_paths", 1),
         record_increments=bool(ns.record_increments or cfg_block.get("record_increments", False)),
     )
-    thin = ns.thin if ns.thin is not None else int(out_block.get("thin", 1))
+    thin = ns.thin if ns.thin is not None else out_block.get("thin", 1)
+    if not isinstance(thin, int):
+        raise ValueError(f"thin must be an integer; got {thin!r}")
     if thin < 1:
         raise ValueError(f"--thin must be >= 1; got {thin}")
     cutoff = ns.cutoff if ns.cutoff is not None else out_block.get("weight_cutoff")
@@ -157,28 +161,12 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
 
 
 def cmd_compare(ns: argparse.Namespace) -> int:
-    sigma = ns.sigma if ns.sigma is not None else 1.0
-    horizon = ns.T if ns.T is not None else 1.0
-    target = _pair(ns.target or "0,0", "--target")
     start = _pair(ns.start, "--start")
-    trunc = ns.truncation if ns.truncation is not None else 2
+    ns.endpoint = ns.endpoint or ns.target
 
     def build(variant: str) -> SimConfig:
-        desc = {"variant": variant, "sigma": sigma, "horizon": horizon}
-        if variant in ("proposed", "true-bridge"):
-            desc["target"] = list(target)
-        if variant == "true-bridge":
-            desc["truncation"] = trunc
-        if variant == "euclid-bridge":
-            ep = _pair(ns.endpoint, "--endpoint") if ns.endpoint else target
-            desc["endpoint"] = list(ep)
-        return SimConfig(
-            model=model_from_dict(desc),
-            start=start,
-            n_steps=ns.steps,
-            seed=ns.seed,
-            n_paths=ns.pairs,
-        )
+        return SimConfig(model=_merge_model(variant, {}, ns), start=start,
+                         n_steps=ns.steps, seed=ns.seed, n_paths=ns.pairs)
 
     report = agreement_rate(build(ns.model_a), build(ns.model_b), n_workers=ns.workers)
 
@@ -209,7 +197,7 @@ def cmd_compare(ns: argparse.Namespace) -> int:
 
 
 def cmd_field(ns: argparse.Namespace) -> int:
-    model = _merge_model({}, ns)
+    model = _merge_model(ns.model, {}, ns)
     rect = [float(v) for v in ns.rect.split(",")]
     if len(rect) != 4:
         raise ValueError(f"--rect expects 'x1min,x1max,x2min,x2max'; got {ns.rect!r}")
@@ -270,8 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a batch and write paths/endpoints/manifest")
-    p.add_argument("--model", choices=["free-bm", "euclid-bridge", "proposed", "true-bridge"],
-                   default=None)
+    p.add_argument("--model", choices=list(VARIANTS), default=None)
     _add_common_model_flags(p)
     p.add_argument("--steps", type=int, default=None, help="number of time steps (dt = T/steps)")
     p.add_argument("--paths", type=int, default=None, help="number of paths")
@@ -280,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record-increments", action="store_true",
                    help="store Wiener increments on the paths")
     p.add_argument("--scale-drift-by-sigma-sq", dest="scale_drift_by_sigma_sq",
-                   action="store_true",
+                   action="store_true", default=None,
                    help="multiply the nearest-lift drift by sigma^2")
     p.add_argument("--thin", type=int, default=None,
                    help="write every m-th state to paths.csv (terminal state always kept)")
@@ -294,21 +281,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="coupled model pairs and agreement rate")
     _add_common_model_flags(p)
-    p.add_argument("--model-a", choices=["free-bm", "proposed", "true-bridge", "euclid-bridge"],
-                   default="proposed", help="first model (default proposed)")
-    p.add_argument("--model-b", choices=["free-bm", "proposed", "true-bridge", "euclid-bridge"],
-                   default="true-bridge", help="second model (default true-bridge)")
+    p.add_argument("--model-a", choices=list(VARIANTS), default="proposed",
+                   help="first model (default proposed)")
+    p.add_argument("--model-b", choices=list(VARIANTS), default="true-bridge",
+                   help="second model (default true-bridge)")
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--pairs", type=int, default=1000, help="number of coupled pairs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--start", default="0,0")
     p.add_argument("--out", default=".")
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, target="0,0", truncation=2)
 
     p = sub.add_parser("field", help="drift vector field on a grid, written to field.csv")
-    p.add_argument("--model", choices=["free-bm", "euclid-bridge", "proposed", "true-bridge"],
-                   default="proposed")
+    p.add_argument("--model", choices=list(VARIANTS), default="proposed")
     _add_common_model_flags(p)
     p.add_argument("--t", type=float, required=True, help="evaluation time, 0 <= t < T")
     p.add_argument("--grid", type=int, default=21, help="grid resolution per axis (>= 2)")

@@ -17,18 +17,25 @@ and differ only in how they pull the process toward its target:
     target in a truncated window, equal to sigma^2 times the gradient
     of the log lattice-Gaussian sum.
 
-All drift evaluations are pure and vectorised over points of shape
-(..., 2); ``t`` may be a scalar or an array broadcastable against the
-leading dimensions.
+Each class has a class-level ``variant`` name, its kernel ``drift(t, x)``
+and a ``diagnostic_target``, the torus point terminal lattice offsets are
+reported against (the origin, the projected endpoint, or the target).
+``VARIANTS`` maps names to classes; :func:`drift` evaluates any model.
+Evaluations are pure and vectorised over points of shape (..., 2); ``t``
+may be a scalar or an array broadcastable against the leading dimensions.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
+from typing import ClassVar
+
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .geometry import as_point, as_torus_point, lattice_lifts
+from .geometry import as_point, as_torus_point, nearest_offset, project
 
 __all__ = [
     "HorizonError",
@@ -37,12 +44,8 @@ __all__ = [
     "EuclideanBridge",
     "ProposedBridge",
     "TrueBridge",
-    "SoftmaxWeights",
+    "VARIANTS",
     "drift",
-    "free_drift",
-    "euclidean_bridge_drift",
-    "proposed_drift",
-    "true_bridge_drift",
     "softmax_weights",
     "wrapped_gaussian_log_density",
 ]
@@ -62,6 +65,12 @@ def _point_pair(p: ArrayLike) -> tuple[float, float]:
     return (float(arr[0]), float(arr[1]))
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite real number; config values may be any JSON type."""
+    return isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value))
+
+
 @dataclass(frozen=True, kw_only=True)
 class DriftModel:
     """Common parameters of every drift variant.
@@ -71,34 +80,78 @@ class DriftModel:
         horizon: terminal time T of the bridge, > 0.
     """
 
+    variant: ClassVar[str]
     sigma: float
     horizon: float
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be finite and > 0; got {self.sigma}")
-        if not (np.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError(f"horizon must be finite and > 0; got {self.horizon}")
+        for name in ("sigma", "horizon"):
+            value = getattr(self, name)
+            if not (_finite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0; got {value}")
+
+    def _time_to_go(self, t: ArrayLike) -> np.ndarray:
+        """Validate 0 <= t < T and return the clamped time to go T - t."""
+        t_arr = np.asarray(t, dtype=float)
+        if not np.all(np.isfinite(t_arr)):
+            raise HorizonError(f"time must be finite; got {t!r}")
+        if np.any(t_arr < 0) or np.any(t_arr >= self.horizon):
+            raise HorizonError(f"time must lie in [0, {self.horizon}); got {t!r}")
+        return np.maximum(self.horizon - t_arr, MIN_TIME_TO_GO)
 
 
 @dataclass(frozen=True, kw_only=True)
 class FreeBrownianMotion(DriftModel):
     """Driftless scaled Brownian motion, the unconditioned reference."""
 
+    variant: ClassVar[str] = "free-bm"
+    # Offsets then index the unit square the path ended in.
+    diagnostic_target: ClassVar[tuple[float, float]] = (0.0, 0.0)
+
+    def drift(self, t: ArrayLike, x: ArrayLike) -> np.ndarray:
+        """Zero drift of the unconditioned process (defined for all t)."""
+        return np.zeros_like(as_point(x, "x"))
+
 
 @dataclass(frozen=True, kw_only=True)
 class EuclideanBridge(DriftModel):
     """Bridge to a single fixed plane point ``endpoint``."""
 
+    variant: ClassVar[str] = "euclid-bridge"
     endpoint: tuple[float, float]
 
     def __post_init__(self) -> None:
         super().__post_init__()
         object.__setattr__(self, "endpoint", _point_pair(as_point(self.endpoint, "endpoint")))
 
+    @property
+    def diagnostic_target(self) -> tuple[float, float]:
+        return _point_pair(project(self.endpoint))
+
+    def drift(self, t: ArrayLike, x: ArrayLike) -> np.ndarray:
+        """Single-endpoint bridge drift (endpoint - x) / (T - t)."""
+        arr = as_point(x, "x")
+        tau = self._time_to_go(t)
+        return (np.asarray(self.endpoint) - arr) / _expand(tau)
+
 
 @dataclass(frozen=True, kw_only=True)
-class ProposedBridge(DriftModel):
+class _LiftBridge(DriftModel):
+    """A bridge conditioned on the torus point ``target`` in [-1/2, 1/2)^2."""
+
+    target: tuple[float, float]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        object.__setattr__(self, "target", _point_pair(as_torus_point(self.target, "target")))
+
+    @property
+    def diagnostic_target(self) -> tuple[float, float]:
+        return self.target
+
+
+@dataclass(frozen=True, kw_only=True)
+class ProposedBridge(_LiftBridge):
     """Proposal bridge pulling toward the nearest lattice lift of ``target``.
 
     ``target`` is a torus representative in [-1/2, 1/2)^2.  The drift is
@@ -111,19 +164,33 @@ class ProposedBridge(DriftModel):
     (off) is the plain ratio above.
     """
 
-    target: tuple[float, float]
+    variant: ClassVar[str] = "proposed"
     cut_locus_tol: float = 0.0
     scale_by_sigma_sq: bool = False
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "target", _point_pair(as_torus_point(self.target, "target")))
-        if not (np.isfinite(self.cut_locus_tol) and self.cut_locus_tol >= 0):
+        if not (_finite(self.cut_locus_tol) and self.cut_locus_tol >= 0):
             raise ValueError(f"cut_locus_tol must be >= 0; got {self.cut_locus_tol}")
+
+    def drift(self, t: ArrayLike, x: ArrayLike) -> np.ndarray:
+        """Nearest-lift drift, zero on the cut locus of the target.
+
+        Returns (nearest lift of target - x) / (T - t) where the nearest
+        lift is unique, and the zero vector on the tie lines (within the
+        ``cut_locus_tol`` band) rather than raising, matching the piecewise
+        definition of the process.
+        """
+        arr = as_point(x, "x")
+        tau = self._time_to_go(t)
+        a = np.asarray(self.target)
+        k, on_cut = nearest_offset(arr - a, self.cut_locus_tol)
+        b = np.where(on_cut[..., None], 0.0, (a + k - arr) / _expand(tau))
+        return b * self.sigma**2 if self.scale_by_sigma_sq else b
 
 
 @dataclass(frozen=True, kw_only=True)
-class TrueBridge(DriftModel):
+class TrueBridge(_LiftBridge):
     """Exact torus bridge drift over the truncated lift set of ``target``.
 
     The conditioning set is {target + k : ||k||_inf <= truncation}, centred
@@ -134,77 +201,36 @@ class TrueBridge(DriftModel):
     -33 where K = 10 gives -2.58.
     """
 
-    target: tuple[float, float]
+    variant: ClassVar[str] = "true-bridge"
     truncation: int = 3
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "target", _point_pair(as_torus_point(self.target, "target")))
-        if int(self.truncation) != self.truncation or self.truncation < 0:
+        if not (_finite(self.truncation) and self.truncation == int(self.truncation) >= 0):
             raise ValueError(f"truncation must be an integer >= 0; got {self.truncation}")
         object.__setattr__(self, "truncation", int(self.truncation))
 
+    def drift(self, t: ArrayLike, x: ArrayLike) -> np.ndarray:
+        """Exact bridge drift: the weighted mean pull toward the truncated lifts.
 
-@dataclass(frozen=True)
-class SoftmaxWeights:
-    """Lattice lifts and their normalised Gaussian weights at one (t, x).
-
-    ``lattice_points`` has shape (L, 2) in the deterministic lexicographic
-    offset order; ``weights`` has shape (L,), is nonnegative and sums to 1.
-    """
-
-    lattice_points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.lattice_points.shape[0] != self.weights.shape[-1]:
-            raise ValueError("lattice_points and weights must have matching lengths")
-
-
-def _time_to_go(t: ArrayLike, model: DriftModel) -> np.ndarray:
-    """Validate 0 <= t < T and return the clamped time to go T - t."""
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
-        raise HorizonError(f"time must be finite; got {t!r}")
-    if np.any(t_arr < 0) or np.any(t_arr >= model.horizon):
-        raise HorizonError(
-            f"time must lie in [0, {model.horizon}); got {t!r}"
-        )
-    return np.maximum(model.horizon - t_arr, MIN_TIME_TO_GO)
+        Equals sum_y g_y(t, x) (y - x) / (T - t) with g the softmax weights,
+        which is sigma^2 times the spatial gradient of
+        log sum_y exp(-|y - x|^2 / (2 sigma^2 (T - t))) over the same lift set.
+        """
+        arr = as_point(x, "x")
+        tau = self._time_to_go(t)
+        a = np.asarray(self.target)
+        w, sums, _ = _axis_softmax(arr - a, self.truncation, 2.0 * self.sigma**2 * tau)
+        j = np.arange(-self.truncation, self.truncation + 1.0)
+        # One summation path for every input shape, so single-point and batch
+        # evaluations of the same state are bitwise identical.
+        mean_offset = np.einsum("...l,l->...", w, j) / sums
+        return (a + mean_offset - arr) / _expand(tau)
 
 
-def free_drift(t: ArrayLike, x: ArrayLike, model: FreeBrownianMotion) -> np.ndarray:
-    """Zero drift of the unconditioned process (defined for all t)."""
-    return np.zeros_like(as_point(x, "x"))
-
-
-def euclidean_bridge_drift(t: ArrayLike, x: ArrayLike, model: EuclideanBridge) -> np.ndarray:
-    """Single-endpoint bridge drift (endpoint - x) / (T - t)."""
-    arr = as_point(x, "x")
-    tau = _time_to_go(t, model)
-    return (np.asarray(model.endpoint) - arr) / _expand(tau)
-
-
-def proposed_drift(t: ArrayLike, x: ArrayLike, model: ProposedBridge) -> np.ndarray:
-    """Nearest-lift drift, zero on the cut locus of the target.
-
-    Returns (nearest lift of target - x) / (T - t) where the nearest lift
-    is unique, and the zero vector on the tie lines (within the model's
-    ``cut_locus_tol`` band).  Ties are resolved to zero drift here rather
-    than raising, matching the piecewise definition of the process.
-    """
-    arr = as_point(x, "x")
-    tau = _time_to_go(t, model)
-    a = np.asarray(model.target)
-    d = arr - a
-    k = np.round(d)
-    frac = d - k
-    on_cut = np.any(np.abs(np.abs(frac) - 0.5) <= model.cut_locus_tol, axis=-1)
-    b = (a + k - arr) / _expand(tau)
-    b = np.where(on_cut[..., None], 0.0, b)
-    if model.scale_by_sigma_sq:
-        b = b * model.sigma**2
-    return b
+VARIANTS: dict[str, type[DriftModel]] = {
+    cls.variant: cls for cls in (FreeBrownianMotion, EuclideanBridge, ProposedBridge, TrueBridge)
+}
 
 
 def _expand(tau: np.ndarray) -> np.ndarray:
@@ -227,51 +253,25 @@ def _axis_softmax(d: np.ndarray, truncation: int, scale: ArrayLike):
     return w, w.sum(axis=-1), shift
 
 
-def softmax_weights(t: ArrayLike, x: ArrayLike, model: TrueBridge) -> SoftmaxWeights:
+def softmax_weights(t: ArrayLike, x: ArrayLike, model: TrueBridge) -> np.ndarray:
     """Normalised Gaussian weights of the truncated lifts at (t, x).
 
-    The weight of lift y is exp(-|y - x|^2 / (2 sigma^2 (T - t)))
-    normalised over the window: the product of the max-shifted
-    per-coordinate probabilities, so the nearest lift never underflows.
+    Returns shape (..., L), nonnegative and summing to 1 over the last axis,
+    in ``lattice_lifts(model.target, model.truncation)`` order.  The weight
+    of lift y is exp(-|y - x|^2 / (2 sigma^2 (T - t))) normalised over the
+    window: the product of the max-shifted per-coordinate probabilities,
+    so the nearest lift never underflows.
     """
-    tau = _time_to_go(t, model)
+    tau = model._time_to_go(t)
     d = as_point(x, "x") - np.asarray(model.target)
     w, sums, _ = _axis_softmax(d, model.truncation, 2.0 * model.sigma**2 * tau)
     p = w / sums[..., None]
-    weights = (p[..., 0, :, None] * p[..., 1, None, :]).reshape(p.shape[:-2] + (-1,))
-    lifts = lattice_lifts(model.target, model.truncation)
-    return SoftmaxWeights(lattice_points=lifts, weights=weights)
-
-
-def true_bridge_drift(t: ArrayLike, x: ArrayLike, model: TrueBridge) -> np.ndarray:
-    """Exact bridge drift: the weighted mean pull toward the truncated lifts.
-
-    Equals sum_y g_y(t, x) (y - x) / (T - t) with g the softmax weights,
-    which is sigma^2 times the spatial gradient of
-    log sum_y exp(-|y - x|^2 / (2 sigma^2 (T - t))) over the same lift set.
-    """
-    arr = as_point(x, "x")
-    tau = _time_to_go(t, model)
-    a = np.asarray(model.target)
-    w, sums, _ = _axis_softmax(arr - a, model.truncation, 2.0 * model.sigma**2 * tau)
-    j = np.arange(-model.truncation, model.truncation + 1.0)
-    # One summation path for every input shape, so single-point and batch
-    # evaluations of the same state are bitwise identical.
-    mean_offset = np.einsum("...l,l->...", w, j) / sums
-    return (a + mean_offset - arr) / _expand(tau)
+    return (p[..., 0, :, None] * p[..., 1, None, :]).reshape(p.shape[:-2] + (-1,))
 
 
 def drift(t: ArrayLike, x: ArrayLike, model: DriftModel) -> np.ndarray:
     """Evaluate the drift of any model variant at (t, x)."""
-    if isinstance(model, FreeBrownianMotion):
-        return free_drift(t, x, model)
-    if isinstance(model, EuclideanBridge):
-        return euclidean_bridge_drift(t, x, model)
-    if isinstance(model, ProposedBridge):
-        return proposed_drift(t, x, model)
-    if isinstance(model, TrueBridge):
-        return true_bridge_drift(t, x, model)
-    raise TypeError(f"unknown drift model type: {type(model).__name__}")
+    return model.drift(t, x)
 
 
 def wrapped_gaussian_log_density(

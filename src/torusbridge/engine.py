@@ -35,15 +35,8 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from . import girsanov
-from .drift import (
-    DriftModel,
-    EuclideanBridge,
-    FreeBrownianMotion,
-    ProposedBridge,
-    TrueBridge,
-    drift,
-)
-from .geometry import as_point, project
+from .drift import VARIANTS, DriftModel, _finite, drift
+from .geometry import as_point, nearest_offset
 
 __all__ = [
     "SimConfig",
@@ -54,9 +47,9 @@ __all__ = [
     "simulate_path",
     "simulate_batch",
     "require_coupled",
-    "diagnostic_target",
     "model_to_dict",
     "model_from_dict",
+    "model_class",
     "config_to_dict",
     "config_from_dict",
 ]
@@ -96,15 +89,14 @@ class SimConfig:
             raise ValueError(f"model must be a DriftModel; got {type(self.model).__name__}")
         arr = as_point(self.start, "start")
         object.__setattr__(self, "start", (float(arr[0]), float(arr[1])))
-        if int(self.n_steps) != self.n_steps or self.n_steps < 1:
-            raise ValueError(f"n_steps must be an integer >= 1; got {self.n_steps}")
-        object.__setattr__(self, "n_steps", int(self.n_steps))
-        if int(self.seed) != self.seed or not (0 <= self.seed < _MAX_SEED):
+        for name in ("n_steps", "n_paths"):
+            value = getattr(self, name)
+            if not (_finite(value) and int(value) == value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1; got {value}")
+            object.__setattr__(self, name, int(value))
+        if not (_finite(self.seed) and int(self.seed) == self.seed and 0 <= self.seed < _MAX_SEED):
             raise ValueError(f"seed must be a 64-bit unsigned integer; got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
-        if int(self.n_paths) != self.n_paths or self.n_paths < 1:
-            raise ValueError(f"n_paths must be an integer >= 1; got {self.n_paths}")
-        object.__setattr__(self, "n_paths", int(self.n_paths))
 
     @property
     def dt(self) -> float:
@@ -239,29 +231,6 @@ def simulate_path(config: SimConfig, path_index: int = 0) -> PathSample:
     return PathSample(times=times, states=res["states"][0], increments=increments)
 
 
-def _limiting_offsets(terminal: np.ndarray, target: np.ndarray):
-    """Nearest-lift integer offsets of terminal states, with tie flags."""
-    d = terminal - target
-    k = np.round(d)
-    unresolved = np.any(np.abs(np.abs(d - k) - 0.5) == 0.0, axis=-1)
-    return k.astype(np.int64), unresolved
-
-
-def diagnostic_target(model: DriftModel) -> tuple[float, float]:
-    """Torus point against which terminal lattice offsets are reported.
-
-    The model's conditioning target where it has one; the projection of
-    the endpoint for the single-point bridge; the origin for the free
-    process (offsets then index the unit square the path ended in).
-    """
-    if isinstance(model, (ProposedBridge, TrueBridge)):
-        return model.target
-    if isinstance(model, EuclideanBridge):
-        p = project(model.endpoint)
-        return (float(p[0]), float(p[1]))
-    return (0.0, 0.0)
-
-
 def simulate_batch(
     config: SimConfig,
     *,
@@ -286,8 +255,8 @@ def simulate_batch(
 
     Returns:
         BatchResult with terminal points, nearest-lift offsets relative
-        to :func:`diagnostic_target`, cut-locus flags, and the optional
-        extras.
+        to the model's ``diagnostic_target``, cut-locus flags, and the
+        optional extras.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1; got {n_workers}")
@@ -301,7 +270,7 @@ def simulate_batch(
 
     times = config.time_grid()
     n_paths = config.n_paths
-    target = np.asarray(diagnostic_target(config.model))
+    target = np.asarray(config.model.diagnostic_target)
 
     terminal = np.empty((n_paths, 2))
     offsets = np.empty((n_paths, 2), dtype=np.int64)
@@ -319,9 +288,7 @@ def simulate_batch(
         lo, hi = res["lo"], res["hi"]
         states = res["states"]
         terminal[lo:hi] = states[:, -1]
-        k, tie = _limiting_offsets(states[:, -1], target)
-        offsets[lo:hi] = k
-        unresolved[lo:hi] = tie
+        offsets[lo:hi], unresolved[lo:hi] = nearest_offset(states[:, -1] - target)
         if log_weights is not None:
             log_weights[lo:hi] = res["log_weights"]
         for s in snapshot_list:
@@ -377,33 +344,12 @@ def require_coupled(config_a: SimConfig, config_b: SimConfig) -> None:
 # JSON round-trip of configurations (manifest "config" block)
 # ---------------------------------------------------------------------------
 
-_VARIANTS = {
-    "free-bm": FreeBrownianMotion,
-    "euclid-bridge": EuclideanBridge,
-    "proposed": ProposedBridge,
-    "true-bridge": TrueBridge,
-}
-
-
 def model_to_dict(model: DriftModel) -> dict:
-    """JSON-serialisable description of a drift model."""
-    out: dict = {"sigma": model.sigma, "horizon": model.horizon}
-    if isinstance(model, FreeBrownianMotion):
-        out["variant"] = "free-bm"
-    elif isinstance(model, EuclideanBridge):
-        out["variant"] = "euclid-bridge"
-        out["endpoint"] = list(model.endpoint)
-    elif isinstance(model, ProposedBridge):
-        out["variant"] = "proposed"
-        out["target"] = list(model.target)
-        out["cut_locus_tol"] = model.cut_locus_tol
-        out["scale_by_sigma_sq"] = model.scale_by_sigma_sq
-    elif isinstance(model, TrueBridge):
-        out["variant"] = "true-bridge"
-        out["target"] = list(model.target)
-        out["truncation"] = model.truncation
-    else:
-        raise TypeError(f"unknown drift model type: {type(model).__name__}")
+    """JSON-serialisable description of a drift model: its variant and fields."""
+    out: dict = {"variant": model.variant}
+    for f in fields(model):
+        value = getattr(model, f.name)
+        out[f.name] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -416,12 +362,7 @@ def model_from_dict(data: dict) -> DriftModel:
         variant = data.pop("variant")
     except KeyError:
         raise ValueError("model description must carry a 'variant' key") from None
-    try:
-        cls = _VARIANTS[variant]
-    except KeyError:
-        raise ValueError(
-            f"unknown model variant {variant!r}; expected one of {sorted(_VARIANTS)}"
-        ) from None
+    cls = model_class(variant)
     names = [f.name for f in fields(cls)]
     unknown = sorted(set(data) - set(names))
     if unknown:
@@ -429,10 +370,17 @@ def model_from_dict(data: dict) -> DriftModel:
             f"unknown key(s) {unknown} for model variant {variant!r}; "
             f"its fields are {names}"
         )
-    for key in ("endpoint", "target"):
-        if key in data:
-            data[key] = tuple(data[key])
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+    if missing:
+        raise ValueError(f"model variant {variant!r} needs key(s) {missing}; fields {names}")
     return cls(**data)
+
+
+def model_class(variant) -> type[DriftModel]:
+    """The class registered in ``VARIANTS`` as ``variant``; a ValueError for any other value."""
+    if isinstance(variant, str) and variant in VARIANTS:
+        return VARIANTS[variant]
+    raise ValueError(f"unknown model variant {variant!r}; expected one of {sorted(VARIANTS)}")
 
 
 def config_to_dict(config: SimConfig) -> dict:

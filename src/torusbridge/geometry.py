@@ -31,6 +31,7 @@ __all__ = [
     "as_point",
     "as_torus_point",
     "project",
+    "nearest_offset",
     "lift_nearest",
     "is_on_cut_locus",
     "torus_distance",
@@ -50,10 +51,13 @@ def as_point(p: ArrayLike, name: str = "point") -> np.ndarray:
         name: label used in error messages.
 
     Raises:
-        ValueError: if the trailing dimension is not 2 or any coordinate
-            is NaN or infinite.
+        ValueError: if ``p`` is not numeric, the trailing dimension is not 2
+            or any coordinate is NaN or infinite.
     """
-    arr = np.asarray(p, dtype=float)
+    try:
+        arr = np.asarray(p, dtype=float)
+    except TypeError:
+        raise ValueError(f"{name} must hold numbers; got {p!r}") from None
     if arr.ndim == 0 or arr.shape[-1] != 2:
         raise ValueError(f"{name} must have trailing dimension 2; got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -89,6 +93,16 @@ def project(p: ArrayLike) -> np.ndarray:
     return np.where(u >= 0.5, u - 1.0, u)
 
 
+def nearest_offset(d: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest integer offset ``k = round(d)`` of displacements d (..., 2).
+
+    Also returns the tie flags (...,): True where some component of
+    ``d - k`` is within ``tol`` of +-1/2, so the nearest offset is not unique.
+    """
+    k = np.round(d)
+    return k, np.any(np.abs(np.abs(d - k) - 0.5) <= tol, axis=-1)
+
+
 def lift_nearest(x: ArrayLike, target: ArrayLike, tol: float = 0.0) -> np.ndarray:
     """Nearest point of the lattice target + Z^2 to x.
 
@@ -108,11 +122,9 @@ def lift_nearest(x: ArrayLike, target: ArrayLike, tol: float = 0.0) -> np.ndarra
             within ``tol`` of it).  Drift evaluation checks for the cut
             locus first and emits zero drift instead of calling this.
     """
-    arr = as_point(x, "x")
     a = as_torus_point(target, "target")
-    d = arr - a
-    k = np.round(d)
-    if np.any(np.abs(np.abs(d - k) - 0.5) <= tol):
+    k, tie = nearest_offset(as_point(x, "x") - a, tol)
+    if np.any(tie):
         raise AmbiguousLiftError(
             "nearest lift is not unique: point lies on the cut locus of the target"
         )
@@ -131,14 +143,8 @@ def is_on_cut_locus(x: ArrayLike, target: ArrayLike, tol: float = 0.0) -> np.nda
     Returns a bool for a single point, or a bool array of shape (...,)
     for stacked input.
     """
-    arr = as_point(x, "x")
-    a = as_torus_point(target, "target")
-    d = arr - a
-    frac = d - np.round(d)
-    hit = np.any(np.abs(np.abs(frac) - 0.5) <= tol, axis=-1)
-    if hit.ndim == 0:
-        return bool(hit)
-    return hit
+    _, hit = nearest_offset(as_point(x, "x") - as_torus_point(target, "target"), tol)
+    return bool(hit) if hit.ndim == 0 else hit
 
 
 def torus_distance(p: ArrayLike, q: ArrayLike) -> np.ndarray | float:

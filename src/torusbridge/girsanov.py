@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .drift import DriftModel, ProposedBridge, drift
+from .drift import DriftModel, ProposedBridge, _finite, drift
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import PathSample
@@ -47,7 +47,7 @@ def cutoff_index(dt: float, n_steps: int, horizon: float, cutoff_S: float) -> in
     Raises:
         ValueError: if S is outside (0, T) or not a grid time.
     """
-    if not (np.isfinite(cutoff_S) and 0.0 < cutoff_S < horizon):
+    if not (_finite(cutoff_S) and 0.0 < cutoff_S < horizon):
         raise ValueError(
             f"cutoff must lie strictly inside (0, {horizon}); got {cutoff_S}"
         )

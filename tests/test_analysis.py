@@ -196,9 +196,7 @@ class TestDriftField:
         model = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
         rng = np.random.default_rng(73)
         x = rng.uniform(-0.49, 0.49, size=(500, 2))
-        from torusbridge import proposed_drift
-
-        b = proposed_drift(0.5, x, model)
+        b = model.drift(0.5, x)
         inward = (b * (0.0 - x)).sum(axis=1)
         assert np.all(inward > 0)
 

@@ -189,6 +189,33 @@ class TestSimulate:
         _assert_one_error_line(capsys, "manifest")
 
 
+    @pytest.mark.parametrize("edit, needles", [
+        (lambda m: m["config"].update(model=[1]), ("model block", "list")),
+        (lambda m: m.update(output=[1]), ("output block", "list")),
+        (lambda m: m["config"].update(start=5), ("start",)),
+        (lambda m: m["config"].update(start={"x": 1}), ("start",)),
+        (lambda m: m["config"]["model"].update(target=5), ("target",)),
+        (lambda m: m["config"]["model"].update(sigma="abc"), ("sigma",)),
+        (lambda m: m["config"]["model"].update(sigma=None), ("sigma",)),
+        (lambda m: m["config"]["model"].update(truncation=float("inf")), ("truncation",)),
+        (lambda m: m["output"].update(thin=None), ("thin",)),
+        (lambda m: m["output"].update(thin=[2]), ("thin",)),
+        (lambda m: m["output"].update(weight_cutoff="abc"), ("cutoff",)),
+    ])
+    def test_bad_config_value_fails(self, tmp_path, capsys, edit, needles):
+        """Config values of the wrong JSON type are one error line, not a traceback."""
+        _run("simulate", "--model", "true-bridge", "--target", "0,0", "--steps", "10",
+             "--paths", "2", "--seed", "1", "--truncation", "1", "--out", tmp_path / "run")
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        edit(manifest)
+        cfg_file = tmp_path / "edited.json"
+        cfg_file.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        rc = _run("simulate", "--config", cfg_file, "--out", tmp_path / "redo")
+        assert rc == 2
+        _assert_one_error_line(capsys, *needles)
+
+
 class TestWriterBytes:
     """The CSV writers produce the reference writer's bytes."""
 
@@ -330,6 +357,11 @@ class TestWeights:
         (lambda c: c.update(bogus=1), ("'bogus'", "SimConfig")),
         (lambda c: c.pop("start"), ("'start'", "SimConfig")),
         (lambda c: c.update(model=[1]), ("model block",)),
+        (lambda c: c.update(start=5), ("start",)),
+        (lambda c: c.update(n_steps=None), ("n_steps",)),
+        (lambda c: c["model"].update(sigma="abc"), ("sigma",)),
+        (lambda c: c["model"].update(sigma=None), ("sigma",)),
+        (lambda c: c["model"].update(variant=[1]), ("unknown model variant",)),
     ])
     def test_bad_manifest_config_fails(self, tmp_path, capsys, edit, needles):
         _run("simulate", "--model", "free-bm", "--steps", "10", "--paths", "2",

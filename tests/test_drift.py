@@ -11,10 +11,8 @@ from torusbridge import (
     ProposedBridge,
     TrueBridge,
     drift,
-    euclidean_bridge_drift,
-    proposed_drift,
+    lattice_lifts,
     softmax_weights,
-    true_bridge_drift,
     wrapped_gaussian_log_density,
 )
 from torusbridge.drift import MIN_TIME_TO_GO
@@ -79,27 +77,27 @@ class TestProposedDrift:
     def test_pull_toward_nearest_lift(self):
         m = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
         np.testing.assert_allclose(
-            proposed_drift(0.5, (0.3, 0.4), m), [-0.6, -0.8], atol=1e-15
+            m.drift(0.5, (0.3, 0.4)), [-0.6, -0.8], atol=1e-15
         )
 
     def test_zero_on_cut_locus(self):
         m = ProposedBridge(sigma=1.0, horizon=1.0, target=(0.25, 0.25))
-        np.testing.assert_array_equal(proposed_drift(0.3, (0.75, 0.1), m), [0.0, 0.0])
+        np.testing.assert_array_equal(m.drift(0.3, (0.75, 0.1)), [0.0, 0.0])
 
     def test_zero_at_lift(self):
         m = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
-        np.testing.assert_array_equal(proposed_drift(0.9, (2.0, -3.0), m), [0.0, 0.0])
+        np.testing.assert_array_equal(m.drift(0.9, (2.0, -3.0)), [0.0, 0.0])
 
     def test_horizon_errors(self):
         m = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
         for t in (1.0, 1.5, -0.1):
             with pytest.raises(HorizonError):
-                proposed_drift(t, (0.1, 0.1), m)
+                m.drift(t, (0.1, 0.1))
 
     def test_time_to_go_clamped(self):
         """Just below the horizon the denominator is clamped, not overflowed."""
         m = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
-        b = proposed_drift(1.0 - 1e-13, (0.3, 0.0), m)
+        b = m.drift(1.0 - 1e-13, (0.3, 0.0))
         np.testing.assert_allclose(b, np.array([-0.3, 0.0]) / MIN_TIME_TO_GO)
 
     def test_uniform_bound_fuzz(self):
@@ -109,53 +107,53 @@ class TestProposedDrift:
         s = 0.75
         t = rng.uniform(0.0, s, size=100_000)
         x = rng.uniform(-3.0, 3.0, size=(100_000, 2))
-        b = proposed_drift(t, x, m)
+        b = m.drift(t, x)
         bound = np.sqrt(0.5) / (1.0 - s)
         assert np.all(np.linalg.norm(b, axis=1) <= bound * (1 + 1e-12))
 
     def test_sigma_squared_switch(self):
         plain = ProposedBridge(sigma=0.7, horizon=1.0, target=A0)
         scaled = ProposedBridge(sigma=0.7, horizon=1.0, target=A0, scale_by_sigma_sq=True)
-        b0 = proposed_drift(0.25, (0.2, -0.3), plain)
-        b1 = proposed_drift(0.25, (0.2, -0.3), scaled)
+        b0 = plain.drift(0.25, (0.2, -0.3))
+        b1 = scaled.drift(0.25, (0.2, -0.3))
         np.testing.assert_allclose(b1, 0.49 * b0, rtol=1e-15)
 
     def test_cut_locus_band(self):
         m = ProposedBridge(sigma=1.0, horizon=1.0, target=A0, cut_locus_tol=0.05)
-        np.testing.assert_array_equal(proposed_drift(0.0, (0.47, 0.0), m), [0.0, 0.0])
+        np.testing.assert_array_equal(m.drift(0.0, (0.47, 0.0)), [0.0, 0.0])
 
 
 class TestSoftmaxWeights:
     def test_two_nearest_lifts_tie(self):
         m = TrueBridge(sigma=1.0, horizon=1.0, target=A0, truncation=1)
-        sw = softmax_weights(0.99, (0.5, 0.0), m)
-        points = [tuple(p) for p in sw.lattice_points]
-        w_left = sw.weights[points.index((0.0, 0.0))]
-        w_right = sw.weights[points.index((1.0, 0.0))]
+        w = softmax_weights(0.99, (0.5, 0.0), m)
+        points = [tuple(p) for p in lattice_lifts(m.target, m.truncation)]
+        w_left = w[points.index((0.0, 0.0))]
+        w_right = w[points.index((1.0, 0.0))]
         assert w_left == w_right
         assert w_left + w_right == pytest.approx(1.0, abs=1e-12)
 
     def test_single_lift_window(self):
         m = TrueBridge(sigma=1.0, horizon=1.0, target=A0, truncation=0)
-        sw = softmax_weights(0.4, (7.3, -2.1), m)
-        np.testing.assert_array_equal(sw.weights, [1.0])
+        np.testing.assert_array_equal(softmax_weights(0.4, (7.3, -2.1), m), [1.0])
 
     def test_nearest_lift_dominates_at_short_horizon(self):
         # Gap in squared distance 0.8 against scale 2*sigma^2*tau = 0.04;
         # the nearest weight is within 1e-8 of 1 (measured deficit 2.1e-9).
         m = TrueBridge(sigma=1.0, horizon=1.0, target=A0, truncation=2)
-        sw = softmax_weights(0.98, (0.1, 0.0), m)
-        idx = np.argmin(np.linalg.norm(sw.lattice_points - [0.1, 0.0], axis=1))
-        assert 1.0 - sw.weights[idx] < 1e-8
+        w = softmax_weights(0.98, (0.1, 0.0), m)
+        lifts = lattice_lifts(m.target, m.truncation)
+        idx = np.argmin(np.linalg.norm(lifts - [0.1, 0.0], axis=1))
+        assert 1.0 - w[idx] < 1e-8
 
     def test_weights_normalised_even_at_vanishing_time_to_go(self):
         rng = np.random.default_rng(51)
         m = TrueBridge(sigma=0.8, horizon=1.0, target=(0.2, -0.3), truncation=3)
         for t in (0.0, 0.5, 1.0 - 1e-12):
             x = rng.uniform(-1.0, 1.0, size=2)
-            sw = softmax_weights(t, x, m)
-            assert np.all(sw.weights >= 0)
-            assert sw.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            w = softmax_weights(t, x, m)
+            assert np.all(w >= 0)
+            assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestTrueBridgeDrift:
@@ -167,8 +165,8 @@ class TestTrueBridgeDrift:
             t = rng.uniform(0.0, 0.999)
             x = rng.uniform(-2.0, 2.0, size=2)
             np.testing.assert_allclose(
-                true_bridge_drift(t, x, tb),
-                euclidean_bridge_drift(t, x, eb),
+                tb.drift(t, x),
+                eb.drift(t, x),
                 atol=1e-15,
             )
 
@@ -177,9 +175,9 @@ class TestTrueBridgeDrift:
         asymmetry survives, and it decays with the time to go."""
         m = TrueBridge(sigma=1.0, horizon=1.0, target=A0, truncation=3)
         x = (0.5, 0.2)
-        assert abs(true_bridge_drift(0.9, x, m)[0]) <= 1e-12
-        assert abs(true_bridge_drift(0.5, x, m)[0]) <= 1e-4
-        assert abs(true_bridge_drift(0.0, x, m)[0]) <= 1e-2
+        assert abs(m.drift(0.9, x)[0]) <= 1e-12
+        assert abs(m.drift(0.5, x)[0]) <= 1e-4
+        assert abs(m.drift(0.0, x)[0]) <= 1e-2
 
     def test_collapses_onto_nearest_lift_drift(self):
         """As t -> T the softmax concentrates on the argmin lift."""
@@ -189,7 +187,7 @@ class TestTrueBridgeDrift:
         gaps = []
         for t in (0.95, 0.98, 0.99, 0.995, 0.998):
             gaps.append(
-                np.linalg.norm(true_bridge_drift(t, x, tb) - proposed_drift(t, x, pb))
+                np.linalg.norm(tb.drift(t, x) - pb.drift(t, x))
             )
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
         # frozen from the direct softmax evaluation at time to go 0.01
@@ -204,7 +202,7 @@ class TestTrueBridgeDrift:
             x = rng.uniform(-1.5, 1.5, size=2)
             m = TrueBridge(sigma=sigma, horizon=1.0, target=A0, truncation=3)
             np.testing.assert_allclose(
-                true_bridge_drift(t, x, m),
+                m.drift(t, x),
                 _softmax_drift_oracle(np.asarray(x), A0, sigma, 1.0 - t, 3),
                 rtol=1e-10, atol=1e-12,
             )
@@ -220,35 +218,35 @@ class TestTrueBridgeDrift:
             m3 = TrueBridge(sigma=sigma, horizon=1.0, target=A0, truncation=3)
             m4 = TrueBridge(sigma=sigma, horizon=1.0, target=A0, truncation=4)
             gap = np.linalg.norm(
-                true_bridge_drift(1.0 - tau, x, m3) - true_bridge_drift(1.0 - tau, x, m4)
+                m3.drift(1.0 - tau, x) - m4.drift(1.0 - tau, x)
             )
             assert gap < 1e-10, f"sigma={sigma}, tau={tau}: gap={gap}"
         # sigma = 1, time to go 0.5, worst corner of the fundamental square
         m3 = TrueBridge(sigma=1.0, horizon=1.0, target=A0, truncation=3)
         m4 = TrueBridge(sigma=1.0, horizon=1.0, target=A0, truncation=4)
         corner = np.linalg.norm(
-            true_bridge_drift(0.5, (0.4999, 0.4999), m3)
-            - true_bridge_drift(0.5, (0.4999, 0.4999), m4)
+            m3.drift(0.5, (0.4999, 0.4999))
+            - m4.drift(0.5, (0.4999, 0.4999))
         )
         assert corner < 1e-3
 
     def test_horizon_errors(self):
         m = TrueBridge(sigma=1.0, horizon=2.0, target=A0)
         with pytest.raises(HorizonError):
-            true_bridge_drift(2.0, (0.1, 0.1), m)
+            m.drift(2.0, (0.1, 0.1))
 
 
 class TestEuclideanBridgeDrift:
     def test_zero_at_endpoint(self):
         m = EuclideanBridge(sigma=1.0, horizon=1.0, endpoint=(0.4, -0.2))
         np.testing.assert_array_equal(
-            euclidean_bridge_drift(0.3, (0.4, -0.2), m), [0.0, 0.0]
+            m.drift(0.3, (0.4, -0.2)), [0.0, 0.0]
         )
 
     def test_arithmetic(self):
         m = EuclideanBridge(sigma=1.0, horizon=1.0, endpoint=(1.0, 0.0))
         np.testing.assert_allclose(
-            euclidean_bridge_drift(0.75, (0.0, 0.0), m), [4.0, 0.0], atol=1e-12
+            m.drift(0.75, (0.0, 0.0)), [4.0, 0.0], atol=1e-12
         )
 
     def test_free_model_has_zero_drift(self):
@@ -270,7 +268,7 @@ class TestGradientIdentity:
         while checked < 20:
             t = rng.uniform(0.0, 0.9)
             x = rng.uniform(-0.45, 0.45, size=2)
-            b = true_bridge_drift(t, x, m)
+            b = m.drift(t, x)
             if np.linalg.norm(b) < 1e-2:
                 continue
             grad = np.empty(2)
@@ -353,12 +351,11 @@ class TestSeparableKernelProperties:
         tau = 1.0 - t  # the rounded time to go the model sees
         x = np.asarray(x)
         lifts, w = _softmax_weights_oracle(x, a, sigma, tau, k_max)
-        sw = softmax_weights(t, x, m)
-        np.testing.assert_array_equal(sw.lattice_points, lifts)
+        np.testing.assert_array_equal(lattice_lifts(m.target, k_max), lifts)
         slack = _rounding_slack(x, sigma, tau, k_max)
-        np.testing.assert_allclose(sw.weights, w, rtol=1e-10 + slack, atol=1e-12)
+        np.testing.assert_allclose(softmax_weights(t, x, m), w, rtol=1e-10 + slack, atol=1e-12)
         np.testing.assert_allclose(
-            true_bridge_drift(t, x, m),
+            m.drift(t, x),
             _softmax_drift_oracle(x, a, sigma, tau, k_max),
             rtol=1e-10, atol=1e-12 + slack / tau,
         )
@@ -379,10 +376,10 @@ class TestSeparableKernelProperties:
         m = TrueBridge(sigma=sigma, horizon=1.0, target=a, truncation=k_max)
         t = 1.0 - tau
         batch = np.asarray(xs)
-        drifts = true_bridge_drift(t, batch, m)
-        weights = softmax_weights(t, batch, m).weights
+        drifts = m.drift(t, batch)
+        weights = softmax_weights(t, batch, m)
         densities = wrapped_gaussian_log_density(0.0, batch, tau, a, sigma, k_max)
         for row, x in enumerate(xs):
-            np.testing.assert_array_equal(true_bridge_drift(t, x, m), drifts[row])
-            np.testing.assert_array_equal(softmax_weights(t, x, m).weights, weights[row])
+            np.testing.assert_array_equal(m.drift(t, x), drifts[row])
+            np.testing.assert_array_equal(softmax_weights(t, x, m), weights[row])
             assert wrapped_gaussian_log_density(0.0, x, tau, a, sigma, k_max) == densities[row]

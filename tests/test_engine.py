@@ -1,9 +1,12 @@
 """Tests for the Euler-Maruyama engine: stepping, streams, determinism, laws."""
 
+import json
+
 import numpy as np
 import pytest
 
 from torusbridge import (
+    VARIANTS,
     EuclideanBridge,
     FreeBrownianMotion,
     ProposedBridge,
@@ -17,7 +20,7 @@ from torusbridge import (
     simulate_path,
     wiener_increments,
 )
-from torusbridge.engine import require_coupled
+from torusbridge.engine import model_from_dict, model_to_dict, require_coupled
 
 A0 = (0.0, 0.0)
 
@@ -333,3 +336,50 @@ class TestConfigRoundTrip:
         data["model"] = [1, 2]
         with pytest.raises(ValueError, match="model block must be a JSON object"):
             config_from_dict(data)
+
+
+# One instance per registered variant, with the dict that model_to_dict wrote
+# for it before serialisation went through dataclasses.fields, and the
+# torus point its terminal offsets are reported against.
+_PINNED_MODELS = [
+    (FreeBrownianMotion(sigma=1.0, horizon=2.0),
+     {"variant": "free-bm", "sigma": 1.0, "horizon": 2.0},
+     (0.0, 0.0)),
+    (EuclideanBridge(sigma=0.5, horizon=1.0, endpoint=(1.3, -0.7)),
+     {"variant": "euclid-bridge", "sigma": 0.5, "horizon": 1.0, "endpoint": [1.3, -0.7]},
+     (0.30000000000000004, 0.30000000000000004)),  # project((1.3, -0.7))
+    (ProposedBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2), scale_by_sigma_sq=True),
+     {"variant": "proposed", "sigma": 0.8, "horizon": 1.0, "target": [0.1, -0.2],
+      "cut_locus_tol": 0.0, "scale_by_sigma_sq": True},
+     (0.1, -0.2)),
+    (TrueBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2), truncation=2),
+     {"variant": "true-bridge", "sigma": 0.8, "horizon": 1.0, "target": [0.1, -0.2],
+      "truncation": 2},
+     (0.1, -0.2)),
+]
+
+
+class TestModelProtocol:
+    def test_registry_covers_every_variant(self):
+        assert list(VARIANTS) == ["free-bm", "euclid-bridge", "proposed", "true-bridge"]
+        assert [type(m) for m, _, _ in _PINNED_MODELS] == list(VARIANTS.values())
+        for name, cls in VARIANTS.items():
+            assert cls.variant == name
+
+    @pytest.mark.parametrize("model, pinned, _target", _PINNED_MODELS)
+    def test_dict_is_pinned_and_round_trips(self, model, pinned, _target):
+        assert model_to_dict(model) == pinned
+        assert model_from_dict(json.loads(json.dumps(model_to_dict(model)))) == model
+
+    @pytest.mark.parametrize("model, _pinned, target", _PINNED_MODELS)
+    def test_diagnostic_target(self, model, _pinned, target):
+        assert model.diagnostic_target == target
+
+    def test_missing_model_key_rejected(self):
+        with pytest.raises(ValueError, match=r"'proposed' needs key\(s\) \['target'\]"):
+            model_from_dict({"variant": "proposed", "sigma": 1.0, "horizon": 1.0})
+
+    @pytest.mark.parametrize("variant", ["bogus", [1], None])
+    def test_unknown_variant_rejected(self, variant):
+        with pytest.raises(ValueError, match="unknown model variant"):
+            model_from_dict({"variant": variant, "sigma": 1.0, "horizon": 1.0})

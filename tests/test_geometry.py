@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from torusbridge import (
     AmbiguousLiftError,
@@ -9,6 +11,7 @@ from torusbridge import (
     lattice_lifts,
     lattice_offsets,
     lift_nearest,
+    nearest_offset,
     project,
     torus_distance,
 )
@@ -97,6 +100,29 @@ class TestLiftNearest:
         x = rng.uniform(-4.0, 4.0, size=(100_000, 2))
         y = lift_nearest(x, a)
         assert np.all(np.linalg.norm(y - x, axis=1) <= np.sqrt(0.5))
+
+
+class TestNearestOffset:
+    @given(d=st.tuples(*[st.floats(-6.0, 6.0)] * 2), tol=st.sampled_from([0.0, 0.05]))
+    @example(d=(2.5, -0.5), tol=0.0)
+    @example(d=(-0.5, 0.5), tol=0.0)
+    @example(d=(1.5, 0.3), tol=0.05)
+    @example(d=(0.45, -5.55), tol=0.05)
+    def test_matches_inline_rounding(self, d, tol):
+        # The inline expression that the primitive replaced, kept as the oracle.
+        d = np.asarray(d)
+        k_old = np.round(d)
+        tie_old = np.any(np.abs(np.abs(d - k_old) - 0.5) <= tol, axis=-1)
+        k, tie = nearest_offset(d, tol)
+        np.testing.assert_array_equal(k, k_old)
+        assert tie == tie_old
+        if tol == 0.0:  # the engine's old `== 0.0` test of terminal ties
+            assert tie == np.any(np.abs(np.abs(d - k_old) - 0.5) == 0.0, axis=-1)
+
+    def test_half_integers_round_to_even_and_tie(self):
+        k, tie = nearest_offset(np.array([[2.5, -0.5], [0.3, 1.7], [1.5, 0.0]]))
+        np.testing.assert_array_equal(k, [[2.0, -0.0], [0.0, 2.0], [2.0, 0.0]])
+        np.testing.assert_array_equal(tie, [True, False, True])
 
 
 class TestCutLocus:

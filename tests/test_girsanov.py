@@ -168,9 +168,7 @@ class TestNovikovBound:
         states = np.stack([p.states for p in batch.paths])
         bsq = np.empty((2000, k))
         for i in range(k):
-            from torusbridge import proposed_drift
-
-            b = proposed_drift(times[i], states[:, i], model)
+            b = model.drift(times[i], states[:, i])
             bsq[:, i] = (b * b).sum(axis=-1)
         partial = np.cumsum(bsq * dt, axis=1)
         limits = times[1 : k + 1] * c_s

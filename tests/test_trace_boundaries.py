@@ -5,12 +5,13 @@ a missing one as an absent layer; these tests make a refactor that removes
 or reshapes one fail here instead.
 """
 
+import dis
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
-from torusbridge import cli
+from torusbridge import cli, engine, girsanov
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -34,3 +35,20 @@ def test_every_boundary_resolves():
 def test_write_csv_signature():
     # The writer layer's counter reads the written file and its header.
     assert list(inspect.signature(cli._write_csv).parameters) == ["path", "header", "rows"]
+
+
+def _calls_global(fn, name):
+    """Whether ``fn`` loads ``name`` as a module global (``model.drift`` is an attribute)."""
+    return any(ins.opname == "LOAD_GLOBAL" and ins.argval == name
+               for ins in dis.get_instructions(fn))
+
+
+def test_drift_layers_stay_traceable():
+    # The drift.<variant> layers come from wrapping the module-level drift
+    # that the step loop and the weight pass call by name; a call site that
+    # dispatched to model.drift(...) directly would drop those spans silently.
+    drift_module = importlib.import_module("torusbridge.drift")
+    assert engine.drift is girsanov.drift is drift_module.drift
+    for fn in (engine.euler_step, girsanov.path_log_weights):
+        assert "drift" in fn.__code__.co_names
+        assert _calls_global(fn, "drift")
