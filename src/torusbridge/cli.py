@@ -112,7 +112,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         n_steps=ns.steps if ns.steps is not None else cfg_block.get("n_steps", 1000),
         seed=ns.seed if ns.seed is not None else cfg_block.get("seed", 0),
         n_paths=ns.paths if ns.paths is not None else cfg_block.get("n_paths", 1),
-        record_increments=bool(ns.record_increments or cfg_block.get("record_increments", False)),
+        record_increments=ns.record_increments or cfg_block.get("record_increments", False),
     )
     thin = ns.thin if ns.thin is not None else out_block.get("thin", 1)
     if not isinstance(thin, int):

@@ -93,9 +93,11 @@ class DriftModel:
     def _time_to_go(self, t: ArrayLike) -> np.ndarray:
         """Validate 0 <= t < T and return the clamped time to go T - t."""
         t_arr = np.asarray(t, dtype=float)
-        if not np.all(np.isfinite(t_arr)):
-            raise HorizonError(f"time must be finite; got {t!r}")
-        if np.any(t_arr < 0) or np.any(t_arr >= self.horizon):
+        # One pass: NaN fails both comparisons, so the finiteness check can
+        # wait for the failure path, where it picks the message.
+        if not ((t_arr >= 0) & (t_arr < self.horizon)).all():
+            if not np.isfinite(t_arr).all():
+                raise HorizonError(f"time must be finite; got {t!r}")
             raise HorizonError(f"time must lie in [0, {self.horizon}); got {t!r}")
         return np.maximum(self.horizon - t_arr, MIN_TIME_TO_GO)
 
@@ -172,6 +174,9 @@ class ProposedBridge(_LiftBridge):
         super().__post_init__()
         if not (_finite(self.cut_locus_tol) and self.cut_locus_tol >= 0):
             raise ValueError(f"cut_locus_tol must be >= 0; got {self.cut_locus_tol}")
+        if not isinstance(self.scale_by_sigma_sq, bool):
+            raise ValueError(
+                f"scale_by_sigma_sq must be true or false; got {self.scale_by_sigma_sq!r}")
 
     def drift(self, t: ArrayLike, x: ArrayLike) -> np.ndarray:
         """Nearest-lift drift, zero on the cut locus of the target.
@@ -185,7 +190,10 @@ class ProposedBridge(_LiftBridge):
         tau = self._time_to_go(t)
         a = np.asarray(self.target)
         k, on_cut = nearest_offset(arr - a, self.cut_locus_tol)
-        b = np.where(on_cut[..., None], 0.0, (a + k - arr) / _expand(tau))
+        b = (a + k - arr) / _expand(tau)
+        if on_cut.shape != b.shape[:-1]:  # a time array wider than the points
+            on_cut = np.broadcast_to(on_cut, b.shape[:-1])
+        b[on_cut] = 0.0
         return b * self.sigma**2 if self.scale_by_sigma_sq else b
 
 
@@ -221,10 +229,10 @@ class TrueBridge(_LiftBridge):
         tau = self._time_to_go(t)
         a = np.asarray(self.target)
         w, sums, _ = _axis_softmax(arr - a, self.truncation, 2.0 * self.sigma**2 * tau)
-        j = np.arange(-self.truncation, self.truncation + 1.0)
-        # One summation path for every input shape, so single-point and batch
-        # evaluations of the same state are bitwise identical.
-        mean_offset = np.einsum("...l,l->...", w, j) / sums
+        j = np.arange(-self.truncation, self.truncation + 1.0).reshape((-1,) + (1,) * (w.ndim - 1))
+        # A sum over axis 0 adds whole rows in lattice order for every leading
+        # shape, so single-point and batch evaluations are bitwise identical.
+        mean_offset = (w * j).sum(axis=0) / sums
         return (a + mean_offset - arr) / _expand(tau)
 
 
@@ -242,15 +250,18 @@ def _axis_softmax(d: np.ndarray, truncation: int, scale: ArrayLike):
     """Max-shifted 1-D weights exp(-(d_c - j)^2 / scale - shift_c), |j| <= K.
 
     ``d`` is (..., 2); ``scale`` broadcasts against its leading dimensions.
-    Returns the weights (..., 2, 2K+1), their sums and the shifts (..., 2).
+    The lattice index comes first: returns the weights (2K+1, ..., 2), their
+    sums and the shifts (..., 2).  Reducing over axis 0 combines contiguous
+    rows, where a reduction over a trailing axis of length 2K+1 is slow.
     The window ||k||_inf <= K is a product set and the Gaussian factorises,
     so the (2K+1)^2 lattice sum is exactly the product of the 1-D sums.
     """
-    j = np.arange(-truncation, truncation + 1.0)
-    expo = -((d[..., None] - j) ** 2) / np.asarray(scale)[..., None, None]
-    shift = expo.max(axis=-1)
-    w = np.exp(expo - shift[..., None])
-    return w, w.sum(axis=-1), shift
+    scale = np.asarray(scale)[..., None]
+    j = np.arange(-truncation, truncation + 1.0).reshape((-1,) + (1,) * max(d.ndim, scale.ndim))
+    expo = -((d - j) ** 2) / scale
+    shift = expo.max(axis=0)
+    w = np.exp(expo - shift)
+    return w, w.sum(axis=0), shift
 
 
 def softmax_weights(t: ArrayLike, x: ArrayLike, model: TrueBridge) -> np.ndarray:
@@ -265,7 +276,7 @@ def softmax_weights(t: ArrayLike, x: ArrayLike, model: TrueBridge) -> np.ndarray
     tau = model._time_to_go(t)
     d = as_point(x, "x") - np.asarray(model.target)
     w, sums, _ = _axis_softmax(d, model.truncation, 2.0 * model.sigma**2 * tau)
-    p = w / sums[..., None]
+    p = np.moveaxis(w / sums, 0, -1)
     return (p[..., 0, :, None] * p[..., 1, None, :]).reshape(p.shape[:-2] + (-1,))
 
 
@@ -307,7 +318,8 @@ def wrapped_gaussian_log_density(
     variance = sigma**2 * (t - s)
     d = as_point(x, "x") - as_point(y, "y")
     _, sums, shift = _axis_softmax(d, truncation, 2.0 * variance)
-    out = (np.log(sums) + shift).sum(axis=-1) - np.log(2.0 * np.pi * variance)
+    per_axis = np.log(sums) + shift
+    out = per_axis[..., 0] + per_axis[..., 1] - np.log(2.0 * np.pi * variance)
     if np.ndim(out) == 0:
         return float(out)
     return out

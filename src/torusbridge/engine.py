@@ -97,6 +97,9 @@ class SimConfig:
         if not (_finite(self.seed) and int(self.seed) == self.seed and 0 <= self.seed < _MAX_SEED):
             raise ValueError(f"seed must be a 64-bit unsigned integer; got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
+        if not isinstance(self.record_increments, bool):
+            raise ValueError(
+                f"record_increments must be true or false; got {self.record_increments!r}")
 
     @property
     def dt(self) -> float:

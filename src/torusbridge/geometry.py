@@ -60,7 +60,7 @@ def as_point(p: ArrayLike, name: str = "point") -> np.ndarray:
         raise ValueError(f"{name} must hold numbers; got {p!r}") from None
     if arr.ndim == 0 or arr.shape[-1] != 2:
         raise ValueError(f"{name} must have trailing dimension 2; got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite; got non-finite coordinates")
     return arr
 
@@ -100,7 +100,8 @@ def nearest_offset(d: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, np.ndar
     ``d - k`` is within ``tol`` of +-1/2, so the nearest offset is not unique.
     """
     k = np.round(d)
-    return k, np.any(np.abs(np.abs(d - k) - 0.5) <= tol, axis=-1)
+    hit = np.abs(np.abs(d - k) - 0.5) <= tol
+    return k, hit[..., 0] | hit[..., 1]
 
 
 def lift_nearest(x: ArrayLike, target: ArrayLike, tol: float = 0.0) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its CSV contracts."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -201,6 +202,15 @@ class TestSimulate:
         (lambda m: m["output"].update(thin=None), ("thin",)),
         (lambda m: m["output"].update(thin=[2]), ("thin",)),
         (lambda m: m["output"].update(weight_cutoff="abc"), ("cutoff",)),
+        (lambda m: m["config"].update(record_increments="false"), ("record_increments", "'false'")),
+        (lambda m: m["config"].update(record_increments=0), ("record_increments",)),
+        (lambda m: m["config"].update(record_increments=None), ("record_increments",)),
+        (lambda m: m["config"].update(model={"variant": "proposed", "sigma": 0.5, "horizon": 1.0,
+                                             "target": [0, 0], "scale_by_sigma_sq": "false"}),
+         ("scale_by_sigma_sq", "'false'")),
+        (lambda m: m["config"].update(model={"variant": "proposed", "sigma": 0.5, "horizon": 1.0,
+                                             "target": [0, 0], "scale_by_sigma_sq": 1}),
+         ("scale_by_sigma_sq",)),
     ])
     def test_bad_config_value_fails(self, tmp_path, capsys, edit, needles):
         """Config values of the wrong JSON type are one error line, not a traceback."""
@@ -214,6 +224,26 @@ class TestSimulate:
         rc = _run("simulate", "--config", cfg_file, "--out", tmp_path / "redo")
         assert rc == 2
         _assert_one_error_line(capsys, *needles)
+
+
+class TestPinnedBytes:
+    """Output bytes pinned across versions.
+
+    The proposed model's step uses only + - * / and rounding, so these digests
+    are the same on every platform.  A change that moves them must update the
+    pins and name the byte change in CHANGES.md.
+    """
+
+    def test_simulate_proposed(self, tmp_path):
+        assert _run("simulate", "--model", "proposed", "--target", "0.1,-0.2", "--sigma", "0.9",
+                    "--steps", "50", "--paths", "40", "--seed", "2024", "--cutoff", "0.5",
+                    "--out", tmp_path) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("paths.csv", "endpoints.csv")}
+        assert digests == {
+            "paths.csv": "b553d191b07f0ad0ca0440c3d60ad88de801c1de62536430433505a812e55aed",
+            "endpoints.csv": "0b0130f0c21601094653b03f16f7669178c49915a2b1bf5c733b140b01e8a6e1",
+        }
 
 
 class TestWriterBytes:
@@ -362,6 +392,11 @@ class TestWeights:
         (lambda c: c["model"].update(sigma="abc"), ("sigma",)),
         (lambda c: c["model"].update(sigma=None), ("sigma",)),
         (lambda c: c["model"].update(variant=[1]), ("unknown model variant",)),
+        (lambda c: c.update(record_increments="false"), ("record_increments", "'false'")),
+        (lambda c: c.update(record_increments=1), ("record_increments",)),
+        (lambda c: c.update(model={"variant": "proposed", "sigma": 1.0, "horizon": 1.0,
+                                   "target": [0, 0], "scale_by_sigma_sq": "false"}),
+         ("scale_by_sigma_sq", "'false'")),
     ])
     def test_bad_manifest_config_fails(self, tmp_path, capsys, edit, needles):
         _run("simulate", "--model", "free-bm", "--steps", "10", "--paths", "2",

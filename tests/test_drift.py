@@ -67,10 +67,54 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             EuclideanBridge(sigma=1.0, horizon=1.0, endpoint=(np.nan, 0.0))
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_scale_by_sigma_sq_must_be_a_boolean(self, value):
+        with pytest.raises(ValueError, match="scale_by_sigma_sq must be true or false"):
+            ProposedBridge(sigma=0.5, horizon=1.0, target=A0, scale_by_sigma_sq=value)
+
     def test_models_are_immutable(self):
         m = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
         with pytest.raises(AttributeError):
             m.sigma = 2.0
+
+
+_TIMED_MODELS = [
+    EuclideanBridge(sigma=1.0, horizon=2.0, endpoint=(0.3, 0.1)),
+    ProposedBridge(sigma=1.0, horizon=2.0, target=A0),
+    TrueBridge(sigma=1.0, horizon=2.0, target=A0, truncation=1),
+]
+
+
+class TestTimeValidation:
+    """Every model that needs a time to go rejects t outside [0, T) the same way."""
+
+    @pytest.mark.parametrize("t", [
+        np.nan, np.inf, -np.inf, [0.5, np.nan], [np.nan, -0.1], [3.0, np.inf, 0.1],
+        [-np.inf, 2.0], [[0.1, 0.2], [0.3, np.nan]],
+    ])
+    @pytest.mark.parametrize("model", _TIMED_MODELS, ids=lambda m: m.variant)
+    def test_non_finite_time(self, model, t):
+        with pytest.raises(HorizonError, match="time must be finite"):
+            model.drift(t, (0.1, 0.2))
+
+    @pytest.mark.parametrize("t", [-0.1, 2.0, 3.0, [0.5, 2.0], [-0.1, 0.5], [0.0, 3.0],
+                                   [[0.1, 0.2], [2.0, 0.3]]])
+    @pytest.mark.parametrize("model", _TIMED_MODELS, ids=lambda m: m.variant)
+    def test_time_out_of_range(self, model, t):
+        with pytest.raises(HorizonError, match=r"time must lie in \[0, 2\.0\)"):
+            model.drift(t, (0.1, 0.2))
+
+    def test_softmax_weights_checks_time(self):
+        m = _TIMED_MODELS[2]
+        with pytest.raises(HorizonError, match="time must be finite"):
+            softmax_weights([0.1, np.nan], (0.1, 0.2), m)
+        with pytest.raises(HorizonError, match="must lie in"):
+            softmax_weights(2.0, (0.1, 0.2), m)
+
+    @pytest.mark.parametrize("model", _TIMED_MODELS, ids=lambda m: m.variant)
+    def test_range_edges_accepted(self, model):
+        t = [0.0, -0.0, np.nextafter(2.0, 0.0)]
+        assert model.drift(t, (0.1, 0.2)).shape == (3, 2)
 
 
 class TestProposedDrift:
@@ -121,6 +165,32 @@ class TestProposedDrift:
     def test_cut_locus_band(self):
         m = ProposedBridge(sigma=1.0, horizon=1.0, target=A0, cut_locus_tol=0.05)
         np.testing.assert_array_equal(m.drift(0.0, (0.47, 0.0)), [0.0, 0.0])
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_cut_locus_drift_is_positive_zero(self, scaled):
+        # Off the cut locus these points would be pulled by (-0.5, -0.2),
+        # (-0.5, -0.1) and (0.3, -0.5) over the time to go.
+        m = ProposedBridge(sigma=0.7, horizon=1.0, target=A0, scale_by_sigma_sq=scaled)
+        on_cut = [(0.5, 0.2), (2.5, 0.1), (-0.3, -1.5)]
+        for x in on_cut:
+            b = m.drift(0.3, x)
+            np.testing.assert_array_equal(b, [0.0, 0.0])
+            assert not np.signbit(b).any()
+        batch = np.array([on_cut[0], (0.3, 0.2), on_cut[1], (0.3, 1.2), on_cut[2]])
+        b = m.drift(np.array([0.3, 0.3, 0.5, 0.3, 0.9]), batch)
+        hit = [True, False, True, False, True]
+        np.testing.assert_array_equal(b[hit], 0.0)
+        assert not np.signbit(b[hit]).any()
+        assert np.all(b[[1, 3]] < 0.0)
+
+    def test_time_array_wider_than_points(self):
+        """A time per row broadcast against one point, on and off the cut locus."""
+        m = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
+        t = np.array([0.0, 0.25, 0.5])
+        for x in [(0.3, -0.2), (0.5, 0.1)]:
+            np.testing.assert_array_equal(m.drift(t, x), [m.drift(ti, x) for ti in t])
+        np.testing.assert_array_equal(m.drift(t[:, None], np.array([[0.3, 0.1], [0.5, 0.1]])),
+                                      [[m.drift(ti, (0.3, 0.1)), [0.0, 0.0]] for ti in t])
 
 
 class TestSoftmaxWeights:
@@ -338,6 +408,7 @@ _taus = st.floats(1e-6, 1.0)
 _windows = st.integers(0, 6)
 _targets = st.tuples(*[st.floats(-0.5, 0.5, exclude_max=True)] * 2)
 _planes = st.tuples(*[st.floats(-6.0, 6.0)] * 2)
+_stacks = st.sampled_from([(3, 4), (2, 1, 3), (1, 5), (4, 1)])
 
 
 class TestSeparableKernelProperties:
@@ -368,6 +439,49 @@ class TestSeparableKernelProperties:
             _density_oracle(x, y, sigma, delta, k_max),
             rtol=1e-10, atol=1e-12,
         )
+
+    @settings(max_examples=100, deadline=None)
+    @given(sigma=_sigmas, k_max=_windows, a=_targets, lead=_stacks, seed=st.integers(0, 2**32 - 1))
+    def test_stacked_points_and_per_point_times(self, sigma, k_max, a, lead, seed):
+        """Leading shapes beyond one batch axis and a time per point, as along a path."""
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-6.0, 6.0, size=lead + (2,))
+        t = 1.0 - rng.uniform(1e-6, 1.0, size=lead)
+        tau = 1.0 - t
+        delta = float(tau.flat[0])
+        m = TrueBridge(sigma=sigma, horizon=1.0, target=a, truncation=k_max)
+        drifts = m.drift(t, xs)
+        weights = softmax_weights(t, xs, m)
+        densities = wrapped_gaussian_log_density(0.0, xs, delta, a, sigma, k_max)
+        assert drifts.shape == lead + (2,)
+        assert weights.shape == lead + ((2 * k_max + 1) ** 2,)
+        assert densities.shape == lead
+        for idx in np.ndindex(*lead):
+            x = xs[idx]
+            slack = _rounding_slack(x, sigma, tau[idx], k_max)
+            _, w = _softmax_weights_oracle(x, a, sigma, tau[idx], k_max)
+            np.testing.assert_allclose(weights[idx], w, rtol=1e-10 + slack, atol=1e-12)
+            np.testing.assert_allclose(
+                drifts[idx], _softmax_drift_oracle(x, a, sigma, tau[idx], k_max),
+                rtol=1e-10, atol=1e-12 + slack / tau[idx])
+            np.testing.assert_allclose(
+                densities[idx], _density_oracle(x, a, sigma, delta, k_max), rtol=1e-10, atol=1e-12)
+            # The single point gives the stacked entry's bits.
+            np.testing.assert_array_equal(m.drift(t[idx], x), drifts[idx])
+            np.testing.assert_array_equal(softmax_weights(t[idx], x, m), weights[idx])
+            assert wrapped_gaussian_log_density(0.0, x, delta, a, sigma, k_max) == densities[idx]
+
+    @settings(max_examples=50, deadline=None)
+    @given(sigma=_sigmas, k_max=_windows, a=_targets, x=_planes,
+           taus=st.lists(_taus, min_size=1, max_size=5))
+    def test_time_array_wider_than_points(self, sigma, k_max, a, x, taus):
+        m = TrueBridge(sigma=sigma, horizon=1.0, target=a, truncation=k_max)
+        t = 1.0 - np.asarray(taus)
+        drifts = m.drift(t, x)
+        weights = softmax_weights(t, x, m)
+        for row, ti in enumerate(t):
+            np.testing.assert_array_equal(m.drift(ti, x), drifts[row])
+            np.testing.assert_array_equal(softmax_weights(ti, x, m), weights[row])
 
     @settings(max_examples=100, deadline=None)
     @given(sigma=_sigmas, tau=_taus, k_max=_windows, a=_targets,

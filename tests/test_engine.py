@@ -310,6 +310,12 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError):
             SimConfig(model="proposed", start=A0, n_steps=10, seed=0)
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_record_increments_must_be_a_boolean(self, value):
+        m = FreeBrownianMotion(sigma=1.0, horizon=1.0)
+        with pytest.raises(ValueError, match="record_increments must be true or false"):
+            SimConfig(model=m, start=A0, n_steps=10, seed=0, record_increments=value)
+
     def test_unknown_model_key_rejected(self):
         cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0))
         data = config_to_dict(cfg)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from torusbridge import (
     AmbiguousLiftError,
@@ -118,6 +119,19 @@ class TestNearestOffset:
         assert tie == tie_old
         if tol == 0.0:  # the engine's old `== 0.0` test of terminal ties
             assert tie == np.any(np.abs(np.abs(d - k_old) - 0.5) == 0.0, axis=-1)
+
+    @given(d=arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 4), st.just(2)),
+                    elements=st.floats(-6.0, 6.0) | st.sampled_from([-2.5, -0.5, 0.5, 1.5, 0.45])),
+           tol=st.sampled_from([0.0, 0.05]))
+    def test_matches_inline_rounding_on_stacks(self, d, tol):
+        k_old = np.round(d)
+        tie_old = np.any(np.abs(np.abs(d - k_old) - 0.5) <= tol, axis=-1)
+        k, tie = nearest_offset(d, tol)
+        np.testing.assert_array_equal(k, k_old)
+        assert tie.shape == d.shape[:-1] and tie.dtype == bool
+        np.testing.assert_array_equal(tie, tie_old)
+        for idx in np.ndindex(*d.shape[:-1]):
+            assert nearest_offset(d[idx], tol)[1] == tie[idx]
 
     def test_half_integers_round_to_even_and_tie(self):
         k, tie = nearest_offset(np.array([[2.5, -0.5], [0.3, 1.7], [1.5, 0.0]]))
