@@ -163,9 +163,7 @@ def _digest(config_a: SimConfig, config_b: SimConfig) -> str:
     return " ".join(parts)
 
 
-def agreement_rate(
-    config_a: SimConfig, config_b: SimConfig, n_workers: int = 1
-) -> AgreementReport:
+def agreement_rate(config_a: SimConfig, config_b: SimConfig) -> AgreementReport:
     """Fraction of coupled pairs whose limiting lattice offsets coincide.
 
     Both configs must share seed, grid, start and sigma (the coupling
@@ -175,8 +173,8 @@ def agreement_rate(
     require_coupled(config_a, config_b)
     if config_a.model.diagnostic_target != config_b.model.diagnostic_target:
         raise ValueError("coupled configs must condition on the same target")
-    batch_a = simulate_batch(config_a, n_workers=n_workers, keep_paths=False)
-    batch_b = simulate_batch(config_b, n_workers=n_workers, keep_paths=False)
+    batch_a = simulate_batch(config_a, keep_paths=False)
+    batch_b = simulate_batch(config_b, keep_paths=False)
     resolved = ~(batch_a.unresolved | batch_b.unresolved)
     same = np.all(
         batch_a.limiting_lattice_points == batch_b.limiting_lattice_points, axis=-1

@@ -9,10 +9,9 @@ Subcommands:
 
 All floating-point CSV values are serialised with 17 significant digits
 ("%.17g", enough to round-trip a double), and every run is a pure function
-of its flags (one master --seed, fixed chunking), so re-runs produce
-byte-identical CSV files for any worker count.  Each row is formatted from
-one "%" template; paths.csv formats its step,t columns once per run and
-writes one text block per path.
+of its flags (one master --seed), so re-runs produce byte-identical CSV
+files.  Each row is formatted from one "%" template; paths.csv formats its
+step,t columns once per run and writes one text block per path.
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         record_increments=ns.record_increments or cfg_block.get("record_increments", False),
     )
     thin = ns.thin if ns.thin is not None else out_block.get("thin", 1)
-    if not isinstance(thin, int):
+    if isinstance(thin, bool) or not isinstance(thin, int):
         raise ValueError(f"thin must be an integer; got {thin!r}")
     if thin < 1:
         raise ValueError(f"--thin must be >= 1; got {thin}")
@@ -124,7 +123,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    batch = simulate_batch(config, n_workers=ns.workers, keep_paths=True, weight_cutoff=cutoff)
+    batch = simulate_batch(config, keep_paths=True, weight_cutoff=cutoff)
 
     n = config.n_steps
     steps = np.arange(0, n + 1, thin)
@@ -149,8 +148,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         "command": "simulate",
         "version": __version__,
         "config": config_to_dict(config),
-        "output": {"dir": str(out_dir), "thin": thin, "weight_cutoff": cutoff,
-                   "workers": ns.workers},
+        "output": {"dir": str(out_dir), "thin": thin, "weight_cutoff": cutoff},
         "artifacts": ["paths.csv", "endpoints.csv", "manifest.json"],
         "wall_time_s": time.perf_counter() - started,
     }
@@ -168,7 +166,7 @@ def cmd_compare(ns: argparse.Namespace) -> int:
         return SimConfig(model=_merge_model(variant, {}, ns), start=start,
                          n_steps=ns.steps, seed=ns.seed, n_paths=ns.pairs)
 
-    report = agreement_rate(build(ns.model_a), build(ns.model_b), n_workers=ns.workers)
+    report = agreement_rate(build(ns.model_a), build(ns.model_b))
 
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -218,9 +216,7 @@ def cmd_weights(ns: argparse.Namespace) -> int:
     if not isinstance(manifest, dict) or "config" not in manifest:
         raise ValueError(f"{ns.manifest} does not look like a run manifest")
     config = config_from_dict(manifest["config"])
-    batch = simulate_batch(
-        config, n_workers=ns.workers, keep_paths=False, weight_cutoff=ns.cutoff
-    )
+    batch = simulate_batch(config, keep_paths=False, weight_cutoff=ns.cutoff)
     out_dir = Path(ns.out) if ns.out else Path(ns.manifest).parent
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = ("%d,%.17g\n" % row for row in enumerate(batch.log_weights.tolist()))
@@ -247,6 +243,12 @@ def _add_common_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--endpoint", default=None, help="plane endpoint 'x,y' (euclid-bridge)")
     p.add_argument("--truncation", type=int, default=None,
                    help="lift window radius K for true-bridge")
+
+
+def _add_workers_flag(p: argparse.ArgumentParser) -> None:
+    # Batches run on one thread; the flag stays so that older command lines still parse.
+    p.add_argument("--workers", type=int, default=None,
+                   help="has no effect; accepted for older command lines")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -276,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="JSON config (a manifest 'config' block or a full manifest)")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--workers", type=int, default=1, help="worker threads (output-invariant)")
+    _add_workers_flag(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="coupled model pairs and agreement rate")
@@ -290,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--start", default="0,0")
     p.add_argument("--out", default=".")
-    p.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(p)
     p.set_defaults(func=cmd_compare, target="0,0", truncation=2)
 
     p = sub.add_parser("field", help="drift vector field on a grid, written to field.csv")
@@ -308,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=float, required=True,
                    help="grid time S in (0,T) the weights integrate to")
     p.add_argument("--out", default=None, help="output directory (default: manifest's)")
-    p.add_argument("--workers", type=int, default=1)
+    _add_workers_flag(p)
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("check", help="run the acceptance suite")

@@ -66,7 +66,10 @@ def _point_pair(p: ArrayLike) -> tuple[float, float]:
 
 
 def _finite(value) -> bool:
-    """Whether ``value`` is a finite real number; config values may be any JSON type."""
+    """Whether ``value`` is a finite real number; config values may be any JSON type,
+    and JSON's true and false are not numbers."""
+    if isinstance(value, bool):
+        return False
     return isinstance(value, numbers.Integral) or (
         isinstance(value, numbers.Real) and math.isfinite(value))
 

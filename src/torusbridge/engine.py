@@ -15,19 +15,18 @@ a counter-based construction).  Consequences, all relied on by tests:
 
   * the same ``(seed, path_index)`` always reproduces the same path,
     bit for bit, whether simulated alone or inside any batch;
-  * batch results are identical for any worker count and scheduling;
+  * batch results do not depend on the chunk size;
   * two configurations sharing ``(seed, n_steps, horizon)`` consume the
     identical increment sequence per path index, which is how coupled
     model comparisons are driven.
 
-Batches are processed in fixed-size path chunks; each chunk touches only
-its own streams and output slots, so chunks may run on a thread pool
-without changing any output byte.
+Batches run in path order, one fixed-size chunk of paths at a time; each
+chunk touches only its own streams and output slots, so chunking bounds
+the memory of the noise and state arrays without changing any output byte.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
@@ -54,9 +53,8 @@ __all__ = [
     "config_from_dict",
 ]
 
-# Paths per work unit.  Fixed (never derived from the worker count) so that
-# chunk boundaries, and therefore all floating-point results, are identical
-# for any parallelism level.
+# Paths per chunk.  It bounds the noise and state arrays in flight,
+# (CHUNK_SIZE, n_steps, 2) floats each; no output byte depends on it.
 CHUNK_SIZE = 1024
 
 _MAX_SEED = 2**64
@@ -209,7 +207,7 @@ def _run_chunk(
     for i in range(n):
         x = euler_step(times[i], x, dt, dW[:, i], model)
         states[:, i + 1] = x
-    out = {"lo": lo, "hi": hi, "states": states, "dW": dW}
+    out = {"states": states, "dW": dW}
     if weight_cutoff is not None:
         out["log_weights"] = girsanov.path_log_weights(
             times, states, dW, model, weight_cutoff
@@ -237,7 +235,6 @@ def simulate_path(config: SimConfig, path_index: int = 0) -> PathSample:
 def simulate_batch(
     config: SimConfig,
     *,
-    n_workers: int = 1,
     keep_paths: bool = True,
     snapshot_steps: Sequence[int] | None = None,
     weight_cutoff: float | None = None,
@@ -246,8 +243,6 @@ def simulate_batch(
 
     Args:
         config: experiment description.
-        n_workers: thread count for chunk fan-out.  Any value produces
-            identical results; threads only trade wall time.
         keep_paths: retain full PathSample objects (memory heavy for
             large batches; diagnostics never need them).
         snapshot_steps: grid step indices whose states are stored for all
@@ -261,8 +256,6 @@ def simulate_batch(
         to the model's ``diagnostic_target``, cut-locus flags, and the
         optional extras.
     """
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1; got {n_workers}")
     snapshot_list = sorted(set(int(s) for s in snapshot_steps)) if snapshot_steps else []
     for s in snapshot_list:
         if not (0 <= s <= config.n_steps):
@@ -282,13 +275,9 @@ def simulate_batch(
     snapshots = {s: np.empty((n_paths, 2)) for s in snapshot_list}
     paths: list[PathSample] | None = [None] * n_paths if keep_paths else None  # type: ignore[list-item]
 
-    bounds = [(lo, min(lo + CHUNK_SIZE, n_paths)) for lo in range(0, n_paths, CHUNK_SIZE)]
-
-    def work(b):
-        return _run_chunk(config, b[0], b[1], times, weight_cutoff)
-
-    def collect(res: dict) -> None:
-        lo, hi = res["lo"], res["hi"]
+    for lo in range(0, n_paths, CHUNK_SIZE):
+        hi = min(lo + CHUNK_SIZE, n_paths)
+        res = _run_chunk(config, lo, hi, times, weight_cutoff)
         states = res["states"]
         terminal[lo:hi] = states[:, -1]
         offsets[lo:hi], unresolved[lo:hi] = nearest_offset(states[:, -1] - target)
@@ -300,14 +289,8 @@ def simulate_batch(
             for row, idx in enumerate(range(lo, hi)):
                 inc = res["dW"][row] if config.record_increments else None
                 paths[idx] = PathSample(times=times, states=states[row], increments=inc)
-
-    if n_workers == 1 or len(bounds) == 1:
-        for b in bounds:
-            collect(work(b))
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for res in pool.map(work, bounds):
-                collect(res)
+        # Free this chunk's arrays before the next chunk allocates its own.
+        del res, states
 
     return BatchResult(
         config=config,

@@ -11,7 +11,7 @@ This module implements:
   * The quotient metric on the torus.
 
 All operations accept scalars of shape (2,) or stacked arrays of shape
-(..., 2) and are pure functions; they are safe to call concurrently.
+(..., 2) and are pure functions: they keep no state between calls.
 
 Conventions fixed here and relied upon everywhere else:
   * Fundamental domain is the half-open square [-1/2, 1/2)^2, so the

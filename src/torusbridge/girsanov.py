@@ -1,11 +1,12 @@
 """Change-of-measure weights for simulated bridge proposals.
 
 For a path of ``dX = b dt + sigma dW`` the exponential
-``exp(-int b dW - 1/2 int |b|^2 dt)`` over [0, S], S < T, reweights
-proposal expectations back to those of the driftless scaled process.
-The stochastic integral is discretised with the left-point rule on the
-same grid and increments that drove the simulation, so the weight
-corresponds exactly to the discrete path actually produced.
+``exp(-int u dW - 1/2 int |u|^2 dt)`` with ``u = b / sigma``, over [0, S],
+S < T, reweights proposal expectations back to those of the driftless
+sigma-scaled process.  The stochastic integral is discretised with the
+left-point rule on the same grid and increments that drove the
+simulation, so the weight corresponds exactly to the discrete path
+actually produced.
 
 The nearest-lift drift is uniformly bounded away from the terminal time
 (no point of the plane is farther than half a square diagonal from its
@@ -68,8 +69,8 @@ def path_log_weights(
 ) -> np.ndarray | float:
     """Discretised log weights over [0, S] for one path or a stack of paths.
 
-    Computes ``- sum_{t_i < S} b(t_i, x_i) . dW_i
-    - 1/2 sum_{t_i < S} |b(t_i, x_i)|^2 dt`` with the model's drift.
+    Computes ``- sum_{t_i < S} u_i . dW_i - 1/2 sum_{t_i < S} |u_i|^2 dt``
+    with ``u_i = b(t_i, x_i) / sigma`` from the model's drift b.
 
     Args:
         times: grid of length n_steps + 1.
@@ -92,9 +93,9 @@ def path_log_weights(
     k = cutoff_index(dt, n_steps, model.horizon, cutoff_S)
     acc = np.zeros(states.shape[:-2])
     for i in range(k):
-        b = drift(times[i], states[..., i, :], model)
-        acc = acc - (b * increments[..., i, :]).sum(axis=-1) \
-                  - 0.5 * (b * b).sum(axis=-1) * dt
+        u = drift(times[i], states[..., i, :], model) / model.sigma
+        acc = acc - (u * increments[..., i, :]).sum(axis=-1) \
+                  - 0.5 * (u * u).sum(axis=-1) * dt
     if acc.ndim == 0:
         return float(acc)
     return acc
@@ -143,7 +144,9 @@ def novikov_bound(model: DriftModel, t: float, cutoff_S: float) -> float:
 
     The pathwise integral never exceeds t * C_S, so the expectation bound
     holds sample by sample; Monte Carlo estimates of the left side must
-    stay below this value.
+    stay below this value.  This bounds the integral of |b|^2 itself; the
+    weight's exponent integrates |b / sigma|^2, so its Novikov condition
+    uses the constant C_S / sigma^2.
 
     Raises:
         ValueError: if t is outside [0, cutoff_S].

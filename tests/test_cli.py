@@ -211,6 +211,14 @@ class TestSimulate:
         (lambda m: m["config"].update(model={"variant": "proposed", "sigma": 0.5, "horizon": 1.0,
                                              "target": [0, 0], "scale_by_sigma_sq": 1}),
          ("scale_by_sigma_sq",)),
+        (lambda m: m["config"]["model"].update(sigma=True), ("sigma", "True")),
+        (lambda m: m["config"]["model"].update(horizon=True), ("horizon", "True")),
+        (lambda m: m["config"].update(n_steps=True), ("n_steps", "True")),
+        (lambda m: m["config"].update(n_paths=True), ("n_paths", "True")),
+        (lambda m: m["config"].update(seed=False), ("seed", "False")),
+        (lambda m: m["config"]["model"].update(truncation=True), ("truncation", "True")),
+        (lambda m: m["output"].update(thin=True), ("thin", "True")),
+        (lambda m: m["output"].update(weight_cutoff=True), ("cutoff", "True")),
     ])
     def test_bad_config_value_fails(self, tmp_path, capsys, edit, needles):
         """Config values of the wrong JSON type are one error line, not a traceback."""
@@ -242,7 +250,7 @@ class TestPinnedBytes:
                    for name in ("paths.csv", "endpoints.csv")}
         assert digests == {
             "paths.csv": "b553d191b07f0ad0ca0440c3d60ad88de801c1de62536430433505a812e55aed",
-            "endpoints.csv": "0b0130f0c21601094653b03f16f7669178c49915a2b1bf5c733b140b01e8a6e1",
+            "endpoints.csv": "77b871a153d76389ddacd39f7b8ba3668e5424751f13b29e5bbcec618a54f0e3",
         }
 
 
@@ -259,13 +267,11 @@ class TestWriterBytes:
         assert (tmp_path / "paths.csv").read_bytes() == _oracle_paths(seen[0], thin)
         assert (tmp_path / "endpoints.csv").read_bytes() == _oracle_endpoints(seen[0])
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_three_chunks(self, tmp_path, monkeypatch, workers):
+    def test_three_chunks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(engine, "CHUNK_SIZE", 16)
         seen = _capture(monkeypatch, "simulate_batch")
         assert _run("simulate", "--model", "proposed", "--target", "0,0", "--steps", "10",
-                    "--paths", "40", "--seed", "23", "--cutoff", "0.5",
-                    "--workers", workers, "--out", tmp_path) == 0
+                    "--paths", "40", "--seed", "23", "--cutoff", "0.5", "--out", tmp_path) == 0
         assert (tmp_path / "paths.csv").read_bytes() == _oracle_paths(seen[0], 1)
         assert (tmp_path / "endpoints.csv").read_bytes() == _oracle_endpoints(seen[0])
 
@@ -315,6 +321,26 @@ class TestWriterBytes:
     @example(-1e308)
     def test_percent_format_equals_format(self, v):
         assert "%.17g" % v == format(v, ".17g")
+
+
+class TestWorkersFlag:
+    """--workers is accepted and ignored: batches run on one thread."""
+
+    @pytest.mark.parametrize("workers", [3, 0])
+    def test_has_no_effect(self, tmp_path, workers):
+        sim = ("simulate", "--model", "proposed", "--target", "0.1,-0.2", "--sigma", "0.9",
+               "--steps", "20", "--paths", "30", "--seed", "5", "--cutoff", "0.5")
+        cmp = ("compare", "--sigma", "0.8", "--steps", "50", "--pairs", "30", "--seed", "6")
+        for flags, out in (((), tmp_path / "a"), (("--workers", workers), tmp_path / "b")):
+            assert _run(*sim, *flags, "--out", out / "sim") == 0
+            assert _run(*cmp, *flags, "--out", out / "cmp") == 0
+            assert _run("weights", "--manifest", tmp_path / "a" / "sim" / "manifest.json",
+                        "--cutoff", "0.3", *flags, "--out", out / "w") == 0
+        for name in ("sim/paths.csv", "sim/endpoints.csv", "cmp/agreement.csv",
+                     "cmp/agreement_summary.json", "w/weights.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        manifest = json.loads((tmp_path / "b" / "sim" / "manifest.json").read_text())
+        assert "workers" not in manifest["output"]
 
 
 class TestCompare:
@@ -397,6 +423,14 @@ class TestWeights:
         (lambda c: c.update(model={"variant": "proposed", "sigma": 1.0, "horizon": 1.0,
                                    "target": [0, 0], "scale_by_sigma_sq": "false"}),
          ("scale_by_sigma_sq", "'false'")),
+        (lambda c: c["model"].update(sigma=True), ("sigma", "True")),
+        (lambda c: c["model"].update(horizon=True), ("horizon", "True")),
+        (lambda c: c.update(n_steps=True), ("n_steps", "True")),
+        (lambda c: c.update(n_paths=True), ("n_paths", "True")),
+        (lambda c: c.update(seed=True), ("seed", "True")),
+        (lambda c: c.update(model={"variant": "proposed", "sigma": 1.0, "horizon": 1.0,
+                                   "target": [0, 0], "cut_locus_tol": False}),
+         ("cut_locus_tol", "False")),
     ])
     def test_bad_manifest_config_fails(self, tmp_path, capsys, edit, needles):
         _run("simulate", "--model", "free-bm", "--steps", "10", "--paths", "2",

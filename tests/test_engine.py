@@ -20,6 +20,7 @@ from torusbridge import (
     simulate_path,
     wiener_increments,
 )
+from torusbridge import engine
 from torusbridge.engine import model_from_dict, model_to_dict, require_coupled
 
 A0 = (0.0, 0.0)
@@ -143,15 +144,18 @@ class TestSimulateBatch:
         np.testing.assert_array_equal(batch.paths[0].states, single.states)
         np.testing.assert_array_equal(batch.paths[0].increments, single.increments)
 
-    def test_worker_count_does_not_change_results(self):
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
         cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
                    n_steps=80, seed=14, n_paths=300)
-        b1 = simulate_batch(cfg, n_workers=1, snapshot_steps=[40], weight_cutoff=0.5)
-        b4 = simulate_batch(cfg, n_workers=4, snapshot_steps=[40], weight_cutoff=0.5)
-        np.testing.assert_array_equal(b1.terminal_points, b4.terminal_points)
-        np.testing.assert_array_equal(b1.limiting_lattice_points, b4.limiting_lattice_points)
-        np.testing.assert_array_equal(b1.log_weights, b4.log_weights)
-        np.testing.assert_array_equal(b1.snapshots[40], b4.snapshots[40])
+        whole = simulate_batch(cfg, snapshot_steps=[40], weight_cutoff=0.5)
+        monkeypatch.setattr(engine, "CHUNK_SIZE", 16)
+        split = simulate_batch(cfg, snapshot_steps=[40], weight_cutoff=0.5)
+        np.testing.assert_array_equal(whole.terminal_points, split.terminal_points)
+        np.testing.assert_array_equal(whole.limiting_lattice_points,
+                                      split.limiting_lattice_points)
+        np.testing.assert_array_equal(whole.unresolved, split.unresolved)
+        np.testing.assert_array_equal(whole.log_weights, split.log_weights)
+        np.testing.assert_array_equal(whole.snapshots[40], split.snapshots[40])
 
     def test_paths_across_chunk_boundary_match_single_runs(self):
         """Chunked execution is invisible: any path equals its standalone run."""
@@ -249,8 +253,6 @@ class TestSimulateBatch:
 
     def test_invalid_options_rejected(self):
         cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0), seed=4)
-        with pytest.raises(ValueError):
-            simulate_batch(cfg, n_workers=0)
         with pytest.raises(ValueError):
             simulate_batch(cfg, snapshot_steps=[200])
         with pytest.raises(ValueError):

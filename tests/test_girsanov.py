@@ -26,6 +26,16 @@ def _recorded_batch(model, n_paths, n_steps, seed):
     return cfg, simulate_batch(cfg, keep_paths=True)
 
 
+def _assert_weighted_means_match(w, pairs):
+    """Each weighted proposal mean E[w f(X)] agrees with the direct mean
+    E[f(Y)] within 3 standard errors, per column."""
+    n = len(w)
+    for fp, ff in pairs:
+        wf = w[:, None] * fp
+        se = np.sqrt(wf.var(0, ddof=1) / n + ff.var(0, ddof=1) / n)
+        assert np.all(np.abs(wf.mean(0) - ff.mean(0)) <= 3 * se)
+
+
 class TestLogWeight:
     def test_zero_drift_gives_zero_weight(self):
         cfg = SimConfig(model=FreeBrownianMotion(sigma=1.0, horizon=1.0), start=A0,
@@ -105,13 +115,26 @@ class TestImportanceSampling:
         prop = simulate_batch(prop_cfg, keep_paths=False, snapshot_steps=[250],
                               weight_cutoff=S)
         free = simulate_batch(free_cfg, keep_paths=False, snapshot_steps=[250])
-        w = np.exp(prop.log_weights)
         xp, xf = prop.snapshots[250], free.snapshots[250]
-        for fp, ff in ((xp, xf), (xp**2, xf**2)):
-            wf = w[:, None] * fp
-            est_p, est_f = wf.mean(0), ff.mean(0)
-            se = np.sqrt(wf.var(0, ddof=1) / n + ff.var(0, ddof=1) / n)
-            assert np.all(np.abs(est_p - est_f) <= 3 * se)
+        _assert_weighted_means_match(np.exp(prop.log_weights), [(xp, xf), (xp**2, xf**2)])
+
+    def test_weighted_moments_match_free_process_below_unit_sigma(self):
+        """At sigma = 0.5 the weight must use b / sigma: weighted proposal
+        moments at S match direct sigma-scaled Brownian motion.  With b in
+        place of b / sigma, E[x^2] sits near z = -10 per coordinate and
+        P(|x| < 0.2) near z = +16."""
+        S, n, sigma = 0.5, 20_000, 0.5
+        prop_cfg = SimConfig(model=ProposedBridge(sigma=sigma, horizon=1.0, target=A0),
+                             start=A0, n_steps=200, seed=10, n_paths=n)
+        free_cfg = SimConfig(model=FreeBrownianMotion(sigma=sigma, horizon=1.0),
+                             start=A0, n_steps=200, seed=11, n_paths=n)
+        prop = simulate_batch(prop_cfg, keep_paths=False, snapshot_steps=[100],
+                              weight_cutoff=S)
+        free = simulate_batch(free_cfg, keep_paths=False, snapshot_steps=[100])
+        xp, xf = prop.snapshots[100], free.snapshots[100]
+        near_p, near_f = ((np.hypot(*x.T) < 0.2)[:, None] for x in (xp, xf))
+        _assert_weighted_means_match(np.exp(prop.log_weights),
+                                     [(xp, xf), (xp**2, xf**2), (near_p, near_f)])
 
 
 class TestDriftBoundConstant:

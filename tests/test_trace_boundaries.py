@@ -52,3 +52,11 @@ def test_drift_layers_stay_traceable():
     for fn in (engine.euler_step, girsanov.path_log_weights):
         assert "drift" in fn.__code__.co_names
         assert _calls_global(fn, "drift")
+
+
+def test_chunk_layers_stay_traceable():
+    # The engine.chunk and engine.noise layers come from wrapping these module
+    # globals; a call through a name bound at import time (an alias or a default
+    # argument) would bypass the wrappers and drop those spans silently.
+    assert _calls_global(engine.simulate_batch, "_run_chunk")
+    assert _calls_global(engine._run_chunk, "_chunk_increments")
