@@ -267,11 +267,14 @@ class TestWriterBytes:
         assert (tmp_path / "paths.csv").read_bytes() == _oracle_paths(seen[0], thin)
         assert (tmp_path / "endpoints.csv").read_bytes() == _oracle_endpoints(seen[0])
 
-    def test_three_chunks(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_three_chunks(self, tmp_path, monkeypatch, workers):
+        """Three chunks write the reference bytes, whatever --workers says."""
         monkeypatch.setattr(engine, "CHUNK_SIZE", 16)
         seen = _capture(monkeypatch, "simulate_batch")
         assert _run("simulate", "--model", "proposed", "--target", "0,0", "--steps", "10",
-                    "--paths", "40", "--seed", "23", "--cutoff", "0.5", "--out", tmp_path) == 0
+                    "--paths", "40", "--seed", "23", "--cutoff", "0.5", "--workers", workers,
+                    "--out", tmp_path) == 0
         assert (tmp_path / "paths.csv").read_bytes() == _oracle_paths(seen[0], 1)
         assert (tmp_path / "endpoints.csv").read_bytes() == _oracle_endpoints(seen[0])
 
