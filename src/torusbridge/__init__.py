@@ -2,7 +2,7 @@
 
 A plane diffusion pulled toward the nearest lattice lift of a torus
 point projects onto a bridge on the torus; this package simulates that
-proposal process, the exact bridge with its lattice-softmax drift, and
+proposal process, the exact bridge with its wrapped-Gaussian drift, and
 the free and single-endpoint reference processes, together with
 Girsanov reweighting and the batch statistics that compare them.
 """
@@ -26,7 +26,6 @@ from .drift import (
     TrueBridge,
     VARIANTS,
     drift,
-    softmax_weights,
     wrapped_gaussian_log_density,
 )
 from .engine import (
@@ -80,7 +79,6 @@ __all__ = [
     "VARIANTS",
     "HorizonError",
     "drift",
-    "softmax_weights",
     "wrapped_gaussian_log_density",
     # engine
     "SimConfig",

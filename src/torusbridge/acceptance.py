@@ -16,11 +16,11 @@ The checks, in order:
      weighted moments against direct driftless simulation;
   5. uniform drift bound, fuzzed over 1e5 points, plus the pathwise
      integral bound with C_S = 0.5 / (T - S)^2;
-  6. the softmax drift equals sigma^2 times the numerical gradient of
-     the wrapped Gaussian log density (relative tolerance 1e-5);
+  6. the exact bridge drift equals sigma^2 times the numerical gradient
+     of the wrapped Gaussian log density (relative tolerance 1e-5);
   7. the wrapped Gaussian density integrates to 1 over the fundamental
      domain within 1e-6 (400 x 400 midpoint rule);
-  8. byte-identical CSV output under re-runs and any worker count.
+  8. byte-identical CSV output under re-runs and chunk sizes.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .drift import (
     TrueBridge,
     wrapped_gaussian_log_density,
 )
+from . import engine
 from .engine import SimConfig, simulate_batch
 
 __all__ = ["CriterionResult", "CRITERIA", "run_all"]
@@ -63,7 +64,7 @@ def check_agreement_rate() -> CriterionResult:
     a = (0.0, 0.0)
     base = dict(start=a, n_steps=1000, seed=1001, n_paths=2000)
     prop = SimConfig(model=ProposedBridge(sigma=0.8, horizon=1.0, target=a), **base)
-    true = SimConfig(model=TrueBridge(sigma=0.8, horizon=1.0, target=a, truncation=2), **base)
+    true = SimConfig(model=TrueBridge(sigma=0.8, horizon=1.0, target=a), **base)
     report = agreement_rate(prop, true)
     lo, hi = 0.65, 0.92
     ok = lo <= report.rate <= hi
@@ -217,10 +218,10 @@ def check_drift_bound() -> CriterionResult:
 
 
 def check_gradient_identity() -> CriterionResult:
-    """Softmax drift equals sigma^2 times the numerical log-density gradient."""
+    """Exact bridge drift equals sigma^2 times the numerical log-density gradient."""
     a = (0.0, 0.0)
-    sigma, T, K = 0.8, 1.0, 3
-    model = TrueBridge(sigma=sigma, horizon=T, target=a, truncation=K)
+    sigma, T = 0.8, 1.0
+    model = TrueBridge(sigma=sigma, horizon=T, target=a)
     rng = np.random.default_rng(1010)
     h = 1e-5
     checked = 0
@@ -236,8 +237,8 @@ def check_gradient_identity() -> CriterionResult:
         for c in range(2):
             e = np.zeros(2)
             e[c] = h
-            fp = wrapped_gaussian_log_density(t, x + e, T, a, sigma, K)
-            fm = wrapped_gaussian_log_density(t, x - e, T, a, sigma, K)
+            fp = wrapped_gaussian_log_density(t, x + e, T, a, sigma)
+            fm = wrapped_gaussian_log_density(t, x - e, T, a, sigma)
             grad[c] = (fp - fm) / (2 * h)
         rel = np.linalg.norm(sigma**2 * grad - b) / norm_b
         worst = max(worst, float(rel))
@@ -253,7 +254,7 @@ def check_gradient_identity() -> CriterionResult:
 
 def check_density_normalization() -> CriterionResult:
     """Wrapped Gaussian integrates to 1 over the fundamental domain within 1e-6."""
-    m, K, sigma, delta = 400, 5, 1.0, 0.1
+    m, sigma, delta = 400, 1.0, 0.1
     grid = (np.arange(m) + 0.5) / m - 0.5
     g1, g2 = np.meshgrid(grid, grid, indexing="ij")
     points = np.stack([g1.ravel(), g2.ravel()], axis=1)
@@ -261,7 +262,7 @@ def check_density_normalization() -> CriterionResult:
     for y in ((0.0, 0.0), (0.13, -0.27), (-0.5, -0.5)):
         total = 0.0
         for block in np.array_split(points, 16):
-            ld = wrapped_gaussian_log_density(0.0, block, delta, y, sigma, K)
+            ld = wrapped_gaussian_log_density(0.0, block, delta, y, sigma)
             total += np.exp(ld).sum()
         integral = total / m**2
         worst = max(worst, abs(integral - 1.0))
@@ -270,12 +271,12 @@ def check_density_normalization() -> CriterionResult:
         7,
         "density-normalization",
         ok,
-        f"max |integral - 1| = {worst:.2e} over 3 targets (tolerance 1e-6, {m}x{m} midpoint, K={K})",
+        f"max |integral - 1| = {worst:.2e} over 3 targets (tolerance 1e-6, {m}x{m} midpoint)",
     )
 
 
 def check_determinism() -> CriterionResult:
-    """Re-runs and different worker counts produce byte-identical CSVs."""
+    """Every command writes byte-identical CSVs across re-runs and chunk sizes."""
     from . import cli  # imported lazily; cli imports this module
 
     mismatches = []
@@ -287,25 +288,28 @@ def check_determinism() -> CriterionResult:
              ["simulate", "--model", "proposed", "--target", "0,0", "--sigma", "0.8",
               "--T", "1", "--steps", "200", "--paths", "64", "--seed", "42",
               "--cutoff", "0.5"],
-             True, ["paths.csv", "endpoints.csv"]),
+             ["paths.csv", "endpoints.csv"]),
             ("compare",
              ["compare", "--sigma", "0.8", "--T", "1", "--steps", "200", "--pairs", "32",
-              "--truncation", "2", "--seed", "5"],
-             True, ["agreement.csv"]),
+              "--seed", "5"],
+             ["agreement.csv"]),
             ("field",
              ["field", "--model", "true-bridge", "--target", "0.1,-0.2", "--sigma", "0.8",
               "--T", "1", "--t", "0.9", "--grid", "9"],
-             False, ["field.csv"]),
+             ["field.csv"]),
             ("weights",
              ["weights", "--manifest", str(sim_dir / "manifest.json"), "--cutoff", "0.5"],
-             True, ["weights.csv"]),
+             ["weights.csv"]),
         ]
-        for name, args, threaded, files in jobs:
+        for name, args, files in jobs:
             dirs = [root / f"{name}_{i}" for i in range(3)]
-            workers = ["1", "1", "4"] if threaded else ["1", "1", "1"]
-            for d, w in zip(dirs, workers):
-                extra = ["--workers", w] if threaded else []
-                rc = cli.main(args + ["--out", str(d)] + extra)
+            # The third run splits the 64 paths and 32 pairs into several chunks.
+            for d, chunk in zip(dirs, [engine.CHUNK_SIZE, engine.CHUNK_SIZE, 16]):
+                saved, engine.CHUNK_SIZE = engine.CHUNK_SIZE, chunk
+                try:
+                    rc = cli.main(args + ["--out", str(d)])
+                finally:
+                    engine.CHUNK_SIZE = saved
                 if rc != 0:
                     return CriterionResult(8, "determinism", False, f"{name} run failed (exit {rc})")
             for f in files:
@@ -317,7 +321,7 @@ def check_determinism() -> CriterionResult:
         8,
         "determinism",
         ok,
-        "all commands byte-identical across re-runs and workers {1,4}"
+        "all commands byte-identical across re-runs and chunk sizes {%d,16}" % engine.CHUNK_SIZE
         if ok else f"mismatch in {mismatches}",
     )
 

@@ -9,8 +9,8 @@ Summaries implemented here:
   * drift magnitude profiles along stored paths and drift vector fields
     on spatial grids, for plotting.
 
-All aggregations are associative reductions over per-path records, so
-parallel and sequential reduction produce identical counts.
+Every summary is a function of the per-path records alone, so it does
+not depend on how the paths were chunked.
 """
 
 from __future__ import annotations
@@ -157,9 +157,6 @@ def _digest(config_a: SimConfig, config_b: SimConfig) -> str:
         f"start=({config_a.start[0]:g},{config_a.start[1]:g})",
         f"models={type(config_a.model).__name__}|{type(config_b.model).__name__}",
     ]
-    trunc = getattr(config_b.model, "truncation", None)
-    if trunc is not None:
-        parts.append(f"truncation={trunc}")
     return " ".join(parts)
 
 

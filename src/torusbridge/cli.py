@@ -65,7 +65,7 @@ def _offset_text(k: list[int], unresolved: bool) -> str:
 # The namespace attribute (flag --<attr>) that sets each model field.  Unset flags leave
 # a field to the config file, then to the defaults below or the model's own.
 _FIELD_FLAGS = {"sigma": "sigma", "horizon": "T", "endpoint": "endpoint", "target": "target",
-                "scale_by_sigma_sq": "scale_drift_by_sigma_sq", "truncation": "truncation"}
+                "scale_by_sigma_sq": "scale_drift_by_sigma_sq"}
 _PAIR_FIELDS = ("endpoint", "target")
 
 
@@ -241,14 +241,14 @@ def _add_common_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--T", type=float, default=None, help="time horizon (> 0)")
     p.add_argument("--target", default=None, help="conditioning torus point 'x,y' in [-1/2,1/2)^2")
     p.add_argument("--endpoint", default=None, help="plane endpoint 'x,y' (euclid-bridge)")
-    p.add_argument("--truncation", type=int, default=None,
-                   help="lift window radius K for true-bridge")
 
 
-def _add_workers_flag(p: argparse.ArgumentParser) -> None:
-    # Batches run on one thread; the flag stays so that older command lines still parse.
-    p.add_argument("--workers", type=int, default=None,
-                   help="has no effect; accepted for older command lines")
+def _add_ignored_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    # Batches run on one thread and the true bridge sums every lift, so --workers
+    # and --truncation do nothing; they stay so that older command lines still parse.
+    for name in names:
+        p.add_argument(f"--{name}", type=int, default=None,
+                       help="has no effect; accepted for older command lines")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -278,7 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="JSON config (a manifest 'config' block or a full manifest)")
     p.add_argument("--out", default=".", help="output directory")
-    _add_workers_flag(p)
+    _add_ignored_flags(p, "workers", "truncation")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="coupled model pairs and agreement rate")
@@ -292,8 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--start", default="0,0")
     p.add_argument("--out", default=".")
-    _add_workers_flag(p)
-    p.set_defaults(func=cmd_compare, target="0,0", truncation=2)
+    _add_ignored_flags(p, "workers", "truncation")
+    p.set_defaults(func=cmd_compare, target="0,0")
 
     p = sub.add_parser("field", help="drift vector field on a grid, written to field.csv")
     p.add_argument("--model", choices=list(VARIANTS), default="proposed")
@@ -303,6 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rect", default="-0.5,0.5,-0.5,0.5",
                    help="rectangle 'x1min,x1max,x2min,x2max'")
     p.add_argument("--out", default=".")
+    _add_ignored_flags(p, "truncation")
     p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("weights", help="recompute a run from its manifest and emit log weights")
@@ -310,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=float, required=True,
                    help="grid time S in (0,T) the weights integrate to")
     p.add_argument("--out", default=None, help="output directory (default: manifest's)")
-    _add_workers_flag(p)
+    _add_ignored_flags(p, "workers")
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("check", help="run the acceptance suite")

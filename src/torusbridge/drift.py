@@ -13,9 +13,9 @@ and differ only in how they pull the process toward its target:
     off the cut locus and 0 on it.  Cheap to evaluate (one rounding),
     this is the proposal process for torus bridge sampling.
   * ``TrueBridge``           the exact bridge drift for the projection
-    onto the torus: a softmax-weighted pull toward every lift of the
-    target in a truncated window, equal to sigma^2 times the gradient
-    of the log lattice-Gaussian sum.
+    onto the torus: a Gaussian-weighted pull toward every lift of the
+    target, equal to sigma^2 times the gradient of the log wrapped
+    Gaussian kernel.
 
 Each class has a class-level ``variant`` name, its kernel ``drift(t, x)``
 and a ``diagnostic_target``, the torus point terminal lattice offsets are
@@ -46,7 +46,6 @@ __all__ = [
     "TrueBridge",
     "VARIANTS",
     "drift",
-    "softmax_weights",
     "wrapped_gaussian_log_density",
 ]
 
@@ -202,41 +201,22 @@ class ProposedBridge(_LiftBridge):
 
 @dataclass(frozen=True, kw_only=True)
 class TrueBridge(_LiftBridge):
-    """Exact torus bridge drift over the truncated lift set of ``target``.
-
-    The conditioning set is {target + k : ||k||_inf <= truncation}, centred
-    on the fundamental domain, not on the current state.  At sigma = T = 1,
-    t = 0, a drift component over the fundamental square is off its K = 10
-    value by up to 3.1e-3 at the default K = 3 and 4.5e-2 at K = 2; at
-    sigma = 0.8, t = 0.9, x = (5.3, 0.1) and K = 2 the first component is
-    -33 where K = 10 gives -2.58.
-    """
+    """Exact torus bridge toward every lift of ``target``: the h-transform
+    drift of Delyon & Hu, sigma^2 grad log of the wrapped Gaussian kernel,
+    whose lattice sum :func:`_axis_log_kernel` evaluates with no window."""
 
     variant: ClassVar[str] = "true-bridge"
-    truncation: int = 3
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not (_finite(self.truncation) and self.truncation == int(self.truncation) >= 0):
-            raise ValueError(f"truncation must be an integer >= 0; got {self.truncation}")
-        object.__setattr__(self, "truncation", int(self.truncation))
 
     def drift(self, t: ArrayLike, x: ArrayLike) -> np.ndarray:
-        """Exact bridge drift: the weighted mean pull toward the truncated lifts.
+        """Exact bridge drift sigma^2 grad log sum_k exp(-|a + k - x|^2 / (2 sigma^2 (T - t))).
 
-        Equals sum_y g_y(t, x) (y - x) / (T - t) with g the softmax weights,
-        which is sigma^2 times the spatial gradient of
-        log sum_y exp(-|y - x|^2 / (2 sigma^2 (T - t))) over the same lift set.
+        Equals the mean pull sum_k g_k (a + k - x) / (T - t) with g the
+        normalised Gaussian weights of all lifts a + k.
         """
         arr = as_point(x, "x")
         tau = self._time_to_go(t)
-        a = np.asarray(self.target)
-        w, sums, _ = _axis_softmax(arr - a, self.truncation, 2.0 * self.sigma**2 * tau)
-        j = np.arange(-self.truncation, self.truncation + 1.0).reshape((-1,) + (1,) * (w.ndim - 1))
-        # A sum over axis 0 adds whole rows in lattice order for every leading
-        # shape, so single-point and batch evaluations are bitwise identical.
-        mean_offset = (w * j).sum(axis=0) / sums
-        return (a + mean_offset - arr) / _expand(tau)
+        _, slope = _axis_log_kernel(arr - np.asarray(self.target), self.sigma**2 * _expand(tau))
+        return self.sigma**2 * slope
 
 
 VARIANTS: dict[str, type[DriftModel]] = {
@@ -249,38 +229,67 @@ def _expand(tau: np.ndarray) -> np.ndarray:
     return tau[..., None] if tau.ndim else tau
 
 
-def _axis_softmax(d: np.ndarray, truncation: int, scale: ArrayLike):
-    """Max-shifted 1-D weights exp(-(d_c - j)^2 / scale - shift_c), |j| <= K.
+# Variance at and below which the 1-D kernel is the direct sum over the seven
+# lifts nearest the point; above it, the theta series.  The omitted tails,
+# exp(-((3 + 1/2)^2 - 1/4) / 2v) and q^16 with q = exp(-2 pi^2 v), are both
+# below 1e-18 on their side of the split.
+_THETA_SPLIT = 0.14
+_LIFTS = np.arange(-3.0, 4.0)
 
-    ``d`` is (..., 2); ``scale`` broadcasts against its leading dimensions.
-    The lattice index comes first: returns the weights (2K+1, ..., 2), their
-    sums and the shifts (..., 2).  Reducing over axis 0 combines contiguous
-    rows, where a reduction over a trailing axis of length 2K+1 is slow.
-    The window ||k||_inf <= K is a product set and the Gaussian factorises,
-    so the (2K+1)^2 lattice sum is exactly the product of the 1-D sums.
+
+def _direct_sum(r: np.ndarray, v: ArrayLike):
+    """log p and d log p / dr from the lifts r - j, |j| <= 3, of |r| <= 1/2."""
+    j = _LIFTS.reshape((-1,) + (1,) * r.ndim)
+    # (2r - j) j / 2v = (r^2 - (r - j)^2) / 2v <= 0: the exponents are shifted by
+    # the nearest lift's, so the largest weight is 1 and none overflows; 2r - j
+    # is exact where it matters, at r near +-1/2 and j = +-1.
+    w = np.exp((2.0 * r - j) * (j / (2.0 * v)))
+    sums = w.sum(axis=0)
+    log_p = np.log(sums) - r * r / (2.0 * v) - 0.5 * np.log(2.0 * np.pi * v)
+    return log_p, ((w * j).sum(axis=0) / sums - r) / v
+
+
+def _theta_series(r: np.ndarray, v: ArrayLike):
+    """log p and d log p / dr from the Jacobi theta series of the 1-D kernel.
+
+    Poisson summation turns the lattice sum into
+    p = 1 + 2 sum_n q^{n^2} cos 2 pi n r, q = exp(-2 pi^2 v).  With
+    c, s = cos, sin 2 pi r, the Chebyshev identities cos 2 pi n r = T_n(c)
+    and sin 2 pi n r = s U_{n-1}(c) make p and its derivative polynomials
+    in c, evaluated by Horner's rule from one cos/sin pair.
     """
-    scale = np.asarray(scale)[..., None]
-    j = np.arange(-truncation, truncation + 1.0).reshape((-1,) + (1,) * max(d.ndim, scale.ndim))
-    expo = -((d - j) ** 2) / scale
-    shift = expo.max(axis=0)
-    w = np.exp(expo - shift)
-    return w, w.sum(axis=0), shift
+    q = np.exp(-2.0 * np.pi**2 * v)
+    q4 = (q * q) * (q * q)
+    q9 = q4 * q4 * q
+    x = 2.0 * np.pi * r
+    c, s = np.cos(x), np.sin(x)
+    theta = (1.0 - 2.0 * q4) + c * ((2.0 * q - 6.0 * q9) + c * (4.0 * q4 + c * (8.0 * q9)))
+    slope = s * (-4.0 * np.pi * (q - 3.0 * q9) + c * (-16.0 * np.pi * q4 + c * (-48.0 * np.pi * q9)))
+    return np.log(theta), slope / theta
 
 
-def softmax_weights(t: ArrayLike, x: ArrayLike, model: TrueBridge) -> np.ndarray:
-    """Normalised Gaussian weights of the truncated lifts at (t, x).
+def _axis_log_kernel(d: np.ndarray, v: ArrayLike):
+    """Log of the 1-D wrapped Gaussian density and its derivative, per coordinate.
 
-    Returns shape (..., L), nonnegative and summing to 1 over the last axis,
-    in ``lattice_lifts(model.target, model.truncation)`` order.  The weight
-    of lift y is exp(-|y - x|^2 / (2 sigma^2 (T - t))) normalised over the
-    window: the product of the max-shifted per-coordinate probabilities,
-    so the nearest lift never underflows.
+    The density is p(d) = sum_j exp(-(d - j)^2 / 2v) / sqrt(2 pi v) over all
+    integers j.  ``d`` is (..., 2); ``v`` is a scalar or broadcasts against
+    ``d``.  Both results depend on d only through r = d - round(d), and
+    each point takes :func:`_direct_sum` at v <= ``_THETA_SPLIT`` and
+    :func:`_theta_series` above, exact to rounding for every d and v > 0.
+    With an array of variances each branch runs only on its own points:
+    below the split the three-term theta series can be negative.  Every
+    operation acts point by point, so one point and a batch row give the
+    same bits.
     """
-    tau = model._time_to_go(t)
-    d = as_point(x, "x") - np.asarray(model.target)
-    w, sums, _ = _axis_softmax(d, model.truncation, 2.0 * model.sigma**2 * tau)
-    p = np.moveaxis(w / sums, 0, -1)
-    return (p[..., 0, :, None] * p[..., 1, None, :]).reshape(p.shape[:-2] + (-1,))
+    r = d - np.round(d)
+    if np.ndim(v) == 0:
+        return (_direct_sum if v <= _THETA_SPLIT else _theta_series)(r, v)
+    r, v = np.broadcast_arrays(r, v)
+    log_p, slope = np.empty(r.shape), np.empty(r.shape)
+    small = v <= _THETA_SPLIT
+    for mask, branch in ((small, _direct_sum), (~small, _theta_series)):
+        log_p[mask], slope[mask] = branch(r[mask], v[mask])
+    return log_p, slope
 
 
 def drift(t: ArrayLike, x: ArrayLike, model: DriftModel) -> np.ndarray:
@@ -289,16 +298,14 @@ def drift(t: ArrayLike, x: ArrayLike, model: DriftModel) -> np.ndarray:
 
 
 def wrapped_gaussian_log_density(
-    s: float, x: ArrayLike, t: float, y: ArrayLike, sigma: float, truncation: int
+    s: float, x: ArrayLike, t: float, y: ArrayLike, sigma: float
 ) -> np.ndarray | float:
     """Log transition density of scaled Brownian motion on the torus.
 
     Returns ``log sum_k (2 pi sigma^2 (t-s))^{-1}
-    exp(-|x - y - k|^2 / (2 sigma^2 (t-s)))`` with the sum over integer
-    offsets ||k||_inf <= truncation, evaluated as two max-shifted 1-D
-    log-sum-exps, one per coordinate.  The normaliser is two dimensional
-    so that the density integrates to 1 over the fundamental domain once
-    the window is wide enough for the scale sigma^2 (t-s).
+    exp(-|x - y - k|^2 / (2 sigma^2 (t-s)))`` with the sum over all integer
+    offsets k, the sum of the two per-coordinate logs of
+    :func:`_axis_log_kernel`.  It integrates to 1 over the fundamental domain.
 
     Args:
         s: earlier time.
@@ -306,23 +313,14 @@ def wrapped_gaussian_log_density(
         t: later time, strictly greater than s.
         y: state at time t, torus representative(s) of shape (..., 2).
         sigma: diffusion coefficient, > 0.
-        truncation: window radius, >= 0 (>= 1 recommended; scale the
-            window with sigma * sqrt(t - s) for long horizons).
 
     Raises:
-        ValueError: if s >= t, sigma <= 0, or truncation < 0.
+        ValueError: if s >= t or sigma <= 0.
     """
     if not (np.isfinite(s) and np.isfinite(t) and s < t):
         raise ValueError(f"need s < t; got s={s}, t={t}")
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0; got {sigma}")
-    if truncation < 0:
-        raise ValueError(f"truncation must be >= 0; got {truncation}")
-    variance = sigma**2 * (t - s)
-    d = as_point(x, "x") - as_point(y, "y")
-    _, sums, shift = _axis_softmax(d, truncation, 2.0 * variance)
-    per_axis = np.log(sums) + shift
-    out = per_axis[..., 0] + per_axis[..., 1] - np.log(2.0 * np.pi * variance)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    log_p, _ = _axis_log_kernel(as_point(x, "x") - as_point(y, "y"), sigma**2 * (t - s))
+    out = log_p[..., 0] + log_p[..., 1]
+    return float(out) if np.ndim(out) == 0 else out

@@ -169,9 +169,8 @@ def torus_distance(p: ArrayLike, q: ArrayLike) -> np.ndarray | float:
 def lattice_offsets(k_max: int) -> np.ndarray:
     """Integer offsets k with ||k||_inf <= k_max, in lexicographic order.
 
-    Returns an int array of shape ((2*k_max+1)**2, 2).  The ordering is
-    deterministic and shared with :func:`lattice_lifts` and the softmax
-    weight vectors built on top of it.
+    Returns an int array of shape ((2*k_max+1)**2, 2), in the same
+    deterministic order as :func:`lattice_lifts`.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0; got {k_max}")

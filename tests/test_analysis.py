@@ -110,19 +110,19 @@ class TestAgreementRate:
     def test_single_pair_rate_is_zero_or_one(self):
         kw = dict(start=A0, n_steps=200, seed=67, n_paths=1)
         cfg_a = SimConfig(model=ProposedBridge(sigma=0.8, horizon=1.0, target=A0), **kw)
-        cfg_b = SimConfig(model=TrueBridge(sigma=0.8, horizon=1.0, target=A0, truncation=2), **kw)
+        cfg_b = SimConfig(model=TrueBridge(sigma=0.8, horizon=1.0, target=A0), **kw)
         assert agreement_rate(cfg_a, cfg_b).rate in (0.0, 1.0)
 
     def test_small_noise_agreement_is_near_total(self):
         kw = dict(start=A0, n_steps=500, seed=68, n_paths=200)
         cfg_a = SimConfig(model=ProposedBridge(sigma=0.1, horizon=1.0, target=A0), **kw)
-        cfg_b = SimConfig(model=TrueBridge(sigma=0.1, horizon=1.0, target=A0, truncation=2), **kw)
+        cfg_b = SimConfig(model=TrueBridge(sigma=0.1, horizon=1.0, target=A0), **kw)
         assert agreement_rate(cfg_a, cfg_b).rate >= 0.99
 
     def test_wilson_interval_brackets_the_rate(self):
         kw = dict(start=A0, n_steps=500, seed=69, n_paths=300)
         cfg_a = SimConfig(model=ProposedBridge(sigma=0.8, horizon=1.0, target=A0), **kw)
-        cfg_b = SimConfig(model=TrueBridge(sigma=0.8, horizon=1.0, target=A0, truncation=2), **kw)
+        cfg_b = SimConfig(model=TrueBridge(sigma=0.8, horizon=1.0, target=A0), **kw)
         report = agreement_rate(cfg_a, cfg_b)
         assert 0.0 < report.wilson_low < report.rate < report.wilson_high < 1.0
         assert report.agree.sum() == report.n_agree

@@ -124,7 +124,7 @@ class TestSimulate:
     def test_manifest_round_trip(self, tmp_path):
         args = ("simulate", "--model", "true-bridge", "--target", "0.1,-0.2",
                 "--sigma", "0.7", "--T", "1", "--steps", "80", "--paths", "6",
-                "--seed", "9", "--truncation", "2")
+                "--seed", "9")
         _run(*args, "--out", tmp_path / "orig")
         rc = _run("simulate", "--config", tmp_path / "orig" / "manifest.json",
                   "--out", tmp_path / "redo")
@@ -198,7 +198,8 @@ class TestSimulate:
         (lambda m: m["config"]["model"].update(target=5), ("target",)),
         (lambda m: m["config"]["model"].update(sigma="abc"), ("sigma",)),
         (lambda m: m["config"]["model"].update(sigma=None), ("sigma",)),
-        (lambda m: m["config"]["model"].update(truncation=float("inf")), ("truncation",)),
+        # A manifest written before the true bridge summed every lift.
+        (lambda m: m["config"]["model"].update(truncation=2), ("unknown key(s) ['truncation']",)),
         (lambda m: m["output"].update(thin=None), ("thin",)),
         (lambda m: m["output"].update(thin=[2]), ("thin",)),
         (lambda m: m["output"].update(weight_cutoff="abc"), ("cutoff",)),
@@ -216,14 +217,16 @@ class TestSimulate:
         (lambda m: m["config"].update(n_steps=True), ("n_steps", "True")),
         (lambda m: m["config"].update(n_paths=True), ("n_paths", "True")),
         (lambda m: m["config"].update(seed=False), ("seed", "False")),
-        (lambda m: m["config"]["model"].update(truncation=True), ("truncation", "True")),
+        (lambda m: m["config"].update(model={"variant": "proposed", "sigma": 0.5, "horizon": 1.0,
+                                             "target": [0, 0], "cut_locus_tol": True}),
+         ("cut_locus_tol", "True")),
         (lambda m: m["output"].update(thin=True), ("thin", "True")),
         (lambda m: m["output"].update(weight_cutoff=True), ("cutoff", "True")),
     ])
     def test_bad_config_value_fails(self, tmp_path, capsys, edit, needles):
         """Config values of the wrong JSON type are one error line, not a traceback."""
         _run("simulate", "--model", "true-bridge", "--target", "0,0", "--steps", "10",
-             "--paths", "2", "--seed", "1", "--truncation", "1", "--out", tmp_path / "run")
+             "--paths", "2", "--seed", "1", "--out", tmp_path / "run")
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         edit(manifest)
         cfg_file = tmp_path / "edited.json"
@@ -327,23 +330,34 @@ class TestWriterBytes:
 
 
 class TestWorkersFlag:
-    """--workers is accepted and ignored: batches run on one thread."""
+    """--workers and --truncation are accepted and ignored: batches run on one
+    thread and the true bridge sums every lift."""
 
-    @pytest.mark.parametrize("workers", [3, 0])
-    def test_has_no_effect(self, tmp_path, workers):
-        sim = ("simulate", "--model", "proposed", "--target", "0.1,-0.2", "--sigma", "0.9",
-               "--steps", "20", "--paths", "30", "--seed", "5", "--cutoff", "0.5")
-        cmp = ("compare", "--sigma", "0.8", "--steps", "50", "--pairs", "30", "--seed", "6")
-        for flags, out in (((), tmp_path / "a"), (("--workers", workers), tmp_path / "b")):
-            assert _run(*sim, *flags, "--out", out / "sim") == 0
-            assert _run(*cmp, *flags, "--out", out / "cmp") == 0
-            assert _run("weights", "--manifest", tmp_path / "a" / "sim" / "manifest.json",
-                        "--cutoff", "0.3", *flags, "--out", out / "w") == 0
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param("--workers", 3, id="3"),
+        pytest.param("--workers", 0, id="0"),
+        pytest.param("--truncation", 7, id="truncation-7"),
+    ])
+    def test_has_no_effect(self, tmp_path, flag, value):
+        runs = {
+            "sim": ("simulate", "--model", "true-bridge", "--target", "0.1,-0.2", "--sigma", "0.9",
+                    "--steps", "20", "--paths", "30", "--seed", "5", "--cutoff", "0.5"),
+            "cmp": ("compare", "--sigma", "0.8", "--steps", "50", "--pairs", "30", "--seed", "6"),
+            "field": ("field", "--model", "true-bridge", "--target", "0.1,0", "--sigma", "0.8",
+                      "--t", "0.5", "--grid", "5", "--rect=-3,3,-1,1"),
+            "w": ("weights", "--manifest", tmp_path / "a" / "sim" / "manifest.json",
+                  "--cutoff", "0.3"),
+        }
+        takes = {"--workers": ("sim", "cmp", "w"), "--truncation": ("sim", "cmp", "field")}[flag]
+        for flags, out in (((), tmp_path / "a"), ((flag, value), tmp_path / "b")):
+            for name, args in runs.items():
+                assert _run(*args, *(flags if name in takes else ()), "--out", out / name) == 0
         for name in ("sim/paths.csv", "sim/endpoints.csv", "cmp/agreement.csv",
-                     "cmp/agreement_summary.json", "w/weights.csv"):
+                     "cmp/agreement_summary.json", "field/field.csv", "w/weights.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         manifest = json.loads((tmp_path / "b" / "sim" / "manifest.json").read_text())
         assert "workers" not in manifest["output"]
+        assert "truncation" not in manifest["config"]["model"]
 
 
 class TestCompare:
@@ -358,7 +372,7 @@ class TestCompare:
 
     def test_schema_and_rate_band(self, tmp_path):
         rc = _run("compare", "--sigma", "0.8", "--T", "1", "--steps", "250",
-                  "--pairs", "200", "--truncation", "2", "--seed", "7",
+                  "--pairs", "200", "--seed", "7",
                   "--out", tmp_path)
         assert rc == 0
         header, rows = _read_csv(tmp_path / "agreement.csv")

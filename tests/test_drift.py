@@ -3,49 +3,47 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import chi2
 
 from torusbridge import (
     EuclideanBridge,
     FreeBrownianMotion,
     HorizonError,
     ProposedBridge,
+    SimConfig,
     TrueBridge,
     drift,
-    lattice_lifts,
-    softmax_weights,
+    simulate_batch,
     wrapped_gaussian_log_density,
 )
-from torusbridge.drift import MIN_TIME_TO_GO
+from torusbridge.drift import _THETA_SPLIT, MIN_TIME_TO_GO, _direct_sum, _theta_series
 
 A0 = (0.0, 0.0)
 
 
-def _offsets(k_max):
-    return np.array([[i, j] for i in range(-k_max, k_max + 1) for j in range(-k_max, k_max + 1)], float)
+def _axis_oracle(d, v):
+    """Direct sum over the 81 lifts nearest each coordinate of d, per axis:
+    (log of the 1-D wrapped Gaussian, its derivative in d).
+
+    The exponents are taken relative to the nearest lift, as
+    j (2r - j) = r^2 - (r - j)^2 with r = d - round(d), which has no
+    cancellation near a tie line however small v is.
+    """
+    r = np.asarray(d, dtype=float) - np.round(d)
+    j = np.arange(-40.0, 41.0)[:, None]
+    w = np.exp(j * (2 * r - j) / (2 * v))
+    sums = w.sum(axis=0)
+    log_p = np.log(sums) - r**2 / (2 * v) - 0.5 * np.log(2 * np.pi * v)
+    return log_p, ((w * j).sum(axis=0) / sums - r) / v
 
 
-def _softmax_weights_oracle(x, a, sigma, tau, k_max):
-    """Independent direct evaluation of the (2K+1)^2 lattice softmax."""
-    lifts = np.asarray(a) + _offsets(k_max)
-    d2 = ((lifts - x) ** 2).sum(axis=1)
-    e = -d2 / (2 * sigma**2 * tau)
-    e -= e.max()
-    w = np.exp(e)
-    return lifts, w / w.sum()
+def _drift_oracle(x, a, sigma, tau):
+    """sigma^2 times the gradient of the log wrapped Gaussian kernel toward a."""
+    return sigma**2 * _axis_oracle(np.asarray(x) - np.asarray(a), sigma**2 * tau)[1]
 
 
-def _softmax_drift_oracle(x, a, sigma, tau, k_max):
-    """Independent direct evaluation of the weighted lattice pull."""
-    lifts, w = _softmax_weights_oracle(x, a, sigma, tau, k_max)
-    return (w[:, None] * (lifts - x)).sum(axis=0) / tau
-
-
-def _density_oracle(x, y, sigma, delta, k_max):
-    """Independent direct log of the (2K+1)^2 wrapped Gaussian sum."""
-    var = sigma**2 * delta
-    e = -(((np.asarray(x) - y - _offsets(k_max)) ** 2).sum(axis=1)) / (2 * var)
-    m = e.max()
-    return m + np.log(np.exp(e - m).sum()) - np.log(2 * np.pi * var)
+def _density_oracle(x, y, sigma, delta):
+    return _axis_oracle(np.asarray(x) - np.asarray(y), sigma**2 * delta)[0].sum()
 
 
 class TestModelValidation:
@@ -54,8 +52,8 @@ class TestModelValidation:
             FreeBrownianMotion(sigma=0.0, horizon=1.0)
         with pytest.raises(ValueError):
             FreeBrownianMotion(sigma=1.0, horizon=-1.0)
-        with pytest.raises(ValueError):
-            TrueBridge(sigma=1.0, horizon=1.0, target=A0, truncation=-1)
+        with pytest.raises(TypeError):  # the true bridge sums every lift; no window to set
+            TrueBridge(sigma=1.0, horizon=1.0, target=A0, truncation=2)
 
     def test_target_must_be_torus_representative(self):
         with pytest.raises(ValueError):
@@ -81,7 +79,7 @@ class TestModelValidation:
 _TIMED_MODELS = [
     EuclideanBridge(sigma=1.0, horizon=2.0, endpoint=(0.3, 0.1)),
     ProposedBridge(sigma=1.0, horizon=2.0, target=A0),
-    TrueBridge(sigma=1.0, horizon=2.0, target=A0, truncation=1),
+    TrueBridge(sigma=1.0, horizon=2.0, target=A0),
 ]
 
 
@@ -103,13 +101,6 @@ class TestTimeValidation:
     def test_time_out_of_range(self, model, t):
         with pytest.raises(HorizonError, match=r"time must lie in \[0, 2\.0\)"):
             model.drift(t, (0.1, 0.2))
-
-    def test_softmax_weights_checks_time(self):
-        m = _TIMED_MODELS[2]
-        with pytest.raises(HorizonError, match="time must be finite"):
-            softmax_weights([0.1, np.nan], (0.1, 0.2), m)
-        with pytest.raises(HorizonError, match="must lie in"):
-            softmax_weights(2.0, (0.1, 0.2), m)
 
     @pytest.mark.parametrize("model", _TIMED_MODELS, ids=lambda m: m.variant)
     def test_range_edges_accepted(self, model):
@@ -193,65 +184,18 @@ class TestProposedDrift:
                                       [[m.drift(ti, (0.3, 0.1)), [0.0, 0.0]] for ti in t])
 
 
-class TestSoftmaxWeights:
-    def test_two_nearest_lifts_tie(self):
-        m = TrueBridge(sigma=1.0, horizon=1.0, target=A0, truncation=1)
-        w = softmax_weights(0.99, (0.5, 0.0), m)
-        points = [tuple(p) for p in lattice_lifts(m.target, m.truncation)]
-        w_left = w[points.index((0.0, 0.0))]
-        w_right = w[points.index((1.0, 0.0))]
-        assert w_left == w_right
-        assert w_left + w_right == pytest.approx(1.0, abs=1e-12)
-
-    def test_single_lift_window(self):
-        m = TrueBridge(sigma=1.0, horizon=1.0, target=A0, truncation=0)
-        np.testing.assert_array_equal(softmax_weights(0.4, (7.3, -2.1), m), [1.0])
-
-    def test_nearest_lift_dominates_at_short_horizon(self):
-        # Gap in squared distance 0.8 against scale 2*sigma^2*tau = 0.04;
-        # the nearest weight is within 1e-8 of 1 (measured deficit 2.1e-9).
-        m = TrueBridge(sigma=1.0, horizon=1.0, target=A0, truncation=2)
-        w = softmax_weights(0.98, (0.1, 0.0), m)
-        lifts = lattice_lifts(m.target, m.truncation)
-        idx = np.argmin(np.linalg.norm(lifts - [0.1, 0.0], axis=1))
-        assert 1.0 - w[idx] < 1e-8
-
-    def test_weights_normalised_even_at_vanishing_time_to_go(self):
-        rng = np.random.default_rng(51)
-        m = TrueBridge(sigma=0.8, horizon=1.0, target=(0.2, -0.3), truncation=3)
-        for t in (0.0, 0.5, 1.0 - 1e-12):
-            x = rng.uniform(-1.0, 1.0, size=2)
-            w = softmax_weights(t, x, m)
-            assert np.all(w >= 0)
-            assert w.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 class TestTrueBridgeDrift:
-    def test_single_lift_reduces_to_euclidean_bridge(self):
-        tb = TrueBridge(sigma=0.9, horizon=1.0, target=(0.1, 0.2), truncation=0)
-        eb = EuclideanBridge(sigma=0.9, horizon=1.0, endpoint=(0.1, 0.2))
-        rng = np.random.default_rng(52)
-        for _ in range(200):
-            t = rng.uniform(0.0, 0.999)
-            x = rng.uniform(-2.0, 2.0, size=2)
-            np.testing.assert_allclose(
-                tb.drift(t, x),
-                eb.drift(t, x),
-                atol=1e-15,
-            )
-
     def test_symmetric_lifts_cancel_on_tie_line(self):
-        """On a tie line the paired lifts cancel; only the window's edge
-        asymmetry survives, and it decays with the time to go."""
-        m = TrueBridge(sigma=1.0, horizon=1.0, target=A0, truncation=3)
+        """On a tie line the lifts pair off and their pulls cancel, on either
+        side of the direct-sum/theta split."""
+        m = TrueBridge(sigma=1.0, horizon=1.0, target=A0)
         x = (0.5, 0.2)
-        assert abs(m.drift(0.9, x)[0]) <= 1e-12
-        assert abs(m.drift(0.5, x)[0]) <= 1e-4
-        assert abs(m.drift(0.0, x)[0]) <= 1e-2
+        for t in (0.9, 0.5, 0.0):
+            assert abs(m.drift(t, x)[0]) <= 1e-15
 
     def test_collapses_onto_nearest_lift_drift(self):
-        """As t -> T the softmax concentrates on the argmin lift."""
-        tb = TrueBridge(sigma=1.0, horizon=1.0, target=A0, truncation=3)
+        """As t -> T the lift weights concentrate on the argmin lift."""
+        tb = TrueBridge(sigma=1.0, horizon=1.0, target=A0)
         pb = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
         x = (0.3, 0.4)
         gaps = []
@@ -260,7 +204,7 @@ class TestTrueBridgeDrift:
                 np.linalg.norm(tb.drift(t, x) - pb.drift(t, x))
             )
         assert all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:]))
-        # frozen from the direct softmax evaluation at time to go 0.01
+        # frozen from a direct evaluation of the lattice sum at time to go 0.01
         assert gaps[2] == pytest.approx(4.539787e-3, rel=1e-5)
         assert gaps[3] < 1e-6 and gaps[4] < 1e-6
 
@@ -270,35 +214,9 @@ class TestTrueBridgeDrift:
             sigma = rng.uniform(0.3, 1.2)
             t = rng.uniform(0.0, 0.99)
             x = rng.uniform(-1.5, 1.5, size=2)
-            m = TrueBridge(sigma=sigma, horizon=1.0, target=A0, truncation=3)
+            m = TrueBridge(sigma=sigma, horizon=1.0, target=A0)
             np.testing.assert_allclose(
-                m.drift(t, x),
-                _softmax_drift_oracle(np.asarray(x), A0, sigma, 1.0 - t, 3),
-                rtol=1e-10, atol=1e-12,
-            )
-
-    def test_truncation_stability(self):
-        """Widening the window is invisible once the scale sigma^2 (T-t)
-        is moderate; at the extreme corner the edge terms stay tiny."""
-        rng = np.random.default_rng(54)
-        for _ in range(300):
-            sigma = rng.uniform(0.05, 1.0)
-            tau = rng.uniform(1e-3, min(0.999, 0.1 / sigma**2))
-            x = rng.uniform(-1.5, 1.5, size=2)
-            m3 = TrueBridge(sigma=sigma, horizon=1.0, target=A0, truncation=3)
-            m4 = TrueBridge(sigma=sigma, horizon=1.0, target=A0, truncation=4)
-            gap = np.linalg.norm(
-                m3.drift(1.0 - tau, x) - m4.drift(1.0 - tau, x)
-            )
-            assert gap < 1e-10, f"sigma={sigma}, tau={tau}: gap={gap}"
-        # sigma = 1, time to go 0.5, worst corner of the fundamental square
-        m3 = TrueBridge(sigma=1.0, horizon=1.0, target=A0, truncation=3)
-        m4 = TrueBridge(sigma=1.0, horizon=1.0, target=A0, truncation=4)
-        corner = np.linalg.norm(
-            m3.drift(0.5, (0.4999, 0.4999))
-            - m4.drift(0.5, (0.4999, 0.4999))
-        )
-        assert corner < 1e-3
+                m.drift(t, x), _drift_oracle(x, A0, sigma, 1.0 - t), rtol=1e-10, atol=1e-12)
 
     def test_horizon_errors(self):
         m = TrueBridge(sigma=1.0, horizon=2.0, target=A0)
@@ -328,11 +246,11 @@ class TestEuclideanBridgeDrift:
 
 class TestGradientIdentity:
     def test_drift_is_scaled_log_density_gradient(self):
-        """The lattice-softmax drift equals sigma^2 times the numerical
-        gradient of the wrapped Gaussian log density on the same window."""
+        """The exact bridge drift equals sigma^2 times the numerical
+        gradient of the wrapped Gaussian log density."""
         rng = np.random.default_rng(56)
-        sigma, horizon, k_max = 0.8, 1.0, 3
-        m = TrueBridge(sigma=sigma, horizon=horizon, target=A0, truncation=k_max)
+        sigma, horizon = 0.8, 1.0
+        m = TrueBridge(sigma=sigma, horizon=horizon, target=A0)
         h = 1e-5
         checked = 0
         while checked < 20:
@@ -346,8 +264,8 @@ class TestGradientIdentity:
                 e = np.zeros(2)
                 e[c] = h
                 grad[c] = (
-                    wrapped_gaussian_log_density(t, x + e, horizon, A0, sigma, k_max)
-                    - wrapped_gaussian_log_density(t, x - e, horizon, A0, sigma, k_max)
+                    wrapped_gaussian_log_density(t, x + e, horizon, A0, sigma)
+                    - wrapped_gaussian_log_density(t, x - e, horizon, A0, sigma)
                 ) / (2 * h)
             np.testing.assert_allclose(sigma**2 * grad, b, rtol=1e-5)
             checked += 1
@@ -359,141 +277,151 @@ class TestWrappedGaussianLogDensity:
         for _ in range(100):
             x = rng.uniform(-0.5, 0.5, size=2)
             y = rng.uniform(-0.5, 0.5, size=2)
-            v1 = wrapped_gaussian_log_density(0.2, x, 0.9, y, 0.8, 4)
-            v2 = wrapped_gaussian_log_density(0.2, y, 0.9, x, 0.8, 4)
+            v1 = wrapped_gaussian_log_density(0.2, x, 0.9, y, 0.8)
+            v2 = wrapped_gaussian_log_density(0.2, y, 0.9, x, 0.8)
             assert v1 == pytest.approx(v2, abs=1e-12)
 
     def test_integrates_to_one(self):
         """Midpoint quadrature over the fundamental domain (100 x 100)."""
-        m, k_max = 100, 5
+        m = 100
         grid = (np.arange(m) + 0.5) / m - 0.5
         g1, g2 = np.meshgrid(grid, grid, indexing="ij")
         pts = np.stack([g1.ravel(), g2.ravel()], axis=1)
-        ld = wrapped_gaussian_log_density(0.0, pts, 0.1, (0.13, -0.27), 1.0, k_max)
+        ld = wrapped_gaussian_log_density(0.0, pts, 0.1, (0.13, -0.27), 1.0)
         assert np.exp(ld).mean() == pytest.approx(1.0, abs=1e-6)
 
     def test_long_horizon_flattens_to_uniform(self):
         """For large sigma^2 (t-s) the density tends to 1, the uniform
-        density on the unit-area torus (window scaled with the spread)."""
+        density on the unit-area torus."""
         pts = np.array([[0.0, 0.0], [0.49, 0.49], [0.25, -0.4], [-0.5, 0.0]])
-        ld = wrapped_gaussian_log_density(0.0, pts, 50.0, (0.0, 0.0), 1.0, 40)
+        ld = wrapped_gaussian_log_density(0.0, pts, 50.0, (0.0, 0.0), 1.0)
         np.testing.assert_allclose(np.exp(ld), 1.0, atol=1e-6)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            wrapped_gaussian_log_density(0.5, (0, 0), 0.5, (0, 0), 1.0, 3)
+            wrapped_gaussian_log_density(0.5, (0, 0), 0.5, (0, 0), 1.0)
         with pytest.raises(ValueError):
-            wrapped_gaussian_log_density(0.6, (0, 0), 0.5, (0, 0), 1.0, 3)
+            wrapped_gaussian_log_density(0.6, (0, 0), 0.5, (0, 0), 1.0)
         with pytest.raises(ValueError):
-            wrapped_gaussian_log_density(0.0, (0, 0), 0.5, (0, 0), -1.0, 3)
-        with pytest.raises(ValueError):
-            wrapped_gaussian_log_density(0.0, (0, 0), 0.5, (0, 0), 1.0, -2)
-
-
-def _rounding_slack(x, sigma, tau, k_max):
-    """How far double rounding alone can move the lattice softmax at x.
-
-    Either evaluation rounds the displacement x - (a + k), off by about
-    eps * R with R = |x|_inf + K + 1, and the exponents
-    -|y - x|^2 / (2 sigma^2 tau) amplify that by about R / (sigma^2 tau).
-    It reaches 1e-10 only where sigma^2 tau < 2e-3; near a tie line there
-    the true drift moves by more than any fixed tolerance within one ulp.
-    """
-    r = np.abs(x).max() + k_max + 1
-    return 4 * np.finfo(float).eps * r * (1 + r / (sigma**2 * tau))
+            wrapped_gaussian_log_density(0.0, (0, 0), 0.5, (0, 0), -1.0)
 
 
 _sigmas = st.floats(0.05, 3.0)
 _taus = st.floats(1e-6, 1.0)
-_windows = st.integers(0, 6)
 _targets = st.tuples(*[st.floats(-0.5, 0.5, exclude_max=True)] * 2)
-_planes = st.tuples(*[st.floats(-6.0, 6.0)] * 2)
+_planes = st.tuples(*[st.floats(-50.0, 50.0)] * 2)
 _stacks = st.sampled_from([(3, 4), (2, 1, 3), (1, 5), (4, 1)])
 
 
 class TestSeparableKernelProperties:
-    """The per-coordinate kernels against the direct (2K+1)^2 sums."""
+    """The per-coordinate kernel against the direct sum over 81 lifts per axis.
+
+    sigma in [0.05, 3] and tau in [1e-6, 1] put v = sigma^2 tau on both
+    sides of the direct-sum/theta split, from 2.5e-9 to 9.
+    """
 
     @settings(max_examples=300, deadline=None)
-    @given(sigma=_sigmas, tau=_taus, k_max=_windows, a=_targets, x=_planes)
-    def test_drift_and_weights_match_direct_sum(self, sigma, tau, k_max, a, x):
-        m = TrueBridge(sigma=sigma, horizon=1.0, target=a, truncation=k_max)
+    @given(sigma=_sigmas, tau=_taus, a=_targets, x=_planes)
+    def test_drift_matches_direct_sum(self, sigma, tau, a, x):
+        m = TrueBridge(sigma=sigma, horizon=1.0, target=a)
         t = 1.0 - tau
         tau = 1.0 - t  # the rounded time to go the model sees
-        x = np.asarray(x)
-        lifts, w = _softmax_weights_oracle(x, a, sigma, tau, k_max)
-        np.testing.assert_array_equal(lattice_lifts(m.target, k_max), lifts)
-        slack = _rounding_slack(x, sigma, tau, k_max)
-        np.testing.assert_allclose(softmax_weights(t, x, m), w, rtol=1e-10 + slack, atol=1e-12)
         np.testing.assert_allclose(
-            m.drift(t, x),
-            _softmax_drift_oracle(x, a, sigma, tau, k_max),
-            rtol=1e-10, atol=1e-12 + slack / tau,
-        )
+            m.drift(t, x), _drift_oracle(x, m.target, sigma, tau), rtol=1e-10, atol=1e-12)
 
     @settings(max_examples=300, deadline=None)
-    @given(sigma=_sigmas, delta=_taus, k_max=_windows, y=_targets, x=_planes)
-    def test_density_matches_direct_sum(self, sigma, delta, k_max, y, x):
+    @given(sigma=_sigmas, delta=_taus, y=_targets, x=_planes)
+    def test_density_matches_direct_sum(self, sigma, delta, y, x):
         np.testing.assert_allclose(
-            wrapped_gaussian_log_density(0.0, x, delta, y, sigma, k_max),
-            _density_oracle(x, y, sigma, delta, k_max),
+            wrapped_gaussian_log_density(0.0, x, delta, y, sigma),
+            _density_oracle(x, y, sigma, delta),
             rtol=1e-10, atol=1e-12,
         )
 
+    def test_branches_agree_at_the_split(self):
+        r = np.linspace(-0.5, 0.5, 10_001)
+        for direct, theta in zip(_direct_sum(r, _THETA_SPLIT), _theta_series(r, _THETA_SPLIT)):
+            np.testing.assert_allclose(direct, theta, rtol=0, atol=1e-13)
+
     @settings(max_examples=100, deadline=None)
-    @given(sigma=_sigmas, k_max=_windows, a=_targets, lead=_stacks, seed=st.integers(0, 2**32 - 1))
-    def test_stacked_points_and_per_point_times(self, sigma, k_max, a, lead, seed):
+    @given(sigma=_sigmas, a=_targets, lead=_stacks, seed=st.integers(0, 2**32 - 1))
+    def test_stacked_points_and_per_point_times(self, sigma, a, lead, seed):
         """Leading shapes beyond one batch axis and a time per point, as along a path."""
         rng = np.random.default_rng(seed)
-        xs = rng.uniform(-6.0, 6.0, size=lead + (2,))
+        xs = rng.uniform(-50.0, 50.0, size=lead + (2,))
         t = 1.0 - rng.uniform(1e-6, 1.0, size=lead)
         tau = 1.0 - t
         delta = float(tau.flat[0])
-        m = TrueBridge(sigma=sigma, horizon=1.0, target=a, truncation=k_max)
+        m = TrueBridge(sigma=sigma, horizon=1.0, target=a)
         drifts = m.drift(t, xs)
-        weights = softmax_weights(t, xs, m)
-        densities = wrapped_gaussian_log_density(0.0, xs, delta, a, sigma, k_max)
+        densities = wrapped_gaussian_log_density(0.0, xs, delta, a, sigma)
         assert drifts.shape == lead + (2,)
-        assert weights.shape == lead + ((2 * k_max + 1) ** 2,)
         assert densities.shape == lead
         for idx in np.ndindex(*lead):
             x = xs[idx]
-            slack = _rounding_slack(x, sigma, tau[idx], k_max)
-            _, w = _softmax_weights_oracle(x, a, sigma, tau[idx], k_max)
-            np.testing.assert_allclose(weights[idx], w, rtol=1e-10 + slack, atol=1e-12)
             np.testing.assert_allclose(
-                drifts[idx], _softmax_drift_oracle(x, a, sigma, tau[idx], k_max),
-                rtol=1e-10, atol=1e-12 + slack / tau[idx])
+                drifts[idx], _drift_oracle(x, m.target, sigma, tau[idx]), rtol=1e-10, atol=1e-12)
             np.testing.assert_allclose(
-                densities[idx], _density_oracle(x, a, sigma, delta, k_max), rtol=1e-10, atol=1e-12)
+                densities[idx], _density_oracle(x, a, sigma, delta), rtol=1e-10, atol=1e-12)
             # The single point gives the stacked entry's bits.
             np.testing.assert_array_equal(m.drift(t[idx], x), drifts[idx])
-            np.testing.assert_array_equal(softmax_weights(t[idx], x, m), weights[idx])
-            assert wrapped_gaussian_log_density(0.0, x, delta, a, sigma, k_max) == densities[idx]
+            assert wrapped_gaussian_log_density(0.0, x, delta, a, sigma) == densities[idx]
 
     @settings(max_examples=50, deadline=None)
-    @given(sigma=_sigmas, k_max=_windows, a=_targets, x=_planes,
-           taus=st.lists(_taus, min_size=1, max_size=5))
-    def test_time_array_wider_than_points(self, sigma, k_max, a, x, taus):
-        m = TrueBridge(sigma=sigma, horizon=1.0, target=a, truncation=k_max)
+    @given(sigma=_sigmas, a=_targets, x=_planes, taus=st.lists(_taus, min_size=1, max_size=5))
+    def test_time_array_wider_than_points(self, sigma, a, x, taus):
+        m = TrueBridge(sigma=sigma, horizon=1.0, target=a)
         t = 1.0 - np.asarray(taus)
         drifts = m.drift(t, x)
-        weights = softmax_weights(t, x, m)
         for row, ti in enumerate(t):
             np.testing.assert_array_equal(m.drift(ti, x), drifts[row])
-            np.testing.assert_array_equal(softmax_weights(ti, x, m), weights[row])
 
     @settings(max_examples=100, deadline=None)
-    @given(sigma=_sigmas, tau=_taus, k_max=_windows, a=_targets,
-           xs=st.lists(_planes, min_size=1, max_size=6))
-    def test_single_point_equals_batch_row(self, sigma, tau, k_max, a, xs):
-        m = TrueBridge(sigma=sigma, horizon=1.0, target=a, truncation=k_max)
+    @given(sigma=_sigmas, tau=_taus, a=_targets, xs=st.lists(_planes, min_size=1, max_size=6))
+    def test_single_point_equals_batch_row(self, sigma, tau, a, xs):
+        m = TrueBridge(sigma=sigma, horizon=1.0, target=a)
         t = 1.0 - tau
         batch = np.asarray(xs)
         drifts = m.drift(t, batch)
-        weights = softmax_weights(t, batch, m)
-        densities = wrapped_gaussian_log_density(0.0, batch, tau, a, sigma, k_max)
+        densities = wrapped_gaussian_log_density(0.0, batch, tau, a, sigma)
         for row, x in enumerate(xs):
             np.testing.assert_array_equal(m.drift(t, x), drifts[row])
-            np.testing.assert_array_equal(softmax_weights(t, x, m), weights[row])
-            assert wrapped_gaussian_log_density(0.0, x, tau, a, sigma, k_max) == densities[row]
+            assert wrapped_gaussian_log_density(0.0, x, tau, a, sigma) == densities[row]
+
+
+def _pooled_chi_square(observed, expected, min_expected=5.0):
+    """Pearson's statistic and degrees of freedom after pooling each tail
+    into one bin that expects at least ``min_expected``; with a unimodal
+    ``expected`` every bin between them expects more."""
+    observed, expected = np.asarray(observed, float), np.asarray(expected, float)
+    lo = int(np.argmax(np.cumsum(expected) >= min_expected))
+    hi = len(expected) - 1 - int(np.argmax(np.cumsum(expected[::-1]) >= min_expected))
+
+    def pool(a):
+        return np.concatenate([[a[:lo + 1].sum()], a[lo + 1:hi], [a[hi:].sum()]])
+
+    obs, exp = pool(observed), pool(expected)
+    assert exp.min() >= min_expected
+    return float(((obs - exp) ** 2 / exp).sum()), len(exp) - 1
+
+
+class TestTrueBridgeLaw:
+    def test_limiting_offsets_follow_the_lattice_gaussian(self):
+        """Started on its target, the bridge ends at lift k with
+        P(k) proportional to exp(-|k|^2 / (2 sigma^2 T)), one factor per axis.
+
+        At sigma = 3 most paths end several squares away, so a lift window
+        that clips far offsets fails this test.
+        """
+        sigma, n_paths = 3.0, 4000
+        cfg = SimConfig(model=TrueBridge(sigma=sigma, horizon=1.0, target=A0), start=A0,
+                        n_steps=500, seed=1, n_paths=n_paths)
+        batch = simulate_batch(cfg, keep_paths=False)
+        assert not batch.unresolved.any()
+        k = batch.limiting_lattice_points.ravel()  # both coordinates, independent
+        support = np.arange(-40, 41)
+        p = np.exp(-support**2 / (2 * sigma**2))
+        observed = np.array([(k == j).sum() for j in support])
+        assert observed.sum() == k.size
+        stat, dof = _pooled_chi_square(observed, k.size * p / p.sum())
+        assert chi2.sf(stat, dof) >= 1e-3, (stat, dof)

@@ -117,7 +117,7 @@ class TestSimulatePath:
     def test_replaying_increments_reproduces_states(self):
         """Feeding the recorded increments back through the stepper gives
         the stored trajectory exactly."""
-        cfg = _cfg(TrueBridge(sigma=0.7, horizon=1.0, target=(0.2, -0.1), truncation=2),
+        cfg = _cfg(TrueBridge(sigma=0.7, horizon=1.0, target=(0.2, -0.1)),
                    n_steps=150, seed=77, record_increments=True)
         path = simulate_path(cfg, 0)
         x = np.asarray(cfg.start)
@@ -137,7 +137,7 @@ class TestSimulatePath:
 
 class TestSimulateBatch:
     def test_batch_of_one_equals_single_path(self):
-        cfg = _cfg(TrueBridge(sigma=0.8, horizon=1.0, target=A0, truncation=2),
+        cfg = _cfg(TrueBridge(sigma=0.8, horizon=1.0, target=A0),
                    n_steps=120, seed=13, record_increments=True)
         batch = simulate_batch(cfg)
         single = simulate_path(cfg, 0)
@@ -282,7 +282,7 @@ class TestCoupledSimulation:
         the limiting lattice point coincides for every pair."""
         base = dict(start=(0.1, 0.1), n_steps=500, seed=31, n_paths=100)
         cfg_p = SimConfig(model=ProposedBridge(sigma=0.1, horizon=1.0, target=A0), **base)
-        cfg_t = SimConfig(model=TrueBridge(sigma=0.1, horizon=1.0, target=A0, truncation=0), **base)
+        cfg_t = SimConfig(model=TrueBridge(sigma=0.1, horizon=1.0, target=A0), **base)
         ba = simulate_batch(cfg_p, keep_paths=False)
         bb = simulate_batch(cfg_t, keep_paths=False)
         assert np.array_equal(ba.limiting_lattice_points, bb.limiting_lattice_points)
@@ -294,7 +294,7 @@ class TestConfigRoundTrip:
         FreeBrownianMotion(sigma=1.0, horizon=2.0),
         EuclideanBridge(sigma=0.5, horizon=1.0, endpoint=(1.5, -0.25)),
         ProposedBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2), scale_by_sigma_sq=True),
-        TrueBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2), truncation=2),
+        TrueBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2)),
     ])
     def test_dict_round_trip(self, model):
         cfg = SimConfig(model=model, start=(0.3, 0.1), n_steps=250, seed=99,
@@ -360,9 +360,8 @@ _PINNED_MODELS = [
      {"variant": "proposed", "sigma": 0.8, "horizon": 1.0, "target": [0.1, -0.2],
       "cut_locus_tol": 0.0, "scale_by_sigma_sq": True},
      (0.1, -0.2)),
-    (TrueBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2), truncation=2),
-     {"variant": "true-bridge", "sigma": 0.8, "horizon": 1.0, "target": [0.1, -0.2],
-      "truncation": 2},
+    (TrueBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2)),
+     {"variant": "true-bridge", "sigma": 0.8, "horizon": 1.0, "target": [0.1, -0.2]},
      (0.1, -0.2)),
 ]
 

@@ -11,7 +11,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from torusbridge import cli, engine, girsanov
+from torusbridge import acceptance, cli, engine, girsanov
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -35,6 +35,12 @@ def test_every_boundary_resolves():
 def test_write_csv_signature():
     # The writer layer's counter reads the written file and its header.
     assert list(inspect.signature(cli._write_csv).parameters) == ["path", "header", "rows"]
+
+
+def test_density_signature():
+    # The density layer's counter reads x and y as positional arguments 1 and 3.
+    params = inspect.signature(acceptance.wrapped_gaussian_log_density).parameters
+    assert list(params) == ["s", "x", "t", "y", "sigma"]
 
 
 def _calls_global(fn, name):
