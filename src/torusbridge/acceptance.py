@@ -25,7 +25,9 @@ The checks, in order:
 
 from __future__ import annotations
 
+import contextlib
 import filecmp
+import io
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -306,8 +308,9 @@ def check_determinism() -> CriterionResult:
             # The third run splits the 64 paths and 32 pairs into several chunks.
             for d, chunk in zip(dirs, [engine.CHUNK_SIZE, engine.CHUNK_SIZE, 16]):
                 saved, engine.CHUNK_SIZE = engine.CHUNK_SIZE, chunk
-                try:
-                    rc = cli.main(args + ["--out", str(d)])
+                try:  # each run's own "wrote ..." line is not part of check's output
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        rc = cli.main(args + ["--out", str(d)])
                 finally:
                     engine.CHUNK_SIZE = saved
                 if rc != 0:

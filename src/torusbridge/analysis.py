@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm
 
-from .drift import DriftModel, drift
-from .engine import BatchResult, PathSample, SimConfig, require_coupled, simulate_batch
+from .drift import DriftModel
+from .engine import BatchResult, PathSample, SimConfig, simulate_batch
 from .geometry import as_point, project, torus_distance
 
 __all__ = [
@@ -165,13 +165,12 @@ def agreement_rate(config_a: SimConfig, config_b: SimConfig) -> AgreementReport:
 
     Both configs must share seed, grid, start and sigma (the coupling
     contract) and condition on the same torus point, so offsets are
-    comparable.  n_pairs is the common n_paths of the two configs.
+    comparable.  n_pairs is the common n_paths of the two configs.  Both
+    models step in one coupled batch, so each pair's noise is drawn once.
     """
-    require_coupled(config_a, config_b)
     if config_a.model.diagnostic_target != config_b.model.diagnostic_target:
         raise ValueError("coupled configs must condition on the same target")
-    batch_a = simulate_batch(config_a, keep_paths=False)
-    batch_b = simulate_batch(config_b, keep_paths=False)
+    batch_a, batch_b = simulate_batch([config_a, config_b], keep_paths=False)
     resolved = ~(batch_a.unresolved | batch_b.unresolved)
     same = np.all(
         batch_a.limiting_lattice_points == batch_b.limiting_lattice_points, axis=-1
@@ -218,7 +217,7 @@ def drift_profile(path: PathSample, model: DriftModel) -> DriftProfile:
             f"path grid reaches {t_end}, beyond the model horizon {model.horizon}"
         )
     t = path.times[:-1]
-    vectors = drift(t, path.states[:-1], model)
+    vectors = model.drift(t, path.states[:-1])
     return DriftProfile(
         times=t,
         vectors=vectors,
@@ -248,5 +247,5 @@ def drift_field(
     g2 = np.linspace(x2_range[0], x2_range[1], n)
     m1, m2 = np.meshgrid(g1, g2, indexing="ij")
     points = np.stack([m1.ravel(), m2.ravel()], axis=1)
-    vectors = drift(t, points, model)
+    vectors = model.drift(t, points)
     return points, vectors

@@ -326,8 +326,8 @@ def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: e.g. a huge --grid
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -17,16 +17,19 @@ and differ only in how they pull the process toward its target:
     target, equal to sigma^2 times the gradient of the log wrapped
     Gaussian kernel.
 
-Each class has a class-level ``variant`` name, its kernel ``drift(t, x)``
+Each class has a class-level ``variant`` name, the checked entry
+``drift(t, x)``, an unchecked kernel ``_drift(tau, x)`` of the time to go
 and a ``diagnostic_target``, the torus point terminal lattice offsets are
 reported against (the origin, the projected endpoint, or the target).
-``VARIANTS`` maps names to classes; :func:`drift` evaluates any model.
+``VARIANTS`` maps names to classes; :func:`drift` evaluates any model's
+kernel unchecked, for the engine, which validates its grid once.
 Evaluations are pure and vectorised over points of shape (..., 2); ``t``
 may be a scalar or an array broadcastable against the leading dimensions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -92,8 +95,9 @@ class DriftModel:
             if not (_finite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0; got {value}")
 
-    def _time_to_go(self, t: ArrayLike) -> np.ndarray:
-        """Validate 0 <= t < T and return the clamped time to go T - t."""
+    def drift(self, t: ArrayLike, x: ArrayLike) -> np.ndarray:
+        """The drift b(t, x), once x is checked to hold finite points (..., 2) and 0 <= t < T."""
+        arr = as_point(x, "x")
         t_arr = np.asarray(t, dtype=float)
         # One pass: NaN fails both comparisons, so the finiteness check can
         # wait for the failure path, where it picks the message.
@@ -101,7 +105,7 @@ class DriftModel:
             if not np.isfinite(t_arr).all():
                 raise HorizonError(f"time must be finite; got {t!r}")
             raise HorizonError(f"time must lie in [0, {self.horizon}); got {t!r}")
-        return np.maximum(self.horizon - t_arr, MIN_TIME_TO_GO)
+        return drift(t_arr, arr, self)  # the module function: the subclass's _drift
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -115,6 +119,9 @@ class FreeBrownianMotion(DriftModel):
     def drift(self, t: ArrayLike, x: ArrayLike) -> np.ndarray:
         """Zero drift of the unconditioned process (defined for all t)."""
         return np.zeros_like(as_point(x, "x"))
+
+    def _drift(self, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return np.zeros_like(x)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -132,11 +139,9 @@ class EuclideanBridge(DriftModel):
     def diagnostic_target(self) -> tuple[float, float]:
         return _point_pair(project(self.endpoint))
 
-    def drift(self, t: ArrayLike, x: ArrayLike) -> np.ndarray:
+    def _drift(self, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Single-endpoint bridge drift (endpoint - x) / (T - t)."""
-        arr = as_point(x, "x")
-        tau = self._time_to_go(t)
-        return (np.asarray(self.endpoint) - arr) / _expand(tau)
+        return (_filled(self.endpoint, x.shape) - x) / _expand(tau)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -180,7 +185,7 @@ class ProposedBridge(_LiftBridge):
             raise ValueError(
                 f"scale_by_sigma_sq must be true or false; got {self.scale_by_sigma_sq!r}")
 
-    def drift(self, t: ArrayLike, x: ArrayLike) -> np.ndarray:
+    def _drift(self, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Nearest-lift drift, zero on the cut locus of the target.
 
         Returns (nearest lift of target - x) / (T - t) where the nearest
@@ -188,11 +193,9 @@ class ProposedBridge(_LiftBridge):
         ``cut_locus_tol`` band) rather than raising, matching the piecewise
         definition of the process.
         """
-        arr = as_point(x, "x")
-        tau = self._time_to_go(t)
-        a = np.asarray(self.target)
-        k, on_cut = nearest_offset(arr - a, self.cut_locus_tol)
-        b = (a + k - arr) / _expand(tau)
+        a = _filled(self.target, x.shape)
+        k, on_cut = nearest_offset(x - a, self.cut_locus_tol)
+        b = (a + k - x) / _expand(tau)
         if on_cut.shape != b.shape[:-1]:  # a time array wider than the points
             on_cut = np.broadcast_to(on_cut, b.shape[:-1])
         b[on_cut] = 0.0
@@ -207,15 +210,14 @@ class TrueBridge(_LiftBridge):
 
     variant: ClassVar[str] = "true-bridge"
 
-    def drift(self, t: ArrayLike, x: ArrayLike) -> np.ndarray:
+    def _drift(self, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Exact bridge drift sigma^2 grad log sum_k exp(-|a + k - x|^2 / (2 sigma^2 (T - t))).
 
         Equals the mean pull sum_k g_k (a + k - x) / (T - t) with g the
         normalised Gaussian weights of all lifts a + k.
         """
-        arr = as_point(x, "x")
-        tau = self._time_to_go(t)
-        _, slope = _axis_log_kernel(arr - np.asarray(self.target), self.sigma**2 * _expand(tau))
+        d = x - _filled(self.target, x.shape)
+        _, slope = _axis_log_kernel(d, self.sigma**2 * _expand(tau))
         return self.sigma**2 * slope
 
 
@@ -227,6 +229,16 @@ VARIANTS: dict[str, type[DriftModel]] = {
 def _expand(tau: np.ndarray) -> np.ndarray:
     """Align a time-to-go array against a trailing coordinate axis."""
     return tau[..., None] if tau.ndim else tau
+
+
+@functools.lru_cache(maxsize=4)
+def _filled(point: tuple[float, float], shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only array of ``shape`` (..., 2) whose every row is ``point``: shifting
+    by it is one same-shape pass, several times faster than numpy's length-2 inner
+    loop per row against the (2,) point, with the same bits."""
+    out = np.tile(point, (*shape[:-1], 1))
+    out.flags.writeable = False
+    return out
 
 
 # Variance at and below which the 1-D kernel is the direct sum over the seven
@@ -292,9 +304,11 @@ def _axis_log_kernel(d: np.ndarray, v: ArrayLike):
     return log_p, slope
 
 
-def drift(t: ArrayLike, x: ArrayLike, model: DriftModel) -> np.ndarray:
-    """Evaluate the drift of any model variant at (t, x)."""
-    return model.drift(t, x)
+def drift(t: ArrayLike, x: np.ndarray, model: DriftModel) -> np.ndarray:
+    """Evaluate any model's kernel at (t, x) with no checks: ``x`` must be a float
+    array of finite points (..., 2) and 0 <= t < T.  The engine's step loop and
+    weight pass call it; ``model.drift(t, x)`` is the checked entry."""
+    return model._drift(np.maximum(model.horizon - np.asarray(t, dtype=float), MIN_TIME_TO_GO), x)
 
 
 def wrapped_gaussian_log_density(

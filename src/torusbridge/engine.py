@@ -23,6 +23,9 @@ a counter-based construction).  Consequences, all relied on by tests:
 Batches run in path order, one fixed-size chunk of paths at a time; each
 chunk touches only its own streams and output slots, so chunking bounds
 the memory of the noise and state arrays without changing any output byte.
+A coupled batch draws each chunk's noise once for all its models and steps
+them in one loop; the grid is validated once per batch, not once per step,
+and the per-step states are stored only when paths or weights need them.
 """
 
 from __future__ import annotations
@@ -158,13 +161,12 @@ def euler_step(
     Vectorised over states of shape (..., 2); dW must broadcast against x.
 
     Raises:
-        HorizonError (via the drift) or ValueError if the step leaves
-        [0, T] or dt <= 0.
+        ValueError if the step leaves [0, T] or dt <= 0.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt must be > 0; got {dt}")
     horizon = model.horizon
-    if t < 0 or t + dt > horizon * (1.0 + 1e-9) + 1e-12:
+    if not (0 <= t and t + dt <= horizon * (1.0 + 1e-9) + 1e-12):  # NaN fails too
         raise ValueError(f"step [{t}, {t + dt}] leaves the horizon [0, {horizon}]")
     arr = as_point(x, "x")
     dw = np.asarray(dW, dtype=float)
@@ -194,25 +196,35 @@ def _chunk_increments(config: SimConfig, lo: int, hi: int) -> np.ndarray:
 
 
 def _run_chunk(
-    config: SimConfig, lo: int, hi: int, times: np.ndarray, weight_cutoff: float | None
+    config: SimConfig, lo: int, hi: int, times: np.ndarray, models: Sequence[DriftModel],
+    keep_states: bool, snapshot_steps: Sequence[int], weight_cutoff: float | None,
 ) -> dict:
-    """Simulate paths [lo, hi) and return their states, increments and weights."""
-    model = config.model
-    dt = config.dt
-    n = config.n_steps
+    """Step every model over paths [lo, hi) of ``config``'s grid on one noise draw.
+
+    Returns the increments ``dW`` and, with one entry per model, the terminal
+    and snapshot states, the full states if kept or needed for weights, and
+    the log weights; ``states`` is empty when neither is asked for."""
+    dt, sigma = config.dt, config.model.sigma
     dW = _chunk_increments(config, lo, hi)
-    states = np.empty((hi - lo, n + 1, 2))
-    states[:, 0] = config.start
-    x = states[:, 0].copy()
-    for i in range(n):
-        x = euler_step(times[i], x, dt, dW[:, i], model)
-        states[:, i + 1] = x
-    out = {"states": states, "dW": dW}
-    if weight_cutoff is not None:
-        out["log_weights"] = girsanov.path_log_weights(
-            times, states, dW, model, weight_cutoff
-        )
-    return out
+    xs = [np.full((hi - lo, 2), config.start) for _ in models]
+    keep = keep_states or weight_cutoff is not None
+    states = [np.empty((hi - lo, config.n_steps + 1, 2)) for _ in models] if keep else []
+    snapshots = dict.fromkeys(snapshot_steps)
+    for i in range(config.n_steps + 1):
+        if i:
+            noise = sigma * dW[:, i - 1]
+            for j, model in enumerate(models):
+                # euler_step's update, bit for bit, without its per-step checks.
+                xs[j] = xs[j] + drift(times[i - 1], xs[j], model) * dt + noise
+        for run, x in zip(states, xs):
+            run[:, i] = x
+        if i in snapshots:
+            snapshots[i] = list(xs)
+    log_weights = None if weight_cutoff is None else [
+        girsanov.path_log_weights(times, run, dW, m, weight_cutoff)
+        for run, m in zip(states, models)]
+    return {"dW": dW, "terminal": xs, "states": states, "snapshots": snapshots,
+            "log_weights": log_weights}
 
 
 def simulate_path(config: SimConfig, path_index: int = 0) -> PathSample:
@@ -227,22 +239,24 @@ def simulate_path(config: SimConfig, path_index: int = 0) -> PathSample:
             f"path_index must be in [0, {config.n_paths}); got {path_index}"
         )
     times = config.time_grid()
-    res = _run_chunk(config, path_index, path_index + 1, times, None)
+    res = _run_chunk(config, path_index, path_index + 1, times, [config.model], True, (), None)
     increments = res["dW"][0] if config.record_increments else None
-    return PathSample(times=times, states=res["states"][0], increments=increments)
+    return PathSample(times=times, states=res["states"][0][0], increments=increments)
 
 
 def simulate_batch(
-    config: SimConfig,
+    config: SimConfig | Sequence[SimConfig],
     *,
     keep_paths: bool = True,
     snapshot_steps: Sequence[int] | None = None,
     weight_cutoff: float | None = None,
-) -> BatchResult:
+) -> BatchResult | list[BatchResult]:
     """Simulate config.n_paths independent paths and collect diagnostics.
 
     Args:
-        config: experiment description.
+        config: experiment description, or a sequence of coupled configs
+            (see :func:`require_coupled`), whose models are stepped in one
+            loop on one noise draw per chunk.
         keep_paths: retain full PathSample objects (memory heavy for
             large batches; diagnostics never need them).
         snapshot_steps: grid step indices whose states are stored for all
@@ -254,53 +268,58 @@ def simulate_batch(
     Returns:
         BatchResult with terminal points, nearest-lift offsets relative
         to the model's ``diagnostic_target``, cut-locus flags, and the
-        optional extras.
+        optional extras; for a sequence, a list with one per config, each
+        bitwise the result of simulating that config alone.
     """
+    configs = [config] if isinstance(config, SimConfig) else list(config)
+    for other in configs[1:]:
+        require_coupled(configs[0], other)
+    grid = configs[0]
     snapshot_list = sorted(set(int(s) for s in snapshot_steps)) if snapshot_steps else []
     for s in snapshot_list:
-        if not (0 <= s <= config.n_steps):
-            raise ValueError(f"snapshot step {s} outside [0, {config.n_steps}]")
+        if not (0 <= s <= grid.n_steps):
+            raise ValueError(f"snapshot step {s} outside [0, {grid.n_steps}]")
     if weight_cutoff is not None:
         # Validate eagerly so a bad cutoff fails before any simulation work.
-        girsanov.cutoff_index(config.dt, config.n_steps, config.model.horizon, weight_cutoff)
+        girsanov.cutoff_index(grid.dt, grid.n_steps, grid.model.horizon, weight_cutoff)
 
-    times = config.time_grid()
-    n_paths = config.n_paths
-    target = np.asarray(config.model.diagnostic_target)
-
-    terminal = np.empty((n_paths, 2))
-    offsets = np.empty((n_paths, 2), dtype=np.int64)
-    unresolved = np.empty(n_paths, dtype=bool)
-    log_weights = np.empty(n_paths) if weight_cutoff is not None else None
-    snapshots = {s: np.empty((n_paths, 2)) for s in snapshot_list}
-    paths: list[PathSample] | None = [None] * n_paths if keep_paths else None  # type: ignore[list-item]
+    times = grid.time_grid()
+    n_paths = grid.n_paths
+    results = [
+        BatchResult(
+            config=c,
+            terminal_points=np.empty((n_paths, 2)),
+            limiting_lattice_points=np.empty((n_paths, 2), dtype=np.int64),
+            unresolved=np.empty(n_paths, dtype=bool),
+            paths=[None] * n_paths if keep_paths else None,  # type: ignore[list-item]
+            log_weights=np.empty(n_paths) if weight_cutoff is not None else None,
+            snapshots={s: np.empty((n_paths, 2)) for s in snapshot_list} or None,
+        )
+        for c in configs
+    ]
+    models = [c.model for c in configs]
 
     for lo in range(0, n_paths, CHUNK_SIZE):
         hi = min(lo + CHUNK_SIZE, n_paths)
-        res = _run_chunk(config, lo, hi, times, weight_cutoff)
-        states = res["states"]
-        terminal[lo:hi] = states[:, -1]
-        offsets[lo:hi], unresolved[lo:hi] = nearest_offset(states[:, -1] - target)
-        if log_weights is not None:
-            log_weights[lo:hi] = res["log_weights"]
-        for s in snapshot_list:
-            snapshots[s][lo:hi] = states[:, s]
-        if paths is not None:
-            for row, idx in enumerate(range(lo, hi)):
-                inc = res["dW"][row] if config.record_increments else None
-                paths[idx] = PathSample(times=times, states=states[row], increments=inc)
+        res = _run_chunk(grid, lo, hi, times, models, keep_paths, snapshot_list, weight_cutoff)
+        for j, out in enumerate(results):
+            x = res["terminal"][j]
+            out.terminal_points[lo:hi] = x
+            out.limiting_lattice_points[lo:hi], out.unresolved[lo:hi] = nearest_offset(
+                x - np.asarray(out.config.model.diagnostic_target))
+            if out.log_weights is not None:
+                out.log_weights[lo:hi] = res["log_weights"][j]
+            for s in snapshot_list:
+                out.snapshots[s][lo:hi] = res["snapshots"][s][j]
+            if out.paths is not None:
+                for row, idx in enumerate(range(lo, hi)):
+                    inc = res["dW"][row] if out.config.record_increments else None
+                    out.paths[idx] = PathSample(
+                        times=times, states=res["states"][j][row], increments=inc)
         # Free this chunk's arrays before the next chunk allocates its own.
-        del res, states
+        del res
 
-    return BatchResult(
-        config=config,
-        terminal_points=terminal,
-        limiting_lattice_points=offsets,
-        unresolved=unresolved,
-        paths=paths,
-        log_weights=log_weights,
-        snapshots=snapshots or None,
-    )
+    return results[0] if isinstance(config, SimConfig) else results
 
 
 def require_coupled(config_a: SimConfig, config_b: SimConfig) -> None:

@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .drift import DriftModel, ProposedBridge, _finite, drift
+from .drift import DriftModel, HorizonError, ProposedBridge, _finite, drift
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import PathSample
@@ -84,6 +84,7 @@ def path_log_weights(
     """
     if increments is None:
         raise ValueError("log weights require recorded increments")
+    times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
     increments = np.asarray(increments, dtype=float)
     n_steps = increments.shape[-2]
@@ -91,6 +92,10 @@ def path_log_weights(
         raise ValueError("states, increments and times disagree on the step count")
     dt = model.horizon / n_steps
     k = cutoff_index(dt, n_steps, model.horizon, cutoff_S)
+    if not np.isfinite([states.min(initial=0.0), states.max(initial=0.0)]).all():
+        raise ValueError("states must be finite")  # min/max: no state-sized temporary
+    if not ((times[:k] >= 0) & (times[:k] < model.horizon)).all():
+        raise HorizonError(f"times before the cutoff must lie in [0, {model.horizon})")
     acc = np.zeros(states.shape[:-2])
     for i in range(k):
         u = drift(times[i], states[..., i, :], model) / model.sigma

@@ -20,3 +20,9 @@ def test_criterion(runner):
     result = runner()
     print(result.line())
     assert result.passed, result.line()
+
+
+def test_determinism_check_prints_nothing(capsys):
+    """Criterion 8's in-process CLI runs keep their own output lines out of check's."""
+    assert acceptance.check_determinism().passed
+    assert capsys.readouterr().out == ""

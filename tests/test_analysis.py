@@ -20,6 +20,7 @@ from torusbridge import (
     terminal_convergence,
     terminal_distances,
 )
+from torusbridge import engine
 
 A0 = (0.0, 0.0)
 
@@ -142,6 +143,34 @@ class TestAgreementRate:
                           start=A0, n_steps=200, seed=70, n_paths=2)
         with pytest.raises(ValueError):
             agreement_rate(cfg_a, cfg_b)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 71), ("n_paths", 3), ("start", (0.1, 0.0)), ("sigma", 0.7), ("horizon", 2.0),
+    ])
+    def test_uncoupled_configs_rejected(self, field, value):
+        kw = dict(start=A0, n_steps=100, seed=70, n_paths=2)
+        model = dict(sigma=0.8, horizon=1.0, target=A0)
+        cfg_a = SimConfig(model=ProposedBridge(**model), **kw)
+        (model if field in model else kw)[field] = value
+        cfg_b = SimConfig(model=TrueBridge(**model), **kw)
+        with pytest.raises(ValueError, match=f"coupled configs must share {field}"):
+            agreement_rate(cfg_a, cfg_b)
+
+    @pytest.mark.parametrize("chunk", [16, engine.CHUNK_SIZE])
+    def test_pairs_match_separate_batches(self, monkeypatch, chunk):
+        """The one coupled batch gives each side the offsets and cut-locus
+        flags of its own batch, over a partial last chunk too."""
+        monkeypatch.setattr(engine, "CHUNK_SIZE", chunk)
+        kw = dict(start=A0, n_steps=200, seed=72, n_paths=40)
+        cfg_a = SimConfig(model=ProposedBridge(sigma=0.8, horizon=1.0, target=A0), **kw)
+        cfg_b = SimConfig(model=TrueBridge(sigma=0.8, horizon=1.0, target=A0), **kw)
+        report = agreement_rate(cfg_a, cfg_b)
+        for cfg, offsets, unresolved in ((cfg_a, report.offsets_a, report.unresolved_a),
+                                         (cfg_b, report.offsets_b, report.unresolved_b)):
+            alone = simulate_batch(cfg, keep_paths=False)
+            np.testing.assert_array_equal(offsets, alone.limiting_lattice_points)
+            np.testing.assert_array_equal(unresolved, alone.unresolved)
+        assert 0 < report.n_agree < report.n_pairs
 
 
 class TestDriftProfile:

@@ -413,6 +413,20 @@ class TestField:
                   "--out", tmp_path)
         assert rc == 2
 
+    @pytest.mark.parametrize("exc, needle", [
+        (MemoryError("Unable to allocate 149. GiB for an array"), "Unable to allocate"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_out_of_memory_is_one_error_line(self, tmp_path, monkeypatch, capsys, exc, needle):
+        # A grid of 100000 x 100000 points cannot be allocated; stand in for it.
+        def exhausted(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "drift_field", exhausted)
+        rc = _run("field", "--model", "proposed", "--target", "0,0", "--t", "0.5",
+                  "--grid", "100000", "--out", tmp_path)
+        assert rc == 2
+        _assert_one_error_line(capsys, needle)
+
 
 class TestWeights:
     def test_matches_simulate_cutoff_column(self, tmp_path):

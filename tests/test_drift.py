@@ -243,6 +243,22 @@ class TestEuclideanBridgeDrift:
         x = rng.uniform(-5, 5, size=(100, 2))
         np.testing.assert_array_equal(drift(0.7, x, m), np.zeros((100, 2)))
 
+    @pytest.mark.parametrize("m", [
+        FreeBrownianMotion(sigma=1.3, horizon=2.0),
+        EuclideanBridge(sigma=0.8, horizon=2.0, endpoint=(1.5, -0.25)),
+        ProposedBridge(sigma=0.8, horizon=2.0, target=(0.1, -0.2), scale_by_sigma_sq=True),
+        TrueBridge(sigma=0.8, horizon=2.0, target=(0.1, -0.2)),
+    ], ids=lambda m: m.variant)
+    def test_unchecked_kernel_gives_the_checked_bits(self, m):
+        """The module drift the step loop calls skips the checks of model.drift
+        but computes the same bits, for a batch and for a single point."""
+        x = np.random.default_rng(57).uniform(-3, 3, size=(64, 2))
+        for t in (0.0, 0.7, 1.95):
+            np.testing.assert_array_equal(drift(t, x, m), m.drift(t, x))
+            np.testing.assert_array_equal(drift(t, x[5], m), m.drift(t, x)[5])
+        with pytest.raises(ValueError):
+            m.drift(0.7, np.full((3, 2), np.nan))
+
 
 class TestGradientIdentity:
     def test_drift_is_scaled_log_density_gradient(self):

@@ -1,6 +1,7 @@
 """Tests for the Euler-Maruyama engine: stepping, streams, determinism, laws."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,13 @@ class TestEulerStep:
             euler_step(0.99, (0, 0), 0.05, (0, 0), m)
         with pytest.raises(ValueError):
             euler_step(0.5, (0, 0), -0.1, (0, 0), m)
+
+    def test_nan_time_or_step_rejected(self):
+        # The step loop's drift is unchecked, so euler_step checks t and dt itself.
+        m = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
+        for t, dt in ((float("nan"), 0.01), (0.5, float("nan"))):
+            with pytest.raises(ValueError):
+                euler_step(t, (0.1, 0.1), dt, (0, 0), m)
 
 
 class TestNoiseStreams:
@@ -287,6 +295,76 @@ class TestCoupledSimulation:
         bb = simulate_batch(cfg_t, keep_paths=False)
         assert np.array_equal(ba.limiting_lattice_points, bb.limiting_lattice_points)
         assert not ba.unresolved.any() and not bb.unresolved.any()
+
+    @pytest.mark.parametrize("chunk", [16, engine.CHUNK_SIZE])
+    def test_coupled_batch_equals_separate_batches(self, monkeypatch, chunk):
+        """One loop over one noise draw per chunk gives each config the bits
+        of its own batch: 40 paths are three chunks of 16 (the last partial)
+        or one chunk at the default size."""
+        monkeypatch.setattr(engine, "CHUNK_SIZE", chunk)
+        base = dict(start=(0.1, -0.2), n_steps=60, seed=32, n_paths=40, record_increments=True)
+        configs = [
+            SimConfig(model=ProposedBridge(sigma=0.8, horizon=1.0, target=(0.2, 0.1)), **base),
+            SimConfig(model=TrueBridge(sigma=0.8, horizon=1.0, target=(0.2, 0.1)), **base),
+            SimConfig(model=EuclideanBridge(sigma=0.8, horizon=1.0, endpoint=(1.3, 0.4)), **base),
+        ]
+        kw = dict(snapshot_steps=[0, 17, 60], weight_cutoff=0.5)
+        coupled = simulate_batch(configs, **kw)
+        assert isinstance(coupled, list) and len(coupled) == 3
+        for cfg, got in zip(configs, coupled):
+            alone = simulate_batch(cfg, **kw)
+            assert got.config is cfg
+            for name in ("terminal_points", "limiting_lattice_points", "unresolved", "log_weights"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
+            assert got.snapshots.keys() == alone.snapshots.keys() == {0, 17, 60}
+            for s in (0, 17, 60):
+                np.testing.assert_array_equal(got.snapshots[s], alone.snapshots[s])
+            for p, q in zip(got.paths, alone.paths, strict=True):
+                np.testing.assert_array_equal(p.states, q.states)
+                np.testing.assert_array_equal(p.increments, q.increments)
+        # The coupled paths are the euler_step recursion on the same increments.
+        path = coupled[1].paths[39]
+        x = np.asarray(base["start"])
+        for i in range(60):
+            x = euler_step(path.times[i], x, configs[1].dt, path.increments[i], configs[1].model)
+            np.testing.assert_array_equal(x, path.states[i + 1])
+
+    def test_coupled_batch_draws_noise_once_per_chunk(self, monkeypatch):
+        calls = []
+        draw = engine._chunk_increments
+        monkeypatch.setattr(engine, "_chunk_increments",
+                            lambda config, lo, hi: calls.append((lo, hi)) or draw(config, lo, hi))
+        monkeypatch.setattr(engine, "CHUNK_SIZE", 16)
+        base = dict(start=A0, n_steps=20, seed=33, n_paths=40)
+        configs = [SimConfig(model=ProposedBridge(sigma=0.8, horizon=1.0, target=A0), **base),
+                   SimConfig(model=TrueBridge(sigma=0.8, horizon=1.0, target=A0), **base)]
+        simulate_batch(configs, keep_paths=False)
+        assert calls == [(0, 16), (16, 32), (32, 40)]
+
+    def test_uncoupled_configs_rejected_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(engine, "_chunk_increments", None)  # any draw would fail
+        base = dict(start=A0, n_steps=20, seed=34, n_paths=4)
+        cfg = SimConfig(model=ProposedBridge(sigma=0.8, horizon=1.0, target=A0), **base)
+        for bad in ({"seed": 35}, {"n_paths": 5}, {"start": (0.1, 0.0)}):
+            with pytest.raises(ValueError, match="coupled configs must share"):
+                simulate_batch([cfg, SimConfig(model=cfg.model, **{**base, **bad})])
+
+
+class TestMemory:
+    def test_unkept_paths_peak_at_the_noise_chunk(self):
+        """Without kept paths or weights a chunk holds its noise draw and no
+        (chunk, n_steps + 1, 2) state array, so the traced peak stays within
+        1.25 times the 15.6 MiB noise array of 1024 paths x 1000 steps."""
+        cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
+                   n_steps=1000, seed=36, n_paths=engine.CHUNK_SIZE)
+        noise_bytes = engine.CHUNK_SIZE * 1000 * 2 * 8
+        tracemalloc.start()
+        try:
+            simulate_batch(cfg, keep_paths=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * noise_bytes
 
 
 class TestConfigRoundTrip:

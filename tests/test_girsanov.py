@@ -78,6 +78,21 @@ class TestLogWeight:
             with pytest.raises(ValueError):
                 log_girsanov_weight(path, cfg.model, bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("states", np.nan), ("states", np.inf), ("times", -0.1), ("times", np.nan),
+    ])
+    def test_bad_path_rejected(self, field, value):
+        """The drift the weights evaluate is unchecked, so the weights check
+        the states and the times before the cutoff themselves, once."""
+        model = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
+        cfg = SimConfig(model=model, start=A0, n_steps=10, seed=5, n_paths=1,
+                        record_increments=True)
+        path = simulate_path(cfg, 0)
+        arrays = {"states": path.states.copy(), "times": path.times.copy()}
+        arrays[field][3] = value
+        with pytest.raises(ValueError):
+            path_log_weights(arrays["times"], arrays["states"], path.increments, model, 0.5)
+
 
 class TestMartingaleProperty:
     def test_mean_weight_is_one(self):

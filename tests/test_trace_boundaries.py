@@ -55,7 +55,7 @@ def test_drift_layers_stay_traceable():
     # dispatched to model.drift(...) directly would drop those spans silently.
     drift_module = importlib.import_module("torusbridge.drift")
     assert engine.drift is girsanov.drift is drift_module.drift
-    for fn in (engine.euler_step, girsanov.path_log_weights):
+    for fn in (engine.euler_step, engine._run_chunk, girsanov.path_log_weights):
         assert "drift" in fn.__code__.co_names
         assert _calls_global(fn, "drift")
 
