@@ -38,7 +38,7 @@ from typing import ClassVar
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .geometry import as_point, as_torus_point, nearest_offset, project
+from .geometry import as_plane_point, as_point, as_torus_point, nearest_offset, project
 
 __all__ = [
     "HorizonError",
@@ -133,7 +133,7 @@ class EuclideanBridge(DriftModel):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "endpoint", _point_pair(as_point(self.endpoint, "endpoint")))
+        object.__setattr__(self, "endpoint", _point_pair(as_plane_point(self.endpoint, "endpoint")))
 
     @property
     def diagnostic_target(self) -> tuple[float, float]:

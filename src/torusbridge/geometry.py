@@ -29,6 +29,7 @@ from numpy.typing import ArrayLike
 __all__ = [
     "AmbiguousLiftError",
     "as_point",
+    "as_plane_point",
     "as_torus_point",
     "project",
     "nearest_offset",
@@ -62,6 +63,26 @@ def as_point(p: ArrayLike, name: str = "point") -> np.ndarray:
         raise ValueError(f"{name} must have trailing dimension 2; got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite; got non-finite coordinates")
+    return arr
+
+
+# Doubles of magnitude 2**52 and above are spaced 1 or more apart, so beyond
+# 2**52 a plane point can no longer hold a torus position.
+MAX_PLANE_COORD = 2.0**52
+
+
+def as_plane_point(p: ArrayLike, name: str = "point") -> np.ndarray:
+    """Validate a plane point whose torus position matters.
+
+    Raises:
+        ValueError: as :func:`as_point`, or if a coordinate exceeds 2**52
+            in magnitude.
+    """
+    arr = as_point(p, name)
+    if np.any(np.abs(arr) > MAX_PLANE_COORD):
+        raise ValueError(
+            f"{name} coordinates must be at most 2**52 in magnitude, beyond which a "
+            f"double cannot hold a torus position; got {arr.tolist()}")
     return arr
 
 

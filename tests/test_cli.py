@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,27 @@ class TestSimulate:
         assert rc == 2
         _assert_one_error_line(capsys, *needles)
 
+    @pytest.mark.parametrize("flags, name", [
+        (("--model", "proposed", "--target", "0,0", "--start", "1e308,0"), "start"),
+        (("--model", "proposed", "--target", "0,0", "--start", "0,-9.1e15"), "start"),
+        (("--model", "euclid-bridge", "--endpoint", "1e300,0"), "endpoint"),
+    ])
+    def test_coordinate_beyond_2_52_fails(self, tmp_path, capsys, flags, name):
+        # A double above 2**52 has no fractional part: its torus position is lost.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = _run("simulate", *flags, "--steps", "3", "--paths", "1", "--out", tmp_path)
+        assert rc == 2 and caught == []
+        _assert_one_error_line(capsys, name, "2**52")
+        assert not (tmp_path / "endpoints.csv").exists()
+
+    def test_far_start_still_runs(self, tmp_path):
+        rc = _run("simulate", "--model", "proposed", "--target", "0,0", "--start", "1e6,0",
+                  "--steps", "3", "--paths", "1", "--out", tmp_path)
+        assert rc == 0
+        _, rows = _read_csv(tmp_path / "endpoints.csv")
+        assert abs(int(rows[0][3]) - 10**6) <= 2
+
 
 class TestPinnedBytes:
     """Output bytes pinned across versions.
@@ -412,6 +434,14 @@ class TestField:
         rc = _run("field", "--model", "proposed", "--target", "0,0", "--t", "1.0",
                   "--out", tmp_path)
         assert rc == 2
+
+    @pytest.mark.parametrize("rect", ["0,inf,0,1", "-inf,0,0,1", "0,1,nan,1", "0,1,0,-inf"])
+    def test_nonfinite_rect_is_one_error_line(self, tmp_path, capsys, rect):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = _run("field", f"--rect={rect}", "--target", "0,0", "--t", "0.5", "--out", tmp_path)
+        assert rc == 2 and caught == []
+        _assert_one_error_line(capsys, "finite")
 
     @pytest.mark.parametrize("exc, needle", [
         (MemoryError("Unable to allocate 149. GiB for an array"), "Unable to allocate"),

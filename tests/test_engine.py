@@ -330,16 +330,59 @@ class TestCoupledSimulation:
             np.testing.assert_array_equal(x, path.states[i + 1])
 
     def test_coupled_batch_draws_noise_once_per_chunk(self, monkeypatch):
+        """Each chunk draws each noise block once for both models: 40 paths
+        are chunks of 16, 16 and 8, and NOISE_BLOCK + 20 steps two blocks."""
         calls = []
         draw = engine._chunk_increments
         monkeypatch.setattr(engine, "_chunk_increments",
-                            lambda config, lo, hi: calls.append((lo, hi)) or draw(config, lo, hi))
+                            lambda streams, out, dt: calls.append(out.shape[:2])
+                            or draw(streams, out, dt))
         monkeypatch.setattr(engine, "CHUNK_SIZE", 16)
-        base = dict(start=A0, n_steps=20, seed=33, n_paths=40)
+        block = engine.NOISE_BLOCK
+        base = dict(start=A0, n_steps=block + 20, seed=33, n_paths=40)
         configs = [SimConfig(model=ProposedBridge(sigma=0.8, horizon=1.0, target=A0), **base),
                    SimConfig(model=TrueBridge(sigma=0.8, horizon=1.0, target=A0), **base)]
         simulate_batch(configs, keep_paths=False)
-        assert calls == [(0, 16), (16, 32), (32, 40)]
+        assert calls == [(16, block), (16, 20), (16, block), (16, 20), (8, block), (8, 20)]
+
+    @pytest.mark.parametrize("n_steps", [2 * engine.NOISE_BLOCK + 37, engine.NOISE_BLOCK // 3])
+    def test_block_draws_give_whole_stream_bits(self, monkeypatch, n_steps):
+        """Noise drawn in blocks, the last one partial, or in one whole draw
+        gives every path the increments of ``wiener_increments`` and the
+        states of ``euler_step`` replayed on them: kept or not, with or
+        without recorded increments, alone, coupled and via simulate_path."""
+        monkeypatch.setattr(engine, "CHUNK_SIZE", 16)
+        base = dict(start=(0.1, -0.2), n_steps=n_steps, seed=38, n_paths=20)
+        models = (ProposedBridge(sigma=0.8, horizon=1.0, target=(0.2, 0.1)),
+                  TrueBridge(sigma=0.8, horizon=1.0, target=(0.2, 0.1)))
+        mid = min(engine.NOISE_BLOCK, n_steps - 1)
+        picks = (0, 15, 16, 19)
+
+        def replay(cfg, idx):
+            dW = wiener_increments(cfg.seed, idx, n_steps, cfg.dt)
+            states = [np.asarray(cfg.start)]
+            for i, t in enumerate(cfg.time_grid()[:-1]):
+                states.append(euler_step(t, states[-1], cfg.dt, dW[i], cfg.model))
+            return dW, np.stack(states)
+
+        for record in (True, False):
+            configs = [SimConfig(model=m, record_increments=record, **base) for m in models]
+            coupled = simulate_batch(configs, snapshot_steps=[mid])
+            for cfg, together in zip(configs, coupled):
+                alone = simulate_batch(cfg, snapshot_steps=[mid])
+                bare = simulate_batch(cfg, keep_paths=False, snapshot_steps=[mid])
+                for idx in picks:
+                    dW, states = replay(cfg, idx)
+                    single = simulate_path(cfg, idx)
+                    for path in (together.paths[idx], alone.paths[idx], single):
+                        np.testing.assert_array_equal(path.states, states)
+                        if record:
+                            np.testing.assert_array_equal(path.increments, dW)
+                        else:
+                            assert path.increments is None
+                    for batch in (together, alone, bare):
+                        np.testing.assert_array_equal(batch.terminal_points[idx], states[-1])
+                        np.testing.assert_array_equal(batch.snapshots[mid][idx], states[mid])
 
     def test_uncoupled_configs_rejected_before_any_work(self, monkeypatch):
         monkeypatch.setattr(engine, "_chunk_increments", None)  # any draw would fail
@@ -351,20 +394,32 @@ class TestCoupledSimulation:
 
 
 class TestMemory:
-    def test_unkept_paths_peak_at_the_noise_chunk(self):
-        """Without kept paths or weights a chunk holds its noise draw and no
-        (chunk, n_steps + 1, 2) state array, so the traced peak stays within
-        1.25 times the 15.6 MiB noise array of 1024 paths x 1000 steps."""
-        cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
-                   n_steps=1000, seed=36, n_paths=engine.CHUNK_SIZE)
-        noise_bytes = engine.CHUNK_SIZE * 1000 * 2 * 8
+    @staticmethod
+    def _peak(config, **kw):
         tracemalloc.start()
         try:
-            simulate_batch(cfg, keep_paths=False)
-            _, peak = tracemalloc.get_traced_memory()
+            simulate_batch(config, **kw)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * noise_bytes
+
+    def test_unkept_paths_peak_at_the_noise_chunk(self):
+        """Without kept paths or weights a chunk holds one (CHUNK_SIZE,
+        NOISE_BLOCK, 2) noise block, 2 MiB, and no increment or state array
+        over the steps, so 1024 paths peak below 4 MiB at 1000 and at 4000
+        steps (the whole noise array alone is 15.6 and 62.5 MiB)."""
+        for n_steps in (1000, 4000):
+            cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
+                       n_steps=n_steps, seed=36, n_paths=engine.CHUNK_SIZE)
+            assert self._peak(cfg, keep_paths=False) < 4 * 2**20
+
+    def test_kept_paths_hold_no_increments(self):
+        """Kept paths without recorded increments or a cutoff hold their
+        states and a noise block, not the 7.8 MiB increment array."""
+        cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
+                   n_steps=500, seed=39, n_paths=engine.CHUNK_SIZE)
+        state_bytes = engine.CHUNK_SIZE * 501 * 2 * 8
+        assert self._peak(cfg, keep_paths=True) < state_bytes + 4 * 2**20
 
 
 class TestConfigRoundTrip:

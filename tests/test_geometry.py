@@ -16,6 +16,15 @@ from torusbridge import (
     project,
     torus_distance,
 )
+from torusbridge.geometry import as_plane_point
+
+
+def test_plane_point_limit_is_2_52():
+    limit = 2.0**52
+    np.testing.assert_array_equal(as_plane_point((limit, -limit)), [limit, -limit])
+    for bad in ((np.nextafter(limit, np.inf), 0.0), (0.0, -1e308)):
+        with pytest.raises(ValueError, match="2\\*\\*52"):
+            as_plane_point(bad, "start")
 
 
 class TestProject:
