@@ -196,9 +196,10 @@ class ProposedBridge(_LiftBridge):
         a = _filled(self.target, x.shape)
         k, on_cut = nearest_offset(x - a, self.cut_locus_tol)
         b = (a + k - x) / _expand(tau)
-        if on_cut.shape != b.shape[:-1]:  # a time array wider than the points
-            on_cut = np.broadcast_to(on_cut, b.shape[:-1])
-        b[on_cut] = 0.0
+        if np.count_nonzero(on_cut):  # rarely true; cheaper than the masked write or .any()
+            if on_cut.shape != b.shape[:-1]:  # a time array wider than the points
+                on_cut = np.broadcast_to(on_cut, b.shape[:-1])
+            b[on_cut] = 0.0
         return b * self.sigma**2 if self.scale_by_sigma_sq else b
 
 
@@ -206,7 +207,7 @@ class ProposedBridge(_LiftBridge):
 class TrueBridge(_LiftBridge):
     """Exact torus bridge toward every lift of ``target``: the h-transform
     drift of Delyon & Hu, sigma^2 grad log of the wrapped Gaussian kernel,
-    whose lattice sum :func:`_axis_log_kernel` evaluates with no window."""
+    whose lattice sum :func:`_axis_slope` evaluates with no window."""
 
     variant: ClassVar[str] = "true-bridge"
 
@@ -217,8 +218,7 @@ class TrueBridge(_LiftBridge):
         normalised Gaussian weights of all lifts a + k.
         """
         d = x - _filled(self.target, x.shape)
-        _, slope = _axis_log_kernel(d, self.sigma**2 * _expand(tau))
-        return self.sigma**2 * slope
+        return self.sigma**2 * _axis_slope(d, self.sigma**2 * _expand(tau))
 
 
 VARIANTS: dict[str, type[DriftModel]] = {
@@ -246,62 +246,123 @@ def _filled(point: tuple[float, float], shape: tuple[int, ...]) -> np.ndarray:
 # exp(-((3 + 1/2)^2 - 1/4) / 2v) and q^16 with q = exp(-2 pi^2 v), are both
 # below 1e-18 on their side of the split.
 _THETA_SPLIT = 0.14
-_LIFTS = np.arange(-3.0, 4.0)
 
 
-def _direct_sum(r: np.ndarray, v: ArrayLike):
-    """log p and d log p / dr from the lifts r - j, |j| <= 3, of |r| <= 1/2."""
-    j = _LIFTS.reshape((-1,) + (1,) * r.ndim)
-    # (2r - j) j / 2v = (r^2 - (r - j)^2) / 2v <= 0: the exponents are shifted by
-    # the nearest lift's, so the largest weight is 1 and none overflows; 2r - j
-    # is exact where it matters, at r near +-1/2 and j = +-1.
-    w = np.exp((2.0 * r - j) * (j / (2.0 * v)))
-    sums = w.sum(axis=0)
-    log_p = np.log(sums) - r * r / (2.0 * v) - 0.5 * np.log(2.0 * np.pi * v)
-    return log_p, ((w * j).sum(axis=0) / sums - r) / v
+def _exp(x):
+    """np.exp, as a Python float for a scalar: the time-only coefficients then
+    cost scalar arithmetic, with the bits an array of variances gives."""
+    return np.exp(x) if isinstance(x, np.ndarray) else float(np.exp(x))
 
 
-def _theta_series(r: np.ndarray, v: ArrayLike):
-    """log p and d log p / dr from the Jacobi theta series of the 1-D kernel.
+def _lift_weights(r: np.ndarray, v: ArrayLike):
+    """Weights exp((r^2 - (r - j)^2) / 2v) of the lifts r - j of |r| <= 1/2, as
+    ((j = 1, 2, 3), (j = -1, -2, -3)), from two array exps.
+
+    The exponent is j (r - 1/2) / v - j (j - 1) / 2v, so with
+    e = exp((r - 1/2) / v) and g = exp(-1/v) the weight is e^j g^{j(j-1)/2};
+    j < 0 mirrors it with e = exp(-(r + 1/2) / v).  Shifted by the nearest
+    lift's exponent, no weight exceeds 1, and r -+ 1/2 is exact where it
+    matters, at r near +-1/2.
+    """
+    g = _exp(-1.0 / v)
+    g3 = g * g * g
+    weights = []
+    for e in (np.exp((r - 0.5) / v), np.exp((-0.5 - r) / v)):
+        e2 = e * e
+        weights.append((e, e2 * g, e2 * e * g3))
+    return weights
+
+
+def _direct_slope(r: np.ndarray, v: ArrayLike) -> np.ndarray:
+    """d log p / dr from the seven lifts r - j, |j| <= 3, of |r| <= 1/2."""
+    (p1, p2, p3), (m1, m2, m3) = _lift_weights(r, v)
+    pull = (p1 - m1) + 2.0 * (p2 - m2) + 3.0 * (p3 - m3)
+    sums = 1.0 + (p1 + m1) + (p2 + m2) + (p3 + m3)
+    return (pull / sums - r) / v
+
+
+def _direct_log_density(r: np.ndarray, v: ArrayLike) -> np.ndarray:
+    """log p from the seven lifts r - j, |j| <= 3, of |r| <= 1/2."""
+    (p1, p2, p3), (m1, m2, m3) = _lift_weights(r, v)
+    sums = 1.0 + (p1 + m1) + (p2 + m2) + (p3 + m3)
+    return np.log(sums) - r * r / (2.0 * v) - 0.5 * np.log(2.0 * np.pi * v)
+
+
+def _theta_powers(v: ArrayLike):
+    """q, q^4 and q^9 for q = exp(-2 pi^2 v), the nome of the theta series."""
+    q = _exp(-2.0 * np.pi**2 * v)
+    q4 = (q * q) * (q * q)
+    return q, q4, q4 * q4 * q
+
+
+def _theta_log_density(r: np.ndarray, v: ArrayLike) -> np.ndarray:
+    """log p from the Jacobi theta series of the 1-D kernel.
 
     Poisson summation turns the lattice sum into
-    p = 1 + 2 sum_n q^{n^2} cos 2 pi n r, q = exp(-2 pi^2 v).  With
-    c, s = cos, sin 2 pi r, the Chebyshev identities cos 2 pi n r = T_n(c)
-    and sin 2 pi n r = s U_{n-1}(c) make p and its derivative polynomials
-    in c, evaluated by Horner's rule from one cos/sin pair.
+    p = 1 + 2 sum_n q^{n^2} cos 2 pi n r, q = exp(-2 pi^2 v).  The
+    Chebyshev identity cos 2 pi n r = T_n(c) makes p a cubic in
+    c = cos 2 pi r, evaluated by Horner's rule from one cos.
     """
-    q = np.exp(-2.0 * np.pi**2 * v)
-    q4 = (q * q) * (q * q)
-    q9 = q4 * q4 * q
-    x = 2.0 * np.pi * r
-    c, s = np.cos(x), np.sin(x)
-    theta = (1.0 - 2.0 * q4) + c * ((2.0 * q - 6.0 * q9) + c * (4.0 * q4 + c * (8.0 * q9)))
-    slope = s * (-4.0 * np.pi * (q - 3.0 * q9) + c * (-16.0 * np.pi * q4 + c * (-48.0 * np.pi * q9)))
-    return np.log(theta), slope / theta
+    q, q4, q9 = _theta_powers(v)
+    c = np.cos(2.0 * np.pi * r)
+    return np.log((1.0 - 2.0 * q4) + c * ((2.0 * q - 6.0 * q9) + c * (4.0 * q4 + c * (8.0 * q9))))
 
 
-def _axis_log_kernel(d: np.ndarray, v: ArrayLike):
-    """Log of the 1-D wrapped Gaussian density and its derivative, per coordinate.
+def _theta_slope(r: np.ndarray, v: ArrayLike) -> np.ndarray:
+    """d log p / dr from the theta series, with one tan.
 
-    The density is p(d) = sum_j exp(-(d - j)^2 / 2v) / sqrt(2 pi v) over all
-    integers j.  ``d`` is (..., 2); ``v`` is a scalar or broadcasts against
-    ``d``.  Both results depend on d only through r = d - round(d), and
-    each point takes :func:`_direct_sum` at v <= ``_THETA_SPLIT`` and
-    :func:`_theta_series` above, exact to rounding for every d and v > 0.
-    With an array of variances each branch runs only on its own points:
-    below the split the three-term theta series can be negative.  Every
-    operation acts point by point, so one point and a batch row give the
-    same bits.
+    In c = cos 2 pi r the series is a0 + a1 c + a2 c^2 + a3 c^3 and its
+    derivative sin 2 pi r (b0 + b1 c + b2 c^2).  The half-angle forms
+    c = (1 - u) / (1 + u) and sin 2 pi r = 2t / (1 + u), with t = tan pi r
+    and u = t^2, cancel the common (1 + u)^3 and leave the ratio
+    t (d0 + d1 u + d2 u^2) / (c0 + c1 u + c2 u^2 + c3 u^3).  At r = +-1/2,
+    t is about 1.6e16 and u^3 about 1e97, still finite.
+    """
+    q, q4, q9 = _theta_powers(v)
+    a0, a1, a2, a3 = 1.0 - 2.0 * q4, 2.0 * q - 6.0 * q9, 4.0 * q4, 8.0 * q9
+    b0, b1, b2 = -4.0 * np.pi * (q - 3.0 * q9), -16.0 * np.pi * q4, -48.0 * np.pi * q9
+    c0, c1 = a0 + a1 + a2 + a3, 3.0 * a0 + a1 - a2 - 3.0 * a3
+    c2, c3 = 3.0 * a0 - a1 - a2 + 3.0 * a3, a0 - a1 + a2 - a3
+    d0, d1, d2 = 2.0 * (b0 + b1 + b2), 4.0 * (b0 - b2), 2.0 * (b0 - b1 + b2)
+    t = np.tan(np.pi * r)
+    u = t * t
+    return t * (d0 + u * (d1 + u * d2)) / (c0 + u * (c1 + u * (c2 + u * c3)))
+
+
+def _per_axis(d: np.ndarray, v: ArrayLike, direct, theta) -> np.ndarray:
+    """One branch of the 1-D wrapped Gaussian kernel per coordinate of ``d``.
+
+    Every result depends on d only through r = d - round(d), and each point
+    takes ``direct`` at v <= ``_THETA_SPLIT`` and ``theta`` above, exact to
+    rounding for every d and v > 0.  ``v`` is a scalar or broadcasts against
+    ``d``; with an array of variances each branch runs only on its own
+    points, since below the split the three-term theta series can be
+    negative.  Every operation acts point by point, so one point, a batch
+    row and a per-point time give the same bits.
     """
     r = d - np.round(d)
     if np.ndim(v) == 0:
-        return (_direct_sum if v <= _THETA_SPLIT else _theta_series)(r, v)
+        v = float(v)
+        return (direct if v <= _THETA_SPLIT else theta)(r, v)
     r, v = np.broadcast_arrays(r, v)
-    log_p, slope = np.empty(r.shape), np.empty(r.shape)
+    out = np.empty(r.shape)
     small = v <= _THETA_SPLIT
-    for mask, branch in ((small, _direct_sum), (~small, _theta_series)):
-        log_p[mask], slope[mask] = branch(r[mask], v[mask])
-    return log_p, slope
+    for mask, branch in ((small, direct), (~small, theta)):
+        out[mask] = branch(r[mask], v[mask])
+    return out
+
+
+def _axis_slope(d: np.ndarray, v: ArrayLike) -> np.ndarray:
+    """d log p / dd per coordinate of ``d`` (..., 2), where
+    p(d) = sum_j exp(-(d - j)^2 / 2v) / sqrt(2 pi v) over all integers j is
+    the 1-D wrapped Gaussian density; the true bridge's drift is sigma^2 times it."""
+    return _per_axis(d, v, _direct_slope, _theta_slope)
+
+
+def _axis_log_density(d: np.ndarray, v: ArrayLike) -> np.ndarray:
+    """log p per coordinate of ``d`` (..., 2), for the 1-D wrapped Gaussian
+    density p of :func:`_axis_slope`."""
+    return _per_axis(d, v, _direct_log_density, _theta_log_density)
 
 
 def drift(t: ArrayLike, x: np.ndarray, model: DriftModel) -> np.ndarray:
@@ -319,7 +380,7 @@ def wrapped_gaussian_log_density(
     Returns ``log sum_k (2 pi sigma^2 (t-s))^{-1}
     exp(-|x - y - k|^2 / (2 sigma^2 (t-s)))`` with the sum over all integer
     offsets k, the sum of the two per-coordinate logs of
-    :func:`_axis_log_kernel`.  It integrates to 1 over the fundamental domain.
+    :func:`_axis_log_density`.  It integrates to 1 over the fundamental domain.
 
     Args:
         s: earlier time.
@@ -329,12 +390,13 @@ def wrapped_gaussian_log_density(
         sigma: diffusion coefficient, > 0.
 
     Raises:
-        ValueError: if s >= t or sigma <= 0.
+        ValueError: if s >= t, either time is not finite, or sigma is not a
+            finite number > 0.
     """
     if not (np.isfinite(s) and np.isfinite(t) and s < t):
         raise ValueError(f"need s < t; got s={s}, t={t}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0; got {sigma}")
-    log_p, _ = _axis_log_kernel(as_point(x, "x") - as_point(y, "y"), sigma**2 * (t - s))
+    if not (_finite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and > 0; got {sigma}")
+    log_p = _axis_log_density(as_point(x, "x") - as_point(y, "y"), sigma**2 * (t - s))
     out = log_p[..., 0] + log_p[..., 1]
     return float(out) if np.ndim(out) == 0 else out

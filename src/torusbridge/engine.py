@@ -43,7 +43,7 @@ from numpy.typing import ArrayLike
 
 from . import girsanov
 from .drift import VARIANTS, DriftModel, _finite, drift
-from .geometry import as_plane_point, as_point, nearest_offset
+from .geometry import MAX_PLANE_COORD, as_plane_point, as_point, nearest_offset
 
 __all__ = [
     "SimConfig",
@@ -329,6 +329,11 @@ def simulate_batch(
                          weight_cutoff)
         for j, out in enumerate(results):
             x = res["terminal"][j]
+            if not (np.abs(x) <= MAX_PLANE_COORD).all():  # also NaN and inf
+                raise ValueError(
+                    f"{out.config.model.variant} terminal states exceed 2**52 in magnitude "
+                    f"(sigma = {out.config.model.sigma}), beyond which a double cannot hold "
+                    f"a torus position")
             out.terminal_points[lo:hi] = x
             out.limiting_lattice_points[lo:hi], out.unresolved[lo:hi] = nearest_offset(
                 x - np.asarray(out.config.model.diagnostic_target))

@@ -251,6 +251,19 @@ class TestSimulate:
         _assert_one_error_line(capsys, name, "2**52")
         assert not (tmp_path / "endpoints.csv").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ("--model", "free-bm", "--sigma", "1e20"),
+        ("--model", "proposed", "--target", "0,0", "--sigma", "1e17"),
+    ])
+    def test_terminal_state_beyond_2_52_fails(self, tmp_path, capsys, flags):
+        # The noise alone carries the paths past 2**52, where no offset is meaningful.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = _run("simulate", *flags, "--steps", "3", "--paths", "1", "--out", tmp_path)
+        assert rc == 2 and caught == []
+        _assert_one_error_line(capsys, "terminal states", "2**52")
+        assert not (tmp_path / "endpoints.csv").exists()
+
     def test_far_start_still_runs(self, tmp_path):
         rc = _run("simulate", "--model", "proposed", "--target", "0,0", "--start", "1e6,0",
                   "--steps", "3", "--paths", "1", "--out", tmp_path)

@@ -16,7 +16,16 @@ from torusbridge import (
     simulate_batch,
     wrapped_gaussian_log_density,
 )
-from torusbridge.drift import _THETA_SPLIT, MIN_TIME_TO_GO, _direct_sum, _theta_series
+from torusbridge.drift import (
+    _THETA_SPLIT,
+    MIN_TIME_TO_GO,
+    _axis_log_density,
+    _axis_slope,
+    _direct_log_density,
+    _direct_slope,
+    _theta_log_density,
+    _theta_slope,
+)
 
 A0 = (0.0, 0.0)
 
@@ -321,6 +330,11 @@ class TestWrappedGaussianLogDensity:
         with pytest.raises(ValueError):
             wrapped_gaussian_log_density(0.0, (0, 0), 0.5, (0, 0), -1.0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, 0.0, True, "1.0", None])
+    def test_sigma_must_be_a_finite_positive_number(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+            wrapped_gaussian_log_density(0.0, (0.1, 0.2), 0.5, (0.0, 0.0), sigma)
+
 
 _sigmas = st.floats(0.05, 3.0)
 _taus = st.floats(1e-6, 1.0)
@@ -356,8 +370,22 @@ class TestSeparableKernelProperties:
 
     def test_branches_agree_at_the_split(self):
         r = np.linspace(-0.5, 0.5, 10_001)
-        for direct, theta in zip(_direct_sum(r, _THETA_SPLIT), _theta_series(r, _THETA_SPLIT)):
-            np.testing.assert_allclose(direct, theta, rtol=0, atol=1e-13)
+        for direct, theta in ((_direct_slope, _theta_slope),
+                              (_direct_log_density, _theta_log_density)):
+            np.testing.assert_allclose(direct(r, _THETA_SPLIT), theta(r, _THETA_SPLIT),
+                                       rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("v", [2.5e-9, _THETA_SPLIT, np.nextafter(_THETA_SPLIT, 1.0), 9.0])
+    def test_tie_lines_and_lifts_are_finite_and_exact(self, v):
+        """At r = +-1/2, a hair inside and at a lift, under the suite's
+        RuntimeWarning-as-error setting: there tan(pi r) is about 1.6e16 on
+        the theta side and exp((r - 1/2) / v) is 1 on the direct side."""
+        d = np.array([0.5, -0.5, 0.5 - 1e-12, -(0.5 - 1e-12), 0.0, 3.5, -7.0])
+        log_p, slope = _axis_oracle(d, v)
+        for kernel, expected in ((_axis_slope, slope), (_axis_log_density, log_p)):
+            for got in (kernel(d, v), kernel(d, np.full(d.shape, v))):
+                assert np.isfinite(got).all()
+                np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(sigma=_sigmas, a=_targets, lead=_stacks, seed=st.integers(0, 2**32 - 1))
