@@ -7,17 +7,23 @@ Subcommands:
   weights    recompute a finished run from its manifest and emit log weights
   check      run the acceptance suite and print one line per criterion
 
-All floating-point CSV values are serialised with 17 significant digits
-("%.17g", enough to round-trip a double), and every run is a pure function
-of its flags (one master --seed), so re-runs produce byte-identical CSV
-files.  Each row is formatted from one "%" template; paths.csv formats its
-step,t columns once per run and writes one text block per path.
+Every floating-point CSV value is the bytes of "%.17g" (17 significant
+digits, enough to round-trip a double), and every run is a pure function of
+its flags (one master --seed), so re-runs produce byte-identical CSV files.
+The floats are formatted in numpy, a block at a time, by ``_format_g17``:
+for 1e-4 <= |v| < 1e16 it computes the correctly rounded 17-digit decimal
+exactly, with Dekker's error-free product, and lays out its digits from
+tables; every other value goes through "%.17g" itself.  Each row is one
+bytes "%" template with the formatted floats as "%s" fields; paths.csv
+formats its step,t columns once per run and x1,x2 a few paths at a time,
+and writes one text block per path.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import fields
@@ -51,15 +57,137 @@ def _pair(text: str, flag: str) -> tuple[float, float]:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    """Write ``header`` and then ``rows``, text blocks that each end in a newline."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
+    """Write ``header`` and then ``rows``, byte blocks that each end in a newline."""
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         fh.writelines(rows)
 
 
-def _offset_text(k: list[int], unresolved: bool) -> str:
+def _offset_text(k: list[int], unresolved: bool) -> bytes:
     """The two columns of a lattice offset, left empty on the cut locus."""
-    return "," if unresolved else "%d,%d" % (k[0], k[1])
+    return b"," if unresolved else b"%d,%d" % (k[0], k[1])
+
+
+# Exact "%.17g" in numpy.  For 1e-4 <= |v| < 1e16, "%.17g" rounds v half-even
+# to the 17-digit integer D = round(|v| 10^(16-E)), E = floor(log10 |v|), and
+# prints D's digits in fixed notation with the point after digit E (or behind
+# "0." and -E-1 zeros), trailing fraction zeros dropped.  Every step is exact:
+# - E is floor(log10 |v|) moved by at most one step, by comparing |v| with the
+#   smallest double >= 10^E, which is comparing the exact |v| 10^(16-E) with 10^16;
+# - 10^(16-E) has 16-E <= 20, so it is a double, and Dekker's TwoProduct with
+#   Veltkamp splitting (Dekker 1971, Numer. Math. 18) gives |v| 10^(16-E) as
+#   hi + lo exactly;
+# - hi lies in [1e16, 1e17], where doubles are even integers, so D is
+#   hi + rint(lo): rint rounds half-even, and hi does not change the parity;
+# - D < 10^17, with no carry into E + 1: the largest double below 10^(E+1) has
+#   |v| 10^(16-E) more than 8 below 10^17 for every E here (the tests format it).
+# Every other value (zero, |v| < 1e-4, |v| >= 1e16, nan, inf) takes "%.17g" itself.
+_G17_BLOCK = 4096  # floats per block: bounds the scratch memory of one call
+_E_MIN, _E_MAX = -4, 15  # decimal exponents of the fast path
+
+
+def _ceil_pow10(e: int) -> float:
+    """The smallest double >= 10^e."""
+    f = float(f"1e{e}")  # correctly rounded
+    num, den = f.as_integer_ratio()
+    below = num * 10 ** max(-e, 0) < den * 10 ** max(e, 0)
+    return math.nextafter(f, math.inf) if below else f
+
+
+def _veltkamp(a):
+    """Split doubles into halves of at most 26 significant bits, a = hi + lo exactly."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+# _POW10_CEIL[E + _CEIL_OFFSET] is the smallest double >= 10^E, for E from
+# _E_MIN - 1 (log10 may round down past 1e-4) to _E_MAX + 2.
+_CEIL_OFFSET = 1 - _E_MIN
+_POW10_CEIL = np.array([_ceil_pow10(e) for e in range(_E_MIN - 1, _E_MAX + 3)])
+_POW10 = np.array([float(10**k) for k in range(17 - _E_MIN)])  # 10^k, exact
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+# The digits d0..d16 of D sit in a 24-byte scratch row in reverse, d16 first, so
+# the number of trailing zeros is the index of the first byte that is not "0".
+# _QUADS[q] is the 4 digits of q in reverse, as one uint32 of ASCII, built
+# from the 2 reversed digits of each pair (a little-endian uint16).
+_PAIRS = np.frombuffer("".join(f"{p:02d}"[::-1] for p in range(100)).encode(), np.uint16)
+_QUADS = (_PAIRS.astype(np.uint32)[:, None] << 16 | _PAIRS).ravel()
+_NUL, _MINUS, _ZERO, _POINT = 17, 18, 19, 20  # scratch columns of the fixed bytes
+
+
+def _layout(e: int, neg: bool, sig: int) -> list[int]:
+    """Scratch columns of the 24 output bytes of a value with exponent ``e``,
+    sign ``neg`` and ``sig`` significant digits."""
+    digits = [16 - i for i in range(sig)]  # d_i is column 16 - i
+    head = [_MINUS] if neg else []
+    if e < 0:
+        cols = head + [_ZERO, _POINT] + [_ZERO] * (-e - 1) + digits
+    else:
+        whole = [16 - i for i in range(e + 1)]  # the integer part, zeros past sig included
+        cols = head + whole + ([_POINT] + digits[e + 1:] if sig > e + 1 else [])
+    return cols + [_NUL] * (24 - len(cols))
+
+
+# Row (e - _E_MIN, neg, sig - 1) of the gather table, flattened.
+_GATHER = np.array([_layout(e, neg, sig) for e in range(_E_MIN, _E_MAX + 1)
+                    for neg in (False, True) for sig in range(1, 18)], dtype=np.intp)
+
+
+def _format_g17(values) -> np.ndarray:
+    """``b"%.17g" % v`` for every double ``v`` of ``values``, as an S24 array
+    of the same shape (an item drops its NUL padding)."""
+    arr = np.asarray(values, dtype=float)
+    flat = arr.ravel()
+    out = np.empty(flat.size, dtype="S24")
+    rows = min(flat.size, _G17_BLOCK)
+    scratch = np.zeros((rows, 24), dtype=np.uint8)
+    scratch[:, [_MINUS, _ZERO, _POINT]] = np.frombuffer(b"-0.", np.uint8)
+    quads = np.empty((rows, 4), dtype=np.int64)
+    index = np.empty((rows, 24), dtype=np.intp)
+    offsets = np.arange(0, rows * 24, 24)[:, None]
+    for lo in range(0, flat.size, _G17_BLOCK):
+        x, text = flat[lo:lo + _G17_BLOCK], out[lo:lo + _G17_BLOCK]
+        m = x.size
+        slow = _g17_block(x, scratch[:m], quads[:m], index[:m], offsets[:m],
+                          text.view(np.uint8).reshape(m, 24))
+        for i in np.flatnonzero(slow).tolist():
+            text[i] = b"%.17g" % x[i]
+    return out.reshape(arr.shape)
+
+
+def _g17_block(x, scratch, quads, index, offsets, text) -> np.ndarray:
+    """Write the fast-path bytes of ``x`` into ``text``; return the mask of
+    values left to "%.17g"."""
+    a = np.abs(x)
+    slow = ~((a >= 1e-4) & (a < 1e16))
+    a[slow] = 1.0  # any fast-path value: its row is overwritten
+    e = np.floor(np.log10(a)).astype(np.intp)  # E, or one off near a power of ten
+    e -= a < _POW10_CEIL[e + _CEIL_OFFSET]
+    e += a >= _POW10_CEIL[e + _CEIL_OFFSET + 1]
+    k = 16 - e
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    a_hi, a_lo = _veltkamp(a)
+    hi = a * _POW10[k]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # d = lead 10^16 + upper 10^8 + lower; four 4-digit quads, lowest first.
+    high = d // 10**8
+    lower = d - high * 10**8
+    lead = high // 10**8
+    upper = high - lead * 10**8
+    for j, half in ((0, lower), (2, upper)):
+        quads[:, j + 1] = half // 10**4
+        quads[:, j] = half - quads[:, j + 1] * 10**4
+    # mode="clip" spares take a buffered bounds check; every index is in range.
+    np.take(_QUADS, quads, out=scratch.view(np.uint32)[:, :4], mode="clip")
+    scratch[:, 16] = lead + ord("0")
+    trailing_zeros = np.argmax(scratch[:, :17] != ord("0"), axis=1)
+    key = ((e - _E_MIN) * 2 + np.signbit(x)) * 17 + (16 - trailing_zeros)
+    np.take(_GATHER, key, axis=0, out=index, mode="clip")
+    index += offsets
+    np.take(scratch.reshape(-1), index, out=text, mode="clip")
+    return slow
 
 
 # The namespace attribute (flag --<attr>) that sets each model field.  Unset flags leave
@@ -126,23 +254,30 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     batch = simulate_batch(config, keep_paths=True, weight_cutoff=cutoff)
 
     n = config.n_steps
-    steps = np.arange(0, n + 1, thin)
+    steps = np.arange(0, n + 1, min(thin, n))  # a stride past n keeps only 0 and n
     if steps[-1] != n:
         steps = np.append(steps, n)  # the terminal state is always kept
     # The step,t columns are the same for every path, so they are formatted
     # once; NUL marks where each path's path_id goes.
-    body = "".join("\0%d,%.17g,%%.17g,%%.17g\n" % row
-                   for row in zip(steps.tolist(), config.time_grid()[steps].tolist()))
-    blocks = (body.replace("\0", "%d," % pid) % tuple(path.states[steps].ravel().tolist())
-              for pid, path in enumerate(batch.paths))
-    _write_csv(out_dir / "paths.csv", "path_id,step,t,x1,x2", blocks)
+    body = b"".join(b"\0%d,%s,%%s,%%s\n" % row for row in zip(
+        steps.tolist(), _format_g17(config.time_grid()[steps]).tolist()))
+    per_block = max(1, _G17_BLOCK // (2 * len(steps)))  # paths formatted at a time
+
+    def path_blocks():
+        paths = batch.paths
+        for lo in range(0, len(paths), per_block):
+            block = np.stack([path.states[steps] for path in paths[lo:lo + per_block]])
+            for pid, xs in enumerate(_format_g17(block.reshape(len(block), -1)).tolist(), lo):
+                yield body.replace(b"\0", b"%d," % pid) % tuple(xs)
+
+    _write_csv(out_dir / "paths.csv", "path_id,step,t,x1,x2", path_blocks())
 
     logw = batch.log_weights
-    logw_text = ["%.17g" % w for w in logw.tolist()] if logw is not None else [""] * batch.n_paths
-    rows = ("%d,%.17g,%.17g,%s,%d,%s\n" % (pid, *x, _offset_text(k, tie), tie, lw)
+    logw_text = _format_g17(logw).tolist() if logw is not None else [b""] * batch.n_paths
+    rows = (b"%d,%s,%s,%s,%d,%s\n" % (pid, *x, _offset_text(k, tie), tie, lw)
             for pid, (x, k, tie, lw) in enumerate(zip(
-                batch.terminal_points.tolist(), batch.limiting_lattice_points.tolist(),
-                batch.unresolved.tolist(), logw_text)))
+                _format_g17(batch.terminal_points).tolist(),
+                batch.limiting_lattice_points.tolist(), batch.unresolved.tolist(), logw_text)))
     _write_csv(out_dir / "endpoints.csv", "path_id,xT1,xT2,k1,k2,unresolved,log_weight", rows)
     manifest = {
         "command": "simulate",
@@ -171,7 +306,7 @@ def cmd_compare(ns: argparse.Namespace) -> int:
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = ("%d,%s,%s,%d\n" % (pid, _offset_text(ka, tie_a), _offset_text(kb, tie_b), agree)
+    rows = (b"%d,%s,%s,%d\n" % (pid, _offset_text(ka, tie_a), _offset_text(kb, tie_b), agree)
             for pid, (ka, tie_a, kb, tie_b, agree) in enumerate(zip(
                 report.offsets_a.tolist(), report.unresolved_a.tolist(),
                 report.offsets_b.tolist(), report.unresolved_b.tolist(),
@@ -204,8 +339,8 @@ def cmd_field(ns: argparse.Namespace) -> int:
     )
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = ("%.17g,%.17g,%.17g,%.17g\n" % (*p, *b)
-            for p, b in zip(points.tolist(), vectors.tolist()))
+    rows = (b"%s,%s,%s,%s\n" % tuple(row)
+            for row in _format_g17(np.concatenate([points, vectors], axis=1)).tolist())
     _write_csv(out_dir / "field.csv", "x1,x2,b1,b2", rows)
     print(f"wrote {len(points)} field samples to {out_dir / 'field.csv'}")
     return 0
@@ -219,7 +354,7 @@ def cmd_weights(ns: argparse.Namespace) -> int:
     batch = simulate_batch(config, keep_paths=False, weight_cutoff=ns.cutoff)
     out_dir = Path(ns.out) if ns.out else Path(ns.manifest).parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = ("%d,%.17g\n" % row for row in enumerate(batch.log_weights.tolist()))
+    rows = (b"%d,%s\n" % row for row in enumerate(_format_g17(batch.log_weights).tolist()))
     _write_csv(out_dir / "weights.csv", "path_id,log_weight", rows)
     print(f"wrote {batch.n_paths} log weights to {out_dir / 'weights.csv'}")
     return 0

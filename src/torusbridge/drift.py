@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -57,6 +58,9 @@ __all__ = [
 # engine itself never evaluates a drift at t >= T - dt.
 MIN_TIME_TO_GO = 1e-12
 
+# The largest sigma whose square is a finite double; the kernels scale by sigma^2.
+_SIGMA_MAX = math.sqrt(sys.float_info.max)
+
 
 class HorizonError(ValueError):
     """Raised when a drift or weight is requested outside [0, T)."""
@@ -76,12 +80,20 @@ def _finite(value) -> bool:
         isinstance(value, numbers.Real) and math.isfinite(value))
 
 
+def _check_sigma(sigma) -> None:
+    if not (_finite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and > 0; got {sigma}")
+    if sigma > _SIGMA_MAX:
+        raise ValueError(f"sigma must be at most {_SIGMA_MAX!r}, so that sigma^2 is finite; "
+                         f"got {sigma}")
+
+
 @dataclass(frozen=True, kw_only=True)
 class DriftModel:
     """Common parameters of every drift variant.
 
     Attributes:
-        sigma: constant diffusion coefficient, > 0.
+        sigma: constant diffusion coefficient, > 0 with a finite square.
         horizon: terminal time T of the bridge, > 0.
     """
 
@@ -90,10 +102,9 @@ class DriftModel:
     horizon: float
 
     def __post_init__(self) -> None:
-        for name in ("sigma", "horizon"):
-            value = getattr(self, name)
-            if not (_finite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0; got {value}")
+        _check_sigma(self.sigma)
+        if not (_finite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be finite and > 0; got {self.horizon}")
 
     def drift(self, t: ArrayLike, x: ArrayLike) -> np.ndarray:
         """The drift b(t, x), once x is checked to hold finite points (..., 2) and 0 <= t < T."""
@@ -387,16 +398,15 @@ def wrapped_gaussian_log_density(
         x: state at time s, torus representative(s) of shape (..., 2).
         t: later time, strictly greater than s.
         y: state at time t, torus representative(s) of shape (..., 2).
-        sigma: diffusion coefficient, > 0.
+        sigma: diffusion coefficient, > 0 with a finite square.
 
     Raises:
         ValueError: if s >= t, either time is not finite, or sigma is not a
-            finite number > 0.
+            finite number > 0 whose square is finite.
     """
     if not (np.isfinite(s) and np.isfinite(t) and s < t):
         raise ValueError(f"need s < t; got s={s}, t={t}")
-    if not (_finite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be finite and > 0; got {sigma}")
+    _check_sigma(sigma)
     log_p = _axis_log_density(as_point(x, "x") - as_point(y, "y"), sigma**2 * (t - s))
     out = log_p[..., 0] + log_p[..., 1]
     return float(out) if np.ndim(out) == 0 else out

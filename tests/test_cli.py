@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from torusbridge import cli, engine
+from torusbridge.drift import VARIANTS
 
 
 def _run(*args):
@@ -181,6 +183,22 @@ class TestSimulate:
         rc = _run("simulate", "--model", "free-bm", "--sigma", "-1", "--out", tmp_path)
         assert rc == 2
 
+    @pytest.mark.parametrize("via", ["flag", "manifest"])
+    def test_thin_beyond_int64_keeps_the_ends(self, tmp_path, via):
+        """A stride past the step count writes the bytes of --thin n_steps."""
+        args = ("simulate", "--model", "free-bm", "--steps", "3", "--paths", "2", "--seed", "5")
+        assert _run(*args, "--thin", "3", "--out", tmp_path / "ref") == 0
+        if via == "flag":
+            assert _run(*args, "--thin", 10**20, "--out", tmp_path / "big") == 0
+        else:
+            manifest = json.loads((tmp_path / "ref" / "manifest.json").read_text())
+            manifest["output"]["thin"] = 10**20
+            (tmp_path / "big.json").write_text(json.dumps(manifest))
+            assert _run("simulate", "--config", tmp_path / "big.json",
+                        "--out", tmp_path / "big") == 0
+        assert ((tmp_path / "big" / "paths.csv").read_bytes()
+                == (tmp_path / "ref" / "paths.csv").read_bytes())
+
     def test_config_file_not_an_object_fails(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text("[1, 2]")
@@ -270,6 +288,27 @@ class TestSimulate:
         assert rc == 0
         _, rows = _read_csv(tmp_path / "endpoints.csv")
         assert abs(int(rows[0][3]) - 10**6) <= 2
+
+
+class TestSigmaSquare:
+    """A sigma whose square overflows a double is one error line, not a traceback."""
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_simulate(self, tmp_path, capsys, variant):
+        flags = {"euclid-bridge": ("--endpoint", "0.3,0.1"), "proposed": ("--target", "0,0"),
+                 "true-bridge": ("--target", "0,0")}.get(variant, ())
+        assert _run("simulate", "--model", variant, *flags, "--steps", "5", "--paths", "2",
+                    "--sigma", "1e300", "--out", tmp_path) == 2
+        _assert_one_error_line(capsys, "sigma^2")
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(("compare", "--pairs", "3", "--steps", "5"), id="compare"),
+        pytest.param(("field", "--model", "true-bridge", "--target", "0,0", "--t", "0.5"),
+                     id="field"),
+    ])
+    def test_compare_and_field(self, tmp_path, capsys, args):
+        assert _run(*args, "--sigma", "1e300", "--out", tmp_path) == 2
+        _assert_one_error_line(capsys, "sigma^2")
 
 
 class TestPinnedBytes:
@@ -362,6 +401,75 @@ class TestWriterBytes:
     @example(-1e308)
     def test_percent_format_equals_format(self, v):
         assert "%.17g" % v == format(v, ".17g")
+
+
+def _g17_sweep():
+    """Values where a 17-digit rounding can go wrong, both signs."""
+    parts = []
+    for e in range(-4, 17):
+        # |v| 10^(16 - e) is a half-integer, a tie, for v = m 2^-(17 - e) with m odd.
+        j = 17 - e
+        lo, hi = 10**e * 2**j, min(10 ** (e + 1) * 2**j, 2**53)
+        if lo < hi:
+            m = np.unique(np.linspace(lo, hi - 1, 2001).astype(np.int64) | 1)
+            parts.append(np.ldexp(m.astype(float), -j))
+    for e in range(-5, 18):  # the 64 doubles either side of each power of ten
+        bits = np.float64(float(f"1e{e}")).view(np.int64) + np.arange(-64, 65)
+        parts.append(bits.view(np.float64))
+    for e in range(-5, 17):  # a dense sweep of each decade
+        parts.append(np.geomspace(10.0**e, 10.0 ** (e + 1), 4001))
+    parts.append(np.array([9.99999999999999995e-5, 99999999999999999.0, 0.99999999999999999,
+                           9999999999999998.0, 1e16, 1e-4, 0.5, 100.0]))
+    values = np.concatenate(parts)
+    return np.concatenate([values, -values])
+
+
+class TestFormatG17:
+    """cli._format_g17 gives the bytes of "%.17g" for every double."""
+
+    @given(st.lists(st.floats(allow_subnormal=True), max_size=40))
+    @example([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 5e-324, -1e-310])
+    @example([1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 1.7976931348623157e308])
+    def test_equals_format(self, values):
+        assert (cli._format_g17(np.array(values, dtype=float)).tolist()
+                == [format(v, ".17g").encode() for v in values])
+
+    def test_ties_and_powers_of_ten(self):
+        values = _g17_sweep()
+        text = cli._format_g17(values).tolist()
+        bad = [(v, t) for v, t in zip(values.tolist(), text) if t != b"%.17g" % v]
+        assert bad == []
+
+    def test_keeps_shape(self):
+        values = np.array([[0.1, -2.0, 3e-5], [1e20, np.nan, 7.25]])
+        text = cli._format_g17(values)
+        assert text.shape == values.shape
+        assert text.tolist() == [[b"%.17g" % v for v in row] for row in values.tolist()]
+        assert cli._format_g17(np.empty((0, 2))).shape == (0, 2)
+
+    def test_paths_writer_memory_is_flat_in_paths(self, tmp_path, monkeypatch):
+        """Formatting paths.csv holds a few paths' text at a time, so its
+        peak on top of the kept states does not grow with --paths."""
+        peaks = []
+        real = cli._write_csv
+
+        def traced(path, header, rows):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            real(path, header, rows)
+            if path.name == "paths.csv":
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+        monkeypatch.setattr(cli, "_write_csv", traced)
+        tracemalloc.start()
+        try:
+            for n_paths in (64, 1024):
+                assert _run("simulate", "--model", "proposed", "--target", "0,0", "--steps", "50",
+                            "--paths", n_paths, "--seed", "3", "--out", tmp_path / str(n_paths)) == 0
+        finally:
+            tracemalloc.stop()
+        small, large = peaks
+        assert large < 1.25 * small
 
 
 class TestWorkersFlag:

@@ -1,5 +1,7 @@
 """Tests for the drift models and the wrapped Gaussian density."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from torusbridge import (
     wrapped_gaussian_log_density,
 )
 from torusbridge.drift import (
+    _SIGMA_MAX,
     _THETA_SPLIT,
     MIN_TIME_TO_GO,
     _axis_log_density,
@@ -63,6 +66,14 @@ class TestModelValidation:
             FreeBrownianMotion(sigma=1.0, horizon=-1.0)
         with pytest.raises(TypeError):  # the true bridge sums every lift; no window to set
             TrueBridge(sigma=1.0, horizon=1.0, target=A0, truncation=2)
+
+    def test_sigma_square_must_be_finite(self):
+        for cls in (FreeBrownianMotion, EuclideanBridge, ProposedBridge, TrueBridge):
+            extra = {"endpoint": A0} if cls is EuclideanBridge else (
+                {"target": A0} if cls is not FreeBrownianMotion else {})
+            with pytest.raises(ValueError, match="sigma\\^2 is finite"):
+                cls(sigma=1e300, horizon=1.0, **extra)
+            assert cls(sigma=_SIGMA_MAX, horizon=1.0, **extra).sigma ** 2 < math.inf
 
     def test_target_must_be_torus_representative(self):
         with pytest.raises(ValueError):
@@ -334,6 +345,13 @@ class TestWrappedGaussianLogDensity:
     def test_sigma_must_be_a_finite_positive_number(self, sigma):
         with pytest.raises(ValueError, match="sigma must be finite and > 0"):
             wrapped_gaussian_log_density(0.0, (0.1, 0.2), 0.5, (0.0, 0.0), sigma)
+
+    @pytest.mark.parametrize("sigma", [1e300, 10**200, math.nextafter(_SIGMA_MAX, math.inf)])
+    def test_sigma_square_must_be_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma\\^2 is finite"):
+            wrapped_gaussian_log_density(0.0, (0.1, 0.2), 0.5, (0.0, 0.0), sigma)
+        assert np.isfinite(wrapped_gaussian_log_density(0.0, (0.1, 0.2), 0.5, (0.0, 0.0),
+                                                        _SIGMA_MAX))
 
 
 _sigmas = st.floats(0.05, 3.0)
