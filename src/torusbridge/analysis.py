@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .drift import DriftModel
 from .engine import BatchResult, PathSample, SimConfig, simulate_batch
@@ -138,7 +138,7 @@ class AgreementReport:
 
 
 def _wilson_interval(k: int, n: int, conf: float = 0.95) -> tuple[float, float]:
-    z = norm.ppf(0.5 + conf / 2.0)
+    z = ndtri(0.5 + conf / 2.0)
     p = k / n
     denom = 1.0 + z**2 / n
     centre = (p + z**2 / (2 * n)) / denom

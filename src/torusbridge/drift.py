@@ -58,8 +58,12 @@ __all__ = [
 # engine itself never evaluates a drift at t >= T - dt.
 MIN_TIME_TO_GO = 1e-12
 
-# The largest sigma whose square is a finite double; the kernels scale by sigma^2.
+# The sigmas whose squares are normal doubles: the kernels scale by sigma^2, and
+# divide by sigma^2 times the time to go.
+_SIGMA_MIN = 2.0**-511
 _SIGMA_MAX = math.sqrt(sys.float_info.max)
+# Above this sigma, sigma^2 * MIN_TIME_TO_GO is a normal double: 2**-980 * 1e-12 > 2**-1020.
+_SIGMA_TINY = 2.0**-490
 
 
 class HorizonError(ValueError):
@@ -72,12 +76,15 @@ def _point_pair(p: ArrayLike) -> tuple[float, float]:
 
 
 def _finite(value) -> bool:
-    """Whether ``value`` is a finite real number; config values may be any JSON type,
-    and JSON's true and false are not numbers."""
-    if isinstance(value, bool):
+    """Whether ``value`` is a real number with a finite double value; config values
+    may be any JSON type, JSON's true and false are not numbers, and a JSON integer
+    may lie beyond the double range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return False
-    return isinstance(value, numbers.Integral) or (
-        isinstance(value, numbers.Real) and math.isfinite(value))
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _check_sigma(sigma) -> None:
@@ -86,6 +93,9 @@ def _check_sigma(sigma) -> None:
     if sigma > _SIGMA_MAX:
         raise ValueError(f"sigma must be at most {_SIGMA_MAX!r}, so that sigma^2 is finite; "
                          f"got {sigma}")
+    if sigma < _SIGMA_MIN:
+        raise ValueError(f"sigma must be at least {_SIGMA_MIN!r}, so that sigma^2 is a "
+                         f"normal double; got {sigma}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -93,8 +103,8 @@ class DriftModel:
     """Common parameters of every drift variant.
 
     Attributes:
-        sigma: constant diffusion coefficient, > 0 with a finite square.
-        horizon: terminal time T of the bridge, > 0.
+        sigma: constant diffusion coefficient, > 0 whose square is a normal double.
+        horizon: terminal time T of the bridge, > 0 with sigma^2 T finite.
     """
 
     variant: ClassVar[str]
@@ -105,6 +115,9 @@ class DriftModel:
         _check_sigma(self.sigma)
         if not (_finite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be finite and > 0; got {self.horizon}")
+        if not math.isfinite(float(self.sigma) ** 2 * float(self.horizon)):
+            raise ValueError(f"sigma^2 * horizon must be finite; got sigma={self.sigma}, "
+                             f"horizon={self.horizon}")
 
     def drift(self, t: ArrayLike, x: ArrayLike) -> np.ndarray:
         """The drift b(t, x), once x is checked to hold finite points (..., 2) and 0 <= t < T."""
@@ -229,7 +242,14 @@ class TrueBridge(_LiftBridge):
         normalised Gaussian weights of all lifts a + k.
         """
         d = x - _filled(self.target, x.shape)
-        return self.sigma**2 * _axis_slope(d, self.sigma**2 * _expand(tau))
+        s2 = self.sigma**2
+        if self.sigma < _SIGMA_TINY:
+            # Where sigma^2 (T - t) is subnormal the slope overflows, though the drift
+            # is finite.  There every lift weight but the nearest's is exactly 0 (1 on
+            # a tie) at both variances, so the slope is 2**64 times the slope at 2**64
+            # times the variance, which is normal: scale sigma^2 by it at those points.
+            s2 = s2 * np.where(s2 * _expand(tau) < sys.float_info.min, 2.0**64, 1.0)
+        return s2 * _axis_slope(d, s2 * _expand(tau))
 
 
 VARIANTS: dict[str, type[DriftModel]] = {
@@ -398,15 +418,19 @@ def wrapped_gaussian_log_density(
         x: state at time s, torus representative(s) of shape (..., 2).
         t: later time, strictly greater than s.
         y: state at time t, torus representative(s) of shape (..., 2).
-        sigma: diffusion coefficient, > 0 with a finite square.
+        sigma: diffusion coefficient, > 0 whose square is a normal double.
 
     Raises:
-        ValueError: if s >= t, either time is not finite, or sigma is not a
-            finite number > 0 whose square is finite.
+        ValueError: if s >= t, either time is not finite, sigma is not a
+            finite number > 0 whose square is a normal double, or the
+            variance sigma^2 (t - s) is not a finite normal double.
     """
     if not (np.isfinite(s) and np.isfinite(t) and s < t):
         raise ValueError(f"need s < t; got s={s}, t={t}")
     _check_sigma(sigma)
-    log_p = _axis_log_density(as_point(x, "x") - as_point(y, "y"), sigma**2 * (t - s))
+    v = float(sigma) ** 2 * (float(t) - float(s))
+    if not sys.float_info.min <= v < math.inf:
+        raise ValueError(f"sigma^2 (t - s) must be a finite normal double; got {v!r}")
+    log_p = _axis_log_density(as_point(x, "x") - as_point(y, "y"), v)
     out = log_p[..., 0] + log_p[..., 1]
     return float(out) if np.ndim(out) == 0 else out

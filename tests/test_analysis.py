@@ -1,5 +1,10 @@
 """Tests for the batch statistics: convergence, histograms, agreement, fields."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +25,8 @@ from torusbridge import (
     terminal_convergence,
     terminal_distances,
 )
-from torusbridge import engine
+import torusbridge
+from torusbridge import analysis, engine
 
 A0 = (0.0, 0.0)
 
@@ -129,6 +135,19 @@ class TestAgreementRate:
         assert report.agree.sum() == report.n_agree
         assert report.config_digest  # non-empty description
 
+    def test_wilson_interval_is_pinned(self):
+        """The 95 % z is scipy's normal quantile, 1.959963984540054; a z from
+        another source (statistics.NormalDist gives ...536) moves the bytes of
+        agreement_summary.json, and CHANGES.md must name that."""
+        k, n, z = 1502, 2048, 1.959963984540054
+        low, high = analysis._wilson_interval(k, n)
+        assert (low, high) == (0.7138237238469338, 0.7520992137612503)
+        p = k / n
+        denom = 1.0 + z**2 / n
+        centre = (p + z**2 / (2 * n)) / denom
+        half = z * np.sqrt(p * (1 - p) / n + z**2 / (4 * n**2)) / denom
+        assert (low, high) == (centre - half, centre + half)
+
     def test_mismatched_targets_rejected(self):
         kw = dict(start=A0, n_steps=100, seed=70, n_paths=2)
         cfg_a = SimConfig(model=ProposedBridge(sigma=0.8, horizon=1.0, target=A0), **kw)
@@ -171,6 +190,19 @@ class TestAgreementRate:
             np.testing.assert_array_equal(offsets, alone.limiting_lattice_points)
             np.testing.assert_array_equal(unresolved, alone.unresolved)
         assert 0 < report.n_agree < report.n_pairs
+
+
+def test_cli_import_loads_scipy_special_not_scipy_stats():
+    """scipy.stats costs about a second and 70 MB at import; the Wilson z needs
+    only scipy.special.  The import stays eager: the benchmark counts a command
+    that peaks below its own RSS as failed."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(torusbridge.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, torusbridge.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 class TestDriftProfile:

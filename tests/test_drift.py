@@ -1,11 +1,11 @@
 """Tests for the drift models and the wrapped Gaussian density."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import chi2
 
 from torusbridge import (
     EuclideanBridge,
@@ -20,6 +20,8 @@ from torusbridge import (
 )
 from torusbridge.drift import (
     _SIGMA_MAX,
+    _SIGMA_MIN,
+    _SIGMA_TINY,
     _THETA_SPLIT,
     MIN_TIME_TO_GO,
     _axis_log_density,
@@ -74,6 +76,22 @@ class TestModelValidation:
             with pytest.raises(ValueError, match="sigma\\^2 is finite"):
                 cls(sigma=1e300, horizon=1.0, **extra)
             assert cls(sigma=_SIGMA_MAX, horizon=1.0, **extra).sigma ** 2 < math.inf
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-155, math.nextafter(_SIGMA_MIN, 0.0)])
+    def test_sigma_square_must_be_normal(self, sigma):
+        with pytest.raises(ValueError, match="sigma\\^2 is a normal double"):
+            TrueBridge(sigma=sigma, horizon=1.0, target=A0)
+        smallest = TrueBridge(sigma=_SIGMA_MIN, horizon=1.0, target=A0)
+        assert smallest.sigma ** 2 == sys.float_info.min
+
+    @pytest.mark.parametrize("sigma, horizon", [(1e154, 1e300), (_SIGMA_MAX, 2.0)])
+    def test_sigma_square_times_horizon_must_be_finite(self, sigma, horizon):
+        with pytest.raises(ValueError, match="sigma\\^2 \\* horizon must be finite"):
+            FreeBrownianMotion(sigma=sigma, horizon=horizon)
+
+    def test_integer_beyond_the_double_range_is_not_finite(self):
+        with pytest.raises(ValueError, match="horizon must be finite"):
+            FreeBrownianMotion(sigma=1, horizon=10**400)
 
     def test_target_must_be_torus_representative(self):
         with pytest.raises(ValueError):
@@ -238,6 +256,18 @@ class TestTrueBridgeDrift:
             np.testing.assert_allclose(
                 m.drift(t, x), _drift_oracle(x, A0, sigma, 1.0 - t), rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("sigma", [_SIGMA_MIN, 1e-150, math.nextafter(_SIGMA_TINY, 0.0)])
+    def test_subnormal_variance_gives_the_nearest_lift_pull(self, sigma):
+        """Where sigma^2 (T - t) is subnormal the slope overflows a double, but
+        the drift is the nearest lift's pull, and zero on a tie line."""
+        m = TrueBridge(sigma=sigma, horizon=1.0, target=A0)
+        x = np.array([[0.3, -0.2], [0.5, 0.1], [0.49, -0.5]])
+        for t in (0.0, 0.5, 1.0 - 1e-7):
+            tau = 1.0 - t
+            pull = np.where(np.abs(x) == 0.5, 0.0, -x / tau)
+            np.testing.assert_allclose(m.drift(t, x), pull, rtol=1e-12)
+            np.testing.assert_allclose(m.drift(np.full(3, t), x), pull, rtol=1e-12)
+
     def test_horizon_errors(self):
         m = TrueBridge(sigma=1.0, horizon=2.0, target=A0)
         with pytest.raises(HorizonError):
@@ -352,6 +382,15 @@ class TestWrappedGaussianLogDensity:
             wrapped_gaussian_log_density(0.0, (0.1, 0.2), 0.5, (0.0, 0.0), sigma)
         assert np.isfinite(wrapped_gaussian_log_density(0.0, (0.1, 0.2), 0.5, (0.0, 0.0),
                                                         _SIGMA_MAX))
+
+    @pytest.mark.parametrize("s, t, sigma", [
+        (0.0, 1e-300, 1e-100),  # the variance underflows to 0
+        (0.0, 1e-200, 1e-60),  # the variance is subnormal
+        (0.0, 4.0, _SIGMA_MAX),  # the variance overflows
+    ])
+    def test_variance_must_be_a_finite_normal_double(self, s, t, sigma):
+        with pytest.raises(ValueError, match="sigma\\^2 \\(t - s\\) must be a finite normal"):
+            wrapped_gaussian_log_density(s, (0.1, 0.2), t, (0.0, 0.0), sigma)
 
 
 _sigmas = st.floats(0.05, 3.0)
@@ -486,4 +525,42 @@ class TestTrueBridgeLaw:
         observed = np.array([(k == j).sum() for j in support])
         assert observed.sum() == k.size
         stat, dof = _pooled_chi_square(observed, k.size * p / p.sum())
-        assert chi2.sf(stat, dof) >= 1e-3, (stat, dof)
+        assert _chi2_sf(stat, dof) >= 1e-3, (stat, dof)
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square with an integer ``dof`` >= 1, from finite sums.
+
+    With h = x / 2, an even dof gives the Poisson sum e^{-h} sum_{i < dof/2} h^i / i!.
+    An odd dof gives erfc(sqrt h) + sqrt(2 / pi) e^{-h} sum_{r=1}^{(dof-1)/2}
+    x^{r - 1/2} / (2r - 1)!!.
+    """
+    h = x / 2.0
+    if dof % 2 == 0:
+        term = total = 1.0
+        for i in range(1, dof // 2):
+            term *= h / i
+            total += term
+        return math.exp(-h) * total
+    term, total = math.sqrt(x), 0.0
+    for r in range(1, dof // 2 + 1):
+        total += term
+        term *= x / (2 * r + 1)
+    return math.erfc(math.sqrt(h)) + math.sqrt(2.0 / math.pi) * math.exp(-h) * total
+
+
+# scipy.stats.chi2.sf(x, dof) at scipy 1.17.1, computed once.
+@pytest.mark.parametrize("dof, x, sf", [
+    (1, 0.5, 0.47950012218695337),
+    (2, 3.0, 0.22313016014842982),
+    (3, 7.8, 0.050331097859853326),
+    (4, 1.2, 0.8780986177504424),
+    (7, 14.1, 0.04943107410040329),
+    (10, 30.5, 0.000709274917404569),
+    (15, 2.0, 0.9999703450227174),
+    (19, 60.0, 3.869826300664181e-06),
+    (20, 25.0, 0.2014311049455359),
+    (36, 40.0, 0.29702839792467406),
+])
+def test_chi2_sf_matches_scipy(dof, x, sf):
+    assert _chi2_sf(x, dof) == pytest.approx(sf, rel=1e-12, abs=0)
