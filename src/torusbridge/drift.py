@@ -58,12 +58,11 @@ __all__ = [
 # engine itself never evaluates a drift at t >= T - dt.
 MIN_TIME_TO_GO = 1e-12
 
-# The sigmas whose squares are normal doubles: the kernels scale by sigma^2, and
-# divide by sigma^2 times the time to go.
-_SIGMA_MIN = 2.0**-511
+# The kernels scale by sigma^2 and divide by sigma^2 times the time to go, so
+# sigma^2 must be finite and sigma^2 * MIN_TIME_TO_GO a normal double:
+# 2**-980 * 1e-12 > 2**-1020.
+_SIGMA_MIN = 2.0**-490
 _SIGMA_MAX = math.sqrt(sys.float_info.max)
-# Above this sigma, sigma^2 * MIN_TIME_TO_GO is a normal double: 2**-980 * 1e-12 > 2**-1020.
-_SIGMA_TINY = 2.0**-490
 
 
 class HorizonError(ValueError):
@@ -94,8 +93,8 @@ def _check_sigma(sigma) -> None:
         raise ValueError(f"sigma must be at most {_SIGMA_MAX!r}, so that sigma^2 is finite; "
                          f"got {sigma}")
     if sigma < _SIGMA_MIN:
-        raise ValueError(f"sigma must be at least {_SIGMA_MIN!r}, so that sigma^2 is a "
-                         f"normal double; got {sigma}")
+        raise ValueError(f"sigma must be at least {_SIGMA_MIN!r}, so that sigma^2 times "
+                         f"the time to go is a normal double; got {sigma}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -103,7 +102,7 @@ class DriftModel:
     """Common parameters of every drift variant.
 
     Attributes:
-        sigma: constant diffusion coefficient, > 0 whose square is a normal double.
+        sigma: constant diffusion coefficient in [2**-490, sqrt(largest double)].
         horizon: terminal time T of the bridge, > 0 with sigma^2 T finite.
     """
 
@@ -242,14 +241,7 @@ class TrueBridge(_LiftBridge):
         normalised Gaussian weights of all lifts a + k.
         """
         d = x - _filled(self.target, x.shape)
-        s2 = self.sigma**2
-        if self.sigma < _SIGMA_TINY:
-            # Where sigma^2 (T - t) is subnormal the slope overflows, though the drift
-            # is finite.  There every lift weight but the nearest's is exactly 0 (1 on
-            # a tie) at both variances, so the slope is 2**64 times the slope at 2**64
-            # times the variance, which is normal: scale sigma^2 by it at those points.
-            s2 = s2 * np.where(s2 * _expand(tau) < sys.float_info.min, 2.0**64, 1.0)
-        return s2 * _axis_slope(d, s2 * _expand(tau))
+        return self.sigma**2 * _axis_slope(d, self.sigma**2 * _expand(tau))
 
 
 VARIANTS: dict[str, type[DriftModel]] = {
@@ -418,11 +410,11 @@ def wrapped_gaussian_log_density(
         x: state at time s, torus representative(s) of shape (..., 2).
         t: later time, strictly greater than s.
         y: state at time t, torus representative(s) of shape (..., 2).
-        sigma: diffusion coefficient, > 0 whose square is a normal double.
+        sigma: diffusion coefficient in [2**-490, sqrt(largest double)].
 
     Raises:
         ValueError: if s >= t, either time is not finite, sigma is not a
-            finite number > 0 whose square is a normal double, or the
+            finite number in [2**-490, sqrt(largest double)], or the
             variance sigma^2 (t - s) is not a finite normal double.
     """
     if not (np.isfinite(s) and np.isfinite(t) and s < t):

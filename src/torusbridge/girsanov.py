@@ -81,6 +81,9 @@ def path_log_weights(
 
     Returns:
         Log weight(s) with the leading shape of ``states``.
+
+    Raises:
+        ValueError: if the inputs disagree, or a log weight is not a finite double.
     """
     if increments is None:
         raise ValueError("log weights require recorded increments")
@@ -97,10 +100,15 @@ def path_log_weights(
     if not ((times[:k] >= 0) & (times[:k] < model.horizon)).all():
         raise HorizonError(f"times before the cutoff must lie in [0, {model.horizon})")
     acc = np.zeros(states.shape[:-2])
-    for i in range(k):
-        u = drift(times[i], states[..., i, :], model) / model.sigma
-        acc = acc - (u * increments[..., i, :]).sum(axis=-1) \
-                  - 0.5 * (u * u).sum(axis=-1) * dt
+    # A small sigma can make |u|^2 overflow; the check below names it instead.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(k):
+            u = drift(times[i], states[..., i, :], model) / model.sigma
+            acc = acc - (u * increments[..., i, :]).sum(axis=-1) \
+                      - 0.5 * (u * u).sum(axis=-1) * dt
+    if not np.isfinite(acc).all():
+        raise ValueError(f"the log weights overflow a double: sigma={model.sigma} is too "
+                         f"small for the drift up to the cutoff {cutoff_S}")
     if acc.ndim == 0:
         return float(acc)
     return acc

@@ -312,33 +312,22 @@ class TestSigmaSquare:
 
     @pytest.mark.parametrize("args, needle", [
         pytest.param(("compare", "--pairs", "2", "--steps", "4", "--sigma", "1e-200"),
-                     "sigma^2 is a normal double", id="compare-sigma-square-underflows"),
+                     "sigma must be at least", id="compare-sigma-square-underflows"),
         pytest.param(("compare", "--pairs", "2", "--steps", "1000", "--sigma", "1e-155"),
-                     "sigma^2 is a normal double", id="compare-sigma-square-subnormal"),
+                     "sigma must be at least", id="compare-sigma-square-subnormal"),
         pytest.param(("field", "--model", "true-bridge", "--target", "0,0", "--t", "0.5",
                       "--sigma", "1e154", "--T", "1e300", "--grid", "3"),
                      "sigma^2 * horizon must be finite", id="field-variance-overflows"),
+        # At the smallest sigma the pull 0.45 / 1e-7 per axis over sigma squares past
+        # the largest double.
+        pytest.param(("simulate", "--model", "proposed", "--target", "0.45,0.45",
+                      "--sigma", repr(2.0**-490), "--T", "1e-7", "--steps", "50",
+                      "--paths", "3", "--cutoff", "5e-8"),
+                     "log weights overflow a double", id="simulate-weights-overflow"),
     ])
     def test_extreme_sigma_fails(self, tmp_path, capsys, args, needle):
         assert _run(*args, "--out", tmp_path) == 2
         _assert_one_error_line(capsys, needle)
-
-    def test_smallest_sigma_compares(self, tmp_path):
-        # sigma^2 = 2**-1022 makes sigma^2 (T - t) subnormal at every step but the first.
-        assert _run("compare", "--pairs", "4", "--steps", "1000", "--sigma", 2.0**-511,
-                    "--out", tmp_path) == 0
-        summary = json.loads((tmp_path / "agreement_summary.json").read_text())
-        assert summary["n_agree"] == summary["n_pairs"] == 4
-
-    def test_smallest_sigma_field_is_the_nearest_lift_pull(self, tmp_path):
-        assert _run("field", "--model", "true-bridge", "--target", "0,0", "--t", "0.9999999",
-                    "--sigma", 2.0**-511, "--grid", "4", "--out", tmp_path) == 0
-        _, rows = _read_csv(tmp_path / "field.csv")
-        data = np.array(rows, dtype=float)
-        x, b = data[:, :2], data[:, 2:]
-        tau = 1.0 - 0.9999999
-        pull = np.where(np.abs(x) == 0.5, 0.0, -x / tau)  # zero on the tie lines
-        np.testing.assert_allclose(b, pull, rtol=1e-12)
 
 
 class TestPinnedBytes:
