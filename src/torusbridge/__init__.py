@@ -10,8 +10,6 @@ Girsanov reweighting and the batch statistics that compare them.
 from .geometry import (
     AmbiguousLiftError,
     is_on_cut_locus,
-    lattice_lifts,
-    lattice_offsets,
     lift_nearest,
     nearest_offset,
     project,
@@ -42,7 +40,6 @@ from .engine import (
 from .girsanov import (
     drift_bound_constant,
     log_girsanov_weight,
-    novikov_bound,
 )
 from .analysis import (
     AgreementReport,
@@ -68,8 +65,6 @@ __all__ = [
     "lift_nearest",
     "is_on_cut_locus",
     "torus_distance",
-    "lattice_offsets",
-    "lattice_lifts",
     # drift models
     "DriftModel",
     "FreeBrownianMotion",
@@ -93,7 +88,6 @@ __all__ = [
     # measure change
     "log_girsanov_weight",
     "drift_bound_constant",
-    "novikov_bound",
     # analysis
     "TerminalSummary",
     "EndpointHistogram",

@@ -45,6 +45,7 @@ from .drift import (
 )
 from . import engine
 from .engine import SimConfig, simulate_batch
+from .girsanov import drift_bound_constant
 
 __all__ = ["CriterionResult", "CRITERIA", "run_all"]
 
@@ -192,7 +193,8 @@ def check_drift_bound() -> CriterionResult:
     t = rng.uniform(0.0, S, size=100_000)
     x = rng.uniform(-2.0, 2.0, size=(100_000, 2))
     b = model.drift(t, x)
-    sup_bound = np.sqrt(0.5) / (T - S)
+    c_s = drift_bound_constant(model, S)
+    sup_bound = np.sqrt(c_s)
     n_viol = int(np.sum(np.linalg.norm(b, axis=-1) > sup_bound * (1 + 1e-12)))
 
     cfg = SimConfig(model=model, start=a, n_steps=1000, seed=1009, n_paths=1000)
@@ -200,7 +202,6 @@ def check_drift_bound() -> CriterionResult:
     times = cfg.time_grid()
     k = 500  # steps strictly before S
     dt = cfg.dt
-    c_s = 0.5 / (T - S) ** 2
     states = np.stack([p.states for p in batch.paths])  # (n_paths, n+1, 2)
     bsq = np.empty((cfg.n_paths, k))
     for i in range(k):

@@ -40,6 +40,7 @@ from .engine import (
     config_to_dict,
     model_class,
     model_from_dict,
+    model_to_dict,
     simulate_batch,
 )
 
@@ -232,15 +233,12 @@ def _load_config_file(path: str) -> tuple[dict, dict]:
 def cmd_simulate(ns: argparse.Namespace) -> int:
     cfg_block, out_block = _load_config_file(ns.config) if ns.config else ({}, {})
     model = _merge_model(ns.model, cfg_block.get("model", {}), ns)
-    start = _pair(ns.start, "--start") if ns.start else cfg_block.get("start", (0.0, 0.0))
-    config = SimConfig(
-        model=model,
-        start=start,
-        n_steps=ns.steps if ns.steps is not None else cfg_block.get("n_steps", 1000),
-        seed=ns.seed if ns.seed is not None else cfg_block.get("seed", 0),
-        n_paths=ns.paths if ns.paths is not None else cfg_block.get("n_paths", 1),
-        record_increments=ns.record_increments or cfg_block.get("record_increments", False),
-    )
+    # Flags over the file's block over the defaults; the one reader rejects unknown keys.
+    flags = {"start": _pair(ns.start, "--start") if ns.start else None,
+             "n_steps": ns.steps, "seed": ns.seed, "n_paths": ns.paths}
+    block = {"start": (0.0, 0.0), "n_steps": 1000, "seed": 0, "n_paths": 1, **cfg_block,
+             **{k: v for k, v in flags.items() if v is not None}, "model": model_to_dict(model)}
+    config = config_from_dict(block)
     thin = ns.thin if ns.thin is not None else out_block.get("thin", 1)
     if isinstance(thin, bool) or not isinstance(thin, int):
         raise ValueError(f"thin must be an integer; got {thin!r}")
@@ -401,8 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=None, help="number of paths")
     p.add_argument("--seed", type=int, default=None, help="master seed (all randomness)")
     p.add_argument("--start", default=None, help="start point 'x,y' (default 0,0)")
-    p.add_argument("--record-increments", action="store_true",
-                   help="store Wiener increments on the paths")
     p.add_argument("--scale-drift-by-sigma-sq", dest="scale_drift_by_sigma_sq",
                    action="store_true", default=None,
                    help="multiply the nearest-lift drift by sigma^2")

@@ -54,8 +54,8 @@ __all__ = [
 ]
 
 # Smallest time-to-go used in drift denominators.  Queries with
-# 0 < T - t < this are clamped instead of overflowing; the simulation
-# engine itself never evaluates a drift at t >= T - dt.
+# 0 < T - t < this are clamped instead of overflowing; the engine's last
+# drift is at T - dt, and SimConfig refuses a step dt below this.
 MIN_TIME_TO_GO = 1e-12
 
 # The kernels scale by sigma^2 and divide by sigma^2 times the time to go, so

@@ -27,10 +27,11 @@ stream continuing where its last block stopped; a numpy ``Generator`` keeps
 no cached normal, so this gives the bits of a whole-stream draw.  Chunking
 and blocking thus bound the memory in flight without changing any output
 byte: with no path or weight kept, a chunk holds one noise block and its
-current states, whatever the step count.  The whole increment array and the
-per-step states exist only when kept paths or weights read them.  A coupled
-batch draws each block once for all its models and steps them in one loop,
-and the grid is validated once per batch, not once per step.
+current states, whatever the step count.  The per-step states exist only
+when kept paths or weights read them, and the whole increment array only when
+weights or :func:`simulate_path` do.  A coupled batch draws each block once
+for all its models and steps them in one loop, and the grid is validated once
+per batch, not once per step.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from . import girsanov
-from .drift import VARIANTS, DriftModel, _finite, drift
+from .drift import MIN_TIME_TO_GO, VARIANTS, DriftModel, _finite, drift
 from .geometry import MAX_PLANE_COORD, as_plane_point, as_point, nearest_offset
 
 __all__ = [
@@ -80,12 +81,12 @@ class SimConfig:
     Attributes:
         model: drift model variant with sigma and horizon T.
         start: initial plane point x_0.
-        n_steps: number of equidistant steps; dt = T / n_steps.
+        n_steps: number of equidistant steps; dt = T / n_steps must be at
+            least the drift's ``MIN_TIME_TO_GO``, below which the clamped
+            time to go would stop steering paths to the target.
         seed: master seed, a 64-bit unsigned integer; all randomness of
             the run flows from it.
         n_paths: number of independent paths in a batch.
-        record_increments: store the driving Wiener increments on each
-            returned path (required for Girsanov weights of single paths).
     """
 
     model: DriftModel
@@ -93,7 +94,6 @@ class SimConfig:
     n_steps: int
     seed: int
     n_paths: int = 1
-    record_increments: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.model, DriftModel):
@@ -108,9 +108,9 @@ class SimConfig:
         if not (_finite(self.seed) and int(self.seed) == self.seed and 0 <= self.seed < _MAX_SEED):
             raise ValueError(f"seed must be a 64-bit unsigned integer; got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
-        if not isinstance(self.record_increments, bool):
-            raise ValueError(
-                f"record_increments must be true or false; got {self.record_increments!r}")
+        if not self.dt >= MIN_TIME_TO_GO:
+            raise ValueError(f"the step T / n_steps = {self.dt!r} is below {MIN_TIME_TO_GO!r}, "
+                             f"the smallest time to go the drift resolves")
 
     @property
     def dt(self) -> float:
@@ -127,9 +127,10 @@ class PathSample:
 
     ``times`` has length n_steps + 1 with times[0] = 0 and times[-1] = T;
     ``states`` holds the plane states, shape (n_steps + 1, 2), with
-    states[0] equal to the configured start; ``increments`` optionally
-    holds the driving dW per step, shape (n_steps, 2), from which the
-    recursion can be replayed exactly.
+    states[0] equal to the configured start; ``increments`` holds the
+    driving dW per step, shape (n_steps, 2), from which the recursion can
+    be replayed exactly: :func:`simulate_path` attaches them, batch paths
+    carry states only.
     """
 
     times: np.ndarray
@@ -252,9 +253,9 @@ def _run_chunk(
 def simulate_path(config: SimConfig, path_index: int = 0) -> PathSample:
     """Simulate a single path from its own (seed, path_index) stream.
 
-    Returns the full trajectory; increments are attached when the config
-    requests recording.  The result is bitwise identical to the same path
-    index inside any batch of the same config.
+    Returns the full trajectory with its driving increments.  The states
+    are bitwise those of the same path index inside any batch of the same
+    config.
     """
     if not (0 <= path_index < config.n_paths):
         raise ValueError(
@@ -262,9 +263,8 @@ def simulate_path(config: SimConfig, path_index: int = 0) -> PathSample:
         )
     times = config.time_grid()
     res = _run_chunk(config, path_index, path_index + 1, times, [config.model], True,
-                     config.record_increments, (), None)
-    increments = res["dW"][0] if config.record_increments else None
-    return PathSample(times=times, states=res["states"][0][0], increments=increments)
+                     True, (), None)
+    return PathSample(times=times, states=res["states"][0][0], increments=res["dW"][0])
 
 
 def simulate_batch(
@@ -321,11 +321,10 @@ def simulate_batch(
         for c in configs
     ]
     models = [c.model for c in configs]
-    record = keep_paths and any(c.record_increments for c in configs)
 
     for lo in range(0, n_paths, CHUNK_SIZE):
         hi = min(lo + CHUNK_SIZE, n_paths)
-        res = _run_chunk(grid, lo, hi, times, models, keep_paths, record, snapshot_list,
+        res = _run_chunk(grid, lo, hi, times, models, keep_paths, False, snapshot_list,
                          weight_cutoff)
         for j, out in enumerate(results):
             x = res["terminal"][j]
@@ -343,9 +342,7 @@ def simulate_batch(
                 out.snapshots[s][lo:hi] = res["snapshots"][s][j]
             if out.paths is not None:
                 for row, idx in enumerate(range(lo, hi)):
-                    inc = res["dW"][row] if out.config.record_increments else None
-                    out.paths[idx] = PathSample(
-                        times=times, states=res["states"][j][row], increments=inc)
+                    out.paths[idx] = PathSample(times=times, states=res["states"][j][row])
         # Free this chunk's arrays before the next chunk allocates its own.
         del res
 
@@ -426,12 +423,14 @@ def config_to_dict(config: SimConfig) -> dict:
         "n_steps": config.n_steps,
         "seed": config.seed,
         "n_paths": config.n_paths,
-        "record_increments": config.record_increments,
     }
 
 
 def config_from_dict(data: dict) -> SimConfig:
     """Inverse of :func:`config_to_dict`.
+
+    A ``record_increments`` key, which manifests held before batch paths
+    stopped carrying increments, is dropped when it is true or false.
 
     Raises:
         ValueError: if ``data`` is not a dict, holds a key that is not a
@@ -439,12 +438,15 @@ def config_from_dict(data: dict) -> SimConfig:
     """
     if not isinstance(data, dict):
         raise ValueError(f"a config block must be a JSON object; got {type(data).__name__}")
+    data = dict(data)
+    legacy = data.pop("record_increments", False)
+    if not isinstance(legacy, bool):
+        raise ValueError(f"record_increments must be true or false; got {legacy!r}")
     names = [f.name for f in fields(SimConfig)]
     unknown = sorted(set(data) - set(names))
     missing = [f.name for f in fields(SimConfig) if f.default is MISSING and f.name not in data]
     if unknown or missing:
         raise ValueError(f"config block has unknown key(s) {unknown} and missing key(s) "
                          f"{missing}; SimConfig's fields are {names}")
-    data = dict(data)
     model = model_from_dict(data.pop("model"))
     return SimConfig(model=model, **data)

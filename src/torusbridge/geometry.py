@@ -36,8 +36,6 @@ __all__ = [
     "lift_nearest",
     "is_on_cut_locus",
     "torus_distance",
-    "lattice_offsets",
-    "lattice_lifts",
 ]
 
 class AmbiguousLiftError(ValueError):
@@ -172,35 +170,13 @@ def is_on_cut_locus(x: ArrayLike, target: ArrayLike, tol: float = 0.0) -> np.nda
 def torus_distance(p: ArrayLike, q: ArrayLike) -> np.ndarray | float:
     """Quotient distance on the torus between fundamental-domain points.
 
-    Computed as the minimum of ``|(p - q) + k|`` over the nine shifts
-    k in {-1, 0, 1}^2, which is exact when both arguments lie in the
-    fundamental domain.  Symmetric, and zero iff p == q.
+    Each axis folds its displacement to ``min(|p - q|, 1 - |p - q|)``, the
+    nearest of the shifts -1, 0, 1; this is exact when both arguments lie
+    in the fundamental domain, and bitwise the minimum of ``|(p - q) + k|``
+    over the nine shifts k in {-1, 0, 1}^2.  Symmetric, and zero iff p == q.
     """
-    pp = as_point(p, "p")
-    qq = as_point(q, "q")
-    d = pp - qq
-    shifts = lattice_offsets(1).astype(float)  # (9, 2)
-    cand = np.linalg.norm(d[..., None, :] + shifts, axis=-1)
-    out = cand.min(axis=-1)
+    d = np.abs(as_point(p, "p") - as_point(q, "q"))
+    out = np.linalg.norm(np.minimum(d, 1.0 - d), axis=-1)
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def lattice_offsets(k_max: int) -> np.ndarray:
-    """Integer offsets k with ||k||_inf <= k_max, in lexicographic order.
-
-    Returns an int array of shape ((2*k_max+1)**2, 2), in the same
-    deterministic order as :func:`lattice_lifts`.
-    """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0; got {k_max}")
-    r = np.arange(-k_max, k_max + 1)
-    k1, k2 = np.meshgrid(r, r, indexing="ij")
-    return np.stack([k1.ravel(), k2.ravel()], axis=1)
-
-
-def lattice_lifts(target: ArrayLike, k_max: int) -> np.ndarray:
-    """The truncated preimage of target: all lifts target + k, ||k||_inf <= k_max."""
-    a = as_torus_point(target, "target")
-    return a + lattice_offsets(k_max).astype(float)

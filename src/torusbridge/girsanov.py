@@ -11,9 +11,10 @@ actually produced.
 The nearest-lift drift is uniformly bounded away from the terminal time
 (no point of the plane is farther than half a square diagonal from its
 attracting lift), which gives the explicit constant behind the moment
-bound ensuring the exponential is a true martingale on [0, S].  Both the
-constant and the resulting bound are exposed for the tests that verify
-them against simulation.
+bound ensuring the exponential is a true martingale on [0, S]: the
+weight's exponent integrates |b / sigma|^2 <= C_S / sigma^2, so Novikov's
+condition holds.  The constant is exposed for the checks that verify it
+against simulation.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "path_log_weights",
     "log_girsanov_weight",
     "drift_bound_constant",
-    "novikov_bound",
 ]
 
 # sup |nearest lift - x|^2 over points off the cut locus: the squared
@@ -117,10 +117,11 @@ def path_log_weights(
 def log_girsanov_weight(path: "PathSample", model: DriftModel, cutoff_S: float) -> float:
     """Log change-of-measure weight of one recorded path on [0, S].
 
-    The path must carry recorded increments; S must be a grid time with
-    0 < S < T.  A zero-drift model gives exactly 0.  Under this weight,
-    expectations of path functionals on [0, S] computed from proposal
-    samples estimate those of the driftless sigma-scaled process.
+    The path must carry its increments, as :func:`simulate_path`'s do; S
+    must be a grid time with 0 < S < T.  A zero-drift model gives exactly
+    0.  Under this weight, expectations of path functionals on [0, S]
+    computed from proposal samples estimate those of the driftless
+    sigma-scaled process.
     """
     if path.increments is None:
         raise ValueError("path does not carry recorded increments")
@@ -150,20 +151,3 @@ def drift_bound_constant(model: DriftModel, cutoff_S: float) -> float:
     if model.scale_by_sigma_sq:
         c *= model.sigma**4
     return c
-
-
-def novikov_bound(model: DriftModel, t: float, cutoff_S: float) -> float:
-    """Upper bound exp(t * C_S) for E[exp(int_0^t |b|^2 ds)], t <= S.
-
-    The pathwise integral never exceeds t * C_S, so the expectation bound
-    holds sample by sample; Monte Carlo estimates of the left side must
-    stay below this value.  This bounds the integral of |b|^2 itself; the
-    weight's exponent integrates |b / sigma|^2, so its Novikov condition
-    uses the constant C_S / sigma^2.
-
-    Raises:
-        ValueError: if t is outside [0, cutoff_S].
-    """
-    if not (0.0 <= t <= cutoff_S):
-        raise ValueError(f"need 0 <= t <= S={cutoff_S}; got t={t}")
-    return float(np.exp(t * drift_bound_constant(model, cutoff_S)))

@@ -241,6 +241,9 @@ class TestSimulate:
          ("cut_locus_tol", "True")),
         (lambda m: m["output"].update(thin=True), ("thin", "True")),
         (lambda m: m["output"].update(weight_cutoff=True), ("cutoff", "True")),
+        # simulate --config reads its block as strictly as weights --manifest.
+        (lambda m: m["config"].update(n_step=50), ("unknown key(s) ['n_step']",)),
+        (lambda m: m["config"].update(bogus=1), ("unknown key(s) ['bogus']",)),
     ])
     def test_bad_config_value_fails(self, tmp_path, capsys, edit, needles):
         """Config values of the wrong JSON type are one error line, not a traceback."""
@@ -288,6 +291,14 @@ class TestSimulate:
         assert rc == 0
         _, rows = _read_csv(tmp_path / "endpoints.csv")
         assert abs(int(rows[0][3]) - 10**6) <= 2
+
+    def test_step_below_time_to_go_floor_fails(self, tmp_path, capsys):
+        """A step below the drift's time-to-go clamp is refused, not run unsteered."""
+        rc = _run("simulate", "--model", "proposed", "--target", "0.2,0", "--sigma", "1",
+                  "--T", "1e-300", "--steps", "50", "--paths", "3", "--out", tmp_path)
+        assert rc == 2
+        _assert_one_error_line(capsys, "T / n_steps")
+        assert not (tmp_path / "paths.csv").exists()
 
 
 class TestSigmaSquare:
@@ -550,6 +561,12 @@ class TestCompare:
         summary = json.loads((tmp_path / "agreement_summary.json").read_text())
         assert summary["rate"] in (0.0, 1.0)
 
+    def test_step_below_time_to_go_floor_fails(self, tmp_path, capsys):
+        rc = _run("compare", "--T", "1e-300", "--steps", "50", "--pairs", "3", "--out", tmp_path)
+        assert rc == 2
+        _assert_one_error_line(capsys, "T / n_steps")
+        assert not (tmp_path / "agreement.csv").exists()
+
 
 class TestField:
     def test_grid_centred_on_lift(self, tmp_path):
@@ -643,6 +660,28 @@ class TestWeights:
         rc = _run("weights", "--manifest", tmp_path / "manifest.json", "--cutoff", "0.5")
         assert rc == 2
         _assert_one_error_line(capsys, *needles)
+
+    def test_pre_change_manifest_reproduces_weights(self, tmp_path):
+        """A manifest written while SimConfig had a record_increments field
+        still loads, and gives the weights.csv bytes it gave then."""
+        old = {"command": "simulate", "version": "0.1.0", "config": {
+            "model": {"cut_locus_tol": 0.0, "horizon": 1.0, "scale_by_sigma_sq": False,
+                      "sigma": 0.8, "target": [0.1, -0.2], "variant": "proposed"},
+            "n_paths": 6, "n_steps": 100, "record_increments": False, "seed": 21,
+            "start": [0.0, 0.0]}}
+        (tmp_path / "old.json").write_text(json.dumps(old))
+        assert _run("weights", "--manifest", tmp_path / "old.json", "--cutoff", "0.5",
+                    "--out", tmp_path / "old") == 0
+        assert _run("simulate", "--model", "proposed", "--target", "0.1,-0.2", "--sigma", "0.8",
+                    "--steps", "100", "--paths", "6", "--seed", "21", "--out", tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert "record_increments" not in manifest["config"]
+        assert _run("weights", "--manifest", tmp_path / "manifest.json", "--cutoff", "0.5",
+                    "--out", tmp_path / "new") == 0
+        weights = (tmp_path / "old" / "weights.csv").read_bytes()
+        assert weights == (tmp_path / "new" / "weights.csv").read_bytes()
+        assert hashlib.sha256(weights).hexdigest() == (
+            "cbd1ad6d3aa84419201457d1e2b432a3225c55a22e73eec8080b2c7196dddb23")
 
     def test_cutoff_off_grid_fails(self, tmp_path):
         _run("simulate", "--model", "proposed", "--target", "0,0", "--steps", "100",

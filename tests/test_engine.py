@@ -99,8 +99,7 @@ class TestNoiseStreams:
 
 class TestSimulatePath:
     def test_single_step_free_motion(self):
-        cfg = _cfg(FreeBrownianMotion(sigma=0.5, horizon=1.0), n_steps=1,
-                   seed=21, record_increments=True)
+        cfg = _cfg(FreeBrownianMotion(sigma=0.5, horizon=1.0), n_steps=1, seed=21)
         path = simulate_path(cfg, 0)
         np.testing.assert_array_equal(
             path.states[1], np.asarray(cfg.start) + 0.5 * path.increments[0]
@@ -108,7 +107,7 @@ class TestSimulatePath:
 
     def test_bitwise_deterministic(self):
         cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
-                   n_steps=200, seed=5, record_increments=True)
+                   n_steps=200, seed=5)
         p1 = simulate_path(cfg, 0)
         p2 = simulate_path(cfg, 0)
         np.testing.assert_array_equal(p1.states, p2.states)
@@ -123,19 +122,28 @@ class TestSimulatePath:
         np.testing.assert_allclose(np.diff(t), 1.0 / 1000, atol=1e-12)
 
     def test_replaying_increments_reproduces_states(self):
-        """Feeding the recorded increments back through the stepper gives
+        """Feeding the path's increments back through the stepper gives
         the stored trajectory exactly."""
         cfg = _cfg(TrueBridge(sigma=0.7, horizon=1.0, target=(0.2, -0.1)),
-                   n_steps=150, seed=77, record_increments=True)
+                   n_steps=150, seed=77)
         path = simulate_path(cfg, 0)
         x = np.asarray(cfg.start)
         for i in range(cfg.n_steps):
             x = euler_step(path.times[i], x, cfg.dt, path.increments[i], cfg.model)
             np.testing.assert_array_equal(x, path.states[i + 1])
 
-    def test_no_increments_by_default(self):
-        path = simulate_path(_cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0), seed=2))
-        assert path.increments is None
+    def test_increments_are_the_wiener_increments(self):
+        """A single path carries the increments of its own stream; batch
+        paths carry states only."""
+        cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0), n_steps=300,
+                   seed=2, n_paths=3)
+        batch = simulate_batch(cfg)
+        for i in range(3):
+            path = simulate_path(cfg, i)
+            np.testing.assert_array_equal(
+                path.increments, wiener_increments(cfg.seed, i, cfg.n_steps, cfg.dt))
+            np.testing.assert_array_equal(path.states, batch.paths[i].states)
+            assert batch.paths[i].increments is None
 
     def test_path_index_validated(self):
         cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0), n_paths=3, seed=3)
@@ -145,12 +153,10 @@ class TestSimulatePath:
 
 class TestSimulateBatch:
     def test_batch_of_one_equals_single_path(self):
-        cfg = _cfg(TrueBridge(sigma=0.8, horizon=1.0, target=A0),
-                   n_steps=120, seed=13, record_increments=True)
+        cfg = _cfg(TrueBridge(sigma=0.8, horizon=1.0, target=A0), n_steps=120, seed=13)
         batch = simulate_batch(cfg)
         single = simulate_path(cfg, 0)
         np.testing.assert_array_equal(batch.paths[0].states, single.states)
-        np.testing.assert_array_equal(batch.paths[0].increments, single.increments)
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
@@ -302,7 +308,7 @@ class TestCoupledSimulation:
         of its own batch: 40 paths are three chunks of 16 (the last partial)
         or one chunk at the default size."""
         monkeypatch.setattr(engine, "CHUNK_SIZE", chunk)
-        base = dict(start=(0.1, -0.2), n_steps=60, seed=32, n_paths=40, record_increments=True)
+        base = dict(start=(0.1, -0.2), n_steps=60, seed=32, n_paths=40)
         configs = [
             SimConfig(model=ProposedBridge(sigma=0.8, horizon=1.0, target=(0.2, 0.1)), **base),
             SimConfig(model=TrueBridge(sigma=0.8, horizon=1.0, target=(0.2, 0.1)), **base),
@@ -321,12 +327,12 @@ class TestCoupledSimulation:
                 np.testing.assert_array_equal(got.snapshots[s], alone.snapshots[s])
             for p, q in zip(got.paths, alone.paths, strict=True):
                 np.testing.assert_array_equal(p.states, q.states)
-                np.testing.assert_array_equal(p.increments, q.increments)
         # The coupled paths are the euler_step recursion on the same increments.
         path = coupled[1].paths[39]
+        dW = wiener_increments(base["seed"], 39, 60, configs[1].dt)
         x = np.asarray(base["start"])
         for i in range(60):
-            x = euler_step(path.times[i], x, configs[1].dt, path.increments[i], configs[1].model)
+            x = euler_step(path.times[i], x, configs[1].dt, dW[i], configs[1].model)
             np.testing.assert_array_equal(x, path.states[i + 1])
 
     def test_coupled_batch_draws_noise_once_per_chunk(self, monkeypatch):
@@ -349,8 +355,8 @@ class TestCoupledSimulation:
     def test_block_draws_give_whole_stream_bits(self, monkeypatch, n_steps):
         """Noise drawn in blocks, the last one partial, or in one whole draw
         gives every path the increments of ``wiener_increments`` and the
-        states of ``euler_step`` replayed on them: kept or not, with or
-        without recorded increments, alone, coupled and via simulate_path."""
+        states of ``euler_step`` replayed on them: kept or not, alone,
+        coupled and via simulate_path."""
         monkeypatch.setattr(engine, "CHUNK_SIZE", 16)
         base = dict(start=(0.1, -0.2), n_steps=n_steps, seed=38, n_paths=20)
         models = (ProposedBridge(sigma=0.8, horizon=1.0, target=(0.2, 0.1)),
@@ -365,24 +371,20 @@ class TestCoupledSimulation:
                 states.append(euler_step(t, states[-1], cfg.dt, dW[i], cfg.model))
             return dW, np.stack(states)
 
-        for record in (True, False):
-            configs = [SimConfig(model=m, record_increments=record, **base) for m in models]
-            coupled = simulate_batch(configs, snapshot_steps=[mid])
-            for cfg, together in zip(configs, coupled):
-                alone = simulate_batch(cfg, snapshot_steps=[mid])
-                bare = simulate_batch(cfg, keep_paths=False, snapshot_steps=[mid])
-                for idx in picks:
-                    dW, states = replay(cfg, idx)
-                    single = simulate_path(cfg, idx)
-                    for path in (together.paths[idx], alone.paths[idx], single):
-                        np.testing.assert_array_equal(path.states, states)
-                        if record:
-                            np.testing.assert_array_equal(path.increments, dW)
-                        else:
-                            assert path.increments is None
-                    for batch in (together, alone, bare):
-                        np.testing.assert_array_equal(batch.terminal_points[idx], states[-1])
-                        np.testing.assert_array_equal(batch.snapshots[mid][idx], states[mid])
+        configs = [SimConfig(model=m, **base) for m in models]
+        coupled = simulate_batch(configs, snapshot_steps=[mid])
+        for cfg, together in zip(configs, coupled):
+            alone = simulate_batch(cfg, snapshot_steps=[mid])
+            bare = simulate_batch(cfg, keep_paths=False, snapshot_steps=[mid])
+            for idx in picks:
+                dW, states = replay(cfg, idx)
+                single = simulate_path(cfg, idx)
+                for path in (together.paths[idx], alone.paths[idx], single):
+                    np.testing.assert_array_equal(path.states, states)
+                np.testing.assert_array_equal(single.increments, dW)
+                for batch in (together, alone, bare):
+                    np.testing.assert_array_equal(batch.terminal_points[idx], states[-1])
+                    np.testing.assert_array_equal(batch.snapshots[mid][idx], states[mid])
 
     def test_uncoupled_configs_rejected_before_any_work(self, monkeypatch):
         monkeypatch.setattr(engine, "_chunk_increments", None)  # any draw would fail
@@ -414,8 +416,8 @@ class TestMemory:
             assert self._peak(cfg, keep_paths=False) < 4 * 2**20
 
     def test_kept_paths_hold_no_increments(self):
-        """Kept paths without recorded increments or a cutoff hold their
-        states and a noise block, not the 7.8 MiB increment array."""
+        """Kept paths without a cutoff hold their states and a noise block,
+        not the 7.8 MiB increment array."""
         cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
                    n_steps=500, seed=39, n_paths=engine.CHUNK_SIZE)
         state_bytes = engine.CHUNK_SIZE * 501 * 2 * 8
@@ -430,8 +432,7 @@ class TestConfigRoundTrip:
         TrueBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2)),
     ])
     def test_dict_round_trip(self, model):
-        cfg = SimConfig(model=model, start=(0.3, 0.1), n_steps=250, seed=99,
-                        n_paths=7, record_increments=True)
+        cfg = SimConfig(model=model, start=(0.3, 0.1), n_steps=250, seed=99, n_paths=7)
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_validation(self):
@@ -444,12 +445,25 @@ class TestConfigRoundTrip:
             SimConfig(model=m, start=A0, n_steps=10, seed=0, n_paths=0)
         with pytest.raises(ValueError):
             SimConfig(model="proposed", start=A0, n_steps=10, seed=0)
+        # A step below the drift's time-to-go clamp; a step at the clamp passes.
+        with pytest.raises(ValueError, match="T / n_steps"):
+            SimConfig(model=FreeBrownianMotion(sigma=1.0, horizon=1e-10), start=A0,
+                      n_steps=101, seed=0)
+        assert SimConfig(model=FreeBrownianMotion(sigma=1.0, horizon=1e-10), start=A0,
+                         n_steps=100, seed=0).dt == 1e-12
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_record_increments_must_be_a_boolean(self, value):
-        m = FreeBrownianMotion(sigma=1.0, horizon=1.0)
+        """Older manifests hold a record_increments key; only true or false is dropped."""
+        data = config_to_dict(_cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0)))
         with pytest.raises(ValueError, match="record_increments must be true or false"):
-            SimConfig(model=m, start=A0, n_steps=10, seed=0, record_increments=value)
+            config_from_dict({**data, "record_increments": value})
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_legacy_record_increments_key_is_dropped(self, value):
+        cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0))
+        assert config_from_dict({**config_to_dict(cfg), "record_increments": value}) == cfg
+
 
     def test_unknown_model_key_rejected(self):
         cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0))
@@ -461,7 +475,7 @@ class TestConfigRoundTrip:
     def test_unknown_config_key_rejected(self):
         data = config_to_dict(_cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0)))
         data["bogus"] = 1
-        with pytest.raises(ValueError, match=r"unknown key\(s\) \['bogus'\].*record_increments"):
+        with pytest.raises(ValueError, match=r"unknown key\(s\) \['bogus'\].*n_paths"):
             config_from_dict(data)
 
     def test_missing_config_key_rejected(self):

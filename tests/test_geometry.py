@@ -9,14 +9,16 @@ from hypothesis.extra.numpy import arrays
 from torusbridge import (
     AmbiguousLiftError,
     is_on_cut_locus,
-    lattice_lifts,
-    lattice_offsets,
     lift_nearest,
     nearest_offset,
     project,
     torus_distance,
 )
 from torusbridge.geometry import as_plane_point
+
+# The integer offsets k with ||k||_inf <= 3, a 7x7 block.
+_R = np.arange(-3.0, 4.0)
+OFFSETS_7X7 = np.stack(np.meshgrid(_R, _R, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def test_plane_point_limit_is_2_52():
@@ -92,7 +94,6 @@ class TestLiftNearest:
     def test_argmin_optimality_brute_force(self):
         """The returned lift strictly beats every lattice neighbour within radius 3."""
         rng = np.random.default_rng(44)
-        neighbours = lattice_offsets(3).astype(float)  # 7x7 block
         for _ in range(300):
             a = rng.uniform(-0.5, 0.5, size=2)
             x = rng.uniform(-2.0, 2.0, size=2)
@@ -100,7 +101,7 @@ class TestLiftNearest:
                 continue
             y = lift_nearest(x, a)
             best = np.linalg.norm(y - x)
-            others = y + neighbours[np.any(neighbours != 0, axis=1)]
+            others = y + OFFSETS_7X7[np.any(OFFSETS_7X7 != 0, axis=1)]
             assert np.all(best < np.linalg.norm(others - x, axis=1))
 
     def test_fundamental_square_bound(self):
@@ -206,6 +207,20 @@ class TestTorusDistance:
             dpq, torus_distance(p, r) + torus_distance(r, q) + 1e-12
         )
 
+    @given(pq=arrays(float, st.tuples(st.integers(1, 4), st.just(2), st.just(2)),
+                     elements=st.floats(-0.5, 0.5, exclude_max=True)
+                     | st.sampled_from([-0.5, np.nextafter(0.5, 0.0), 0.0, -0.25, 0.25])))
+    @example(pq=np.array([[[-0.5, -0.5], [np.nextafter(0.5, 0.0), np.nextafter(0.5, 0.0)]]]))
+    @example(pq=np.array([[[-0.5, 0.25], [0.0, -0.25]]]))
+    def test_equals_nine_shift_minimum(self, pq):
+        """Folding each axis gives the minimum over the nine shifts bit for bit."""
+        p, q = pq[:, 0], pq[:, 1]
+        shifts = np.array([(i, j) for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)])
+        oracle = np.linalg.norm((p - q)[:, None, :] + shifts, axis=-1).min(axis=-1)
+        np.testing.assert_array_equal(torus_distance(p, q), oracle)
+        for i in range(len(p)):
+            assert torus_distance(p[i], q[i]) == oracle[i]
+
     def test_diameter(self):
         """Nothing on the torus is farther than half a diagonal away."""
         rng = np.random.default_rng(49)
@@ -214,33 +229,13 @@ class TestTorusDistance:
 
 
 class TestLattice:
-    def test_offsets_shape_and_order(self):
-        k = lattice_offsets(1)
-        assert k.shape == (9, 2)
-        np.testing.assert_array_equal(k[0], [-1, -1])
-        np.testing.assert_array_equal(k[-1], [1, 1])
-        np.testing.assert_array_equal(k[4], [0, 0])
-
-    def test_offsets_zero_radius(self):
-        np.testing.assert_array_equal(lattice_offsets(0), [[0, 0]])
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            lattice_offsets(-1)
-
-    def test_lifts_contain_target(self):
-        a = (0.25, -0.25)
-        lifts = lattice_lifts(a, 2)
-        assert lifts.shape == (25, 2)
-        assert any(np.array_equal(row, a) for row in lifts)
-
     def test_lifts_project_to_target(self):
         a = (0.13, -0.41)
-        lifts = lattice_lifts(a, 3)
+        lifts = a + OFFSETS_7X7
         np.testing.assert_allclose(project(lifts), np.broadcast_to(a, (49, 2)), atol=1e-12)
 
     def test_target_outside_domain_rejected(self):
         with pytest.raises(ValueError):
-            lattice_lifts((0.5, 0.0), 1)
-        with pytest.raises(ValueError):
             lift_nearest((0.1, 0.1), (1.2, 0.0))
+        with pytest.raises(ValueError):
+            is_on_cut_locus((0.1, 0.1), (0.5, 0.0))

@@ -11,19 +11,22 @@ from torusbridge import (
     TrueBridge,
     drift_bound_constant,
     log_girsanov_weight,
-    novikov_bound,
     simulate_batch,
     simulate_path,
+    wiener_increments,
 )
 from torusbridge.girsanov import path_log_weights
 
 A0 = (0.0, 0.0)
 
 
-def _recorded_batch(model, n_paths, n_steps, seed):
-    cfg = SimConfig(model=model, start=A0, n_steps=n_steps, seed=seed,
-                    n_paths=n_paths, record_increments=True)
-    return cfg, simulate_batch(cfg, keep_paths=True)
+def _states_and_increments(model, n_paths, n_steps, seed):
+    """A batch's config, its states (n_paths, n_steps + 1, 2) and the
+    increments (n_paths, n_steps, 2) that drove them."""
+    cfg = SimConfig(model=model, start=A0, n_steps=n_steps, seed=seed, n_paths=n_paths)
+    states = np.stack([p.states for p in simulate_batch(cfg, keep_paths=True).paths])
+    increments = np.stack([wiener_increments(seed, i, n_steps, cfg.dt) for i in range(n_paths)])
+    return cfg, states, increments
 
 
 def _assert_weighted_means_match(w, pairs):
@@ -39,7 +42,7 @@ def _assert_weighted_means_match(w, pairs):
 class TestLogWeight:
     def test_zero_drift_gives_zero_weight(self):
         cfg = SimConfig(model=FreeBrownianMotion(sigma=1.0, horizon=1.0), start=A0,
-                        n_steps=50, seed=1, n_paths=1, record_increments=True)
+                        n_steps=50, seed=1, n_paths=1)
         path = simulate_path(cfg, 0)
         assert log_girsanov_weight(path, cfg.model, 0.5) == 0.0
 
@@ -57,22 +60,22 @@ class TestLogWeight:
 
     def test_matches_engine_accumulated_weights(self):
         model = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
-        cfg = SimConfig(model=model, start=A0, n_steps=100, seed=2, n_paths=40,
-                        record_increments=True)
-        batch = simulate_batch(cfg, weight_cutoff=0.5)
+        cfg = SimConfig(model=model, start=A0, n_steps=100, seed=2, n_paths=40)
+        batch = simulate_batch(cfg, keep_paths=False, weight_cutoff=0.5)
         for i in (0, 7, 39):
-            assert log_girsanov_weight(batch.paths[i], model, 0.5) == batch.log_weights[i]
+            assert log_girsanov_weight(simulate_path(cfg, i), model, 0.5) == batch.log_weights[i]
 
     def test_requires_recorded_increments(self):
+        """Batch paths carry states only, so they give no weight."""
         cfg = SimConfig(model=FreeBrownianMotion(sigma=1.0, horizon=1.0), start=A0,
                         n_steps=10, seed=3, n_paths=1)
-        path = simulate_path(cfg, 0)
+        path = simulate_batch(cfg).paths[0]
         with pytest.raises(ValueError):
             log_girsanov_weight(path, cfg.model, 0.5)
 
     def test_cutoff_validation(self):
         cfg = SimConfig(model=FreeBrownianMotion(sigma=1.0, horizon=1.0), start=A0,
-                        n_steps=10, seed=4, n_paths=1, record_increments=True)
+                        n_steps=10, seed=4, n_paths=1)
         path = simulate_path(cfg, 0)
         for bad in (1.0, 1.5, 0.0, -0.2, 0.55):  # at T, past T, empty, negative, off grid
             with pytest.raises(ValueError):
@@ -85,8 +88,7 @@ class TestLogWeight:
         """The drift the weights evaluate is unchecked, so the weights check
         the states and the times before the cutoff themselves, once."""
         model = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
-        cfg = SimConfig(model=model, start=A0, n_steps=10, seed=5, n_paths=1,
-                        record_increments=True)
+        cfg = SimConfig(model=model, start=A0, n_steps=10, seed=5, n_paths=1)
         path = simulate_path(cfg, 0)
         arrays = {"states": path.states.copy(), "times": path.times.copy()}
         arrays[field][3] = value
@@ -107,10 +109,8 @@ class TestMartingaleProperty:
     def test_mean_weight_is_one_along_the_grid(self):
         """The martingale property holds at every tested grid time below T."""
         model = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
-        cfg, batch = _recorded_batch(model, 3000, 500, 7)
+        cfg, states, increments = _states_and_increments(model, 3000, 500, 7)
         times = cfg.time_grid()
-        states = np.stack([p.states for p in batch.paths])
-        increments = np.stack([p.increments for p in batch.paths])
         for cutoff in (0.1, 0.2, 0.3, 0.4, 0.5):
             logw = path_log_weights(times, states, increments, model, cutoff)
             w = np.exp(logw)
@@ -180,30 +180,18 @@ class TestDriftBoundConstant:
 
 
 class TestNovikovBound:
-    def test_empty_integral(self):
-        m = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
-        assert novikov_bound(m, 0.0, 0.5) == 1.0
-
-    def test_half_horizon_value(self):
-        m = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
-        assert novikov_bound(m, 0.5, 0.5) == pytest.approx(np.e, rel=1e-15)
-
-    def test_time_past_cutoff_rejected(self):
-        m = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
-        with pytest.raises(ValueError):
-            novikov_bound(m, 0.6, 0.5)
+    """The moment bound exp(t C_S) on E[exp(int_0^t |b|^2 ds)], t <= S."""
 
     def test_monte_carlo_estimate_stays_below_bound(self):
         """The sampled exponential moment never exceeds exp(t C_S); in fact
         the bound holds path by path, not just on average."""
         S = 0.5
         model = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
-        cfg, batch = _recorded_batch(model, 2000, 500, 10)
+        cfg, states, _ = _states_and_increments(model, 2000, 500, 10)
         times = cfg.time_grid()
         dt = cfg.dt
         c_s = drift_bound_constant(model, S)
         k = 250  # steps strictly before S
-        states = np.stack([p.states for p in batch.paths])
         bsq = np.empty((2000, k))
         for i in range(k):
             b = model.drift(times[i], states[:, i])
@@ -211,4 +199,4 @@ class TestNovikovBound:
         partial = np.cumsum(bsq * dt, axis=1)
         limits = times[1 : k + 1] * c_s
         assert np.all(partial <= limits * (1 + 1e-12))
-        assert np.exp(partial[:, -1]).mean() <= novikov_bound(model, S, S)
+        assert np.exp(partial[:, -1]).mean() <= np.exp(S * c_s)
