@@ -20,7 +20,7 @@ The checks, in order:
      of the wrapped Gaussian log density (relative tolerance 1e-5);
   7. the wrapped Gaussian density integrates to 1 over the fundamental
      domain within 1e-6 (400 x 400 midpoint rule);
-  8. byte-identical CSV output under re-runs and chunk sizes.
+  8. byte-identical CSV output under re-runs, chunk sizes and noise blocks.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def check_density_normalization() -> CriterionResult:
 
 
 def check_determinism() -> CriterionResult:
-    """Every command writes byte-identical CSVs across re-runs and chunk sizes."""
+    """Every command writes byte-identical CSVs across re-runs, chunk sizes and noise blocks."""
     from . import cli  # imported lazily; cli imports this module
 
     mismatches = []
@@ -306,14 +306,17 @@ def check_determinism() -> CriterionResult:
         ]
         for name, args, files in jobs:
             dirs = [root / f"{name}_{i}" for i in range(3)]
-            # The third run splits the 64 paths and 32 pairs into several chunks.
-            for d, chunk in zip(dirs, [engine.CHUNK_SIZE, engine.CHUNK_SIZE, 16]):
-                saved, engine.CHUNK_SIZE = engine.CHUNK_SIZE, chunk
+            # The third run splits the 64 paths and 32 pairs into several chunks,
+            # and the 200 steps, with the weights summed over them, into 7-step blocks.
+            sizes = [(engine.CHUNK_SIZE, engine.NOISE_BLOCK)] * 2 + [(16, 7)]
+            for d, (chunk, block) in zip(dirs, sizes):
+                saved = engine.CHUNK_SIZE, engine.NOISE_BLOCK
+                engine.CHUNK_SIZE, engine.NOISE_BLOCK = chunk, block
                 try:  # each run's own "wrote ..." line is not part of check's output
                     with contextlib.redirect_stdout(io.StringIO()):
                         rc = cli.main(args + ["--out", str(d)])
                 finally:
-                    engine.CHUNK_SIZE = saved
+                    engine.CHUNK_SIZE, engine.NOISE_BLOCK = saved
                 if rc != 0:
                     return CriterionResult(8, "determinism", False, f"{name} run failed (exit {rc})")
             for f in files:
@@ -325,8 +328,8 @@ def check_determinism() -> CriterionResult:
         8,
         "determinism",
         ok,
-        "all commands byte-identical across re-runs and chunk sizes {%d,16}" % engine.CHUNK_SIZE
-        if ok else f"mismatch in {mismatches}",
+        "all commands byte-identical across re-runs, chunk sizes {%d,16} and noise blocks "
+        "{%d,7}" % (engine.CHUNK_SIZE, engine.NOISE_BLOCK) if ok else f"mismatch in {mismatches}",
     )
 
 

@@ -26,12 +26,14 @@ noise is drawn ``NOISE_BLOCK`` steps at a time into one reused buffer, each
 stream continuing where its last block stopped; a numpy ``Generator`` keeps
 no cached normal, so this gives the bits of a whole-stream draw.  Chunking
 and blocking thus bound the memory in flight without changing any output
-byte: with no path or weight kept, a chunk holds one noise block and its
-current states, whatever the step count.  The per-step states exist only
-when kept paths or weights read them, and the whole increment array only when
-weights or :func:`simulate_path` do.  A coupled batch draws each block once
-for all its models and steps them in one loop, and the grid is validated once
-per batch, not once per step.
+byte: with no path kept, a chunk holds one noise block and its current
+states, whatever the step count.  Girsanov weights are summed block by block
+as the steps are taken, in step order and so with the bits of one whole pass;
+without kept paths they read each block's left-point states from one
+block-sized buffer per model.  The per-step states exist only when paths are
+kept, and the whole increment array only in :func:`simulate_path`.  A coupled
+batch draws each block once for all its models and steps them in one loop, and
+the grid is validated once per batch, not once per step.
 """
 
 from __future__ import annotations
@@ -62,12 +64,13 @@ __all__ = [
     "config_from_dict",
 ]
 
-# Paths per chunk, and steps per noise draw within a chunk.  Unless paths or
-# weights are kept, a chunk's arrays in flight are its (CHUNK_SIZE, NOISE_BLOCK, 2)
-# noise buffer, 2 MiB, and its (CHUNK_SIZE, 2) states; no output byte depends on
-# either.  Shorter blocks cost more per-stream draw calls: drawing a 1024 x 1000
-# chunk took about 20 % longer than one whole draw in 64-step blocks and 5-10 %
-# longer in 128-step ones; 256-step blocks would make the buffer 4 MiB.
+# Paths per chunk, and steps per noise draw within a chunk.  Unless paths are
+# kept, a chunk's arrays in flight are its (CHUNK_SIZE, NOISE_BLOCK, 2) noise
+# buffer, 2 MiB, its (CHUNK_SIZE, 2) states and, with weights, one more such
+# buffer per model; no output byte depends on either size.  Shorter blocks cost
+# more per-stream draw calls: drawing a 1024 x 1000 chunk took about 20 % longer
+# than one whole draw in 64-step blocks and 5-10 % longer in 128-step ones;
+# 256-step blocks would make the buffer 4 MiB.
 CHUNK_SIZE = 1024
 NOISE_BLOCK = 128
 
@@ -213,40 +216,51 @@ def _run_chunk(
     """Step every model over paths [lo, hi) of ``config``'s grid on shared noise,
     drawn ``NOISE_BLOCK`` steps at a time unless the whole array is kept.
 
-    Returns the increments ``dW`` if kept or needed for weights (else None)
-    and, with one entry per model, the terminal and snapshot states, the full
-    states if kept or needed for weights, and the log weights; ``states`` is
-    empty when neither is asked for."""
+    With a weight cutoff, each model's log weights are summed block by block:
+    once a block is stepped, :func:`girsanov.path_log_weights` adds the steps
+    of that block before the cutoff, reading their left-point states from the
+    kept states or, without them, from one block-sized buffer per model.
+
+    Returns the increments ``dW`` if kept (else None) and, with one entry per
+    model, the terminal and snapshot states, the full states if kept, and the
+    log weights; ``states`` is empty unless kept."""
     dt, sigma, n = config.dt, config.model.sigma, config.n_steps
-    keep = keep_states or weight_cutoff is not None
-    whole = keep_increments or weight_cutoff is not None
     # A kept increment array is drawn in one pass, each stream made and dropped
     # in turn; otherwise the streams live across the blocks of one buffer.
-    width = n if whole else min(NOISE_BLOCK, n)
+    width = n if keep_increments else min(NOISE_BLOCK, n)
     streams = (np.random.default_rng(_path_seed(config.seed, idx)) for idx in range(lo, hi))
     if width < n:
         streams = list(streams)
     dW = np.empty((hi - lo, width, 2))
     xs = [np.full((hi - lo, 2), config.start) for _ in models]
-    states = [np.empty((hi - lo, n + 1, 2)) for _ in models] if keep else []
+    states = [np.empty((hi - lo, n + 1, 2)) for _ in models] if keep_states else []
     snapshots = dict.fromkeys(snapshot_steps)
+    cutoff_step = 0 if weight_cutoff is None else girsanov.cutoff_index(
+        dt, n, config.model.horizon, weight_cutoff)
+    log_weights = [np.zeros(hi - lo) for _ in models] if cutoff_step else None
+    left = [np.empty_like(dW) for _ in models] if cutoff_step and not keep_states else None
     for i in range(n + 1):
         if i:
             b = (i - 1) % width
             if not b:
+                first = i - 1
                 block = _chunk_increments(streams, dW[:, :min(width, n + 1 - i)], dt)
             noise = sigma * block[:, b]
             for j, model in enumerate(models):
+                if left:
+                    left[j][:, b] = xs[j]
                 # euler_step's update, bit for bit, without its per-step checks.
                 xs[j] = xs[j] + drift(times[i - 1], xs[j], model) * dt + noise
+            if first < cutoff_step and i == first + block.shape[1]:
+                for j, model in enumerate(models):
+                    x_left = states[j][:, first:i] if keep_states else left[j][:, :i - first]
+                    log_weights[j] = girsanov.path_log_weights(
+                        times, x_left, block, model, weight_cutoff, first, log_weights[j])
         for run, x in zip(states, xs):
             run[:, i] = x
         if i in snapshots:
             snapshots[i] = list(xs)
-    log_weights = None if weight_cutoff is None else [
-        girsanov.path_log_weights(times, run, dW, m, weight_cutoff)
-        for run, m in zip(states, models)]
-    return {"dW": dW if whole else None, "terminal": xs, "states": states,
+    return {"dW": dW if keep_increments else None, "terminal": xs, "states": states,
             "snapshots": snapshots, "log_weights": log_weights}
 
 

@@ -168,15 +168,16 @@ def is_on_cut_locus(x: ArrayLike, target: ArrayLike, tol: float = 0.0) -> np.nda
 
 
 def torus_distance(p: ArrayLike, q: ArrayLike) -> np.ndarray | float:
-    """Quotient distance on the torus between fundamental-domain points.
+    """Quotient distance on the torus between plane points.
 
-    Each axis folds its displacement to ``min(|p - q|, 1 - |p - q|)``, the
-    nearest of the shifts -1, 0, 1; this is exact when both arguments lie
-    in the fundamental domain, and bitwise the minimum of ``|(p - q) + k|``
-    over the nine shifts k in {-1, 0, 1}^2.  Symmetric, and zero iff p == q.
+    Each axis folds its displacement d = p - q to ``|d - round(d)|``, its
+    distance to the nearest integer, so any plane points give the distance
+    of their projections.  For fundamental-domain points this is bitwise the
+    minimum of ``|(p - q) + k|`` over the nine shifts k in {-1, 0, 1}^2.
+    Symmetric, and zero iff p and q project to the same point.
     """
-    d = np.abs(as_point(p, "p") - as_point(q, "q"))
-    out = np.linalg.norm(np.minimum(d, 1.0 - d), axis=-1)
+    d = as_point(p, "p") - as_point(q, "q")
+    out = np.linalg.norm(np.abs(d - np.round(d)), axis=-1)
     if out.ndim == 0:
         return float(out)
     return out

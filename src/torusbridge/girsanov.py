@@ -66,18 +66,28 @@ def path_log_weights(
     increments: np.ndarray,
     model: DriftModel,
     cutoff_S: float,
+    first_step: int = 0,
+    partial: np.ndarray | float | None = None,
 ) -> np.ndarray | float:
     """Discretised log weights over [0, S] for one path or a stack of paths.
 
     Computes ``- sum_{t_i < S} u_i . dW_i - 1/2 sum_{t_i < S} |u_i|^2 dt``
-    with ``u_i = b(t_i, x_i) / sigma`` from the model's drift b.
+    with ``u_i = b(t_i, x_i) / sigma`` from the model's drift b.  The sum
+    may be taken a slice of the grid at a time: given the ``m`` steps from
+    ``first_step`` on and the ``partial`` sums of the steps before them, it
+    adds those of the slice's steps that lie before S, in step order, so a
+    whole path summed slice by slice gives the bits of one whole pass.
 
     Args:
-        times: grid of length n_steps + 1.
-        states: shape (..., n_steps + 1, 2).
-        increments: driving dW, shape (..., n_steps, 2).
+        times: the whole grid, of length n_steps + 1.
+        states: the left-point states x_i of the slice's steps, shape
+            (..., m, 2), or a whole path's (..., n_steps + 1, 2) states.
+        increments: driving dW of the slice's steps, shape (..., m, 2).
         model: drift model the path was simulated under.
         cutoff_S: grid time strictly inside (0, T).
+        first_step: grid index of the slice's first step.
+        partial: log weights summed over the steps before ``first_step``
+            (default zero); not modified.
 
     Returns:
         Log weight(s) with the leading shape of ``states``.
@@ -90,21 +100,23 @@ def path_log_weights(
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
     increments = np.asarray(increments, dtype=float)
-    n_steps = increments.shape[-2]
-    if states.shape[-2] != n_steps + 1 or len(times) != n_steps + 1:
+    n_steps, m, rows = len(times) - 1, increments.shape[-2], states.shape[-2]
+    if not (0 <= first_step and first_step + m <= n_steps
+            and (rows == m or rows == n_steps + 1 == m + 1)):
         raise ValueError("states, increments and times disagree on the step count")
     dt = model.horizon / n_steps
     k = cutoff_index(dt, n_steps, model.horizon, cutoff_S)
     if not np.isfinite([states.min(initial=0.0), states.max(initial=0.0)]).all():
         raise ValueError("states must be finite")  # min/max: no state-sized temporary
-    if not ((times[:k] >= 0) & (times[:k] < model.horizon)).all():
+    stop = min(k, first_step + m)
+    if not ((times[first_step:stop] >= 0) & (times[first_step:stop] < model.horizon)).all():
         raise HorizonError(f"times before the cutoff must lie in [0, {model.horizon})")
-    acc = np.zeros(states.shape[:-2])
+    acc = np.zeros(states.shape[:-2]) if partial is None else np.asarray(partial, dtype=float)
     # A small sigma can make |u|^2 overflow; the check below names it instead.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(k):
-            u = drift(times[i], states[..., i, :], model) / model.sigma
-            acc = acc - (u * increments[..., i, :]).sum(axis=-1) \
+        for i in range(first_step, stop):
+            u = drift(times[i], states[..., i - first_step, :], model) / model.sigma
+            acc = acc - (u * increments[..., i - first_step, :]).sum(axis=-1) \
                       - 0.5 * (u * u).sum(axis=-1) * dt
     if not np.isfinite(acc).all():
         raise ValueError(f"the log weights overflow a double: sigma={model.sigma} is too "

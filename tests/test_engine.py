@@ -17,6 +17,7 @@ from torusbridge import (
     config_to_dict,
     euler_step,
     lattice_endpoint_histogram,
+    log_girsanov_weight,
     simulate_batch,
     simulate_path,
     wiener_increments,
@@ -386,6 +387,34 @@ class TestCoupledSimulation:
                     np.testing.assert_array_equal(batch.terminal_points[idx], states[-1])
                     np.testing.assert_array_equal(batch.snapshots[mid][idx], states[mid])
 
+    @pytest.mark.parametrize("block", [3, engine.NOISE_BLOCK])
+    def test_block_weights_equal_whole_path_weights(self, monkeypatch, block):
+        """Log weights summed noise block by noise block are bitwise the one
+        pass of ``log_girsanov_weight`` over ``simulate_path``, for cutoffs at
+        step 1, at a block edge, one past it and at n - 1, with paths kept or
+        not, alone and in a coupled two-model batch."""
+        monkeypatch.setattr(engine, "NOISE_BLOCK", block)
+        monkeypatch.setattr(engine, "CHUNK_SIZE", 16)
+        n_steps = 2 * block + 5
+        base = dict(start=(0.1, -0.2), n_steps=n_steps, seed=40, n_paths=20)
+        configs = [SimConfig(model=ProposedBridge(sigma=0.8, horizon=1.0, target=(0.2, 0.1)),
+                             **base),
+                   SimConfig(model=TrueBridge(sigma=0.8, horizon=1.0, target=(0.2, 0.1)),
+                             **base)]
+        picks = (0, 15, 16, 19)
+        paths = {(j, idx): simulate_path(cfg, idx)
+                 for j, cfg in enumerate(configs) for idx in picks}
+        for step in (1, block, block + 1, n_steps - 1):
+            cutoff = step / n_steps
+            for keep in (True, False):
+                coupled = simulate_batch(configs, keep_paths=keep, weight_cutoff=cutoff)
+                alone = simulate_batch(configs[0], keep_paths=keep, weight_cutoff=cutoff)
+                for (j, idx), path in paths.items():
+                    whole = log_girsanov_weight(path, configs[j].model, cutoff)
+                    assert coupled[j].log_weights[idx] == whole, (step, keep, j, idx)
+                    if j == 0:
+                        assert alone.log_weights[idx] == whole, (step, keep, idx)
+
     def test_uncoupled_configs_rejected_before_any_work(self, monkeypatch):
         monkeypatch.setattr(engine, "_chunk_increments", None)  # any draw would fail
         base = dict(start=A0, n_steps=20, seed=34, n_paths=4)
@@ -406,22 +435,25 @@ class TestMemory:
             tracemalloc.stop()
 
     def test_unkept_paths_peak_at_the_noise_chunk(self):
-        """Without kept paths or weights a chunk holds one (CHUNK_SIZE,
-        NOISE_BLOCK, 2) noise block, 2 MiB, and no increment or state array
-        over the steps, so 1024 paths peak below 4 MiB at 1000 and at 4000
-        steps (the whole noise array alone is 15.6 and 62.5 MiB)."""
+        """Without kept paths a chunk holds one (CHUNK_SIZE, NOISE_BLOCK, 2)
+        noise block, 2 MiB, and no increment or state array over the steps,
+        so 1024 paths peak below 4 MiB at 1000 and at 4000 steps (the whole
+        noise array alone is 15.6 and 62.5 MiB).  A weight cutoff adds one
+        block of left-point states, 2 MiB more, so the bound is 6 MiB."""
         for n_steps in (1000, 4000):
             cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
                        n_steps=n_steps, seed=36, n_paths=engine.CHUNK_SIZE)
-            assert self._peak(cfg, keep_paths=False) < 4 * 2**20
+            for cutoff, mib in ((None, 4), (0.5, 6)):
+                assert self._peak(cfg, keep_paths=False, weight_cutoff=cutoff) < mib * 2**20
 
     def test_kept_paths_hold_no_increments(self):
-        """Kept paths without a cutoff hold their states and a noise block,
-        not the 7.8 MiB increment array."""
+        """Kept paths, with a weight cutoff or without, hold their states and
+        a noise block, not the 7.8 MiB increment array."""
         cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
                    n_steps=500, seed=39, n_paths=engine.CHUNK_SIZE)
         state_bytes = engine.CHUNK_SIZE * 501 * 2 * 8
-        assert self._peak(cfg, keep_paths=True) < state_bytes + 4 * 2**20
+        for cutoff in (None, 0.5):
+            assert self._peak(cfg, keep_paths=True, weight_cutoff=cutoff) < state_bytes + 4 * 2**20
 
 
 class TestConfigRoundTrip:

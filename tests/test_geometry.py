@@ -221,6 +221,18 @@ class TestTorusDistance:
         for i in range(len(p)):
             assert torus_distance(p[i], q[i]) == oracle[i]
 
+    @given(pq=arrays(float, st.tuples(st.integers(1, 4), st.just(2), st.just(2)),
+                     elements=st.floats(-1e6, 1e6)))
+    @example(pq=np.array([[[1.7, 0.0], [0.0, 0.0]]]))
+    @example(pq=np.array([[[2.5, -3.5], [0.0, 0.25]]]))
+    def test_plane_points_give_the_distance_of_their_projections(self, pq):
+        """Any plane points are as far apart as their projections, up to the
+        rounding of the projection: (1.7, 0) is 0.3 from the origin, not 0.7."""
+        p, q = pq[:, 0], pq[:, 1]
+        tol = 4 * np.finfo(float).eps * (1.0 + np.abs(pq).max())
+        np.testing.assert_allclose(torus_distance(p, q), torus_distance(project(p), project(q)),
+                                   rtol=0, atol=tol)
+
     def test_diameter(self):
         """Nothing on the torus is farther than half a diagonal away."""
         rng = np.random.default_rng(49)

@@ -66,3 +66,13 @@ def test_chunk_layers_stay_traceable():
     # argument) would bypass the wrappers and drop those spans silently.
     assert _calls_global(engine.simulate_batch, "_run_chunk")
     assert _calls_global(engine._run_chunk, "_chunk_increments")
+
+
+def test_weights_layer_stays_traceable():
+    # The girsanov.weights layer comes from wrapping girsanov.path_log_weights;
+    # the engine must look it up through the module at each call, since a name
+    # bound at import time would bypass the wrapper and drop that layer silently.
+    ins = list(dis.get_instructions(engine._run_chunk))
+    assert any(a.opname == "LOAD_GLOBAL" and a.argval == "girsanov"
+               and b.opname in ("LOAD_ATTR", "LOAD_METHOD") and b.argval == "path_log_weights"
+               for a, b in zip(ins, ins[1:]))
