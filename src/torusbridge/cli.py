@@ -17,11 +17,16 @@ tables; every other value goes through "%.17g" itself.  Each row is one
 bytes "%" template with the formatted floats as "%s" fields; paths.csv
 formats its step,t columns once per run and x1,x2 a few paths at a time,
 and writes one text block per path.
+
+``main`` freezes the garbage collector's heap once per process (``gc.freeze``),
+which takes about 50 ms off every command's exit.  The process still exits
+the normal way, so atexit handlers run and the standard streams are flushed.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -454,6 +459,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command with the arguments ``argv`` (default ``sys.argv[1:]``);
+    return its exit status.
+
+    The first call in a process moves every object the collector tracks, by
+    then mostly the import's (about 40 000, most of them scipy.special's), to
+    its permanent generation, so neither the run's collections nor the
+    interpreter's finalisation at exit walk them.  Later calls
+    (tests and criterion 8 call ``main`` in process) freeze nothing more,
+    so the garbage of earlier runs stays collectable.
+    """
+    if not gc.get_freeze_count():
+        gc.freeze()
     ns = _build_parser().parse_args(argv)
     try:
         return ns.func(ns)

@@ -5,6 +5,8 @@ failure report) and asserts the criterion outcome.  The same checks back
 the ``torusbridge check`` command.
 """
 
+import tracemalloc
+
 import pytest
 
 from torusbridge import acceptance
@@ -26,3 +28,16 @@ def test_determinism_check_prints_nothing(capsys):
     """Criterion 8's in-process CLI runs keep their own output lines out of check's."""
     assert acceptance.check_determinism().passed
     assert capsys.readouterr().out == ""
+
+
+def test_density_normalization_builds_the_grid_in_row_blocks():
+    """Criterion 7 takes its 400 x 400 grid 10 rows at a time, so it peaks
+    below 2 MiB; the whole grid's points and meshgrids alone take 4.9 MiB."""
+    tracemalloc.start()
+    try:
+        result = acceptance.check_density_normalization()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed, result.line()
+    assert peak < 2 * 2**20

@@ -3,14 +3,19 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import torusbridge
 from torusbridge import cli, engine
 from torusbridge.drift import VARIANTS
 
@@ -697,3 +702,46 @@ class TestCheck:
         out = capsys.readouterr().out
         assert rc == 0
         assert "PASS" in out and "density-normalization" in out
+
+
+def _python(*args, cwd=None):
+    """Run a fresh interpreter that imports this package; return its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(torusbridge.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                          text=True, check=True).stdout
+
+
+class TestProcessExit:
+    """``main`` freezes the import's heap once, and the process still exits
+    the normal way: nothing is skipped at exit."""
+
+    def test_main_freezes_the_heap_once_per_process(self):
+        code = ("import gc, tempfile\n"
+                "from torusbridge import cli\n"
+                "counts = [gc.get_freeze_count()]\n"
+                "with tempfile.TemporaryDirectory() as out:\n"
+                "    for _ in range(2):\n"
+                "        assert cli.main(['field', '--target', '0,0', '--t', '0.5',\n"
+                "                         '--grid', '2', '--out', out]) == 0\n"
+                "        counts.append(gc.get_freeze_count())\n"
+                "print(*counts)\n")
+        before, first, second = map(int, _python("-c", code).split()[-3:])
+        assert before == 0
+        assert first > 10_000  # the import's objects, mostly scipy.special's
+        assert second == first
+
+    def test_subprocess_writes_the_in_process_bytes(self, tmp_path, monkeypatch, capsys):
+        args = ["simulate", "--model", "proposed", "--target", "0.1,-0.2", "--sigma", "0.9",
+                "--steps", "50", "--paths", "40", "--seed", "2024", "--cutoff", "0.5",
+                "--out", "out"]
+        (tmp_path / "child").mkdir()
+        child_out = _python("-m", "torusbridge.cli", *args, cwd=tmp_path / "child")
+        (tmp_path / "here").mkdir()
+        monkeypatch.chdir(tmp_path / "here")
+        assert cli.main(args) == 0
+        assert child_out == capsys.readouterr().out
+        assert child_out.startswith("wrote 40 paths to out")
+        for name in ("paths.csv", "endpoints.csv"):
+            assert ((tmp_path / "child/out" / name).read_bytes()
+                    == (tmp_path / "here/out" / name).read_bytes())
