@@ -10,8 +10,12 @@ Normal(0, dt) increments.
 Determinism contract
 --------------------
 Every path owns an independent noise stream derived only from
-``(seed, path_index)`` (a spawned ``numpy.random.SeedSequence`` child,
-a counter-based construction).  Consequences, all relied on by tests:
+``(seed, path_index)``: the generator
+``default_rng(SeedSequence(entropy=seed, spawn_key=(path_index,)))``, a
+spawned ``numpy.random.SeedSequence`` child.  A chunk computes the seed
+words of all its streams in one numpy pass of SeedSequence's hash rather
+than hashing one SeedSequence per path, with the same bits.
+Consequences, all relied on by tests:
 
   * the same ``(seed, path_index)`` always reproduces the same path,
     bit for bit, whether simulated alone or inside any batch;
@@ -31,9 +35,10 @@ states, whatever the step count.  Girsanov weights are summed block by block
 as the steps are taken, in step order and so with the bits of one whole pass;
 without kept paths they read each block's left-point states from one
 block-sized buffer per model.  The per-step states exist only when paths are
-kept, and the whole increment array only in :func:`simulate_path`.  A coupled
-batch draws each block once for all its models and steps them in one loop, and
-the grid is validated once per batch, not once per step.
+kept, and the whole increment array only in :func:`wiener_increments`, which
+:func:`simulate_path` attaches.  A coupled batch draws each block once for all
+its models and steps them in one loop, and the grid is validated once per
+batch, not once per step.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from numpy.typing import ArrayLike
 
 from . import girsanov
@@ -67,12 +73,14 @@ __all__ = [
 # Paths per chunk, and steps per noise draw within a chunk.  Unless paths are
 # kept, a chunk's arrays in flight are its (CHUNK_SIZE, NOISE_BLOCK, 2) noise
 # buffer, 2 MiB, its (CHUNK_SIZE, 2) states and, with weights, one more such
-# buffer per model; no output byte depends on either size.  Shorter blocks cost
-# more per-stream draw calls: drawing a 1024 x 1000 chunk took about 20 % longer
-# than one whole draw in 64-step blocks and 5-10 % longer in 128-step ones;
-# 256-step blocks would make the buffer 4 MiB.
-CHUNK_SIZE = 1024
-NOISE_BLOCK = 128
+# buffer per model; no output byte depends on either size.  Wide chunks spread
+# the step loop's per-call numpy overhead over more paths; short blocks cost
+# more per-stream draw calls: into one buffer, drawing a 2048 x 1000 chunk took
+# about 48 % longer in 64-step blocks than in one whole draw and 23 % longer
+# in 128-step ones (1024 paths: 45 % and 19 %), but 128 x 2048 would double
+# the buffer to 4 MiB.
+CHUNK_SIZE = 2048
+NOISE_BLOCK = 64
 
 _MAX_SEED = 2**64
 
@@ -187,15 +195,76 @@ def euler_step(
     return arr + drift(t, arr, model) * dt + model.sigma * dw
 
 
-def _path_seed(seed: int, path_index: int) -> np.random.SeedSequence:
-    # Child i of SeedSequence(seed).spawn(...), constructed directly so that
-    # path streams depend only on (seed, path_index).
-    return np.random.SeedSequence(entropy=seed, spawn_key=(path_index,))
+# numpy's SeedSequence hash (``bit_generator.pyx``, after O'Neill's seed_seq):
+# the start and multiplier of its two hash-constant sequences, and its mixer.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK32 = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's ``hashmix`` with its running hash constant, on ints or
+    uint64 arrays holding 32-bit words."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of two 32-bit words, on ints or uint64 arrays."""
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _seed_words(seed: int, lo: int, hi: int) -> np.ndarray:
+    """The (hi - lo, 4) uint64 rows ``SeedSequence(entropy=seed, spawn_key=(i,))
+    .generate_state(4, np.uint64)`` for the path indices i in [lo, hi), at once.
+
+    The seed's words, padded to the pool size of 4, are hashed into the pool
+    once; only the index words are mixed per row, one word below 2**32 and two
+    up to 2**64.  Indices beyond that are left to SeedSequence itself."""
+    if hi > 2**64:
+        return np.array([np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+                         .generate_state(4, np.uint64) for i in range(lo, hi)])
+    hash_a = _hasher(_INIT_A, _MULT_A)
+    pool = [hash_a(word) for word in (seed & _MASK32, seed >> 32, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hash_a(pool[src]))
+    index = np.arange(lo, hi, dtype=np.uint64)
+    pool = [_mix(p, hash_a(index & _MASK32)) for p in pool]
+    if hi > 2**32:
+        high = index >> 32
+        pool = [np.where(high > 0, _mix(p, hash_a(high)), p) for p in pool]
+    hash_b = _hasher(_INIT_B, _MULT_B)
+    words = [hash_b(pool[k % 4]) for k in range(8)]
+    return np.stack([low | high << 32 for low, high in zip(words[::2], words[1::2])], axis=1)
+
+
+class _SeedWords(ISeedSequence):
+    """Hands a bit generator one precomputed row of :func:`_seed_words`."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _streams(seed: int, lo: int, hi: int) -> list[np.random.Generator]:
+    """The noise streams of paths [lo, hi): for each index i, the generator
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=(i,)))``, bit for bit."""
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row)))
+            for row in _seed_words(seed, lo, hi)]
 
 
 def wiener_increments(seed: int, path_index: int, n_steps: int, dt: float) -> np.ndarray:
     """The (n_steps, 2) increment array dW driving path ``path_index``."""
-    rng = np.random.default_rng(_path_seed(seed, path_index))
+    rng, = _streams(seed, path_index, path_index + 1)
     return rng.standard_normal((n_steps, 2)) * np.sqrt(dt)
 
 
@@ -210,27 +279,21 @@ def _chunk_increments(streams, out: np.ndarray, dt: float) -> np.ndarray:
 
 def _run_chunk(
     config: SimConfig, lo: int, hi: int, times: np.ndarray, models: Sequence[DriftModel],
-    keep_states: bool, keep_increments: bool, snapshot_steps: Sequence[int],
-    weight_cutoff: float | None,
+    keep_states: bool, snapshot_steps: Sequence[int], weight_cutoff: float | None,
 ) -> dict:
     """Step every model over paths [lo, hi) of ``config``'s grid on shared noise,
-    drawn ``NOISE_BLOCK`` steps at a time unless the whole array is kept.
+    drawn ``NOISE_BLOCK`` steps at a time.
 
     With a weight cutoff, each model's log weights are summed block by block:
     once a block is stepped, :func:`girsanov.path_log_weights` adds the steps
     of that block before the cutoff, reading their left-point states from the
     kept states or, without them, from one block-sized buffer per model.
 
-    Returns the increments ``dW`` if kept (else None) and, with one entry per
-    model, the terminal and snapshot states, the full states if kept, and the
-    log weights; ``states`` is empty unless kept."""
+    Returns, with one entry per model, the terminal and snapshot states, the
+    full states if kept, and the log weights; ``states`` is empty unless kept."""
     dt, sigma, n = config.dt, config.model.sigma, config.n_steps
-    # A kept increment array is drawn in one pass, each stream made and dropped
-    # in turn; otherwise the streams live across the blocks of one buffer.
-    width = n if keep_increments else min(NOISE_BLOCK, n)
-    streams = (np.random.default_rng(_path_seed(config.seed, idx)) for idx in range(lo, hi))
-    if width < n:
-        streams = list(streams)
+    width = min(NOISE_BLOCK, n)
+    streams = _streams(config.seed, lo, hi)
     dW = np.empty((hi - lo, width, 2))
     xs = [np.full((hi - lo, 2), config.start) for _ in models]
     states = [np.empty((hi - lo, n + 1, 2)) for _ in models] if keep_states else []
@@ -260,8 +323,7 @@ def _run_chunk(
             run[:, i] = x
         if i in snapshots:
             snapshots[i] = list(xs)
-    return {"dW": dW if keep_increments else None, "terminal": xs, "states": states,
-            "snapshots": snapshots, "log_weights": log_weights}
+    return {"terminal": xs, "states": states, "snapshots": snapshots, "log_weights": log_weights}
 
 
 def simulate_path(config: SimConfig, path_index: int = 0) -> PathSample:
@@ -276,9 +338,9 @@ def simulate_path(config: SimConfig, path_index: int = 0) -> PathSample:
             f"path_index must be in [0, {config.n_paths}); got {path_index}"
         )
     times = config.time_grid()
-    res = _run_chunk(config, path_index, path_index + 1, times, [config.model], True,
-                     True, (), None)
-    return PathSample(times=times, states=res["states"][0][0], increments=res["dW"][0])
+    res = _run_chunk(config, path_index, path_index + 1, times, [config.model], True, (), None)
+    return PathSample(times=times, states=res["states"][0][0], increments=wiener_increments(
+        config.seed, path_index, config.n_steps, config.dt))
 
 
 def simulate_batch(
@@ -338,8 +400,7 @@ def simulate_batch(
 
     for lo in range(0, n_paths, CHUNK_SIZE):
         hi = min(lo + CHUNK_SIZE, n_paths)
-        res = _run_chunk(grid, lo, hi, times, models, keep_paths, False, snapshot_list,
-                         weight_cutoff)
+        res = _run_chunk(grid, lo, hi, times, models, keep_paths, snapshot_list, weight_cutoff)
         for j, out in enumerate(results):
             x = res["terminal"][j]
             if not (np.abs(x) <= MAX_PLANE_COORD).all():  # also NaN and inf

@@ -94,7 +94,7 @@ def as_torus_point(a: ArrayLike, name: str = "torus point") -> np.ndarray:
     arr = as_point(a, name)
     if np.any(arr < -0.5) or np.any(arr >= 0.5):
         raise ValueError(
-            f"{name} must lie in the fundamental domain [-1/2, 1/2)^2; got {arr!r}"
+            f"{name} must lie in the fundamental domain [-1/2, 1/2)^2; got {arr.tolist()}"
         )
     return arr
 

@@ -175,10 +175,10 @@ class TestAgreementRate:
         with pytest.raises(ValueError, match=f"coupled configs must share {field}"):
             agreement_rate(cfg_a, cfg_b)
 
-    @pytest.mark.parametrize("chunk", [16, engine.CHUNK_SIZE])
+    @pytest.mark.parametrize("chunk", [16, 1024])
     def test_pairs_match_separate_batches(self, monkeypatch, chunk):
         """The one coupled batch gives each side the offsets and cut-locus
-        flags of its own batch, over a partial last chunk too."""
+        flags of its own batch, in one chunk and over a partial last chunk."""
         monkeypatch.setattr(engine, "CHUNK_SIZE", chunk)
         kw = dict(start=A0, n_steps=200, seed=72, n_paths=40)
         cfg_a = SimConfig(model=ProposedBridge(sigma=0.8, horizon=1.0, target=A0), **kw)

@@ -174,6 +174,12 @@ class TestSimulate:
         assert rc == 2
         assert "--target" in capsys.readouterr().err
 
+    def test_target_outside_the_domain_prints_plain_numbers(self, tmp_path, capsys):
+        rc = _run("simulate", "--model", "true-bridge", "--target", "0.6,0", "--out", tmp_path)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: target must lie in the fundamental domain [-1/2, 1/2)^2; got [0.6, 0.0]\n")
+
     def test_unknown_config_key_fails(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.json"
         cfg_file.write_text(json.dumps({

@@ -4,7 +4,10 @@ import json
 import tracemalloc
 
 import numpy as np
+import numpy.random.bit_generator
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torusbridge import (
     VARIANTS,
@@ -91,6 +94,38 @@ class TestNoiseStreams:
             for j in range(2):
                 corr = np.corrcoef(a[:, i], b[:, j])[0, 1]
                 assert abs(corr) < 0.05
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 2**33 - 1),
+           count=st.integers(1, 3))
+    @example(seed=0, index=0, count=1)
+    @example(seed=2**32, index=2**32 - 2, count=3)
+    @example(seed=2**64 - 1, index=2**33 - 3, count=3)
+    def test_seed_words_are_seed_sequence_states(self, seed, index, count):
+        """Each row is numpy's own SeedSequence state, one-word and two-word
+        spawn keys alike, so a change to numpy's algorithm fails here."""
+        rows = engine._seed_words(seed, index, index + count)
+        expected = [np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(
+            4, np.uint64) for i in range(index, index + count)]
+        assert rows.dtype == np.uint64
+        np.testing.assert_array_equal(rows, expected)
+
+    @pytest.mark.parametrize("path_index", [5, 2**32 + 3, 2**64 + 1])
+    def test_stream_is_the_spawned_seed_sequence_child(self, path_index):
+        seq = np.random.SeedSequence(entropy=2**40 + 9, spawn_key=(path_index,))
+        expected = np.random.default_rng(seq).standard_normal((30, 2)) * np.sqrt(0.01)
+        np.testing.assert_array_equal(
+            wiener_increments(2**40 + 9, path_index, 30, 0.01), expected)
+
+    def test_a_batch_builds_no_seed_sequence(self, monkeypatch):
+        """A chunk's streams come from its computed seed words alone."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a SeedSequence was built")
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        monkeypatch.setattr(numpy.random.bit_generator, "SeedSequence", refuse)
+        cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0), n_steps=20, seed=8,
+                   n_paths=40)
+        simulate_batch(cfg, keep_paths=False, weight_cutoff=0.5)
 
     def test_increment_variance_is_dt(self):
         dW = wiener_increments(11, 3, 100_000, 0.004)
@@ -303,11 +338,11 @@ class TestCoupledSimulation:
         assert np.array_equal(ba.limiting_lattice_points, bb.limiting_lattice_points)
         assert not ba.unresolved.any() and not bb.unresolved.any()
 
-    @pytest.mark.parametrize("chunk", [16, engine.CHUNK_SIZE])
+    @pytest.mark.parametrize("chunk", [16, 1024])
     def test_coupled_batch_equals_separate_batches(self, monkeypatch, chunk):
         """One loop over one noise draw per chunk gives each config the bits
         of its own batch: 40 paths are three chunks of 16 (the last partial)
-        or one chunk at the default size."""
+        or one chunk, as at the default size."""
         monkeypatch.setattr(engine, "CHUNK_SIZE", chunk)
         base = dict(start=(0.1, -0.2), n_steps=60, seed=32, n_paths=40)
         configs = [
@@ -352,12 +387,14 @@ class TestCoupledSimulation:
         simulate_batch(configs, keep_paths=False)
         assert calls == [(16, block), (16, 20), (16, block), (16, 20), (8, block), (8, 20)]
 
-    @pytest.mark.parametrize("n_steps", [2 * engine.NOISE_BLOCK + 37, engine.NOISE_BLOCK // 3])
+    @pytest.mark.parametrize("n_steps", [293, 42])
     def test_block_draws_give_whole_stream_bits(self, monkeypatch, n_steps):
-        """Noise drawn in blocks, the last one partial, or in one whole draw
-        gives every path the increments of ``wiener_increments`` and the
-        states of ``euler_step`` replayed on them: kept or not, alone,
-        coupled and via simulate_path."""
+        """Noise drawn in blocks, the last one partial, gives every path the
+        increments of ``wiener_increments`` and the states of ``euler_step``
+        replayed on them: kept or not, alone, coupled and via simulate_path.
+        The step counts are four 64-step blocks and a partial one, and one
+        partial block."""
+        monkeypatch.setattr(engine, "NOISE_BLOCK", 64)
         monkeypatch.setattr(engine, "CHUNK_SIZE", 16)
         base = dict(start=(0.1, -0.2), n_steps=n_steps, seed=38, n_paths=20)
         models = (ProposedBridge(sigma=0.8, horizon=1.0, target=(0.2, 0.1)),
@@ -387,7 +424,7 @@ class TestCoupledSimulation:
                     np.testing.assert_array_equal(batch.terminal_points[idx], states[-1])
                     np.testing.assert_array_equal(batch.snapshots[mid][idx], states[mid])
 
-    @pytest.mark.parametrize("block", [3, engine.NOISE_BLOCK])
+    @pytest.mark.parametrize("block", [3, 128])
     def test_block_weights_equal_whole_path_weights(self, monkeypatch, block):
         """Log weights summed noise block by noise block are bitwise the one
         pass of ``log_girsanov_weight`` over ``simulate_path``, for cutoffs at
@@ -437,8 +474,8 @@ class TestMemory:
     def test_unkept_paths_peak_at_the_noise_chunk(self):
         """Without kept paths a chunk holds one (CHUNK_SIZE, NOISE_BLOCK, 2)
         noise block, 2 MiB, and no increment or state array over the steps,
-        so 1024 paths peak below 4 MiB at 1000 and at 4000 steps (the whole
-        noise array alone is 15.6 and 62.5 MiB).  A weight cutoff adds one
+        so 2048 paths peak below 4 MiB at 1000 and at 4000 steps (the whole
+        noise array alone is 31.2 and 125 MiB).  A weight cutoff adds one
         block of left-point states, 2 MiB more, so the bound is 6 MiB."""
         for n_steps in (1000, 4000):
             cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
@@ -448,7 +485,7 @@ class TestMemory:
 
     def test_kept_paths_hold_no_increments(self):
         """Kept paths, with a weight cutoff or without, hold their states and
-        a noise block, not the 7.8 MiB increment array."""
+        a noise block, not the 15.6 MiB increment array."""
         cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
                    n_steps=500, seed=39, n_paths=engine.CHUNK_SIZE)
         state_bytes = engine.CHUNK_SIZE * 501 * 2 * 8
