@@ -15,6 +15,7 @@ not depend on how the paths were chunked.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,8 +244,10 @@ def drift_field(
     """
     if n < 2:
         raise ValueError(f"grid size must be >= 2; got {n}")
-    if not np.isfinite([*x1_range, *x2_range]).all():
-        raise ValueError(f"grid ranges must be finite; got {x1_range} and {x2_range}")
+    # A non-finite end gives a non-finite span too; linspace needs finite spans.
+    if not all(math.isfinite(float(hi) - float(lo)) for lo, hi in (x1_range, x2_range)):
+        raise ValueError(f"grid ranges must be finite with finite spans hi - lo; "
+                         f"got {x1_range} and {x2_range}")
     g1 = np.linspace(x1_range[0], x1_range[1], n)
     g2 = np.linspace(x2_range[0], x2_range[1], n)
     m1, m2 = np.meshgrid(g1, g2, indexing="ij")

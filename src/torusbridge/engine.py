@@ -5,7 +5,8 @@ The integrator is the explicit left-point scheme
     x_{i+1} = x_i + b(t_i, x_i) dt + sigma dW_i,
 
 on the equidistant grid t_i = i T / n_steps, with dW_i independent
-Normal(0, dt) increments.
+Normal(0, dt) increments.  One unchecked helper spells the update for both
+:func:`euler_step` and the batch step loop.
 
 Determinism contract
 --------------------
@@ -31,14 +32,14 @@ stream continuing where its last block stopped; a numpy ``Generator`` keeps
 no cached normal, so this gives the bits of a whole-stream draw.  Chunking
 and blocking thus bound the memory in flight without changing any output
 byte: with no path kept, a chunk holds one noise block and its current
-states, whatever the step count.  Girsanov weights are summed block by block
-as the steps are taken, in step order and so with the bits of one whole pass;
-without kept paths they read each block's left-point states from one
-block-sized buffer per model.  The per-step states exist only when paths are
-kept, and the whole increment array only in :func:`wiener_increments`, which
-:func:`simulate_path` attaches.  A coupled batch draws each block once for all
-its models and steps them in one loop, and the grid is validated once per
-batch, not once per step.
+states, whatever the step count.  Each block's left-point states go into the
+kept paths or, with weights but no kept paths, into one block-sized buffer
+per model, and the Girsanov weights are summed from there block by block, in
+step order and so with the bits of one whole pass.  The per-step states exist
+only when paths are kept, and the whole increment array only in
+:func:`wiener_increments`, which :func:`simulate_path` attaches.  A coupled
+batch draws each block once for all its models and steps them in one loop,
+and the grid is validated once per batch, not once per step.
 """
 
 from __future__ import annotations
@@ -191,8 +192,13 @@ def euler_step(
     if not (0 <= t and t + dt <= horizon * (1.0 + 1e-9) + 1e-12):  # NaN fails too
         raise ValueError(f"step [{t}, {t + dt}] leaves the horizon [0, {horizon}]")
     arr = as_point(x, "x")
-    dw = np.asarray(dW, dtype=float)
-    return arr + drift(t, arr, model) * dt + model.sigma * dw
+    return _step(t, arr, dt, model.sigma * np.asarray(dW, dtype=float), model)
+
+
+def _step(t: float, x: np.ndarray, dt: float, noise: np.ndarray, model: DriftModel) -> np.ndarray:
+    """The update x + b(t, x) dt + noise with no checks, for :func:`euler_step`
+    and the step loop alike; ``noise`` is sigma dW."""
+    return x + drift(t, x, model) * dt + noise
 
 
 # numpy's SeedSequence hash (``bit_generator.pyx``, after O'Neill's seed_seq):
@@ -284,10 +290,11 @@ def _run_chunk(
     """Step every model over paths [lo, hi) of ``config``'s grid on shared noise,
     drawn ``NOISE_BLOCK`` steps at a time.
 
-    With a weight cutoff, each model's log weights are summed block by block:
-    once a block is stepped, :func:`girsanov.path_log_weights` adds the steps
-    of that block before the cutoff, reading their left-point states from the
-    kept states or, without them, from one block-sized buffer per model.
+    Each block is drawn, then stepped.  Its left-point states go into the kept
+    states or, without them but with a weight cutoff, into one block-sized
+    buffer per model.  With a weight cutoff, :func:`girsanov.path_log_weights`
+    then adds the block's steps before the cutoff to each model's running log
+    weights.
 
     Returns, with one entry per model, the terminal and snapshot states, the
     full states if kept, and the log weights; ``states`` is empty unless kept."""
@@ -297,32 +304,32 @@ def _run_chunk(
     dW = np.empty((hi - lo, width, 2))
     xs = [np.full((hi - lo, 2), config.start) for _ in models]
     states = [np.empty((hi - lo, n + 1, 2)) for _ in models] if keep_states else []
-    snapshots = dict.fromkeys(snapshot_steps)
+    # Steps rebind xs[j], so step 0's entries keep the start states.
+    snapshots = {s: list(xs) for s in snapshot_steps}
     cutoff_step = 0 if weight_cutoff is None else girsanov.cutoff_index(
         dt, n, config.model.horizon, weight_cutoff)
     log_weights = [np.zeros(hi - lo) for _ in models] if cutoff_step else None
-    left = [np.empty_like(dW) for _ in models] if cutoff_step and not keep_states else None
-    for i in range(n + 1):
-        if i:
-            b = (i - 1) % width
-            if not b:
-                first = i - 1
-                block = _chunk_increments(streams, dW[:, :min(width, n + 1 - i)], dt)
+    buffers = [np.empty_like(dW) for _ in models] if cutoff_step and not keep_states else []
+    for first in range(0, n, width):
+        last = min(first + width, n)
+        block = _chunk_increments(streams, dW[:, :last - first], dt)
+        left = [run[:, first:last] for run in states] or buffers
+        for b, t in enumerate(times[first:last]):
             noise = sigma * block[:, b]
             for j, model in enumerate(models):
                 if left:
                     left[j][:, b] = xs[j]
-                # euler_step's update, bit for bit, without its per-step checks.
-                xs[j] = xs[j] + drift(times[i - 1], xs[j], model) * dt + noise
-            if first < cutoff_step and i == first + block.shape[1]:
-                for j, model in enumerate(models):
-                    x_left = states[j][:, first:i] if keep_states else left[j][:, :i - first]
-                    log_weights[j] = girsanov.path_log_weights(
-                        times, x_left, block, model, weight_cutoff, first, log_weights[j])
-        for run, x in zip(states, xs):
-            run[:, i] = x
-        if i in snapshots:
-            snapshots[i] = list(xs)
+                xs[j] = _step(t, xs[j], dt, noise, model)
+            if first + b + 1 in snapshots:
+                snapshots[first + b + 1] = list(xs)
+        if first < cutoff_step:
+            m = min(cutoff_step, last) - first
+            for j, model in enumerate(models):
+                log_weights[j] = girsanov.path_log_weights(
+                    times[first:first + m], left[j][:, :m], block[:, :m], dt, model,
+                    log_weights[j])
+    for run, x in zip(states, xs):
+        run[:, n] = x
     return {"terminal": xs, "states": states, "snapshots": snapshots, "log_weights": log_weights}
 
 

@@ -64,30 +64,27 @@ def path_log_weights(
     times: np.ndarray,
     states: np.ndarray,
     increments: np.ndarray,
+    dt: float,
     model: DriftModel,
-    cutoff_S: float,
-    first_step: int = 0,
     partial: np.ndarray | float | None = None,
-) -> np.ndarray | float:
-    """Discretised log weights over [0, S] for one path or a stack of paths.
+) -> np.ndarray:
+    """Discretised log weights of the given steps, for one path or a stack of paths.
 
-    Computes ``- sum_{t_i < S} u_i . dW_i - 1/2 sum_{t_i < S} |u_i|^2 dt``
-    with ``u_i = b(t_i, x_i) / sigma`` from the model's drift b.  The sum
-    may be taken a slice of the grid at a time: given the ``m`` steps from
-    ``first_step`` on and the ``partial`` sums of the steps before them, it
-    adds those of the slice's steps that lie before S, in step order, so a
-    whole path summed slice by slice gives the bits of one whole pass.
+    Adds ``- sum_i u_i . dW_i - 1/2 sum_i |u_i|^2 dt`` with
+    ``u_i = b(t_i, x_i) / sigma`` from the model's drift b over every step
+    given, in order, to ``partial``.  The caller picks the steps: the engine
+    passes each noise block's steps before the cutoff, and
+    :func:`log_girsanov_weight` a recorded path's.  Summed slice by slice in
+    step order, a path's weight has the bits of one whole pass.
 
     Args:
-        times: the whole grid, of length n_steps + 1.
-        states: the left-point states x_i of the slice's steps, shape
-            (..., m, 2), or a whole path's (..., n_steps + 1, 2) states.
-        increments: driving dW of the slice's steps, shape (..., m, 2).
+        times: the left-point times t_i of the m steps, shape (m,).
+        states: the left-point states x_i, shape (..., m, 2).
+        increments: the driving dW_i, shape (..., m, 2).
+        dt: the step.
         model: drift model the path was simulated under.
-        cutoff_S: grid time strictly inside (0, T).
-        first_step: grid index of the slice's first step.
-        partial: log weights summed over the steps before ``first_step``
-            (default zero); not modified.
+        partial: log weights summed over earlier steps (default zero); not
+            modified.
 
     Returns:
         Log weight(s) with the leading shape of ``states``.
@@ -95,34 +92,24 @@ def path_log_weights(
     Raises:
         ValueError: if the inputs disagree, or a log weight is not a finite double.
     """
-    if increments is None:
-        raise ValueError("log weights require recorded increments")
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
     increments = np.asarray(increments, dtype=float)
-    n_steps, m, rows = len(times) - 1, increments.shape[-2], states.shape[-2]
-    if not (0 <= first_step and first_step + m <= n_steps
-            and (rows == m or rows == n_steps + 1 == m + 1)):
+    if not (times.ndim == 1 and states.shape[-2:] == increments.shape[-2:] == (len(times), 2)):
         raise ValueError("states, increments and times disagree on the step count")
-    dt = model.horizon / n_steps
-    k = cutoff_index(dt, n_steps, model.horizon, cutoff_S)
     if not np.isfinite([states.min(initial=0.0), states.max(initial=0.0)]).all():
         raise ValueError("states must be finite")  # min/max: no state-sized temporary
-    stop = min(k, first_step + m)
-    if not ((times[first_step:stop] >= 0) & (times[first_step:stop] < model.horizon)).all():
+    if not ((times >= 0) & (times < model.horizon)).all():
         raise HorizonError(f"times before the cutoff must lie in [0, {model.horizon})")
     acc = np.zeros(states.shape[:-2]) if partial is None else np.asarray(partial, dtype=float)
     # A small sigma can make |u|^2 overflow; the check below names it instead.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(first_step, stop):
-            u = drift(times[i], states[..., i - first_step, :], model) / model.sigma
-            acc = acc - (u * increments[..., i - first_step, :]).sum(axis=-1) \
-                      - 0.5 * (u * u).sum(axis=-1) * dt
+        for i, t in enumerate(times):
+            u = drift(t, states[..., i, :], model) / model.sigma
+            acc = acc - (u * increments[..., i, :]).sum(axis=-1) - 0.5 * (u * u).sum(axis=-1) * dt
     if not np.isfinite(acc).all():
         raise ValueError(f"the log weights overflow a double: sigma={model.sigma} is too "
-                         f"small for the drift up to the cutoff {cutoff_S}")
-    if acc.ndim == 0:
-        return float(acc)
+                         "small for the drift before the cutoff")
     return acc
 
 
@@ -137,8 +124,11 @@ def log_girsanov_weight(path: "PathSample", model: DriftModel, cutoff_S: float) 
     """
     if path.increments is None:
         raise ValueError("path does not carry recorded increments")
-    out = path_log_weights(path.times, path.states, path.increments, model, cutoff_S)
-    return float(out)
+    n_steps = len(path.times) - 1
+    dt = model.horizon / n_steps
+    k = cutoff_index(dt, n_steps, model.horizon, cutoff_S)
+    return float(path_log_weights(path.times[:k], path.states[:k], path.increments[:k], dt,
+                                  model))
 
 
 def drift_bound_constant(model: DriftModel, cutoff_S: float) -> float:

@@ -41,3 +41,16 @@ def test_density_normalization_builds_the_grid_in_row_blocks():
         tracemalloc.stop()
     assert result.passed, result.line()
     assert peak < 2 * 2**20
+
+
+def test_drift_bound_reads_the_kept_paths_in_place():
+    """Criterion 5 sums each kept path's |b|^2 dt from its own states, so it
+    peaks below 25 MiB; stacking the 1000 paths into one array took 47.7 MiB."""
+    tracemalloc.start()
+    try:
+        result = acceptance.check_drift_bound()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed, result.line()
+    assert peak < 25 * 2**20

@@ -603,7 +603,9 @@ class TestField:
                   "--out", tmp_path)
         assert rc == 2
 
-    @pytest.mark.parametrize("rect", ["0,inf,0,1", "-inf,0,0,1", "0,1,nan,1", "0,1,0,-inf"])
+    # The last two have finite ends whose difference overflows a double.
+    @pytest.mark.parametrize("rect", ["0,inf,0,1", "-inf,0,0,1", "0,1,nan,1", "0,1,0,-inf",
+                                      "-1e308,1e308,0,1", "0,1,-1e308,1e308"])
     def test_nonfinite_rect_is_one_error_line(self, tmp_path, capsys, rect):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -86,14 +86,25 @@ class TestLogWeight:
     ])
     def test_bad_path_rejected(self, field, value):
         """The drift the weights evaluate is unchecked, so the weights check
-        the states and the times before the cutoff themselves, once."""
+        the states and times of the steps they are given themselves, once."""
         model = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
         cfg = SimConfig(model=model, start=A0, n_steps=10, seed=5, n_paths=1)
         path = simulate_path(cfg, 0)
-        arrays = {"states": path.states.copy(), "times": path.times.copy()}
+        arrays = {"states": path.states[:5].copy(), "times": path.times[:5].copy()}
         arrays[field][3] = value
-        with pytest.raises(ValueError):
-            path_log_weights(arrays["times"], arrays["states"], path.increments, model, 0.5)
+        error = {"states": "states must be finite", "times": "times before the cutoff"}[field]
+        with pytest.raises(ValueError, match=error):
+            path_log_weights(arrays["times"], arrays["states"], path.increments[:5], cfg.dt,
+                             model)
+
+    def test_steps_must_agree(self):
+        """Times, states and increments must all hold the same steps."""
+        model = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
+        cfg = SimConfig(model=model, start=A0, n_steps=10, seed=5, n_paths=1)
+        path = simulate_path(cfg, 0)
+        for times, states in ((path.times[:5], path.states), (path.times, path.states[:5])):
+            with pytest.raises(ValueError, match="disagree on the step count"):
+                path_log_weights(times, states, path.increments[:5], cfg.dt, model)
 
 
 class TestMartingaleProperty:
@@ -112,7 +123,8 @@ class TestMartingaleProperty:
         cfg, states, increments = _states_and_increments(model, 3000, 500, 7)
         times = cfg.time_grid()
         for cutoff in (0.1, 0.2, 0.3, 0.4, 0.5):
-            logw = path_log_weights(times, states, increments, model, cutoff)
+            k = round(cutoff / cfg.dt)  # the steps before the cutoff
+            logw = path_log_weights(times[:k], states[:, :k], increments[:, :k], cfg.dt, model)
             w = np.exp(logw)
             se = w.std(ddof=1) / np.sqrt(len(w))
             assert abs(w.mean() - 1.0) <= 3 * se, f"cutoff {cutoff}"

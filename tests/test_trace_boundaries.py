@@ -51,13 +51,14 @@ def _calls_global(fn, name):
 
 def test_drift_layers_stay_traceable():
     # The drift.<variant> layers come from wrapping the module-level drift
-    # that the step loop and the weight pass call by name; a call site that
-    # dispatched to model.drift(...) directly would drop those spans silently.
+    # that the one step update and the weight pass call by name; a call site
+    # that dispatched to model.drift(...) directly would drop those spans silently.
     drift_module = importlib.import_module("torusbridge.drift")
     assert engine.drift is girsanov.drift is drift_module.drift
-    for fn in (engine.euler_step, engine._run_chunk, girsanov.path_log_weights):
-        assert "drift" in fn.__code__.co_names
+    for fn in (engine._step, girsanov.path_log_weights):
         assert _calls_global(fn, "drift")
+    for fn in (engine.euler_step, engine._run_chunk):
+        assert _calls_global(fn, "_step")
 
 
 def test_chunk_layers_stay_traceable():
