@@ -291,8 +291,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         "wall_time_s": time.perf_counter() - started,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {batch.n_paths} paths to {out_dir} "
-          f"({manifest['wall_time_s']:.2f}s)")
+    print(f"wrote {batch.n_paths} paths to {out_dir}")
     return 0
 
 

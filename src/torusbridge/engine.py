@@ -32,9 +32,8 @@ stream continuing where its last block stopped; a numpy ``Generator`` keeps
 no cached normal, so this gives the bits of a whole-stream draw.  Chunking
 and blocking thus bound the memory in flight without changing any output
 byte: with no path kept, a chunk holds one noise block and its current
-states, whatever the step count.  Each block's left-point states go into the
-kept paths or, with weights but no kept paths, into one block-sized buffer
-per model, and the Girsanov weights are summed from there block by block, in
+states, whatever the step count.  Each step before the weight cutoff adds its
+Girsanov term to the running log weights just before the state moves, in
 step order and so with the bits of one whole pass.  The per-step states exist
 only when paths are kept, and the whole increment array only in
 :func:`wiener_increments`, which :func:`simulate_path` attaches.  A coupled
@@ -73,8 +72,8 @@ __all__ = [
 
 # Paths per chunk, and steps per noise draw within a chunk.  Unless paths are
 # kept, a chunk's arrays in flight are its (CHUNK_SIZE, NOISE_BLOCK, 2) noise
-# buffer, 2 MiB, its (CHUNK_SIZE, 2) states and, with weights, one more such
-# buffer per model; no output byte depends on either size.  Wide chunks spread
+# buffer, 2 MiB, and its (CHUNK_SIZE, 2) states and weights; no output byte
+# depends on either size.  Wide chunks spread
 # the step loop's per-call numpy overhead over more paths; short blocks cost
 # more per-stream draw calls: into one buffer, drawing a 2048 x 1000 chunk took
 # about 48 % longer in 64-step blocks than in one whole draw and 23 % longer
@@ -285,16 +284,15 @@ def _chunk_increments(streams, out: np.ndarray, dt: float) -> np.ndarray:
 
 def _run_chunk(
     config: SimConfig, lo: int, hi: int, times: np.ndarray, models: Sequence[DriftModel],
-    keep_states: bool, snapshot_steps: Sequence[int], weight_cutoff: float | None,
+    keep_states: bool, snapshot_steps: Sequence[int], cutoff_step: int,
 ) -> dict:
     """Step every model over paths [lo, hi) of ``config``'s grid on shared noise,
     drawn ``NOISE_BLOCK`` steps at a time.
 
-    Each block is drawn, then stepped.  Its left-point states go into the kept
-    states or, without them but with a weight cutoff, into one block-sized
-    buffer per model.  With a weight cutoff, :func:`girsanov.path_log_weights`
-    then adds the block's steps before the cutoff to each model's running log
-    weights.
+    Each block is drawn, then stepped.  At each step before ``cutoff_step``, the
+    grid index of the weight cutoff (0 for no weights),
+    :func:`girsanov.path_log_weights` adds that step's term to each model's
+    running log weights just before the model's state moves.
 
     Returns, with one entry per model, the terminal and snapshot states, the
     full states if kept, and the log weights; ``states`` is empty unless kept."""
@@ -306,28 +304,23 @@ def _run_chunk(
     states = [np.empty((hi - lo, n + 1, 2)) for _ in models] if keep_states else []
     # Steps rebind xs[j], so step 0's entries keep the start states.
     snapshots = {s: list(xs) for s in snapshot_steps}
-    cutoff_step = 0 if weight_cutoff is None else girsanov.cutoff_index(
-        dt, n, config.model.horizon, weight_cutoff)
     log_weights = [np.zeros(hi - lo) for _ in models] if cutoff_step else None
-    buffers = [np.empty_like(dW) for _ in models] if cutoff_step and not keep_states else []
     for first in range(0, n, width):
         last = min(first + width, n)
         block = _chunk_increments(streams, dW[:, :last - first], dt)
-        left = [run[:, first:last] for run in states] or buffers
-        for b, t in enumerate(times[first:last]):
+        for i, t in enumerate(times[first:last], first):
+            b = i - first
             noise = sigma * block[:, b]
             for j, model in enumerate(models):
-                if left:
-                    left[j][:, b] = xs[j]
+                if states:
+                    states[j][:, i] = xs[j]
+                if i < cutoff_step:
+                    log_weights[j] = girsanov.path_log_weights(
+                        times[i:i + 1], xs[j][:, None], block[:, b:b + 1], dt, model,
+                        log_weights[j])
                 xs[j] = _step(t, xs[j], dt, noise, model)
-            if first + b + 1 in snapshots:
-                snapshots[first + b + 1] = list(xs)
-        if first < cutoff_step:
-            m = min(cutoff_step, last) - first
-            for j, model in enumerate(models):
-                log_weights[j] = girsanov.path_log_weights(
-                    times[first:first + m], left[j][:, :m], block[:, :m], dt, model,
-                    log_weights[j])
+            if i + 1 in snapshots:
+                snapshots[i + 1] = list(xs)
     for run, x in zip(states, xs):
         run[:, n] = x
     return {"terminal": xs, "states": states, "snapshots": snapshots, "log_weights": log_weights}
@@ -345,7 +338,7 @@ def simulate_path(config: SimConfig, path_index: int = 0) -> PathSample:
             f"path_index must be in [0, {config.n_paths}); got {path_index}"
         )
     times = config.time_grid()
-    res = _run_chunk(config, path_index, path_index + 1, times, [config.model], True, (), None)
+    res = _run_chunk(config, path_index, path_index + 1, times, [config.model], True, (), 0)
     return PathSample(times=times, states=res["states"][0][0], increments=wiener_increments(
         config.seed, path_index, config.n_steps, config.dt))
 
@@ -385,9 +378,9 @@ def simulate_batch(
     for s in snapshot_list:
         if not (0 <= s <= grid.n_steps):
             raise ValueError(f"snapshot step {s} outside [0, {grid.n_steps}]")
-    if weight_cutoff is not None:
-        # Validate eagerly so a bad cutoff fails before any simulation work.
-        girsanov.cutoff_index(grid.dt, grid.n_steps, grid.model.horizon, weight_cutoff)
+    # Validate eagerly so a bad cutoff fails before any simulation work.
+    cutoff_step = 0 if weight_cutoff is None else girsanov.cutoff_index(
+        grid.dt, grid.n_steps, grid.model.horizon, weight_cutoff)
 
     times = grid.time_grid()
     n_paths = grid.n_paths
@@ -407,7 +400,7 @@ def simulate_batch(
 
     for lo in range(0, n_paths, CHUNK_SIZE):
         hi = min(lo + CHUNK_SIZE, n_paths)
-        res = _run_chunk(grid, lo, hi, times, models, keep_paths, snapshot_list, weight_cutoff)
+        res = _run_chunk(grid, lo, hi, times, models, keep_paths, snapshot_list, cutoff_step)
         for j, out in enumerate(results):
             x = res["terminal"][j]
             if not (np.abs(x) <= MAX_PLANE_COORD).all():  # also NaN and inf
@@ -425,8 +418,6 @@ def simulate_batch(
             if out.paths is not None:
                 for row, idx in enumerate(range(lo, hi)):
                     out.paths[idx] = PathSample(times=times, states=res["states"][j][row])
-        # Free this chunk's arrays before the next chunk allocates its own.
-        del res
 
     return results[0] if isinstance(config, SimConfig) else results
 

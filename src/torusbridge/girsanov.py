@@ -73,7 +73,7 @@ def path_log_weights(
     Adds ``- sum_i u_i . dW_i - 1/2 sum_i |u_i|^2 dt`` with
     ``u_i = b(t_i, x_i) / sigma`` from the model's drift b over every step
     given, in order, to ``partial``.  The caller picks the steps: the engine
-    passes each noise block's steps before the cutoff, and
+    passes each step before the cutoff, one at a time, and
     :func:`log_girsanov_weight` a recorded path's.  Summed slice by slice in
     step order, a path's weight has the bits of one whole pass.
 

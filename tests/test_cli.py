@@ -712,6 +712,30 @@ class TestCheck:
         assert "PASS" in out and "density-normalization" in out
 
 
+class TestErrorLines:
+    # A manifest whose model block lacks its variant.
+    MANIFEST = {"config": {"model": {"sigma": 1.0, "horizon": 1.0}, "start": [0, 0],
+                           "n_steps": 10, "seed": 0, "n_paths": 1}}
+
+    @pytest.mark.parametrize("args, needles", [
+        (("simulate", "--model", "free-bm", "--start", "1"), ("--start", "'x,y'", "'1'")),
+        (("simulate", "--model", "free-bm", "--start", "a,b"), ("--start", "two numbers")),
+        (("simulate",), ("a model is required",)),
+        (("simulate", "--model", "free-bm", "--thin", "0"), ("--thin must be >= 1",)),
+        (("field", "--model", "proposed", "--target", "0,0", "--t", "0.5", "--rect", "1,2,3"),
+         ("--rect", "'1,2,3'")),
+        (("check", "--criterion", "9"), ("criterion index", "got 9")),
+        (("check", "--criterion", "0"), ("criterion index", "got 0")),
+        (("weights", "--manifest", "manifest.json", "--cutoff", "0.5"), ("'variant'",)),
+    ])
+    def test_bad_input_is_one_error_line(self, tmp_path, monkeypatch, capsys, args, needles):
+        monkeypatch.chdir(tmp_path)
+        Path("manifest.json").write_text(json.dumps(self.MANIFEST))
+        assert _run(*args) == 2
+        _assert_one_error_line(capsys, *needles)
+        assert os.listdir() == ["manifest.json"]
+
+
 def _python(*args, cwd=None):
     """Run a fresh interpreter that imports this package; return its stdout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -475,13 +475,19 @@ class TestMemory:
         """Without kept paths a chunk holds one (CHUNK_SIZE, NOISE_BLOCK, 2)
         noise block, 2 MiB, and no increment or state array over the steps,
         so 2048 paths peak below 4 MiB at 1000 and at 4000 steps (the whole
-        noise array alone is 31.2 and 125 MiB).  A weight cutoff adds one
-        block of left-point states, 2 MiB more, so the bound is 6 MiB."""
+        noise array alone is 31.2 and 125 MiB).  A weight cutoff adds each
+        step's term as the step is taken, with no block of left-point states,
+        so the bound is the same; a coupled proposal and exact-bridge pair
+        shares the noise block and peaks below 5 MiB."""
         for n_steps in (1000, 4000):
             cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
                        n_steps=n_steps, seed=36, n_paths=engine.CHUNK_SIZE)
-            for cutoff, mib in ((None, 4), (0.5, 6)):
-                assert self._peak(cfg, keep_paths=False, weight_cutoff=cutoff) < mib * 2**20
+            for cutoff in (None, 0.5):
+                assert self._peak(cfg, keep_paths=False, weight_cutoff=cutoff) < 4 * 2**20
+        pair = [_cfg(model, n_steps=200, seed=37, n_paths=engine.CHUNK_SIZE)
+                for model in (ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
+                              TrueBridge(sigma=0.8, horizon=1.0, target=A0))]
+        assert self._peak(pair, keep_paths=False, weight_cutoff=0.5) < 5 * 2**20
 
     def test_kept_paths_hold_no_increments(self):
         """Kept paths, with a weight cutoff or without, hold their states and
