@@ -13,10 +13,11 @@ its flags (one master --seed), so re-runs produce byte-identical CSV files.
 The floats are formatted in numpy, a block at a time, by ``_format_g17``:
 for 1e-4 <= |v| < 1e16 it computes the correctly rounded 17-digit decimal
 exactly, with Dekker's error-free product, and lays out its digits from
-tables; every other value goes through "%.17g" itself.  Each row is one
-bytes "%" template with the formatted floats as "%s" fields; paths.csv
-formats its step,t columns once per run and x1,x2 a few paths at a time,
-and writes one text block per path.
+tables; every other value goes through "%.17g" itself.  paths.csv is laid
+out in numpy too, a few paths at a time (``_path_blocks``): each block's rows
+go into one uint8 frame of NUL-padded fields, and dropping the NULs leaves
+its bytes.  The other files' rows are bytes "%" templates with the formatted
+floats as "%s" fields.
 
 ``main`` freezes the garbage collector's heap once per process (``gc.freeze``),
 which takes about 50 ms off every command's exit.  The process still exits
@@ -63,7 +64,8 @@ def _pair(text: str, flag: str) -> tuple[float, float]:
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
-    """Write ``header`` and then ``rows``, byte blocks that each end in a newline."""
+    """Write ``header`` and then ``rows``, blocks of bytes (``bytes`` or uint8
+    arrays) that each end in a newline."""
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         fh.writelines(rows)
@@ -113,13 +115,21 @@ _CEIL_OFFSET = 1 - _E_MIN
 _POW10_CEIL = np.array([_ceil_pow10(e) for e in range(_E_MIN - 1, _E_MAX + 3)])
 _POW10 = np.array([float(10**k) for k in range(17 - _E_MIN)])  # 10^k, exact
 _POW10_HI, _POW10_LO = _veltkamp(_POW10)
-# The digits d0..d16 of D sit in a 24-byte scratch row in reverse, d16 first, so
-# the number of trailing zeros is the index of the first byte that is not "0".
-# _QUADS[q] is the 4 digits of q in reverse, as one uint32 of ASCII, built
-# from the 2 reversed digits of each pair (a little-endian uint16).
+# The digits d0..d16 of D sit in a 24-byte scratch row in reverse, d16 first:
+# six uint32 of ASCII taken from _QUADS by key, the 4-digit groups of D lowest
+# first, then d0 (as the group "000d", so d0 and three "0"), then _FIXED.
+# _QUADS[q] for q < 10 000 is the 4 digits of q in reverse, built from the
+# 2 reversed digits of each pair (a little-endian uint16).
 _PAIRS = np.frombuffer("".join(f"{p:02d}"[::-1] for p in range(100)).encode(), np.uint16)
-_QUADS = (_PAIRS.astype(np.uint32)[:, None] << 16 | _PAIRS).ravel()
-_NUL, _MINUS, _ZERO, _POINT = 17, 18, 19, 20  # scratch columns of the fixed bytes
+_FIXED = 10_000  # the key of the fixed bytes NUL, "-", "." and "0"
+_QUADS = np.append((_PAIRS.astype(np.uint32)[:, None] << 16 | _PAIRS).ravel(),
+                   np.frombuffer(b"\0-.0", np.uint32))
+_ZERO, _NUL, _MINUS, _POINT = 17, 20, 21, 22  # scratch columns of the fixed bytes
+# _QUAD_ZEROS[q] is the number of trailing zeros of q's 4 digits (4 for q = 0):
+# its lower pair's, or 2 plus its upper pair's if the lower pair is 00.
+_PAIR_ZEROS = np.array([2] + [int(p % 10 == 0) for p in range(1, 100)])
+_QUAD_ZEROS = np.tile(_PAIR_ZEROS, 100)
+_QUAD_ZEROS[::100] += _PAIR_ZEROS
 
 
 def _layout(e: int, neg: bool, sig: int) -> list[int]:
@@ -147,22 +157,32 @@ def _format_g17(values) -> np.ndarray:
     flat = arr.ravel()
     out = np.empty(flat.size, dtype="S24")
     rows = min(flat.size, _G17_BLOCK)
-    scratch = np.zeros((rows, 24), dtype=np.uint8)
-    scratch[:, [_MINUS, _ZERO, _POINT]] = np.frombuffer(b"-0.", np.uint8)
-    quads = np.empty((rows, 4), dtype=np.int64)
-    index = np.empty((rows, 24), dtype=np.intp)
-    offsets = np.arange(0, rows * 24, 24)[:, None]
+    keys = np.empty((rows, 6), dtype=np.intp)  # the _QUADS keys of each scratch row
+    keys[:, 5] = _FIXED
+    scratch = np.empty((rows, 6), dtype=np.uint32)
+    index = np.empty((min(rows, _G17_BLOCK // 4), 24), dtype=np.intp)
+    offsets = np.arange(0, index.size, 24)[:, None]
     for lo in range(0, flat.size, _G17_BLOCK):
         x, text = flat[lo:lo + _G17_BLOCK], out[lo:lo + _G17_BLOCK]
         m = x.size
-        slow = _g17_block(x, scratch[:m], quads[:m], index[:m], offsets[:m],
+        slow = _g17_block(x, keys[:m], scratch[:m], index, offsets,
                           text.view(np.uint8).reshape(m, 24))
         for i in np.flatnonzero(slow).tolist():
             text[i] = b"%.17g" % x[i]
     return out.reshape(arr.shape)
 
 
-def _g17_block(x, scratch, quads, index, offsets, text) -> np.ndarray:
+def _round_scaled(a, k):
+    """round(a 10^k) half-even, for a 10^k in [1e16, 1e17]: Dekker's product
+    gives it as hi + lo exactly, and hi is an even integer."""
+    a_hi, a_lo = _veltkamp(a)
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    hi = a * _POW10[k]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _g17_block(x, keys, scratch, index, offsets, text) -> np.ndarray:
     """Write the fast-path bytes of ``x`` into ``text``; return the mask of
     values left to "%.17g"."""
     a = np.abs(x)
@@ -171,29 +191,61 @@ def _g17_block(x, scratch, quads, index, offsets, text) -> np.ndarray:
     e = np.floor(np.log10(a)).astype(np.intp)  # E, or one off near a power of ten
     e -= a < _POW10_CEIL[e + _CEIL_OFFSET]
     e += a >= _POW10_CEIL[e + _CEIL_OFFSET + 1]
-    k = 16 - e
-    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
-    a_hi, a_lo = _veltkamp(a)
-    hi = a * _POW10[k]
-    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    # d = lead 10^16 + upper 10^8 + lower; four 4-digit quads, lowest first.
+    d = _round_scaled(a, 16 - e)
+    # d = lead 10^16 + upper 10^8 + lower; four 4-digit groups, lowest first.
     high = d // 10**8
     lower = d - high * 10**8
-    lead = high // 10**8
-    upper = high - lead * 10**8
+    keys[:, 4] = high // 10**8
+    upper = high - keys[:, 4] * 10**8
     for j, half in ((0, lower), (2, upper)):
-        quads[:, j + 1] = half // 10**4
-        quads[:, j] = half - quads[:, j + 1] * 10**4
+        keys[:, j + 1] = half // 10**4
+        keys[:, j] = half - keys[:, j + 1] * 10**4
     # mode="clip" spares take a buffered bounds check; every index is in range.
-    np.take(_QUADS, quads, out=scratch.view(np.uint32)[:, :4], mode="clip")
-    scratch[:, 16] = lead + ord("0")
-    trailing_zeros = np.argmax(scratch[:, :17] != ord("0"), axis=1)
+    np.take(_QUADS, keys, out=scratch, mode="clip")
+    # D's trailing zeros: a group's count adds only above groups of 0000, and
+    # d0 is not 0.
+    trailing_zeros = np.take(_QUAD_ZEROS, keys[:, 3], mode="clip")
+    for j in (2, 1, 0):
+        zeros = np.take(_QUAD_ZEROS, keys[:, j], mode="clip")
+        trailing_zeros = zeros + (zeros == 4) * trailing_zeros
     key = ((e - _E_MIN) * 2 + np.signbit(x)) * 17 + (16 - trailing_zeros)
-    np.take(_GATHER, key, axis=0, out=index, mode="clip")
-    index += offsets
-    np.take(scratch.reshape(-1), index, out=text, mode="clip")
+    # The gather index covers len(index) rows at a time, which bounds its memory.
+    source = scratch.view(np.uint8).reshape(-1)
+    for lo in range(0, x.size, len(index)):
+        part = index[:x.size - lo]
+        np.take(_GATHER, key[lo:lo + len(part)], axis=0, out=part, mode="clip")
+        part += offsets[:len(part)]
+        np.take(source[lo * 24:], part, out=text[lo:lo + len(part)], mode="clip")
     return slow
+
+
+def _path_blocks(paths, steps, times):
+    """The rows of paths.csv, the states ``steps`` (at ``times``) of each path,
+    a block of paths (about ``_G17_BLOCK`` floats, at least one path) at a time.
+
+    A block's rows are laid out in one reused uint8 frame, a row per state:
+    the path id and ",", the "step,t," text (the same for every path, so
+    formatted once), x1's 24 "%.17g" bytes, ",", x2's 24 bytes and a newline,
+    each field padded with NUL to its widest value.  Dropping the NULs in one
+    pass leaves the block's bytes.
+    """
+    stamps = np.array([b"%d,%s," % row for row in zip(steps.tolist(), _format_g17(times).tolist())])
+    width = len(b"%d," % (len(paths) - 1))  # of the widest path id and its ","
+    per_block = max(1, _G17_BLOCK // (2 * len(steps)))
+    frame = np.zeros((per_block, len(steps), width + stamps.itemsize + 50), dtype=np.uint8)
+    frame[:, :, width:-50] = stamps.view(np.uint8).reshape(len(steps), -1)
+    frame[:, :, -26], frame[:, :, -1] = ord(","), ord("\n")
+    xs = np.empty((per_block, len(steps), 2))
+    for lo in range(0, len(paths), per_block):
+        block = paths[lo:lo + per_block]
+        f, x = frame[:len(block)], xs[:len(block)]
+        ids = np.array([b"%d," % pid for pid in range(lo, lo + len(block))], dtype=f"S{width}")
+        f[:, :, :width] = ids.view(np.uint8).reshape(-1, 1, width)
+        for path, states in zip(block, x):
+            np.take(path.states, steps, axis=0, out=states, mode="clip")
+        digits = _format_g17(x).view(np.uint8)
+        f[:, :, -50:-26], f[:, :, -25:-1] = digits[..., :24], digits[..., 24:]
+        yield f[f != 0]
 
 
 # The namespace attribute (flag --<attr>) that sets each model field.  Unset flags leave
@@ -260,20 +312,8 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     steps = np.arange(0, n + 1, min(thin, n))  # a stride past n keeps only 0 and n
     if steps[-1] != n:
         steps = np.append(steps, n)  # the terminal state is always kept
-    # The step,t columns are the same for every path, so they are formatted
-    # once; NUL marks where each path's path_id goes.
-    body = b"".join(b"\0%d,%s,%%s,%%s\n" % row for row in zip(
-        steps.tolist(), _format_g17(config.time_grid()[steps]).tolist()))
-    per_block = max(1, _G17_BLOCK // (2 * len(steps)))  # paths formatted at a time
-
-    def path_blocks():
-        paths = batch.paths
-        for lo in range(0, len(paths), per_block):
-            block = np.stack([path.states[steps] for path in paths[lo:lo + per_block]])
-            for pid, xs in enumerate(_format_g17(block.reshape(len(block), -1)).tolist(), lo):
-                yield body.replace(b"\0", b"%d," % pid) % tuple(xs)
-
-    _write_csv(out_dir / "paths.csv", "path_id,step,t,x1,x2", path_blocks())
+    _write_csv(out_dir / "paths.csv", "path_id,step,t,x1,x2",
+               _path_blocks(batch.paths, steps, config.time_grid()[steps]))
 
     logw = batch.log_weights
     logw_text = _format_g17(logw).tolist() if logw is not None else [b""] * batch.n_paths

@@ -385,6 +385,18 @@ class TestWriterBytes:
         assert (tmp_path / "paths.csv").read_bytes() == _oracle_paths(seen[0], thin)
         assert (tmp_path / "endpoints.csv").read_bytes() == _oracle_endpoints(seen[0])
 
+    @pytest.mark.parametrize("thin", [1, 4])
+    @pytest.mark.parametrize("paths, steps", [(101, 50), (12, 1)])
+    def test_uneven_blocks_and_id_widths(self, tmp_path, monkeypatch, paths, steps, thin):
+        """paths.csv's blocks need not be full or share one path-id width: 101
+        paths of 51 states go in blocks of 40, 40 and 21 paths, with ids of 1,
+        2 and 3 digits.  Step 0's zeros take the "%.17g" fallback."""
+        seen = _capture(monkeypatch, "simulate_batch")
+        assert _run("simulate", "--model", "proposed", "--target", "0.3,-0.1", "--sigma", "0.7",
+                    "--steps", steps, "--paths", paths, "--seed", "31", "--thin", thin,
+                    "--out", tmp_path) == 0
+        assert (tmp_path / "paths.csv").read_bytes() == _oracle_paths(seen[0], thin)
+
     @pytest.mark.parametrize("workers", [1, 3])
     def test_three_chunks(self, tmp_path, monkeypatch, workers):
         """Three chunks write the reference bytes, whatever --workers says."""
@@ -459,8 +471,10 @@ def _g17_sweep():
         parts.append(bits.view(np.float64))
     for e in range(-5, 17):  # a dense sweep of each decade
         parts.append(np.geomspace(10.0**e, 10.0 ** (e + 1), 4001))
+    # D with each number of trailing zeros: integers of 1 to 16 digits, none of them 0.
+    parts.append(np.array([float("1234567891234567"[:n]) for n in range(1, 17)]))
     parts.append(np.array([9.99999999999999995e-5, 99999999999999999.0, 0.99999999999999999,
-                           9999999999999998.0, 1e16, 1e-4, 0.5, 100.0]))
+                           9999999999999998.0, 1e16, 1e-4, 0.5, 100.0, 1234.5, 0.000125, 1e15]))
     values = np.concatenate(parts)
     return np.concatenate([values, -values])
 
@@ -480,6 +494,15 @@ class TestFormatG17:
         text = cli._format_g17(values).tolist()
         bad = [(v, t) for v, t in zip(values.tolist(), text) if t != b"%.17g" % v]
         assert bad == []
+
+    def test_sweep_has_every_trailing_zero_count(self):
+        """The sweep reaches every sum of the trailing-zero table: D ends in 0
+        to 16 zeros, for both signs (counted from the "%.17g" text)."""
+        values = _g17_sweep()
+        fast = values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)]
+        counts = {(v < 0, 17 - len(("%.17g" % v).lstrip("-").replace(".", "").strip("0")))
+                  for v in fast.tolist()}
+        assert counts == {(neg, zeros) for neg in (False, True) for zeros in range(17)}
 
     def test_keeps_shape(self):
         values = np.array([[0.1, -2.0, 3e-5], [1e20, np.nan, 7.25]])
