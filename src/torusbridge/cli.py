@@ -10,14 +10,15 @@ Subcommands:
 Every floating-point CSV value is the bytes of "%.17g" (17 significant
 digits, enough to round-trip a double), and every run is a pure function of
 its flags (one master --seed), so re-runs produce byte-identical CSV files.
-The floats are formatted in numpy, a block at a time, by ``_format_g17``:
-for 1e-4 <= |v| < 1e16 it computes the correctly rounded 17-digit decimal
-exactly, with Dekker's error-free product, and lays out its digits from
-tables; every other value goes through "%.17g" itself.  paths.csv is laid
-out in numpy too, a few paths at a time (``_path_blocks``): each block's rows
-go into one uint8 frame of NUL-padded fields, and dropping the NULs leaves
-its bytes.  The other files' rows are bytes "%" templates with the formatted
-floats as "%s" fields.
+The floats are formatted in numpy, a block at a time, by one core,
+``_g17_rows``: for zero and 1e-4 <= |v| < 1e16 it computes the correctly
+rounded 17-digit decimal exactly, with Dekker's error-free product, and
+builds its text in four uint64 words from tables of digits and of masks;
+every other value goes through "%.17g" itself.  ``_format_g17`` shifts each
+text to the start of an S24 item.  paths.csv is laid out in numpy too, a few
+paths at a time (``_path_blocks``): each block's rows go into one uint8 frame
+of NUL-padded fields, and dropping the NULs leaves its bytes.  The other
+files' rows are bytes "%" templates with the formatted floats as "%s" fields.
 
 ``main`` freezes the garbage collector's heap once per process (``gc.freeze``),
 which takes about 50 ms off every command's exit.  The process still exits
@@ -89,7 +90,8 @@ def _offset_text(k: list[int], unresolved: bool) -> bytes:
 #   hi + rint(lo): rint rounds half-even, and hi does not change the parity;
 # - D < 10^17, with no carry into E + 1: the largest double below 10^(E+1) has
 #   |v| 10^(16-E) more than 8 below 10^17 for every E here (the tests format it).
-# Every other value (zero, |v| < 1e-4, |v| >= 1e16, nan, inf) takes "%.17g" itself.
+# Zero is D = 0 with E = 0, printed "0" or "-0".  Every other value
+# (|v| < 1e-4, |v| >= 1e16, nan, inf) takes "%.17g" itself.
 _G17_BLOCK = 4096  # floats per block: bounds the scratch memory of one call
 _E_MIN, _E_MAX = -4, 15  # decimal exponents of the fast path
 
@@ -115,39 +117,45 @@ _CEIL_OFFSET = 1 - _E_MIN
 _POW10_CEIL = np.array([_ceil_pow10(e) for e in range(_E_MIN - 1, _E_MAX + 3)])
 _POW10 = np.array([float(10**k) for k in range(17 - _E_MIN)])  # 10^k, exact
 _POW10_HI, _POW10_LO = _veltkamp(_POW10)
-# The digits d0..d16 of D sit in a 24-byte scratch row in reverse, d16 first:
-# six uint32 of ASCII taken from _QUADS by key, the 4-digit groups of D lowest
-# first, then d0 (as the group "000d", so d0 and three "0"), then _FIXED.
-# _QUADS[q] for q < 10 000 is the 4 digits of q in reverse, built from the
-# 2 reversed digits of each pair (a little-endian uint16).
-_PAIRS = np.frombuffer("".join(f"{p:02d}"[::-1] for p in range(100)).encode(), np.uint16)
-_FIXED = 10_000  # the key of the fixed bytes NUL, "-", "." and "0"
-_QUADS = np.append((_PAIRS.astype(np.uint32)[:, None] << 16 | _PAIRS).ravel(),
-                   np.frombuffer(b"\0-.0", np.uint32))
-_ZERO, _NUL, _MINUS, _POINT = 17, 20, 21, 22  # scratch columns of the fixed bytes
-# _QUAD_ZEROS[q] is the number of trailing zeros of q's 4 digits (4 for q = 0):
-# its lower pair's, or 2 plus its upper pair's if the lower pair is 00.
-_PAIR_ZEROS = np.array([2] + [int(p % 10 == 0) for p in range(1, 100)])
-_QUAD_ZEROS = np.tile(_PAIR_ZEROS, 100)
-_QUAD_ZEROS[::100] += _PAIR_ZEROS
+
+# A text is built in a row of four little-endian uint64 words, 32 bytes:
+# three NULs, "0000" and d0 (_HEAD | d0 << 56), then d1..d8 and d9..d16, each
+# word two 4-digit groups of D from _QUAD_TEXT.  Its class (E, sign, digit
+# count) picks masks and fixed bytes: the integer part stays in place
+# (_WHOLE), the fraction moves one byte right (_FRAC, then a shift across the
+# words) to open the point's slot, and _FIXED adds "." and "-".  For E < 0
+# the integer part is one of the "0000" bytes and the fraction starts among
+# them, which gives the leading zeros.  The text lies in bytes 2-24, NUL
+# before and after it.  Row _FALLBACK is all NUL, and "%.17g" fills bytes 2-25.
+_HEAD = 0x3030303030000000
+# _QUAD_TEXT[q] is the 4 ASCII digits of q < 10 000, the first in the low byte,
+# from the 2 digits of each pair.
+_PAIRS = np.array([48 + p // 10 | (48 + p % 10) << 8 for p in range(100)], dtype=np.uint64)
+_QUAD_TEXT = (_PAIRS[:, None] | _PAIRS << 16).ravel()
 
 
-def _layout(e: int, neg: bool, sig: int) -> list[int]:
-    """Scratch columns of the 24 output bytes of a value with exponent ``e``,
-    sign ``neg`` and ``sig`` significant digits."""
-    digits = [16 - i for i in range(sig)]  # d_i is column 16 - i
-    head = [_MINUS] if neg else []
-    if e < 0:
-        cols = head + [_ZERO, _POINT] + [_ZERO] * (-e - 1) + digits
-    else:
-        whole = [16 - i for i in range(e + 1)]  # the integer part, zeros past sig included
-        cols = head + whole + ([_POINT] + digits[e + 1:] if sig > e + 1 else [])
-    return cols + [_NUL] * (24 - len(cols))
+def _layouts():
+    """The (681, 4) uint64 tables _WHOLE, _FRAC and _FIXED, a row per class
+    ((E - _E_MIN) * 2 + sign) * 17 + digits - 1 and then _FALLBACK's, and the
+    right shift in bits that starts each row's text at byte 0."""
+    # Float64, as the step loop's arithmetic: integer comparisons would page
+    # in more of numpy's code before the batch's peak memory.
+    e = np.repeat(np.arange(_E_MIN, _E_MAX + 1.0), 34)[:, None]
+    neg = np.tile(np.repeat([0.0, 1.0], 17), _E_MAX + 1 - _E_MIN)[:, None]
+    sig = np.tile(np.arange(1.0, 18.0), 2 * (_E_MAX + 1 - _E_MIN))[:, None]
+    b = np.arange(32.0)
+    first = 7 + np.minimum(e, 0)  # the integer part's first byte
+    # Each row's bytes are 1 where it keeps the integer part, the fraction,
+    # the point or the sign, else 0.
+    flags = [np.append(m, np.zeros((1, 32), dtype=bool), axis=0).view(np.uint64) for m in (
+        (b >= first) & (b <= 7 + e), (b >= 8 + e) & (b <= 6 + sig),
+        (b == 8 + e) & (sig > e + 1), (b == first - 1) & (neg > 0))]
+    return (flags[0] * 255, flags[1] * 255, flags[2] * ord(".") | flags[3] * ord("-"),
+            np.append(8 * (first - neg), 16).astype(np.uint64))
 
 
-# Row (e - _E_MIN, neg, sig - 1) of the gather table, flattened.
-_GATHER = np.array([_layout(e, neg, sig) for e in range(_E_MIN, _E_MAX + 1)
-                    for neg in (False, True) for sig in range(1, 18)], dtype=np.intp)
+_WHOLE, _FRAC, _FIXED, _SHIFT = _layouts()
+_FALLBACK = len(_SHIFT) - 1
 
 
 def _format_g17(values) -> np.ndarray:
@@ -156,19 +164,13 @@ def _format_g17(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     flat = arr.ravel()
     out = np.empty(flat.size, dtype="S24")
-    rows = min(flat.size, _G17_BLOCK)
-    keys = np.empty((rows, 6), dtype=np.intp)  # the _QUADS keys of each scratch row
-    keys[:, 5] = _FIXED
-    scratch = np.empty((rows, 6), dtype=np.uint32)
-    index = np.empty((min(rows, _G17_BLOCK // 4), 24), dtype=np.intp)
-    offsets = np.arange(0, index.size, 24)[:, None]
+    words = out.view(np.uint64).reshape(-1, 3)
+    rows = np.empty((min(flat.size, _G17_BLOCK), 4), dtype=np.uint64)
     for lo in range(0, flat.size, _G17_BLOCK):
-        x, text = flat[lo:lo + _G17_BLOCK], out[lo:lo + _G17_BLOCK]
-        m = x.size
-        slow = _g17_block(x, keys[:m], scratch[:m], index, offsets,
-                          text.view(np.uint8).reshape(m, 24))
-        for i in np.flatnonzero(slow).tolist():
-            text[i] = b"%.17g" % x[i]
+        x = flat[lo:lo + _G17_BLOCK]
+        text = rows[:x.size]
+        right = np.take(_SHIFT, _g17_rows(x, text))[:, None]
+        np.bitwise_or(text[:, :3] >> right, text[:, 1:] << 64 - right, out=words[lo:lo + x.size])
     return out.reshape(arr.shape)
 
 
@@ -182,41 +184,51 @@ def _round_scaled(a, k):
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def _g17_block(x, keys, scratch, index, offsets, text) -> np.ndarray:
-    """Write the fast-path bytes of ``x`` into ``text``; return the mask of
-    values left to "%.17g"."""
+def _g17_rows(x, rows) -> np.ndarray:
+    """Write the "%.17g" bytes of each value of ``x`` into its row of ``rows``,
+    an (x.size, 4) uint64 array, NUL around them; return each value's class
+    (``_FALLBACK`` for a value that "%.17g" formats itself)."""
     a = np.abs(x)
     slow = ~((a >= 1e-4) & (a < 1e16))
-    a[slow] = 1.0  # any fast-path value: its row is overwritten
+    a[slow] = 1.0  # any fast-path value
     e = np.floor(np.log10(a)).astype(np.intp)  # E, or one off near a power of ten
     e -= a < _POW10_CEIL[e + _CEIL_OFFSET]
     e += a >= _POW10_CEIL[e + _CEIL_OFFSET + 1]
     d = _round_scaled(a, 16 - e)
-    # d = lead 10^16 + upper 10^8 + lower; four 4-digit groups, lowest first.
-    high = d // 10**8
-    lower = d - high * 10**8
-    keys[:, 4] = high // 10**8
-    upper = high - keys[:, 4] * 10**8
-    for j, half in ((0, lower), (2, upper)):
-        keys[:, j + 1] = half // 10**4
-        keys[:, j] = half - keys[:, j + 1] * 10**4
+    d[slow] = 0  # zero's D; the fallback row masks out every other slow value
+    # D = d0 10^16 + high 10^8 + low, and high and low are two 4-digit groups each.
+    lead = d // 10**16
+    d -= lead * 10**16
+    halves = np.empty((2, x.size), dtype=np.intp)
+    halves[0] = d // 10**8
+    halves[1] = d - halves[0] * 10**8
+    groups = np.empty((2, 2, x.size), dtype=np.intp)
+    groups[0] = halves // 10**4
+    groups[1] = halves - groups[0] * 10**4
     # mode="clip" spares take a buffered bounds check; every index is in range.
-    np.take(_QUADS, keys, out=scratch, mode="clip")
-    # D's trailing zeros: a group's count adds only above groups of 0000, and
-    # d0 is not 0.
-    trailing_zeros = np.take(_QUAD_ZEROS, keys[:, 3], mode="clip")
-    for j in (2, 1, 0):
-        zeros = np.take(_QUAD_ZEROS, keys[:, j], mode="clip")
-        trailing_zeros = zeros + (zeros == 4) * trailing_zeros
-    key = ((e - _E_MIN) * 2 + np.signbit(x)) * 17 + (16 - trailing_zeros)
-    # The gather index covers len(index) rows at a time, which bounds its memory.
-    source = scratch.view(np.uint8).reshape(-1)
-    for lo in range(0, x.size, len(index)):
-        part = index[:x.size - lo]
-        np.take(_GATHER, key[lo:lo + len(part)], axis=0, out=part, mode="clip")
-        part += offsets[:len(part)]
-        np.take(source[lo * 24:], part, out=text[lo:lo + len(part)], mode="clip")
-    return slow
+    text = np.take(_QUAD_TEXT, groups, mode="clip")
+    words = text[0] | text[1] << 32
+    rows[:, 0] = lead << 56 | _HEAD
+    rows[:, 1:3] = words.T
+    # D's last nonzero digit is d(i + 1) for the highest nonzero byte i of its
+    # 16 lower digits XOR "0" (d0 if none): the double 2^64 z2 + z1 + 1/2 of
+    # the two words has binary exponent 8 i + 0..3, or -1, so (exponent >> 3)
+    # + 1 is that digit's index, the digit count less one.
+    z = (words ^ 0x3030303030303030).astype(float)
+    z[1] = z[1] * 2.0**64 + z[0] + 0.5
+    key = (e - _E_MIN) * 34 + np.signbit(x) * 17 + ((z[1].view(np.int64) - (1015 << 52)) >> 55)
+    slow &= x != 0
+    key[slow] = _FALLBACK
+    frac = np.take(_FRAC, key, axis=0, mode="clip")
+    frac &= rows
+    rows &= np.take(_WHOLE, key, axis=0, mode="clip")
+    rows |= np.take(_FIXED, key, axis=0, mode="clip")
+    rows |= frac << 8
+    rows.reshape(-1)[1:] |= frac.reshape(-1)[:-1] >> 56  # the byte each word passes on
+    texts = rows.view(np.uint8)[:, 2:26].view("S24")[:, 0]
+    for i in np.flatnonzero(slow).tolist():
+        texts[i] = b"%.17g" % x[i]
+    return key
 
 
 def _path_blocks(paths, steps, times):
@@ -226,8 +238,8 @@ def _path_blocks(paths, steps, times):
     A block's rows are laid out in one reused uint8 frame, a row per state:
     the path id and ",", the "step,t," text (the same for every path, so
     formatted once), x1's 24 "%.17g" bytes, ",", x2's 24 bytes and a newline,
-    each field padded with NUL to its widest value.  Dropping the NULs in one
-    pass leaves the block's bytes.
+    each field padded with NUL to its widest value or around its text.
+    Dropping the NULs in one pass leaves the block's bytes.
     """
     stamps = np.array([b"%d,%s," % row for row in zip(steps.tolist(), _format_g17(times).tolist())])
     width = len(b"%d," % (len(paths) - 1))  # of the widest path id and its ","
@@ -236,6 +248,8 @@ def _path_blocks(paths, steps, times):
     frame[:, :, width:-50] = stamps.view(np.uint8).reshape(len(steps), -1)
     frame[:, :, -26], frame[:, :, -1] = ord(","), ord("\n")
     xs = np.empty((per_block, len(steps), 2))
+    rows = np.empty((min(xs.size, _G17_BLOCK), 4), dtype=np.uint64)
+    fields = rows.view(np.uint8)[:, 2:26].reshape(-1, 2, 24)  # x1 and x2 of a state
     for lo in range(0, len(paths), per_block):
         block = paths[lo:lo + per_block]
         f, x = frame[:len(block)], xs[:len(block)]
@@ -243,8 +257,13 @@ def _path_blocks(paths, steps, times):
         f[:, :, :width] = ids.view(np.uint8).reshape(-1, 1, width)
         for path, states in zip(block, x):
             np.take(path.states, steps, axis=0, out=states, mode="clip")
-        digits = _format_g17(x).view(np.uint8)
-        f[:, :, -50:-26], f[:, :, -25:-1] = digits[..., :24], digits[..., 24:]
+        flat, lines = x.reshape(-1), f.reshape(-1, f.shape[-1])
+        for i in range(0, flat.size, _G17_BLOCK):  # more than one only for a long path
+            part = flat[i:i + _G17_BLOCK]
+            _g17_rows(part, rows[:part.size])
+            n = part.size // 2  # states
+            lines[i // 2:i // 2 + n, -50:-26] = fields[:n, 0]
+            lines[i // 2:i // 2 + n, -25:-1] = fields[:n, 1]
         yield f[f != 0]
 
 

@@ -4,9 +4,11 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -390,7 +392,7 @@ class TestWriterBytes:
     def test_uneven_blocks_and_id_widths(self, tmp_path, monkeypatch, paths, steps, thin):
         """paths.csv's blocks need not be full or share one path-id width: 101
         paths of 51 states go in blocks of 40, 40 and 21 paths, with ids of 1,
-        2 and 3 digits.  Step 0's zeros take the "%.17g" fallback."""
+        2 and 3 digits.  Step 0's zeros take the fast path's zero class."""
         seen = _capture(monkeypatch, "simulate_batch")
         assert _run("simulate", "--model", "proposed", "--target", "0.3,-0.1", "--sigma", "0.7",
                     "--steps", steps, "--paths", paths, "--seed", "31", "--thin", thin,
@@ -456,8 +458,32 @@ class TestWriterBytes:
         assert "%.17g" % v == format(v, ".17g")
 
 
+def _layout_class(text):
+    """The class (E, sign, significant digits) of a "%.17g" text in fixed notation."""
+    body = text.lstrip("-")
+    whole, _, frac = body.partition(".")
+    e = len(whole) - 1 if whole != "0" else len(frac.lstrip("0")) - len(frac) - 1
+    return e, text.startswith("-"), len(body.replace(".", "").strip("0"))
+
+
+def _class_values():
+    """A positive double of each layout class with E from -4 to 15, tried
+    among random decimals of that many digits until "%.17g" prints one so."""
+    rng = random.Random(22)
+    values = []
+    for e in range(-4, 16):
+        for sig in range(1, 18):
+            while True:
+                v = float(f"{rng.randrange(10 ** (sig - 1), 10 ** sig)}e{e - sig + 1}")
+                if _layout_class("%.17g" % v) == (e, False, sig):
+                    values.append(v)
+                    break
+    return values
+
+
 def _g17_sweep():
-    """Values where a 17-digit rounding can go wrong, both signs."""
+    """Values where a 17-digit rounding can go wrong, and one of each layout
+    class, both signs."""
     parts = []
     for e in range(-4, 17):
         # |v| 10^(16 - e) is a half-integer, a tie, for v = m 2^-(17 - e) with m odd.
@@ -475,6 +501,7 @@ def _g17_sweep():
     parts.append(np.array([float("1234567891234567"[:n]) for n in range(1, 17)]))
     parts.append(np.array([9.99999999999999995e-5, 99999999999999999.0, 0.99999999999999999,
                            9999999999999998.0, 1e16, 1e-4, 0.5, 100.0, 1234.5, 0.000125, 1e15]))
+    parts.append(np.array(_class_values()))
     values = np.concatenate(parts)
     return np.concatenate([values, -values])
 
@@ -503,6 +530,35 @@ class TestFormatG17:
         counts = {(v < 0, 17 - len(("%.17g" % v).lstrip("-").replace(".", "").strip("0")))
                   for v in fast.tolist()}
         assert counts == {(neg, zeros) for neg in (False, True) for zeros in range(17)}
+
+    def test_sweep_has_every_layout_class(self):
+        """The sweep reaches each of the 680 rows of the layout tables: E from
+        -4 to 15, both signs, 1 to 17 significant digits (counted from the
+        "%.17g" text)."""
+        values = _g17_sweep()
+        fast = values[(np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)]
+        assert {_layout_class("%.17g" % v) for v in fast.tolist()} == {
+            (e, neg, sig) for e in range(-4, 16) for neg in (False, True) for sig in range(1, 18)}
+
+    def test_zero_takes_the_fast_path(self):
+        rows = np.empty((2, 4), dtype=np.uint64)
+        assert (cli._g17_rows(np.array([0.0, -0.0]), rows) != cli._FALLBACK).all()
+
+    def test_paths_writer_formats_the_sweep(self):
+        """paths.csv's x1 and x2 fields come from the core's words, not from
+        _format_g17: the sweep's values and values "%.17g" formats itself,
+        as the states of 2500-step paths (more than one block of the core
+        per path), each give their "%.17g" bytes."""
+        values = np.append(_g17_sweep(), [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300,
+                                          -1.2345678901234567e-300, 2.2250738585072009e-308])
+        n_paths = -(-values.size // 5000)
+        states = np.resize(values, (n_paths, 2500, 2))
+        paths = [types.SimpleNamespace(states=s) for s in states]
+        steps = np.arange(2500)
+        text = b"".join(block.tobytes() for block in cli._path_blocks(
+            paths, steps, np.linspace(0.0, 1.0, 2500)))
+        fields = [line.split(b",")[3:] for line in text.splitlines()]
+        assert fields == [[b"%.17g" % v for v in row] for row in states.reshape(-1, 2).tolist()]
 
     def test_keeps_shape(self):
         values = np.array([[0.1, -2.0, 3e-5], [1e20, np.nan, 7.25]])
