@@ -8,9 +8,6 @@ Girsanov reweighting and the batch statistics that compare them.
 """
 
 from .geometry import (
-    AmbiguousLiftError,
-    is_on_cut_locus,
-    lift_nearest,
     nearest_offset,
     project,
     torus_distance,
@@ -59,11 +56,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # geometry
-    "AmbiguousLiftError",
     "project",
     "nearest_offset",
-    "lift_nearest",
-    "is_on_cut_locus",
     "torus_distance",
     # drift models
     "DriftModel",

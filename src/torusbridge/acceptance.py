@@ -205,7 +205,8 @@ def check_drift_bound() -> CriterionResult:
     n_path_viol = 0
     for path in batch.paths:  # each path's kept states, read in place
         bi = model.drift(times[:k], path.states[:k])
-        n_path_viol += int(np.sum(np.cumsum((bi * bi).sum(axis=-1) * cfg.dt) > limits))
+        bi *= bi
+        n_path_viol += int(np.sum(np.cumsum((0.0 + bi[:, 0] + bi[:, 1]) * cfg.dt) > limits))
     ok = n_viol == 0 and n_path_viol == 0
     return CriterionResult(
         5,

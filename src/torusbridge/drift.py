@@ -217,13 +217,16 @@ class ProposedBridge(_LiftBridge):
         definition of the process.
         """
         a = _filled(self.target, x.shape)
-        k, on_cut = nearest_offset(x - a, self.cut_locus_tol)
-        b = (a + k - x) / _expand(tau)
+        b, on_cut = nearest_offset(x - a, self.cut_locus_tol)
+        b += a
+        b -= x
+        # A time array may be wider than the points, which b cannot hold.
+        b = b / _expand(tau) if tau.ndim else np.divide(b, tau, out=b)
         if np.count_nonzero(on_cut):  # rarely true; cheaper than the masked write or .any()
             if on_cut.shape != b.shape[:-1]:  # a time array wider than the points
                 on_cut = np.broadcast_to(on_cut, b.shape[:-1])
             b[on_cut] = 0.0
-        return b * self.sigma**2 if self.scale_by_sigma_sq else b
+        return np.multiply(b, self.sigma**2, out=b) if self.scale_by_sigma_sq else b
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -241,7 +244,8 @@ class TrueBridge(_LiftBridge):
         normalised Gaussian weights of all lifts a + k.
         """
         d = x - _filled(self.target, x.shape)
-        return self.sigma**2 * _axis_slope(d, self.sigma**2 * _expand(tau))
+        b = _axis_slope(d, self.sigma**2 * _expand(tau))
+        return np.multiply(b, self.sigma**2, out=b)
 
 
 VARIANTS: dict[str, type[DriftModel]] = {
@@ -299,16 +303,32 @@ def _lift_weights(r: np.ndarray, v: ArrayLike):
 def _direct_slope(r: np.ndarray, v: ArrayLike) -> np.ndarray:
     """d log p / dr from the seven lifts r - j, |j| <= 3, of |r| <= 1/2."""
     (p1, p2, p3), (m1, m2, m3) = _lift_weights(r, v)
-    pull = (p1 - m1) + 2.0 * (p2 - m2) + 3.0 * (p3 - m3)
-    sums = 1.0 + (p1 + m1) + (p2 + m2) + (p3 + m3)
-    return (pull / sums - r) / v
+    # sums = 1 + (p1 + m1) + (p2 + m2) + (p3 + m3) and, in p1,
+    # pull = (p1 - m1) + 2 (p2 - m2) + 3 (p3 - m3), with m1 as scratch.
+    sums = p1 + m1
+    sums += 1.0
+    pull = np.subtract(p1, m1, out=p1)
+    for j, p, m in ((2.0, p2, m2), (3.0, p3, m3)):
+        sums += np.add(p, m, out=m1)
+        pull += np.multiply(np.subtract(p, m, out=p), j, out=p)
+    pull /= sums
+    pull -= r
+    pull /= v
+    return pull
 
 
 def _direct_log_density(r: np.ndarray, v: ArrayLike) -> np.ndarray:
     """log p from the seven lifts r - j, |j| <= 3, of |r| <= 1/2."""
     (p1, p2, p3), (m1, m2, m3) = _lift_weights(r, v)
-    sums = 1.0 + (p1 + m1) + (p2 + m2) + (p3 + m3)
-    return np.log(sums) - r * r / (2.0 * v) - 0.5 * np.log(2.0 * np.pi * v)
+    sums = np.add(p1, m1, out=p1)  # 1 + (p1 + m1) + (p2 + m2) + (p3 + m3)
+    sums += 1.0
+    for p, m in ((p2, m2), (p3, m3)):
+        sums += np.add(p, m, out=p)
+    out = np.log(sums, out=sums)
+    rr = r * r
+    out -= np.divide(rr, 2.0 * v, out=rr)
+    out -= 0.5 * np.log(2.0 * np.pi * v)
+    return out
 
 
 def _theta_powers(v: ArrayLike):
@@ -347,9 +367,21 @@ def _theta_slope(r: np.ndarray, v: ArrayLike) -> np.ndarray:
     c0, c1 = a0 + a1 + a2 + a3, 3.0 * a0 + a1 - a2 - 3.0 * a3
     c2, c3 = 3.0 * a0 - a1 - a2 + 3.0 * a3, a0 - a1 + a2 - a3
     d0, d1, d2 = 2.0 * (b0 + b1 + b2), 4.0 * (b0 - b2), 2.0 * (b0 - b1 + b2)
-    t = np.tan(np.pi * r)
+    t = np.pi * r
+    np.tan(t, out=t)
     u = t * t
-    return t * (d0 + u * (d1 + u * d2)) / (c0 + u * (c1 + u * (c2 + u * c3)))
+    num = u * d2  # Horner's rule in place, innermost term first
+    num += d1
+    num *= u
+    num += d0
+    num *= t
+    den = u * c3
+    for c in (c2, c1):
+        den += c
+        den *= u
+    den += c0
+    num /= den
+    return num
 
 
 def _per_axis(d: np.ndarray, v: ArrayLike, direct, theta) -> np.ndarray:
@@ -363,7 +395,7 @@ def _per_axis(d: np.ndarray, v: ArrayLike, direct, theta) -> np.ndarray:
     negative.  Every operation acts point by point, so one point, a batch
     row and a per-point time give the same bits.
     """
-    r = d - np.round(d)
+    r = d - np.rint(d)
     if np.ndim(v) == 0:
         v = float(v)
         return (direct if v <= _THETA_SPLIT else theta)(r, v)

@@ -196,8 +196,18 @@ def euler_step(
 
 def _step(t: float, x: np.ndarray, dt: float, noise: np.ndarray, model: DriftModel) -> np.ndarray:
     """The update x + b(t, x) dt + noise with no checks, for :func:`euler_step`
-    and the step loop alike; ``noise`` is sigma dW."""
-    return x + drift(t, x, model) * dt + noise
+    and the step loop alike; ``noise`` is sigma dW.
+
+    The sum is built in the drift's own array, with the bits of
+    ``x + b * dt + noise``; a noise wider than the drift, as for one point
+    against stacked increments, takes that out-of-place form."""
+    b = drift(t, x, model)
+    if b.shape != noise.shape:
+        return x + b * dt + noise
+    b *= dt
+    b += x
+    b += noise
+    return b
 
 
 # numpy's SeedSequence hash (``bit_generator.pyx``, after O'Neill's seed_seq):
@@ -289,7 +299,9 @@ def _run_chunk(
     """Step every model over paths [lo, hi) of ``config``'s grid on shared noise,
     drawn ``NOISE_BLOCK`` steps at a time.
 
-    Each block is drawn, then stepped.  At each step before ``cutoff_step``, the
+    Each block is drawn, then stepped.  A step copies its noise column through a
+    16-byte view of the block into one reused (paths, 2) buffer, a pair per item,
+    and scales it by sigma in place.  At each step before ``cutoff_step``, the
     grid index of the weight cutoff (0 for no weights),
     :func:`girsanov.path_log_weights` adds that step's term to each model's
     running log weights just before the model's state moves.
@@ -300,6 +312,8 @@ def _run_chunk(
     width = min(NOISE_BLOCK, n)
     streams = _streams(config.seed, lo, hi)
     dW = np.empty((hi - lo, width, 2))
+    noise = np.empty((hi - lo, 2))
+    noise_pairs, dW_pairs = noise.view("V16")[:, 0], dW.view("V16")[..., 0]
     xs = [np.full((hi - lo, 2), config.start) for _ in models]
     states = [np.empty((hi - lo, n + 1, 2)) for _ in models] if keep_states else []
     # Steps rebind xs[j], so step 0's entries keep the start states.
@@ -310,7 +324,8 @@ def _run_chunk(
         block = _chunk_increments(streams, dW[:, :last - first], dt)
         for i, t in enumerate(times[first:last], first):
             b = i - first
-            noise = sigma * block[:, b]
+            noise_pairs[...] = dW_pairs[:, b]
+            noise *= sigma
             for j, model in enumerate(models):
                 if states:
                     states[j][:, i] = xs[j]

@@ -2,12 +2,12 @@
 
 This module implements:
   * The canonical projection onto the fundamental domain [-1/2, 1/2)^2.
-  * The nearest-lift map for a conditioning point a on the torus: given
-    x in R^2, the closest point of the lattice a + Z^2.
-  * Membership in the cut locus of a, i.e. the grid of straight lines
-    where the nearest lift ties and the argmin is non-unique.  Its
-    complement is the countable union of open unit squares centred on
-    the lifts of a.
+  * The nearest lattice offset, with its tie flag: for a conditioning
+    point a on the torus and x in R^2, the closest point of the lattice
+    a + Z^2 is a + k with k the nearest offset of x - a, and the flag
+    marks the cut locus of a, i.e. the grid of straight lines where the
+    nearest lift ties and the argmin is non-unique.  Its complement is
+    the countable union of open unit squares centred on the lifts of a.
   * The quotient metric on the torus.
 
 All operations accept scalars of shape (2,) or stacked arrays of shape
@@ -27,19 +27,13 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 __all__ = [
-    "AmbiguousLiftError",
     "as_point",
     "as_plane_point",
     "as_torus_point",
     "project",
     "nearest_offset",
-    "lift_nearest",
-    "is_on_cut_locus",
     "torus_distance",
 ]
-
-class AmbiguousLiftError(ValueError):
-    """Raised when the nearest lift is requested on the cut locus, where it ties."""
 
 
 def as_point(p: ArrayLike, name: str = "point") -> np.ndarray:
@@ -117,54 +111,13 @@ def nearest_offset(d: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, np.ndar
 
     Also returns the tie flags (...,): True where some component of
     ``d - k`` is within ``tol`` of +-1/2, so the nearest offset is not unique.
+    At ``tol == 0`` that is ``|d - k| == 1/2``, the same test exactly.
     """
-    k = np.round(d)
-    hit = np.abs(np.abs(d - k) - 0.5) <= tol
+    k = np.rint(d)
+    r = d - k
+    np.abs(r, out=r)
+    hit = r == 0.5 if tol == 0 else np.abs(r - 0.5) <= tol
     return k, hit[..., 0] | hit[..., 1]
-
-
-def lift_nearest(x: ArrayLike, target: ArrayLike, tol: float = 0.0) -> np.ndarray:
-    """Nearest point of the lattice target + Z^2 to x.
-
-    The result y = target + round(x - target) satisfies
-    ``|y - x| <= |y' - x|`` for every other lift y', with strict inequality
-    off the cut locus.
-
-    Args:
-        x: plane point(s), shape (..., 2).
-        target: conditioning point, a torus representative in [-1/2, 1/2)^2.
-        tol: optional half-width of a band around the tie lines that is
-            also treated as ambiguous (default 0, exact ties only).
-
-    Raises:
-        AmbiguousLiftError: if any input point lies on the cut locus of
-            target (a displacement component ties at exactly 1/2, or
-            within ``tol`` of it).  Drift evaluation checks for the cut
-            locus first and emits zero drift instead of calling this.
-    """
-    a = as_torus_point(target, "target")
-    k, tie = nearest_offset(as_point(x, "x") - a, tol)
-    if np.any(tie):
-        raise AmbiguousLiftError(
-            "nearest lift is not unique: point lies on the cut locus of the target"
-        )
-    return a + k
-
-
-def is_on_cut_locus(x: ArrayLike, target: ArrayLike, tol: float = 0.0) -> np.ndarray | bool:
-    """Whether x lies on the cut locus of target.
-
-    True iff some component of (x - target) has fractional part exactly
-    1/2, i.e. x sits on one of the tie lines between neighbouring lifts
-    and off the open squares centred on the lifts.  ``tol`` widens the
-    lines into bands of half-width tol (default 0: exact equality, the
-    literal zero-measure set).
-
-    Returns a bool for a single point, or a bool array of shape (...,)
-    for stacked input.
-    """
-    _, hit = nearest_offset(as_point(x, "x") - as_torus_point(target, "target"), tol)
-    return bool(hit) if hit.ndim == 0 else hit
 
 
 def torus_distance(p: ArrayLike, q: ArrayLike) -> np.ndarray | float:

@@ -105,8 +105,13 @@ def path_log_weights(
     # A small sigma can make |u|^2 overflow; the check below names it instead.
     with np.errstate(over="ignore", invalid="ignore"):
         for i, t in enumerate(times):
-            u = drift(t, states[..., i, :], model) / model.sigma
-            acc = acc - (u * increments[..., i, :]).sum(axis=-1) - 0.5 * (u * u).sum(axis=-1) * dt
+            u = drift(t, states[..., i, :], model)
+            u /= model.sigma
+            ud = u * increments[..., i, :]
+            u *= u
+            # Two-term sums with the bits of .sum(axis=-1), whose -0.0 + -0.0 is 0.0.
+            acc = (acc - (0.0 + ud[..., 0] + ud[..., 1])
+                   - 0.5 * (0.0 + u[..., 0] + u[..., 1]) * dt)
     if not np.isfinite(acc).all():
         raise ValueError(f"the log weights overflow a double: sigma={model.sigma} is too "
                          "small for the drift before the cutoff")

@@ -28,7 +28,10 @@ from torusbridge.drift import (
     _axis_slope,
     _direct_log_density,
     _direct_slope,
+    _expand,
+    _lift_weights,
     _theta_log_density,
+    _theta_powers,
     _theta_slope,
 )
 
@@ -476,6 +479,120 @@ class TestSeparableKernelProperties:
         for row, x in enumerate(xs):
             np.testing.assert_array_equal(m.drift(t, x), drifts[row])
             assert wrapped_gaussian_log_density(0.0, x, tau, a, sigma) == densities[row]
+
+
+# The kernels' out-of-place expressions, kept as the bitwise reference for
+# their in-place forms.
+
+def _ref_direct_slope(r, v):
+    (p1, p2, p3), (m1, m2, m3) = _lift_weights(r, v)
+    pull = (p1 - m1) + 2.0 * (p2 - m2) + 3.0 * (p3 - m3)
+    sums = 1.0 + (p1 + m1) + (p2 + m2) + (p3 + m3)
+    return (pull / sums - r) / v
+
+
+def _ref_direct_log_density(r, v):
+    (p1, p2, p3), (m1, m2, m3) = _lift_weights(r, v)
+    sums = 1.0 + (p1 + m1) + (p2 + m2) + (p3 + m3)
+    return np.log(sums) - r * r / (2.0 * v) - 0.5 * np.log(2.0 * np.pi * v)
+
+
+def _ref_theta_slope(r, v):
+    q, q4, q9 = _theta_powers(v)
+    a0, a1, a2, a3 = 1.0 - 2.0 * q4, 2.0 * q - 6.0 * q9, 4.0 * q4, 8.0 * q9
+    b0, b1, b2 = -4.0 * np.pi * (q - 3.0 * q9), -16.0 * np.pi * q4, -48.0 * np.pi * q9
+    c0, c1 = a0 + a1 + a2 + a3, 3.0 * a0 + a1 - a2 - 3.0 * a3
+    c2, c3 = 3.0 * a0 - a1 - a2 + 3.0 * a3, a0 - a1 + a2 - a3
+    d0, d1, d2 = 2.0 * (b0 + b1 + b2), 4.0 * (b0 - b2), 2.0 * (b0 - b1 + b2)
+    t = np.tan(np.pi * r)
+    u = t * t
+    return t * (d0 + u * (d1 + u * d2)) / (c0 + u * (c1 + u * (c2 + u * c3)))
+
+
+def _ref_axis_slope(d, v):
+    r = d - np.round(d)
+    if np.ndim(v) == 0:
+        v = float(v)
+        return (_ref_direct_slope if v <= _THETA_SPLIT else _ref_theta_slope)(r, v)
+    r, v = np.broadcast_arrays(r, v)
+    out = np.empty(r.shape)
+    small = v <= _THETA_SPLIT
+    for mask, branch in ((small, _ref_direct_slope), (~small, _ref_theta_slope)):
+        out[mask] = branch(r[mask], v[mask])
+    return out
+
+
+def _ref_drift(m, tau, x):
+    a = np.broadcast_to(m.target, x.shape)
+    if isinstance(m, TrueBridge):
+        return m.sigma**2 * _ref_axis_slope(x - a, m.sigma**2 * _expand(tau))
+    k = np.round(x - a)
+    on_cut = np.any(np.abs(np.abs(x - a - k) - 0.5) <= m.cut_locus_tol, axis=-1)
+    b = (a + k - x) / _expand(tau)
+    b[np.broadcast_to(on_cut, b.shape[:-1])] = 0.0
+    return b * m.sigma**2 if m.scale_by_sigma_sq else b
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+# r on a grid, the tie values +-1/2 and their neighbours, and signed zeros.
+_R_GRID = np.concatenate([np.linspace(-0.5, 0.5, 41), [
+    0.0, -0.0, np.nextafter(0.5, 0.0), np.nextafter(-0.5, 0.0), 1e-300, -1e-300]])
+# Variances below, at and above the direct/theta split.
+_VARIANCES = [2.5e-9, 1e-3, 0.05, _THETA_SPLIT, np.nextafter(_THETA_SPLIT, 1.0), 0.5, 9.0]
+# The theta series can be negative at the smallest variances, where no point takes it.
+_KERNEL_CASES = [
+    (kernel, ref, v)
+    for kernel, ref, v_min in ((_direct_slope, _ref_direct_slope, 0.0),
+                               (_direct_log_density, _ref_direct_log_density, 0.0),
+                               (_theta_slope, _ref_theta_slope, 0.05))
+    for v in _VARIANCES if v >= v_min]
+
+
+class TestInPlaceKernelBits:
+    """Each in-place kernel gives its out-of-place expression's bits, signed zeros included."""
+
+    @pytest.mark.parametrize("kernel, ref, v", _KERNEL_CASES,
+                             ids=lambda p: getattr(p, "__name__", repr(p)))
+    def test_one_dimensional_kernels(self, kernel, ref, v):
+        np.testing.assert_array_equal(_bits(kernel(_R_GRID, v)), _bits(ref(_R_GRID, v)))
+        per_point = np.full(_R_GRID.shape, v)
+        np.testing.assert_array_equal(_bits(kernel(_R_GRID, per_point)),
+                                      _bits(ref(_R_GRID, per_point)))
+        one = _R_GRID[-3:-2]  # next to a tie
+        np.testing.assert_array_equal(_bits(kernel(one, v)), _bits(ref(one, v)))
+
+    def test_axis_slope_mixes_both_branches(self):
+        d = np.add.outer([0.0, -3.0, 7.0], _R_GRID)[..., None].repeat(2, axis=-1)
+        v = np.resize(_VARIANCES, d.shape)
+        np.testing.assert_array_equal(_bits(_axis_slope(d, v)), _bits(_ref_axis_slope(d, v)))
+
+    @pytest.mark.parametrize("m", [
+        TrueBridge(sigma=0.3, horizon=1.0, target=(0.1, -0.2)),
+        TrueBridge(sigma=1.0, horizon=1.0, target=A0),
+        TrueBridge(sigma=2.5, horizon=1.0, target=(-0.5, 0.25)),
+        ProposedBridge(sigma=0.7, horizon=1.0, target=(0.1, -0.2)),
+        ProposedBridge(sigma=0.7, horizon=1.0, target=A0, scale_by_sigma_sq=True),
+        ProposedBridge(sigma=1.3, horizon=1.0, target=(-0.5, 0.25), cut_locus_tol=0.05),
+    ], ids=lambda m: f"{m.variant}-{m.sigma}")
+    def test_drifts(self, m):
+        """One point, a batch, a time per point, and a time array wider than the points."""
+        r = _R_GRID[:, None]
+        x = np.concatenate([np.asarray(m.target) + r + [[0.0, -2.0]],
+                            np.asarray(m.target) + r[::-1] + [[3.0, 0.0]]], axis=1).reshape(-1, 2)
+        taus = np.array([1.0, _THETA_SPLIT, 0.05, 1e-3, 1e-9])
+        for tau in taus:
+            for points in (x, x[5], x[:1]):
+                np.testing.assert_array_equal(_bits(m._drift(np.float64(tau), points)),
+                                              _bits(_ref_drift(m, np.float64(tau), points)))
+        per_point = np.resize(taus, len(x))
+        np.testing.assert_array_equal(_bits(m._drift(per_point, x)),
+                                      _bits(_ref_drift(m, per_point, x)))
+        for points, wide in ((x[5], taus), (x[:7], taus[:, None])):
+            np.testing.assert_array_equal(_bits(m._drift(wide, points)),
+                                          _bits(_ref_drift(m, wide, points)))
 
 
 def _pooled_chi_square(observed, expected, min_expected=5.0):

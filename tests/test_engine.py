@@ -58,6 +58,20 @@ class TestEulerStep:
             atol=1e-15,
         )
 
+    @pytest.mark.parametrize("m", [
+        ProposedBridge(sigma=0.7, horizon=1.0, target=(0.1, -0.2)),
+        TrueBridge(sigma=0.7, horizon=1.0, target=(0.1, -0.2)),
+    ], ids=lambda m: m.variant)
+    def test_single_point_broadcasts_against_stacked_increments(self, m):
+        """x of shape (2,) against dW of shape (5, 2): the drift is the one
+        point's, and each row is x + b dt + sigma dW with its bits."""
+        x, t, dt = np.array([0.3, -0.45]), 0.25, 0.01
+        dW = np.random.default_rng(5).normal(0.0, 0.1, size=(5, 2))
+        out = euler_step(t, x, dt, dW, m)
+        assert out.shape == (5, 2)
+        expected = x + m.drift(t, x) * dt + m.sigma * dW
+        np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+
     def test_out_of_horizon_step_rejected(self):
         m = FreeBrownianMotion(sigma=1.0, horizon=1.0)
         with pytest.raises(ValueError):

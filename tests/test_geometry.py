@@ -6,19 +6,30 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from torusbridge import (
-    AmbiguousLiftError,
-    is_on_cut_locus,
-    lift_nearest,
-    nearest_offset,
-    project,
-    torus_distance,
-)
-from torusbridge.geometry import as_plane_point
+from torusbridge import nearest_offset, project, torus_distance
+from torusbridge.geometry import as_plane_point, as_torus_point
 
 # The integer offsets k with ||k||_inf <= 3, a 7x7 block.
 _R = np.arange(-3.0, 4.0)
 OFFSETS_7X7 = np.stack(np.meshgrid(_R, _R, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _lift(x, target, tol=0.0):
+    """The nearest lift target + k of the lattice target + Z^2 to x, and its
+    tie flag, from the one nearest-offset primitive."""
+    a = np.asarray(target, dtype=float)
+    k, tie = nearest_offset(np.asarray(x, dtype=float) - a, tol)
+    return a + k, tie
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+# Ties, their neighbouring doubles, a tie where doubles are spaced 1/2 apart,
+# and a signed zero.
+_NEAR_TIES = [0.5, -2.5, np.nextafter(0.5, 0.0), np.nextafter(-0.5, -1.0),
+              2.0**52 - 0.5, -0.0, np.nextafter(1.5, 2.0)]
 
 
 def test_plane_point_limit_is_2_52():
@@ -70,46 +81,45 @@ class TestProject:
 
 class TestLiftNearest:
     def test_nearest_integer_point(self):
-        np.testing.assert_array_equal(lift_nearest((0.3, 0.4), (0.0, 0.0)), [0.0, 0.0])
+        np.testing.assert_array_equal(_lift((0.3, 0.4), (0.0, 0.0))[0], [0.0, 0.0])
 
     def test_componentwise_rounding(self):
-        np.testing.assert_array_equal(lift_nearest((0.6, -0.7), (0.0, 0.0)), [1.0, -1.0])
+        np.testing.assert_array_equal(_lift((0.6, -0.7), (0.0, 0.0))[0], [1.0, -1.0])
 
     def test_shifted_target(self):
-        np.testing.assert_array_equal(
-            lift_nearest((0.9, 0.9), (0.25, 0.25)), [1.25, 1.25]
-        )
+        np.testing.assert_array_equal(_lift((0.9, 0.9), (0.25, 0.25))[0], [1.25, 1.25])
 
-    def test_tie_raises(self):
-        with pytest.raises(AmbiguousLiftError):
-            lift_nearest((0.5, 0.2), (0.0, 0.0))
-        with pytest.raises(AmbiguousLiftError):
-            lift_nearest((0.75, 0.1), (0.25, 0.25))
+    def test_tie_flagged(self):
+        assert _lift((0.5, 0.2), (0.0, 0.0))[1]
+        assert _lift((0.75, 0.1), (0.25, 0.25))[1]
 
-    def test_tolerance_band_raises(self):
-        lift_nearest((0.45, 0.0), (0.0, 0.0), tol=0.01)
-        with pytest.raises(AmbiguousLiftError):
-            lift_nearest((0.45, 0.0), (0.0, 0.0), tol=0.06)
+    def test_tolerance_band_flagged(self):
+        assert not _lift((0.45, 0.0), (0.0, 0.0), tol=0.01)[1]
+        assert _lift((0.45, 0.0), (0.0, 0.0), tol=0.06)[1]
 
-    def test_argmin_optimality_brute_force(self):
-        """The returned lift strictly beats every lattice neighbour within radius 3."""
-        rng = np.random.default_rng(44)
-        for _ in range(300):
-            a = rng.uniform(-0.5, 0.5, size=2)
-            x = rng.uniform(-2.0, 2.0, size=2)
-            if is_on_cut_locus(x, a):
-                continue
-            y = lift_nearest(x, a)
-            best = np.linalg.norm(y - x)
-            others = y + OFFSETS_7X7[np.any(OFFSETS_7X7 != 0, axis=1)]
-            assert np.all(best < np.linalg.norm(others - x, axis=1))
+    @given(d=arrays(float, st.tuples(st.integers(1, 4), st.just(2)),
+                    elements=st.floats(-1e6, 1e6) | st.sampled_from(
+                        [0.5, -0.5, 2.5, -0.0, np.nextafter(0.5, 0.0), np.nextafter(-1.5, 0.0)])))
+    @example(d=np.array([[0.5, np.nextafter(0.5, 1.0)], [-2.5, 1e-300]]))
+    def test_argmin_optimality_brute_force(self, d):
+        """Per axis, |d - k| is at most 1/2 and no other integer within 3 is as
+        near, except at a tie; each comparison is exact, since d - k is a
+        double and rounding is monotone."""
+        k, tie = nearest_offset(d)
+        near = np.abs(d - k)
+        assert np.all(near <= 0.5)
+        np.testing.assert_array_equal(tie, np.any(near == 0.5, axis=-1))
+        for j in np.arange(-3.0, 4.0)[np.arange(-3.0, 4.0) != 0]:
+            other = np.abs(d - (k + j))
+            assert np.all(np.where(near == 0.5, other >= near, other > near))
 
     def test_fundamental_square_bound(self):
         """No point off the cut locus is farther than half a diagonal from its lift."""
         rng = np.random.default_rng(45)
         a = rng.uniform(-0.5, 0.5, size=2)
         x = rng.uniform(-4.0, 4.0, size=(100_000, 2))
-        y = lift_nearest(x, a)
+        y, tie = _lift(x, a)
+        assert not tie.any()
         assert np.all(np.linalg.norm(y - x, axis=1) <= np.sqrt(0.5))
 
 
@@ -125,7 +135,7 @@ class TestNearestOffset:
         k_old = np.round(d)
         tie_old = np.any(np.abs(np.abs(d - k_old) - 0.5) <= tol, axis=-1)
         k, tie = nearest_offset(d, tol)
-        np.testing.assert_array_equal(k, k_old)
+        np.testing.assert_array_equal(_bits(k), _bits(k_old))
         assert tie == tie_old
         if tol == 0.0:  # the engine's old `== 0.0` test of terminal ties
             assert tie == np.any(np.abs(np.abs(d - k_old) - 0.5) == 0.0, axis=-1)
@@ -137,11 +147,24 @@ class TestNearestOffset:
         k_old = np.round(d)
         tie_old = np.any(np.abs(np.abs(d - k_old) - 0.5) <= tol, axis=-1)
         k, tie = nearest_offset(d, tol)
-        np.testing.assert_array_equal(k, k_old)
+        np.testing.assert_array_equal(_bits(k), _bits(k_old))
         assert tie.shape == d.shape[:-1] and tie.dtype == bool
         np.testing.assert_array_equal(tie, tie_old)
         for idx in np.ndindex(*d.shape[:-1]):
             assert nearest_offset(d[idx], tol)[1] == tie[idx]
+
+    @given(d=arrays(float, st.tuples(st.integers(1, 4), st.just(2)),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)
+                    | st.sampled_from(_NEAR_TIES)))
+    @example(d=np.array([_NEAR_TIES[:2], _NEAR_TIES[2:4]]))
+    def test_exact_tie_test_agrees_with_the_band_formula(self, d):
+        """At tol == 0 the tie test is |d - k| == 1/2.  It flags what the band
+        formula | |d - k| - 1/2 | <= tol flags at tol 0, and so does the band
+        path at the smallest positive tol, below every nonzero | |d - k| - 1/2 |."""
+        k = np.round(d)
+        band = np.any(np.abs(np.abs(d - k) - 0.5) <= 0.0, axis=-1)
+        for tol in (0.0, 5e-324):
+            np.testing.assert_array_equal(nearest_offset(d, tol)[1], band)
 
     def test_half_integers_round_to_even_and_tie(self):
         k, tie = nearest_offset(np.array([[2.5, -0.5], [0.3, 1.7], [1.5, 0.0]]))
@@ -151,25 +174,25 @@ class TestNearestOffset:
 
 class TestCutLocus:
     def test_component_tie(self):
-        assert is_on_cut_locus((0.75, 0.1), (0.25, 0.25)) is True
+        assert _lift((0.75, 0.1), (0.25, 0.25))[1]
 
     def test_interior_point(self):
-        assert is_on_cut_locus((0.3, 0.4), (0.0, 0.0)) is False
+        assert not _lift((0.3, 0.4), (0.0, 0.0))[1]
 
     def test_double_tie_corner(self):
-        assert is_on_cut_locus((0.5, 0.5), (0.0, 0.0)) is True
+        assert _lift((0.5, 0.5), (0.0, 0.0))[1]
 
     def test_measure_zero_in_practice(self):
         """Random continuous points never land on the exact tie lines."""
         rng = np.random.default_rng(46)
         x = rng.uniform(-3.0, 3.0, size=(100_000, 2))
-        hits = is_on_cut_locus(x, (0.1, -0.2))
+        hits = _lift(x, (0.1, -0.2))[1]
         assert hits.shape == (100_000,)
         assert hits.sum() == 0
 
     def test_tolerance_band(self):
-        assert is_on_cut_locus((0.48, 0.0), (0.0, 0.0)) is False
-        assert is_on_cut_locus((0.48, 0.0), (0.0, 0.0), tol=0.05) is True
+        assert not _lift((0.48, 0.0), (0.0, 0.0))[1]
+        assert _lift((0.48, 0.0), (0.0, 0.0), tol=0.05)[1]
 
 
 class TestTorusDistance:
@@ -247,7 +270,6 @@ class TestLattice:
         np.testing.assert_allclose(project(lifts), np.broadcast_to(a, (49, 2)), atol=1e-12)
 
     def test_target_outside_domain_rejected(self):
-        with pytest.raises(ValueError):
-            lift_nearest((0.1, 0.1), (1.2, 0.0))
-        with pytest.raises(ValueError):
-            is_on_cut_locus((0.1, 0.1), (0.5, 0.0))
+        for target in ((1.2, 0.0), (0.5, 0.0)):
+            with pytest.raises(ValueError, match="fundamental domain"):
+                as_torus_point(target, "target")

@@ -15,6 +15,7 @@ from torusbridge import (
     simulate_path,
     wiener_increments,
 )
+from torusbridge.drift import drift
 from torusbridge.girsanov import path_log_weights
 
 A0 = (0.0, 0.0)
@@ -212,3 +213,39 @@ class TestNovikovBound:
         limits = times[1 : k + 1] * c_s
         assert np.all(partial <= limits * (1 + 1e-12))
         assert np.exp(partial[:, -1]).mean() <= np.exp(S * c_s)
+
+
+def _summed_log_weights(times, states, increments, dt, model, partial):
+    """path_log_weights with numpy's .sum(axis=-1) over each length-2 axis, the
+    bitwise reference for its two-term sums."""
+    acc = np.asarray(partial, dtype=float)
+    for i, t in enumerate(times):
+        u = drift(t, states[..., i, :], model) / model.sigma
+        acc = acc - (u * increments[..., i, :]).sum(axis=-1) - 0.5 * (u * u).sum(axis=-1) * dt
+    return acc
+
+
+@pytest.mark.parametrize("model", [
+    FreeBrownianMotion(sigma=0.7, horizon=1.0),
+    ProposedBridge(sigma=0.7, horizon=1.0, target=(0.25, -0.5)),
+], ids=lambda m: m.variant)
+def test_two_term_sums_keep_the_bits_of_sum(model):
+    """Rows of u dW equal to (-0.0, -0.0), from a zero drift against negative
+    increments, sum to 0.0 as in .sum(axis=-1), not to a + b = -0.0; a partial
+    weight of -0.0 shows the difference: -0.0 - 0.0 keeps its sign."""
+    rng = np.random.default_rng(11)
+    n_paths, n_steps = 6, 3
+    states = rng.uniform(-2.0, 2.0, size=(n_paths, n_steps, 2))
+    states[:3] = (0.25, -0.5)  # on a lift of the target: zero drift
+    increments = rng.normal(0.0, 0.1, size=(n_paths, n_steps, 2))
+    increments[:2] = -np.abs(increments[:2])
+    increments[2, :, 1] = -0.0
+    times = np.array([0.0, 0.1, 0.2])
+    partial = np.array([-0.0, 0.0, -0.0, 0.3, -0.0, -1.5])
+    got = path_log_weights(times, states, increments, 0.1, model, partial)
+    expected = _summed_log_weights(times, states, increments, 0.1, model, partial)
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.signbit(got[[0, 2]]).all()
+    for row in range(n_paths):
+        one = path_log_weights(times, states[row], increments[row], 0.1, model, partial[row])
+        assert np.asarray(one).view(np.int64) == expected[row].view(np.int64)
