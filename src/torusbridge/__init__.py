@@ -40,12 +40,10 @@ from .girsanov import (
 )
 from .analysis import (
     AgreementReport,
-    DriftProfile,
     EndpointHistogram,
     TerminalSummary,
     agreement_rate,
     drift_field,
-    drift_profile,
     lattice_endpoint_histogram,
     terminal_convergence,
     terminal_distances,
@@ -86,11 +84,9 @@ __all__ = [
     "TerminalSummary",
     "EndpointHistogram",
     "AgreementReport",
-    "DriftProfile",
     "terminal_distances",
     "terminal_convergence",
     "lattice_endpoint_histogram",
     "agreement_rate",
-    "drift_profile",
     "drift_field",
 ]

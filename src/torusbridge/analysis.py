@@ -6,8 +6,7 @@ Summaries implemented here:
   * endpoint histograms over the limiting lattice offset of each path;
   * agreement rate of coupled model pairs (same noise, different drift)
     with a Wilson 95% interval;
-  * drift magnitude profiles along stored paths and drift vector fields
-    on spatial grids, for plotting.
+  * drift vector fields on spatial grids, for plotting.
 
 Every summary is a function of the per-path records alone, so it does
 not depend on how the paths were chunked.
@@ -22,19 +21,17 @@ import numpy as np
 from scipy.special import ndtri
 
 from .drift import DriftModel
-from .engine import BatchResult, PathSample, SimConfig, simulate_batch
+from .engine import BatchResult, SimConfig, simulate_batch
 from .geometry import as_point, project, torus_distance
 
 __all__ = [
     "TerminalSummary",
     "EndpointHistogram",
     "AgreementReport",
-    "DriftProfile",
     "terminal_distances",
     "terminal_convergence",
     "lattice_endpoint_histogram",
     "agreement_rate",
-    "drift_profile",
     "drift_field",
 ]
 
@@ -193,36 +190,6 @@ def agreement_rate(config_a: SimConfig, config_b: SimConfig) -> AgreementReport:
         unresolved_a=batch_a.unresolved,
         unresolved_b=batch_b.unresolved,
         agree=agree,
-    )
-
-
-@dataclass(frozen=True)
-class DriftProfile:
-    """Drift evaluated along a stored path at every grid time before T."""
-
-    times: np.ndarray
-    vectors: np.ndarray
-    magnitudes: np.ndarray
-
-
-def drift_profile(path: PathSample, model: DriftModel) -> DriftProfile:
-    """Evaluate the model drift along a stored trajectory.
-
-    Evaluation runs over the grid times t_0, ..., t_{n-1} (the final
-    state at t_n = T has no drift).  The path grid must not extend past
-    the model horizon.
-    """
-    t_end = float(path.times[-1])
-    if t_end > model.horizon * (1.0 + 1e-9):
-        raise ValueError(
-            f"path grid reaches {t_end}, beyond the model horizon {model.horizon}"
-        )
-    t = path.times[:-1]
-    vectors = model.drift(t, path.states[:-1])
-    return DriftProfile(
-        times=t,
-        vectors=vectors,
-        magnitudes=np.linalg.norm(vectors, axis=-1),
     )
 
 

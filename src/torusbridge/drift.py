@@ -428,7 +428,7 @@ def drift(t: ArrayLike, x: np.ndarray, model: DriftModel) -> np.ndarray:
 
 
 def wrapped_gaussian_log_density(
-    s: float, x: ArrayLike, t: float, y: ArrayLike, sigma: float
+    s: ArrayLike, x: ArrayLike, t: ArrayLike, y: ArrayLike, sigma: float
 ) -> np.ndarray | float:
     """Log transition density of scaled Brownian motion on the torus.
 
@@ -436,25 +436,49 @@ def wrapped_gaussian_log_density(
     exp(-|x - y - k|^2 / (2 sigma^2 (t-s)))`` with the sum over all integer
     offsets k, the sum of the two per-coordinate logs of
     :func:`_axis_log_density`.  It integrates to 1 over the fundamental domain.
+    The times may be arrays that broadcast against the points' leading shape,
+    one time pair per point; one point and a batch row give the same bits.
 
     Args:
-        s: earlier time.
+        s: earlier time(s).
         x: state at time s, torus representative(s) of shape (..., 2).
-        t: later time, strictly greater than s.
+        t: later time(s), strictly greater than s.
         y: state at time t, torus representative(s) of shape (..., 2).
         sigma: diffusion coefficient in [2**-490, sqrt(largest double)].
 
     Raises:
         ValueError: if s >= t, either time is not finite, sigma is not a
             finite number in [2**-490, sqrt(largest double)], or the
-            variance sigma^2 (t - s) is not a finite normal double.
+            variance sigma^2 (t - s) is not a finite normal double, at any point.
     """
-    if not (np.isfinite(s) and np.isfinite(t) and s < t):
-        raise ValueError(f"need s < t; got s={s}, t={t}")
-    _check_sigma(sigma)
-    v = float(sigma) ** 2 * (float(t) - float(s))
-    if not sys.float_info.min <= v < math.inf:
-        raise ValueError(f"sigma^2 (t - s) must be a finite normal double; got {v!r}")
+    if isinstance(s, (float, int)) and isinstance(t, (float, int)):
+        if not (np.isfinite(s) and np.isfinite(t) and s < t):
+            raise ValueError(f"need s < t; got s={s}, t={t}")
+        _check_sigma(sigma)
+        v = float(sigma) ** 2 * (float(t) - float(s))
+        if not sys.float_info.min <= v < math.inf:
+            raise ValueError(f"sigma^2 (t - s) must be a finite normal double; got {v!r}")
+    else:
+        v = _variances(s, t, sigma)[..., None]  # against the coordinate axis
     log_p = _axis_log_density(as_point(x, "x") - as_point(y, "y"), v)
     out = log_p[..., 0] + log_p[..., 1]
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _variances(s: ArrayLike, t: ArrayLike, sigma: float) -> np.ndarray:
+    """The variances sigma^2 (t - s) of time arrays, checked point by point as
+    :func:`wrapped_gaussian_log_density` checks one pair; an error names the
+    first bad point."""
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    bad = ~(np.isfinite(s) & np.isfinite(t) & (s < t))
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"need s < t; got s={float(s.flat[i])}, t={float(t.flat[i])}")
+    _check_sigma(sigma)
+    with np.errstate(over="ignore"):  # an infinite variance is refused below
+        v = float(sigma) ** 2 * (t - s)
+    bad = ~((v >= sys.float_info.min) & (v < math.inf))
+    if bad.any():
+        raise ValueError(f"sigma^2 (t - s) must be a finite normal double; "
+                         f"got {float(v.flat[np.argmax(bad)])!r}")
+    return v

@@ -12,16 +12,13 @@ from torusbridge import (
     BatchResult,
     EuclideanBridge,
     FreeBrownianMotion,
-    PathSample,
     ProposedBridge,
     SimConfig,
     TrueBridge,
     agreement_rate,
     drift_field,
-    drift_profile,
     lattice_endpoint_histogram,
     simulate_batch,
-    simulate_path,
     terminal_convergence,
     terminal_distances,
 )
@@ -203,40 +200,6 @@ def test_cli_import_loads_scipy_special_not_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.split() == ["False", "True"]
-
-
-class TestDriftProfile:
-    def test_free_process_profile_is_zero(self):
-        cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0), n_steps=50, seed=71)
-        profile = drift_profile(simulate_path(cfg), cfg.model)
-        assert profile.times.shape == (50,)
-        np.testing.assert_array_equal(profile.magnitudes, np.zeros(50))
-
-    def test_magnitude_scales_inversely_with_time_to_go(self):
-        """Pinning the state, the pull at time to go 0.1 is 5 times the
-        pull at time to go 0.5."""
-        model = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
-        times = np.linspace(0.0, 1.0, 11)
-        states = np.tile([0.3, 0.4], (11, 1))
-        profile = drift_profile(PathSample(times=times, states=states), model)
-        i_half = np.argmin(np.abs(profile.times - 0.5))
-        i_tenth = np.argmin(np.abs(profile.times - 0.9))
-        ratio = profile.magnitudes[i_tenth] / profile.magnitudes[i_half]
-        assert ratio == pytest.approx(5.0, rel=1e-12)
-
-    def test_profile_respects_uniform_bound(self):
-        cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
-                   n_steps=400, seed=72)
-        profile = drift_profile(simulate_path(cfg), cfg.model)
-        bound = np.sqrt(0.5) / (1.0 - profile.times)
-        assert np.all(profile.magnitudes <= bound * (1 + 1e-12))
-
-    def test_horizon_mismatch_rejected(self):
-        model = ProposedBridge(sigma=1.0, horizon=0.5, target=A0)
-        times = np.linspace(0.0, 1.0, 11)
-        path = PathSample(times=times, states=np.zeros((11, 2)))
-        with pytest.raises(ValueError):
-            drift_profile(path, model)
 
 
 class TestDriftField:

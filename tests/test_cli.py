@@ -790,6 +790,17 @@ class TestCheck:
         assert rc == 0
         assert "PASS" in out and "density-normalization" in out
 
+    def test_density_criteria_stdout(self, capsys):
+        """The bytes the benchmark's check-density workload reads, pinned."""
+        assert _run("check", "--criterion", "6", "--criterion", "7") == 0
+        assert capsys.readouterr().out == (
+            "PASS  criterion 6 (h-transform-gradient): worst relative error 1.80e-09 over "
+            "100 points (tolerance 1e-5)\n"
+            "PASS  criterion 7 (density-normalization): max |integral - 1| = 2.22e-16 over "
+            "3 targets (tolerance 1e-6, 400x400 midpoint)\n"
+            "2/2 criteria passed\n"
+        )
+
 
 class TestErrorLines:
     # A manifest whose model block lacks its variant.

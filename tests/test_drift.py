@@ -383,6 +383,59 @@ class TestWrappedGaussianLogDensity:
         with pytest.raises(ValueError, match="sigma\\^2 \\(t - s\\) must be a finite normal"):
             wrapped_gaussian_log_density(s, (0.1, 0.2), t, (0.0, 0.0), sigma)
 
+    @pytest.mark.parametrize("sigma", [0.8, 1.7])
+    def test_per_point_times_equal_single_point_calls(self, sigma):
+        """A time pair per point, as criterion 6's stencil passes them, gives each
+        point the bits of its own scalar call, with variances on both sides of
+        the direct-sum/theta split."""
+        rng = np.random.default_rng(58)
+        xs = rng.uniform(-2.0, 2.0, size=(3, 4, 2))
+        ys = rng.uniform(-0.5, 0.5, size=(3, 1, 2))
+        s = rng.uniform(0.0, 0.5, size=(3, 4))
+        t = s + rng.permutation(np.geomspace(1e-6, 1.0, 12)).reshape(3, 4) / sigma**2
+        t[0, 0] = s[0, 0] + _THETA_SPLIT / sigma**2  # about at the split
+        v = sigma**2 * (t - s)
+        assert (v <= _THETA_SPLIT).any() and (v > _THETA_SPLIT).any()
+        batch = wrapped_gaussian_log_density(s, xs, t, ys, sigma)
+        single = [wrapped_gaussian_log_density(float(s[i, j]), xs[i, j], float(t[i, j]),
+                                               ys[i, 0], sigma)
+                  for i, j in np.ndindex(3, 4)]
+        np.testing.assert_array_equal(batch.reshape(-1).view(np.int64),
+                                      np.array(single).view(np.int64))
+        # Times broadcast against the points, and one time column serves a row.
+        np.testing.assert_array_equal(
+            wrapped_gaussian_log_density(s[:, :1], xs, t[:, :1], ys, sigma).view(np.int64),
+            np.array([[wrapped_gaussian_log_density(float(s[i, 0]), xs[i, j], float(t[i, 0]),
+                                                    ys[i, 0], sigma) for j in range(4)]
+                      for i in range(3)]).view(np.int64))
+
+    @pytest.mark.parametrize("s_bad, t_bad, sigma", [
+        (0.5, 0.5, 1.0),  # s == t
+        (0.6, 0.5, 1.0),  # s > t
+        (np.nan, 0.5, 1.0),
+        (0.0, np.nan, 1.0),
+        (0.0, np.inf, 1.0),
+        (-np.inf, 0.5, 1.0),
+        (0.0, 0.5, -1.0),  # a bad sigma, once the times pass
+        (0.0, 1e-300, 1e-100),  # the variance underflows to 0
+        (0.0, 1e-200, 1e-60),  # the variance is subnormal
+        (0.0, 4.0, _SIGMA_MAX),  # the variance overflows
+    ])
+    def test_one_bad_time_pair_raises_the_single_point_error(self, s_bad, t_bad, sigma):
+        with pytest.raises(ValueError) as single:
+            wrapped_gaussian_log_density(s_bad, (0.1, 0.2), t_bad, (0.0, 0.0), sigma)
+        s = np.array([0.0, 0.1, s_bad, 0.2])
+        t = np.array([0.5, 0.5, t_bad, 0.5])
+        with pytest.raises(ValueError) as batch:
+            wrapped_gaussian_log_density(s, np.zeros((4, 2)), t, (0.1, 0.2), sigma)
+        assert str(batch.value) == str(single.value)
+        assert "\n" not in str(batch.value)
+
+    def test_scalar_times_return_a_float(self):
+        for s, t in ((0.0, 0.5), (0, 1), (np.float64(0.0), np.float64(0.5)),
+                     (np.array(0.0), np.array(0.5))):
+            assert type(wrapped_gaussian_log_density(s, (0.1, 0.2), t, (0.0, 0.0), 0.8)) is float
+
 
 _sigmas = st.floats(0.05, 3.0)
 _taus = st.floats(1e-6, 1.0)
