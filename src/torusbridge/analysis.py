@@ -22,7 +22,7 @@ from scipy.special import ndtri
 
 from .drift import DriftModel
 from .engine import BatchResult, SimConfig, simulate_batch
-from .geometry import as_point, project, torus_distance
+from .geometry import project, torus_distance
 
 __all__ = [
     "TerminalSummary",
@@ -46,31 +46,17 @@ class TerminalSummary:
     n_paths: int
 
 
-def terminal_distances(
-    batch: BatchResult, target, metric: str = "torus"
-) -> np.ndarray:
-    """Per-path terminal distance to the target.
-
-    ``metric="torus"`` measures the quotient distance between the
-    projected terminal state and the torus point ``target``;
-    ``metric="plane"`` measures the plain Euclidean distance to
-    ``target`` as a point of R^2 (the single-endpoint special case).
-    """
+def terminal_distances(batch: BatchResult, target) -> np.ndarray:
+    """Per-path quotient distance between the projected terminal state and
+    the torus point ``target``."""
     if batch.n_paths == 0:
         raise ValueError("batch is empty")
-    terminal = batch.terminal_points
-    if metric == "torus":
-        return np.asarray(torus_distance(project(terminal), project(target)))
-    if metric == "plane":
-        return np.linalg.norm(terminal - as_point(target, "target"), axis=-1)
-    raise ValueError(f"metric must be 'torus' or 'plane'; got {metric!r}")
+    return np.asarray(torus_distance(project(batch.terminal_points), project(target)))
 
 
-def terminal_convergence(
-    batch: BatchResult, target, metric: str = "torus"
-) -> TerminalSummary:
+def terminal_convergence(batch: BatchResult, target) -> TerminalSummary:
     """Empirical 50/90/99% quantiles of the terminal distance to target."""
-    d = terminal_distances(batch, target, metric)
+    d = terminal_distances(batch, target)
     q50, q90, q99 = np.quantile(d, [0.5, 0.9, 0.99])
     return TerminalSummary(q50=float(q50), q90=float(q90), q99=float(q99), n_paths=len(d))
 

@@ -139,12 +139,8 @@ class FreeBrownianMotion(DriftModel):
     # Offsets then index the unit square the path ended in.
     diagnostic_target: ClassVar[tuple[float, float]] = (0.0, 0.0)
 
-    def drift(self, t: ArrayLike, x: ArrayLike) -> np.ndarray:
-        """Zero drift of the unconditioned process (defined for all t)."""
-        return np.zeros_like(as_point(x, "x"))
-
     def _drift(self, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.zeros_like(x)
+        return np.zeros(np.broadcast_shapes(_expand(tau).shape, x.shape))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -190,20 +186,15 @@ class ProposedBridge(_LiftBridge):
     (nearest lift - x)/(T - t) on the open squares around the lifts and
     exactly zero on the cut locus, where no lift is singled out.
 
-    ``cut_locus_tol`` widens the zero-drift tie lines into bands of that
-    half-width (default 0, the literal zero-measure set).
     ``scale_by_sigma_sq`` multiplies the drift by sigma^2; the default
     (off) is the plain ratio above.
     """
 
     variant: ClassVar[str] = "proposed"
-    cut_locus_tol: float = 0.0
     scale_by_sigma_sq: bool = False
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not (_finite(self.cut_locus_tol) and self.cut_locus_tol >= 0):
-            raise ValueError(f"cut_locus_tol must be >= 0; got {self.cut_locus_tol}")
         if not isinstance(self.scale_by_sigma_sq, bool):
             raise ValueError(
                 f"scale_by_sigma_sq must be true or false; got {self.scale_by_sigma_sq!r}")
@@ -212,20 +203,17 @@ class ProposedBridge(_LiftBridge):
         """Nearest-lift drift, zero on the cut locus of the target.
 
         Returns (nearest lift of target - x) / (T - t) where the nearest
-        lift is unique, and the zero vector on the tie lines (within the
-        ``cut_locus_tol`` band) rather than raising, matching the piecewise
-        definition of the process.
+        lift is unique, and the zero vector on the tie lines rather than
+        raising, matching the piecewise definition of the process.
         """
         a = _filled(self.target, x.shape)
-        b, on_cut = nearest_offset(x - a, self.cut_locus_tol)
+        b, on_cut = nearest_offset(x - a)
         b += a
         b -= x
         # A time array may be wider than the points, which b cannot hold.
         b = b / _expand(tau) if tau.ndim else np.divide(b, tau, out=b)
         if np.count_nonzero(on_cut):  # rarely true; cheaper than the masked write or .any()
-            if on_cut.shape != b.shape[:-1]:  # a time array wider than the points
-                on_cut = np.broadcast_to(on_cut, b.shape[:-1])
-            b[on_cut] = 0.0
+            b[np.broadcast_to(on_cut, b.shape[:-1])] = 0.0  # to b's leading shape
         return np.multiply(b, self.sigma**2, out=b) if self.scale_by_sigma_sq else b
 
 

@@ -43,6 +43,7 @@ and the grid is validated once per batch, not once per step.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import MISSING, dataclass, fields
 from typing import Sequence
 
@@ -51,7 +52,7 @@ from numpy.random.bit_generator import ISeedSequence
 from numpy.typing import ArrayLike
 
 from . import girsanov
-from .drift import MIN_TIME_TO_GO, VARIANTS, DriftModel, _finite, drift
+from .drift import MIN_TIME_TO_GO, VARIANTS, DriftModel, ProposedBridge, _finite, drift
 from .geometry import MAX_PLANE_COORD, as_plane_point, as_point, nearest_offset
 
 __all__ = [
@@ -82,7 +83,19 @@ __all__ = [
 CHUNK_SIZE = 2048
 NOISE_BLOCK = 64
 
-_MAX_SEED = 2**64
+
+def _check_int(name: str, value, lo: int) -> int:
+    """``value`` as an int, once checked to be an integral number in [lo, 2**64)."""
+    if not (_finite(value) and int(value) == value and lo <= value < 2**64):
+        raise ValueError(f"{name} must be an integer in [{lo}, 2**64); got {value}")
+    return int(value)
+
+
+def _path_index(i, n_paths: float = float("inf")) -> int:
+    """``i`` as an int, once checked to be an integer in [0, n_paths) and not a bool."""
+    if isinstance(i, bool) or not (isinstance(i, numbers.Integral) and 0 <= i < n_paths):
+        raise ValueError(f"path_index must be in [0, {n_paths}); got {i!r}")
+    return int(i)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -111,14 +124,8 @@ class SimConfig:
             raise ValueError(f"model must be a DriftModel; got {type(self.model).__name__}")
         arr = as_plane_point(self.start, "start")
         object.__setattr__(self, "start", (float(arr[0]), float(arr[1])))
-        for name in ("n_steps", "n_paths"):
-            value = getattr(self, name)
-            if not (_finite(value) and int(value) == value >= 1):
-                raise ValueError(f"{name} must be an integer >= 1; got {value}")
-            object.__setattr__(self, name, int(value))
-        if not (_finite(self.seed) and int(self.seed) == self.seed and 0 <= self.seed < _MAX_SEED):
-            raise ValueError(f"seed must be a 64-bit unsigned integer; got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+        for name, lo in (("n_steps", 1), ("n_paths", 1), ("seed", 0)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), lo))
         if not self.dt >= MIN_TIME_TO_GO:
             raise ValueError(f"the step T / n_steps = {self.dt!r} is below {MIN_TIME_TO_GO!r}, "
                              f"the smallest time to go the drift resolves")
@@ -278,8 +285,12 @@ def _streams(seed: int, lo: int, hi: int) -> list[np.random.Generator]:
 
 
 def wiener_increments(seed: int, path_index: int, n_steps: int, dt: float) -> np.ndarray:
-    """The (n_steps, 2) increment array dW driving path ``path_index``."""
-    rng, = _streams(seed, path_index, path_index + 1)
+    """The (n_steps, 2) increment array dW driving path ``path_index``; a ValueError
+    unless the seed is 64-bit, the index an integer >= 0 and dt finite and > 0."""
+    seed, i = _check_int("seed", seed, 0), _path_index(path_index)
+    if not (_finite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0; got {dt!r}")
+    rng, = _streams(seed, i, i + 1)
     return rng.standard_normal((n_steps, 2)) * np.sqrt(dt)
 
 
@@ -348,10 +359,7 @@ def simulate_path(config: SimConfig, path_index: int = 0) -> PathSample:
     are bitwise those of the same path index inside any batch of the same
     config.
     """
-    if not (0 <= path_index < config.n_paths):
-        raise ValueError(
-            f"path_index must be in [0, {config.n_paths}); got {path_index}"
-        )
+    path_index = _path_index(path_index, config.n_paths)
     times = config.time_grid()
     res = _run_chunk(config, path_index, path_index + 1, times, [config.model], True, (), 0)
     return PathSample(times=times, states=res["states"][0][0], increments=wiener_increments(
@@ -483,6 +491,10 @@ def model_from_dict(data: dict) -> DriftModel:
     except KeyError:
         raise ValueError("model description must carry a 'variant' key") from None
     cls = model_class(variant)
+    # Proposal manifests held a tie-band width; 0, the exact tie rule, is dropped.
+    legacy = data.pop("cut_locus_tol", 0) if cls is ProposedBridge else 0
+    if not (_finite(legacy) and legacy == 0):
+        raise ValueError(f"cut_locus_tol must be 0; got {legacy!r}")
     names = [f.name for f in fields(cls)]
     unknown = sorted(set(data) - set(names))
     if unknown:

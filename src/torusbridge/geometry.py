@@ -106,17 +106,15 @@ def project(p: ArrayLike) -> np.ndarray:
     return np.where(u >= 0.5, u - 1.0, u)
 
 
-def nearest_offset(d: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def nearest_offset(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest integer offset ``k = round(d)`` of displacements d (..., 2).
 
-    Also returns the tie flags (...,): True where some component of
-    ``d - k`` is within ``tol`` of +-1/2, so the nearest offset is not unique.
-    At ``tol == 0`` that is ``|d - k| == 1/2``, the same test exactly.
+    Also returns the tie flags (...,): True where some component has
+    ``|d - k| == 1/2``, so the nearest offset is not unique.
     """
     k = np.rint(d)
     r = d - k
-    np.abs(r, out=r)
-    hit = r == 0.5 if tol == 0 else np.abs(r - 0.5) <= tol
+    hit = np.abs(r, out=r) == 0.5
     return k, hit[..., 0] | hit[..., 1]
 
 

@@ -36,13 +36,13 @@ def _cfg(model, **kw):
 
 class TestTerminalConvergence:
     def test_plane_metric_matches_torus_metric_near_a_lift(self):
-        """For a bridge to a lift of the target both metrics agree once the
-        terminal error is well inside one square."""
+        """For a bridge to a lift of the target the torus distance is the plane
+        distance once the terminal error is well inside one square."""
         cfg = _cfg(EuclideanBridge(sigma=0.5, horizon=1.0, endpoint=A0),
                    n_steps=1000, seed=60, n_paths=500)
         batch = simulate_batch(cfg, keep_paths=False)
-        d_torus = terminal_distances(batch, A0, metric="torus")
-        d_plane = terminal_distances(batch, A0, metric="plane")
+        d_torus = terminal_distances(batch, A0)
+        d_plane = np.linalg.norm(batch.terminal_points - A0, axis=-1)
         np.testing.assert_allclose(d_torus, d_plane, atol=1e-12)
         summary = terminal_convergence(batch, A0)
         assert summary.q50 <= summary.q90 <= summary.q99
@@ -78,12 +78,6 @@ class TestTerminalConvergence:
         )
         with pytest.raises(ValueError):
             terminal_convergence(empty, A0)
-
-    def test_unknown_metric_rejected(self):
-        cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0), seed=1)
-        batch = simulate_batch(cfg, keep_paths=False)
-        with pytest.raises(ValueError):
-            terminal_distances(batch, A0, metric="chordal")
 
 
 class TestEndpointHistogram:

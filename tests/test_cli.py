@@ -252,6 +252,9 @@ class TestSimulate:
         (lambda m: m["config"].update(model={"variant": "proposed", "sigma": 0.5, "horizon": 1.0,
                                              "target": [0, 0], "cut_locus_tol": True}),
          ("cut_locus_tol", "True")),
+        (lambda m: m["config"].update(model={"variant": "proposed", "sigma": 0.5, "horizon": 1.0,
+                                             "target": [0, 0], "cut_locus_tol": 0.05}),
+         ("cut_locus_tol must be 0; got 0.05",)),
         (lambda m: m["output"].update(thin=True), ("thin", "True")),
         (lambda m: m["output"].update(weight_cutoff=True), ("cutoff", "True")),
         # simulate --config reads its block as strictly as weights --manifest.
@@ -682,6 +685,12 @@ class TestField:
                   "--out", tmp_path)
         assert rc == 2
 
+    def test_free_bm_checks_the_horizon_too(self, tmp_path, capsys):
+        rc = _run("field", "--model", "free-bm", "--t", "2", "--out", tmp_path)
+        assert rc == 2
+        _assert_one_error_line(capsys, "time must lie in [0, 1.0)")
+        assert not (tmp_path / "field.csv").exists()
+
     # The last two have finite ends whose difference overflows a double.
     @pytest.mark.parametrize("rect", ["0,inf,0,1", "-inf,0,0,1", "0,1,nan,1", "0,1,0,-inf",
                                       "-1e308,1e308,0,1", "0,1,-1e308,1e308"])
@@ -741,6 +750,9 @@ class TestWeights:
         (lambda c: c.update(model={"variant": "proposed", "sigma": 1.0, "horizon": 1.0,
                                    "target": [0, 0], "cut_locus_tol": False}),
          ("cut_locus_tol", "False")),
+        (lambda c: c.update(model={"variant": "proposed", "sigma": 1.0, "horizon": 1.0,
+                                   "target": [0, 0], "cut_locus_tol": 0.05}),
+         ("cut_locus_tol must be 0; got 0.05",)),
     ])
     def test_bad_manifest_config_fails(self, tmp_path, capsys, edit, needles):
         _run("simulate", "--model", "free-bm", "--steps", "10", "--paths", "2",

@@ -118,6 +118,7 @@ class TestModelValidation:
 
 
 _TIMED_MODELS = [
+    FreeBrownianMotion(sigma=1.0, horizon=2.0),
     EuclideanBridge(sigma=1.0, horizon=2.0, endpoint=(0.3, 0.1)),
     ProposedBridge(sigma=1.0, horizon=2.0, target=A0),
     TrueBridge(sigma=1.0, horizon=2.0, target=A0),
@@ -125,7 +126,7 @@ _TIMED_MODELS = [
 
 
 class TestTimeValidation:
-    """Every model that needs a time to go rejects t outside [0, T) the same way."""
+    """Every model rejects t outside [0, T) the same way, free-bm included."""
 
     @pytest.mark.parametrize("t", [
         np.nan, np.inf, -np.inf, [0.5, np.nan], [np.nan, -0.1], [3.0, np.inf, 0.1],
@@ -147,6 +148,16 @@ class TestTimeValidation:
     def test_range_edges_accepted(self, model):
         t = [0.0, -0.0, np.nextafter(2.0, 0.0)]
         assert model.drift(t, (0.1, 0.2)).shape == (3, 2)
+
+    @pytest.mark.parametrize("t, shape", [
+        (0.5, (4, 2)), (np.full(4, 0.5), (4, 2)), (np.full((3, 1), 0.5), (3, 4, 2))],
+        ids=["scalar", "same-width", "wider"])
+    @pytest.mark.parametrize("model", _TIMED_MODELS, ids=lambda m: m.variant)
+    def test_result_shape(self, model, t, shape):
+        """A time array wider than the points widens the drift, for every model."""
+        x = np.linspace(-0.4, 0.4, 8).reshape(4, 2)
+        assert model.drift(t, x).shape == shape
+        assert drift(t, x, model).shape == shape
 
 
 class TestProposedDrift:
@@ -194,9 +205,11 @@ class TestProposedDrift:
         b1 = scaled.drift(0.25, (0.2, -0.3))
         np.testing.assert_allclose(b1, 0.49 * b0, rtol=1e-15)
 
-    def test_cut_locus_band(self):
-        m = ProposedBridge(sigma=1.0, horizon=1.0, target=A0, cut_locus_tol=0.05)
-        np.testing.assert_array_equal(m.drift(0.0, (0.47, 0.0)), [0.0, 0.0])
+    def test_full_pull_next_to_the_cut_locus(self):
+        """Only the exact tie lines have zero drift: a hair off one, the pull is whole."""
+        m = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
+        for x1 in (0.47, np.nextafter(0.5, 0.0)):
+            np.testing.assert_array_equal(m.drift(0.0, (x1, 0.0)), [-x1, 0.0])
 
     @pytest.mark.parametrize("scaled", [False, True])
     def test_cut_locus_drift_is_positive_zero(self, scaled):
@@ -580,7 +593,7 @@ def _ref_drift(m, tau, x):
     if isinstance(m, TrueBridge):
         return m.sigma**2 * _ref_axis_slope(x - a, m.sigma**2 * _expand(tau))
     k = np.round(x - a)
-    on_cut = np.any(np.abs(np.abs(x - a - k) - 0.5) <= m.cut_locus_tol, axis=-1)
+    on_cut = np.any(np.abs(x - a - k) == 0.5, axis=-1)
     b = (a + k - x) / _expand(tau)
     b[np.broadcast_to(on_cut, b.shape[:-1])] = 0.0
     return b * m.sigma**2 if m.scale_by_sigma_sq else b
@@ -628,7 +641,7 @@ class TestInPlaceKernelBits:
         TrueBridge(sigma=2.5, horizon=1.0, target=(-0.5, 0.25)),
         ProposedBridge(sigma=0.7, horizon=1.0, target=(0.1, -0.2)),
         ProposedBridge(sigma=0.7, horizon=1.0, target=A0, scale_by_sigma_sq=True),
-        ProposedBridge(sigma=1.3, horizon=1.0, target=(-0.5, 0.25), cut_locus_tol=0.05),
+        ProposedBridge(sigma=1.3, horizon=1.0, target=(-0.5, 0.25)),
     ], ids=lambda m: f"{m.variant}-{m.sigma}")
     def test_drifts(self, m):
         """One point, a batch, a time per point, and a time array wider than the points."""

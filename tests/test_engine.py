@@ -1,6 +1,7 @@
 """Tests for the Euler-Maruyama engine: stepping, streams, determinism, laws."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -141,6 +142,28 @@ class TestNoiseStreams:
                    n_paths=40)
         simulate_batch(cfg, keep_paths=False, weight_cutoff=0.5)
 
+    @pytest.mark.parametrize("seed, path_index, dt, message", [
+        (2**64, 0, 0.01, "seed must be an integer in [0, 2**64); got 18446744073709551616"),
+        (2**64 + 5, 0, 0.01, "seed must be an integer in [0, 2**64)"),
+        (2**70, 0, 0.01, "seed must be an integer in [0, 2**64)"),
+        (-1, 0, 0.01, "seed must be an integer in [0, 2**64); got -1"),
+        (True, 0, 0.01, "seed must be an integer in [0, 2**64); got True"),
+        (2.5, 0, 0.01, "seed must be an integer in [0, 2**64); got 2.5"),
+        (1, -1, 0.01, "path_index must be in [0, inf); got -1"),
+        (1, True, 0.01, "path_index must be in [0, inf); got True"),
+        (1, 2.0, 0.01, "path_index must be in [0, inf); got 2.0"),
+        (1, 0, -0.1, "dt must be finite and > 0; got -0.1"),
+        (1, 0, 0.0, "dt must be finite and > 0; got 0.0"),
+        (1, 0, float("nan"), "dt must be finite and > 0; got nan"),
+        (1, 0, float("inf"), "dt must be finite and > 0; got inf"),
+    ])
+    def test_bad_arguments_are_refused(self, seed, path_index, dt, message):
+        """Only arguments whose stream is the SeedSequence child are taken: a seed
+        past 64 bits would be hashed as if truncated, and SeedSequence refuses
+        a negative one."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            wiener_increments(seed, path_index, 5, dt)
+
     def test_increment_variance_is_dt(self):
         dW = wiener_increments(11, 3, 100_000, 0.004)
         assert dW.mean() == pytest.approx(0.0, abs=3 * np.sqrt(0.004 / 200_000))
@@ -199,6 +222,17 @@ class TestSimulatePath:
         cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0), n_paths=3, seed=3)
         with pytest.raises(ValueError):
             simulate_path(cfg, 3)
+
+    @pytest.mark.parametrize("path_index", [True, False, 0.5, 2.0, -1, 3, np.int64(3), "1"])
+    def test_path_index_must_be_an_integer_in_range(self, path_index):
+        cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0), n_paths=3, seed=3)
+        with pytest.raises(ValueError, match=re.escape("path_index must be in [0, 3); got ")):
+            simulate_path(cfg, path_index)
+
+    def test_numpy_integer_path_index(self):
+        cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0), n_paths=3, seed=3)
+        np.testing.assert_array_equal(simulate_path(cfg, np.int64(2)).states,
+                                      simulate_path(cfg, 2).states)
 
 
 class TestSimulateBatch:
@@ -553,12 +587,31 @@ class TestConfigRoundTrip:
         cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0))
         assert config_from_dict({**config_to_dict(cfg), "record_increments": value}) == cfg
 
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0])
+    def test_legacy_zero_cut_locus_tol_is_dropped(self, value):
+        """Proposal manifests held a cut_locus_tol key; a zero, the one tie rule, loads."""
+        model = ProposedBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2))
+        assert model_from_dict({**model_to_dict(model), "cut_locus_tol": value}) == model
+
+    @pytest.mark.parametrize("value, shown", [
+        (0.05, "0.05"), (True, "True"), (False, "False"), ("0", "'0'"), (None, "None"),
+        (1e-300, "1e-300"), (10**400, "1" + "0" * 400)])
+    def test_other_cut_locus_tol_is_refused(self, value, shown):
+        model = ProposedBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2))
+        with pytest.raises(ValueError, match=f"^cut_locus_tol must be 0; got {shown}$"):
+            model_from_dict({**model_to_dict(model), "cut_locus_tol": value})
+
+    def test_cut_locus_tol_is_unknown_to_other_variants(self):
+        with pytest.raises(ValueError, match=r"unknown key\(s\) \['cut_locus_tol'\]"):
+            model_from_dict({"variant": "true-bridge", "sigma": 0.8, "horizon": 1.0,
+                             "target": [0.1, -0.2], "cut_locus_tol": 0.0})
+
 
     def test_unknown_model_key_rejected(self):
         cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0))
         data = config_to_dict(cfg)
         data["model"]["bogus"] = 1
-        with pytest.raises(ValueError, match=r"'bogus'.*'proposed'.*cut_locus_tol"):
+        with pytest.raises(ValueError, match=r"'bogus'.*'proposed'.*scale_by_sigma_sq"):
             config_from_dict(data)
 
     def test_unknown_config_key_rejected(self):
@@ -594,7 +647,7 @@ _PINNED_MODELS = [
      (0.30000000000000004, 0.30000000000000004)),  # project((1.3, -0.7))
     (ProposedBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2), scale_by_sigma_sq=True),
      {"variant": "proposed", "sigma": 0.8, "horizon": 1.0, "target": [0.1, -0.2],
-      "cut_locus_tol": 0.0, "scale_by_sigma_sq": True},
+      "scale_by_sigma_sq": True},
      (0.1, -0.2)),
     (TrueBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2)),
      {"variant": "true-bridge", "sigma": 0.8, "horizon": 1.0, "target": [0.1, -0.2]},

@@ -14,11 +14,11 @@ _R = np.arange(-3.0, 4.0)
 OFFSETS_7X7 = np.stack(np.meshgrid(_R, _R, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
-def _lift(x, target, tol=0.0):
+def _lift(x, target):
     """The nearest lift target + k of the lattice target + Z^2 to x, and its
     tie flag, from the one nearest-offset primitive."""
     a = np.asarray(target, dtype=float)
-    k, tie = nearest_offset(np.asarray(x, dtype=float) - a, tol)
+    k, tie = nearest_offset(np.asarray(x, dtype=float) - a)
     return a + k, tie
 
 
@@ -30,6 +30,11 @@ def _bits(a):
 # and a signed zero.
 _NEAR_TIES = [0.5, -2.5, np.nextafter(0.5, 0.0), np.nextafter(-0.5, -1.0),
               2.0**52 - 0.5, -0.0, np.nextafter(1.5, 2.0)]
+# Half-integers, the largest coordinates, points a hair off them, and signed
+# and tiny zeros: where the half-open rule and the rounding of p + 1/2 act.
+_PROJECT_EDGES = [0.5, -0.5, np.nextafter(0.5, 0.0), np.nextafter(-0.5, -1.0),
+                  2.0**52, -(2.0**52), 2.0**52 - 0.5, np.nextafter(-1.5, -2.0),
+                  -0.0, -1e-300, 1.5, np.nextafter(2.0**51, 0.0)]
 
 
 def test_plane_point_limit_is_2_52():
@@ -78,6 +83,19 @@ class TestProject:
         with pytest.raises(ValueError):
             project([1.0, 2.0, 3.0])
 
+    @given(p=arrays(float, st.tuples(st.integers(1, 4), st.just(2)),
+                    elements=st.floats(-2.0**52, 2.0**52) | st.sampled_from(_PROJECT_EDGES)))
+    @example(p=np.array([_PROJECT_EDGES[:2], _PROJECT_EDGES[2:4], _PROJECT_EDGES[4:6]]))
+    def test_properties_up_to_2_52(self, p):
+        """Over every plane point a double can place on the torus: projecting
+        twice gives the bits of projecting once, the image lies in
+        [-1/2, 1/2)^2, and it is p on the torus up to the rounding of p."""
+        u = project(p)
+        np.testing.assert_array_equal(_bits(project(u)), _bits(u))
+        assert np.all(u >= -0.5) and np.all(u < 0.5)
+        scale = np.maximum(1.0, np.abs(p).max(axis=-1))
+        assert np.all(torus_distance(p, u) <= 1e-15 * scale)
+
 
 class TestLiftNearest:
     def test_nearest_integer_point(self):
@@ -92,10 +110,6 @@ class TestLiftNearest:
     def test_tie_flagged(self):
         assert _lift((0.5, 0.2), (0.0, 0.0))[1]
         assert _lift((0.75, 0.1), (0.25, 0.25))[1]
-
-    def test_tolerance_band_flagged(self):
-        assert not _lift((0.45, 0.0), (0.0, 0.0), tol=0.01)[1]
-        assert _lift((0.45, 0.0), (0.0, 0.0), tol=0.06)[1]
 
     @given(d=arrays(float, st.tuples(st.integers(1, 4), st.just(2)),
                     elements=st.floats(-1e6, 1e6) | st.sampled_from(
@@ -123,48 +137,38 @@ class TestLiftNearest:
         assert np.all(np.linalg.norm(y - x, axis=1) <= np.sqrt(0.5))
 
 
+def _inline_rounding(d):
+    """The inline expressions that the primitive replaced, kept as the oracle:
+    the offset, and the engine's old `== 0.0` test of terminal ties."""
+    k = np.round(d)
+    return k, np.any(np.abs(np.abs(d - k) - 0.5) == 0.0, axis=-1)
+
+
 class TestNearestOffset:
-    @given(d=st.tuples(*[st.floats(-6.0, 6.0)] * 2), tol=st.sampled_from([0.0, 0.05]))
-    @example(d=(2.5, -0.5), tol=0.0)
-    @example(d=(-0.5, 0.5), tol=0.0)
-    @example(d=(1.5, 0.3), tol=0.05)
-    @example(d=(0.45, -5.55), tol=0.05)
-    def test_matches_inline_rounding(self, d, tol):
-        # The inline expression that the primitive replaced, kept as the oracle.
+    @given(d=st.tuples(*[st.floats(-6.0, 6.0) | st.sampled_from(_NEAR_TIES)] * 2))
+    @example(d=(2.5, -0.5))
+    @example(d=(-0.5, 0.5))
+    @example(d=(1.5, 0.3))
+    @example(d=(0.45, -5.55))
+    def test_matches_inline_rounding(self, d):
         d = np.asarray(d)
-        k_old = np.round(d)
-        tie_old = np.any(np.abs(np.abs(d - k_old) - 0.5) <= tol, axis=-1)
-        k, tie = nearest_offset(d, tol)
+        k_old, tie_old = _inline_rounding(d)
+        k, tie = nearest_offset(d)
         np.testing.assert_array_equal(_bits(k), _bits(k_old))
         assert tie == tie_old
-        if tol == 0.0:  # the engine's old `== 0.0` test of terminal ties
-            assert tie == np.any(np.abs(np.abs(d - k_old) - 0.5) == 0.0, axis=-1)
 
     @given(d=arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 4), st.just(2)),
-                    elements=st.floats(-6.0, 6.0) | st.sampled_from([-2.5, -0.5, 0.5, 1.5, 0.45])),
-           tol=st.sampled_from([0.0, 0.05]))
-    def test_matches_inline_rounding_on_stacks(self, d, tol):
-        k_old = np.round(d)
-        tie_old = np.any(np.abs(np.abs(d - k_old) - 0.5) <= tol, axis=-1)
-        k, tie = nearest_offset(d, tol)
+                    elements=st.floats(allow_nan=False, allow_infinity=False)
+                    | st.floats(-6.0, 6.0) | st.sampled_from(_NEAR_TIES)))
+    @example(d=np.array([[_NEAR_TIES[:2], _NEAR_TIES[2:4]]]))
+    def test_matches_inline_rounding_on_stacks(self, d):
+        k_old, tie_old = _inline_rounding(d)
+        k, tie = nearest_offset(d)
         np.testing.assert_array_equal(_bits(k), _bits(k_old))
         assert tie.shape == d.shape[:-1] and tie.dtype == bool
         np.testing.assert_array_equal(tie, tie_old)
         for idx in np.ndindex(*d.shape[:-1]):
-            assert nearest_offset(d[idx], tol)[1] == tie[idx]
-
-    @given(d=arrays(float, st.tuples(st.integers(1, 4), st.just(2)),
-                    elements=st.floats(allow_nan=False, allow_infinity=False)
-                    | st.sampled_from(_NEAR_TIES)))
-    @example(d=np.array([_NEAR_TIES[:2], _NEAR_TIES[2:4]]))
-    def test_exact_tie_test_agrees_with_the_band_formula(self, d):
-        """At tol == 0 the tie test is |d - k| == 1/2.  It flags what the band
-        formula | |d - k| - 1/2 | <= tol flags at tol 0, and so does the band
-        path at the smallest positive tol, below every nonzero | |d - k| - 1/2 |."""
-        k = np.round(d)
-        band = np.any(np.abs(np.abs(d - k) - 0.5) <= 0.0, axis=-1)
-        for tol in (0.0, 5e-324):
-            np.testing.assert_array_equal(nearest_offset(d, tol)[1], band)
+            assert nearest_offset(d[idx])[1] == tie[idx]
 
     def test_half_integers_round_to_even_and_tie(self):
         k, tie = nearest_offset(np.array([[2.5, -0.5], [0.3, 1.7], [1.5, 0.0]]))
@@ -189,10 +193,6 @@ class TestCutLocus:
         hits = _lift(x, (0.1, -0.2))[1]
         assert hits.shape == (100_000,)
         assert hits.sum() == 0
-
-    def test_tolerance_band(self):
-        assert not _lift((0.48, 0.0), (0.0, 0.0))[1]
-        assert _lift((0.48, 0.0), (0.0, 0.0), tol=0.05)[1]
 
 
 class TestTorusDistance:
