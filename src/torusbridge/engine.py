@@ -286,8 +286,9 @@ def _streams(seed: int, lo: int, hi: int) -> list[np.random.Generator]:
 
 def wiener_increments(seed: int, path_index: int, n_steps: int, dt: float) -> np.ndarray:
     """The (n_steps, 2) increment array dW driving path ``path_index``; a ValueError
-    unless the seed is 64-bit, the index an integer >= 0 and dt finite and > 0."""
+    unless the seed is 64-bit, the index and n_steps integers >= 0 and dt finite and > 0."""
     seed, i = _check_int("seed", seed, 0), _path_index(path_index)
+    n_steps = _check_int("n_steps", n_steps, 0)
     if not (_finite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0; got {dt!r}")
     rng, = _streams(seed, i, i + 1)

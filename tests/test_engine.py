@@ -164,6 +164,11 @@ class TestNoiseStreams:
         with pytest.raises(ValueError, match=re.escape(message)):
             wiener_increments(seed, path_index, 5, dt)
 
+    @pytest.mark.parametrize("n_steps", [2.5, True, -1, 2**64])
+    def test_bad_step_count_is_refused(self, n_steps):
+        with pytest.raises(ValueError, match=re.escape("n_steps must be an integer in [0, 2**64)")):
+            wiener_increments(1, 0, n_steps, 0.01)
+
     def test_increment_variance_is_dt(self):
         dW = wiener_increments(11, 3, 100_000, 0.004)
         assert dW.mean() == pytest.approx(0.0, abs=3 * np.sqrt(0.004 / 200_000))
