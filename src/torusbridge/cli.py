@@ -43,6 +43,7 @@ from .analysis import agreement_rate, drift_field
 from .drift import VARIANTS
 from .engine import (
     SimConfig,
+    _json_object,
     config_from_dict,
     config_to_dict,
     model_class,
@@ -269,15 +270,13 @@ def _path_blocks(paths, steps, times):
 
 # The namespace attribute (flag --<attr>) that sets each model field.  Unset flags leave
 # a field to the config file, then to the defaults below or the model's own.
-_FIELD_FLAGS = {"sigma": "sigma", "horizon": "T", "endpoint": "endpoint", "target": "target",
-                "scale_by_sigma_sq": "scale_drift_by_sigma_sq"}
+_FIELD_FLAGS = {"sigma": "sigma", "horizon": "T", "endpoint": "endpoint", "target": "target"}
 _PAIR_FIELDS = ("endpoint", "target")
 
 
 def _merge_model(variant: str | None, cfg_model: dict, ns: argparse.Namespace):
     """Model description from flags, with a config file filling the gaps."""
-    if not isinstance(cfg_model, dict):
-        raise ValueError(f"a model block must be a JSON object; got {type(cfg_model).__name__}")
+    cfg_model = _json_object(cfg_model, "a model block")
     variant = variant or cfg_model.get("variant")
     if variant is None:
         raise ValueError("a model is required (--model or --config)")
@@ -298,11 +297,9 @@ def _load_config_file(path: str) -> tuple[dict, dict]:
     data = json.loads(Path(path).read_text())
     if not isinstance(data, dict):
         raise ValueError(f"{path} must hold a JSON object; got {type(data).__name__}")
-    if "config" in data and isinstance(data["config"], dict):
-        output = data.get("output", {})
-        if not isinstance(output, dict):
-            raise ValueError(f"an output block must be a JSON object; got {type(output).__name__}")
-        return data["config"], output
+    if "config" in data:
+        return (_json_object(data["config"], "a config block"),
+                _json_object(data.get("output", {}), "an output block"))
     return data, {}
 
 
@@ -462,9 +459,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=None, help="number of paths")
     p.add_argument("--seed", type=int, default=None, help="master seed (all randomness)")
     p.add_argument("--start", default=None, help="start point 'x,y' (default 0,0)")
-    p.add_argument("--scale-drift-by-sigma-sq", dest="scale_drift_by_sigma_sq",
-                   action="store_true", default=None,
-                   help="multiply the nearest-lift drift by sigma^2")
     p.add_argument("--thin", type=int, default=None,
                    help="write every m-th state to paths.csv (terminal state always kept)")
     p.add_argument("--cutoff", type=float, default=None,

@@ -11,7 +11,9 @@ and differ only in how they pull the process toward its target:
     single-endpoint bridge drift.
   * ``ProposedBridge``       b = (nearest lift of target - x) / (T - t)
     off the cut locus and 0 on it.  Cheap to evaluate (one rounding),
-    this is the proposal process for torus bridge sampling.
+    this is the proposal process for torus bridge sampling.  It carries
+    no sigma factor: it is the limit of the exact drift as t -> T, for
+    every sigma.
   * ``TrueBridge``           the exact bridge drift for the projection
     onto the torus: a Gaussian-weighted pull toward every lift of the
     target, equal to sigma^2 times the gradient of the log wrapped
@@ -184,20 +186,12 @@ class ProposedBridge(_LiftBridge):
 
     ``target`` is a torus representative in [-1/2, 1/2)^2.  The drift is
     (nearest lift - x)/(T - t) on the open squares around the lifts and
-    exactly zero on the cut locus, where no lift is singled out.
-
-    ``scale_by_sigma_sq`` multiplies the drift by sigma^2; the default
-    (off) is the plain ratio above.
+    exactly zero on the cut locus, where no lift is singled out.  Whatever
+    sigma, it is the limit of :class:`TrueBridge`'s drift as t -> T, where
+    the weight of every lift but the nearest vanishes.
     """
 
     variant: ClassVar[str] = "proposed"
-    scale_by_sigma_sq: bool = False
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not isinstance(self.scale_by_sigma_sq, bool):
-            raise ValueError(
-                f"scale_by_sigma_sq must be true or false; got {self.scale_by_sigma_sq!r}")
 
     def _drift(self, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Nearest-lift drift, zero on the cut locus of the target.
@@ -214,7 +208,7 @@ class ProposedBridge(_LiftBridge):
         b = b / _expand(tau) if tau.ndim else np.divide(b, tau, out=b)
         if np.count_nonzero(on_cut):  # rarely true; cheaper than the masked write or .any()
             b[np.broadcast_to(on_cut, b.shape[:-1])] = 0.0  # to b's leading shape
-        return np.multiply(b, self.sigma**2, out=b) if self.scale_by_sigma_sq else b
+        return b
 
 
 @dataclass(frozen=True, kw_only=True)

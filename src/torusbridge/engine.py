@@ -197,20 +197,20 @@ def euler_step(
     horizon = model.horizon
     if not (0 <= t and t + dt <= horizon * (1.0 + 1e-9) + 1e-12):  # NaN fails too
         raise ValueError(f"step [{t}, {t + dt}] leaves the horizon [0, {horizon}]")
+    noise = model.sigma * np.asarray(dW, dtype=float)
     arr = as_point(x, "x")
-    return _step(t, arr, dt, model.sigma * np.asarray(dW, dtype=float), model)
+    # One point against stacked increments steps as that many copies of the point.
+    return _step(t, np.broadcast_to(arr, np.broadcast_shapes(arr.shape, noise.shape)), dt,
+                 noise, model)
 
 
 def _step(t: float, x: np.ndarray, dt: float, noise: np.ndarray, model: DriftModel) -> np.ndarray:
     """The update x + b(t, x) dt + noise with no checks, for :func:`euler_step`
-    and the step loop alike; ``noise`` is sigma dW.
+    and the step loop alike; ``noise`` is sigma dW and no wider than ``x``.
 
     The sum is built in the drift's own array, with the bits of
-    ``x + b * dt + noise``; a noise wider than the drift, as for one point
-    against stacked increments, takes that out-of-place form."""
+    ``x + b * dt + noise``."""
     b = drift(t, x, model)
-    if b.shape != noise.shape:
-        return x + b * dt + noise
     b *= dt
     b += x
     b += noise
@@ -398,10 +398,11 @@ def simulate_batch(
     for other in configs[1:]:
         require_coupled(configs[0], other)
     grid = configs[0]
-    snapshot_list = sorted(set(int(s) for s in snapshot_steps)) if snapshot_steps else []
-    for s in snapshot_list:
-        if not (0 <= s <= grid.n_steps):
-            raise ValueError(f"snapshot step {s} outside [0, {grid.n_steps}]")
+    steps = [] if snapshot_steps is None else list(snapshot_steps)
+    for s in steps:
+        if not (_finite(s) and int(s) == s and 0 <= s <= grid.n_steps):
+            raise ValueError(f"snapshot step must be an integer in [0, {grid.n_steps}]; got {s!r}")
+    snapshot_list = sorted({int(s) for s in steps})
     # Validate eagerly so a bad cutoff fails before any simulation work.
     cutoff_step = 0 if weight_cutoff is None else girsanov.cutoff_index(
         grid.dt, grid.n_steps, grid.model.horizon, weight_cutoff)
@@ -484,29 +485,12 @@ def model_to_dict(model: DriftModel) -> dict:
 
 def model_from_dict(data: dict) -> DriftModel:
     """Inverse of :func:`model_to_dict`."""
-    if not isinstance(data, dict):
-        raise ValueError(f"a model block must be a JSON object; got {type(data).__name__}")
-    data = dict(data)
-    try:
-        variant = data.pop("variant")
-    except KeyError:
-        raise ValueError("model description must carry a 'variant' key") from None
+    data = _json_object(data, "a model block")
+    if "variant" not in data:
+        raise ValueError("model description must carry a 'variant' key")
+    variant = data.pop("variant")
     cls = model_class(variant)
-    # Proposal manifests held a tie-band width; 0, the exact tie rule, is dropped.
-    legacy = data.pop("cut_locus_tol", 0) if cls is ProposedBridge else 0
-    if not (_finite(legacy) and legacy == 0):
-        raise ValueError(f"cut_locus_tol must be 0; got {legacy!r}")
-    names = [f.name for f in fields(cls)]
-    unknown = sorted(set(data) - set(names))
-    if unknown:
-        raise ValueError(
-            f"unknown key(s) {unknown} for model variant {variant!r}; "
-            f"its fields are {names}"
-        )
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
-    if missing:
-        raise ValueError(f"model variant {variant!r} needs key(s) {missing}; fields {names}")
-    return cls(**data)
+    return cls(**_block_fields(cls, data, f"model variant {variant!r}"))
 
 
 def model_class(variant) -> type[DriftModel]:
@@ -530,24 +514,47 @@ def config_to_dict(config: SimConfig) -> dict:
 def config_from_dict(data: dict) -> SimConfig:
     """Inverse of :func:`config_to_dict`.
 
-    A ``record_increments`` key, which manifests held before batch paths
-    stopped carrying increments, is dropped when it is true or false.
-
     Raises:
-        ValueError: if ``data`` is not a dict, holds a key that is not a
-            :class:`SimConfig` field, or lacks a field without a default.
+        ValueError: if ``data`` or its model block is not a dict, holds a
+            key that is neither a field of its class nor a retired key with
+            a value that loads, or lacks a field without a default.
     """
+    data = _block_fields(SimConfig, _json_object(data, "a config block"), "SimConfig")
+    return SimConfig(**{**data, "model": model_from_dict(data["model"])})
+
+
+# Keys that older manifests hold for fields since retired, per class: each with a test
+# for the values that give today's behaviour, and those values as an error names them.
+# :func:`_block_fields` drops such a key when it holds one of them and refuses it otherwise.
+_RETIRED_KEYS = {
+    ProposedBridge: {
+        "cut_locus_tol": (lambda v: _finite(v) and v == 0, "0"),  # 0: ties are exact
+        "scale_by_sigma_sq": (lambda v: v is False, "false"),  # false: no sigma^2 factor
+    },
+    # Batch paths no longer carry their increments, whichever the key asked for.
+    SimConfig: {"record_increments": (lambda v: isinstance(v, bool), "true or false")},
+}
+
+
+def _json_object(data, what: str) -> dict:
+    """A copy of ``data``, once checked to be a JSON object; ``what`` names it in the error."""
     if not isinstance(data, dict):
-        raise ValueError(f"a config block must be a JSON object; got {type(data).__name__}")
-    data = dict(data)
-    legacy = data.pop("record_increments", False)
-    if not isinstance(legacy, bool):
-        raise ValueError(f"record_increments must be true or false; got {legacy!r}")
-    names = [f.name for f in fields(SimConfig)]
+        raise ValueError(f"{what} must be a JSON object; got {type(data).__name__}")
+    return dict(data)
+
+
+def _block_fields(cls: type, data: dict, label: str) -> dict:
+    """The keyword arguments of ``cls`` that the manifest block ``data`` holds, once its
+    retired keys are dropped and every other key is checked to be a field of ``cls``, with
+    no field that lacks a default missing; ``label`` names ``cls`` in the errors."""
+    for key, (keeps, wanted) in _RETIRED_KEYS.get(cls, {}).items():
+        if key in data and not keeps(value := data.pop(key)):
+            raise ValueError(f"{key} must be {wanted}; got {value!r}")
+    names = [f.name for f in fields(cls)]
     unknown = sorted(set(data) - set(names))
-    missing = [f.name for f in fields(SimConfig) if f.default is MISSING and f.name not in data]
-    if unknown or missing:
-        raise ValueError(f"config block has unknown key(s) {unknown} and missing key(s) "
-                         f"{missing}; SimConfig's fields are {names}")
-    model = model_from_dict(data.pop("model"))
-    return SimConfig(model=model, **data)
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown} for {label}; its fields are {names}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in data]
+    if missing:
+        raise ValueError(f"{label} needs key(s) {missing}; fields {names}")
+    return data

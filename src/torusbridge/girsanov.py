@@ -141,8 +141,7 @@ def drift_bound_constant(model: DriftModel, cutoff_S: float) -> float:
 
     Off the cut locus every point is within half a square diagonal of its
     attracting lift, so ``|b(t, x)|^2 <= (1/2) / (T - S)^2 =: C_S`` for
-    all x and all t <= S.  If the model scales its drift by sigma^2 the
-    bound carries the matching sigma^4 factor.
+    all x and all t <= S.
 
     Raises:
         TypeError: for model variants other than the nearest-lift bridge.
@@ -154,7 +153,4 @@ def drift_bound_constant(model: DriftModel, cutoff_S: float) -> float:
         )
     if not (0.0 <= cutoff_S < model.horizon):
         raise ValueError(f"need 0 <= S < T={model.horizon}; got S={cutoff_S}")
-    c = SUP_PULL_SQ / (model.horizon - cutoff_S) ** 2
-    if model.scale_by_sigma_sq:
-        c *= model.sigma**4
-    return c
+    return SUP_PULL_SQ / (model.horizon - cutoff_S) ** 2

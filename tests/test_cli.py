@@ -157,6 +157,13 @@ class TestSimulate:
         assert manifest["config"]["n_paths"] == 9
         assert manifest["config"]["n_steps"] == 60
 
+    def test_every_model_field_has_one_flag(self):
+        """The flags that set model fields are exactly the fields, each a simulate option."""
+        names = {f.name for cls in VARIANTS.values() for f in dataclasses.fields(cls)}
+        assert set(cli._FIELD_FLAGS) == names
+        ns = cli._build_parser().parse_args(["simulate"])
+        assert all(hasattr(ns, attr) for attr in cli._FIELD_FLAGS.values())
+
     def test_float_format_round_trips(self, tmp_path):
         _run("simulate", "--model", "free-bm", "--steps", "5", "--paths", "1",
              "--seed", "13", "--out", tmp_path)
@@ -224,6 +231,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("edit, needles", [
         (lambda m: m["config"].update(model=[1]), ("model block", "list")),
+        (lambda m: m.update(config=[1]), ("config block", "list")),
         (lambda m: m.update(output=[1]), ("output block", "list")),
         (lambda m: m["config"].update(start=5), ("start",)),
         (lambda m: m["config"].update(start={"x": 1}), ("start",)),
@@ -244,6 +252,10 @@ class TestSimulate:
         (lambda m: m["config"].update(model={"variant": "proposed", "sigma": 0.5, "horizon": 1.0,
                                              "target": [0, 0], "scale_by_sigma_sq": 1}),
          ("scale_by_sigma_sq",)),
+        # The sigma^2 switch is retired: only its off value still loads.
+        (lambda m: m["config"].update(model={"variant": "proposed", "sigma": 0.5, "horizon": 1.0,
+                                             "target": [0, 0], "scale_by_sigma_sq": True}),
+         ("scale_by_sigma_sq must be false; got True",)),
         (lambda m: m["config"]["model"].update(sigma=True), ("sigma", "True")),
         (lambda m: m["config"]["model"].update(horizon=True), ("horizon", "True")),
         (lambda m: m["config"].update(n_steps=True), ("n_steps", "True")),
@@ -766,20 +778,29 @@ class TestWeights:
         _assert_one_error_line(capsys, *needles)
 
     def test_pre_change_manifest_reproduces_weights(self, tmp_path):
-        """A manifest written while SimConfig had a record_increments field
-        still loads, and gives the weights.csv bytes it gave then."""
+        """A manifest written while SimConfig had a record_increments field and
+        ProposedBridge a tie-band width and a sigma^2 switch still loads, and gives
+        the weights.csv, paths.csv and endpoints.csv bytes it gave then."""
         old = {"command": "simulate", "version": "0.1.0", "config": {
             "model": {"cut_locus_tol": 0.0, "horizon": 1.0, "scale_by_sigma_sq": False,
                       "sigma": 0.8, "target": [0.1, -0.2], "variant": "proposed"},
             "n_paths": 6, "n_steps": 100, "record_increments": False, "seed": 21,
-            "start": [0.0, 0.0]}}
+            "start": [0.0, 0.0]}, "output": {"thin": 1, "weight_cutoff": 0.5}}
         (tmp_path / "old.json").write_text(json.dumps(old))
         assert _run("weights", "--manifest", tmp_path / "old.json", "--cutoff", "0.5",
                     "--out", tmp_path / "old") == 0
+        assert _run("simulate", "--config", tmp_path / "old.json", "--out", tmp_path / "old") == 0
+        for name, digest in (
+                ("paths.csv", "1d030268a856c5b03a543089ce4d1d07f4a0194a26311548e6743577c895be97"),
+                ("endpoints.csv",
+                 "3824b7f621be3404702d4cf0ef94bf6d6410abc698c6b7620474ceeb31433dc7")):
+            assert hashlib.sha256((tmp_path / "old" / name).read_bytes()).hexdigest() == digest
         assert _run("simulate", "--model", "proposed", "--target", "0.1,-0.2", "--sigma", "0.8",
                     "--steps", "100", "--paths", "6", "--seed", "21", "--out", tmp_path) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "record_increments" not in manifest["config"]
+        assert manifest["config"]["model"] == {"variant": "proposed", "sigma": 0.8,
+                                               "horizon": 1.0, "target": [0.1, -0.2]}
         assert _run("weights", "--manifest", tmp_path / "manifest.json", "--cutoff", "0.5",
                     "--out", tmp_path / "new") == 0
         weights = (tmp_path / "old" / "weights.csv").read_bytes()

@@ -106,11 +106,6 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             EuclideanBridge(sigma=1.0, horizon=1.0, endpoint=(np.nan, 0.0))
 
-    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
-    def test_scale_by_sigma_sq_must_be_a_boolean(self, value):
-        with pytest.raises(ValueError, match="scale_by_sigma_sq must be true or false"):
-            ProposedBridge(sigma=0.5, horizon=1.0, target=A0, scale_by_sigma_sq=value)
-
     def test_models_are_immutable(self):
         m = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
         with pytest.raises(AttributeError):
@@ -198,12 +193,13 @@ class TestProposedDrift:
         bound = np.sqrt(0.5) / (1.0 - s)
         assert np.all(np.linalg.norm(b, axis=1) <= bound * (1 + 1e-12))
 
-    def test_sigma_squared_switch(self):
-        plain = ProposedBridge(sigma=0.7, horizon=1.0, target=A0)
-        scaled = ProposedBridge(sigma=0.7, horizon=1.0, target=A0, scale_by_sigma_sq=True)
-        b0 = plain.drift(0.25, (0.2, -0.3))
-        b1 = scaled.drift(0.25, (0.2, -0.3))
-        np.testing.assert_allclose(b1, 0.49 * b0, rtol=1e-15)
+    def test_no_sigma_factor(self):
+        """Near T the exact drift is the proposal's, not sigma^2 = 0.49 times it."""
+        x = (0.2, -0.3)
+        plain = ProposedBridge(sigma=0.7, horizon=1.0, target=A0).drift(0.99, x)
+        exact = TrueBridge(sigma=0.7, horizon=1.0, target=A0).drift(0.99, x)
+        np.testing.assert_allclose(plain, [-20.0, 30.0], rtol=1e-15)
+        np.testing.assert_allclose(exact, plain, rtol=2e-16)
 
     def test_full_pull_next_to_the_cut_locus(self):
         """Only the exact tie lines have zero drift: a hair off one, the pull is whole."""
@@ -211,11 +207,10 @@ class TestProposedDrift:
         for x1 in (0.47, np.nextafter(0.5, 0.0)):
             np.testing.assert_array_equal(m.drift(0.0, (x1, 0.0)), [-x1, 0.0])
 
-    @pytest.mark.parametrize("scaled", [False, True])
-    def test_cut_locus_drift_is_positive_zero(self, scaled):
+    def test_cut_locus_drift_is_positive_zero(self):
         # Off the cut locus these points would be pulled by (-0.5, -0.2),
         # (-0.5, -0.1) and (0.3, -0.5) over the time to go.
-        m = ProposedBridge(sigma=0.7, horizon=1.0, target=A0, scale_by_sigma_sq=scaled)
+        m = ProposedBridge(sigma=0.7, horizon=1.0, target=A0)
         on_cut = [(0.5, 0.2), (2.5, 0.1), (-0.3, -1.5)]
         for x in on_cut:
             b = m.drift(0.3, x)
@@ -300,7 +295,7 @@ class TestEuclideanBridgeDrift:
     @pytest.mark.parametrize("m", [
         FreeBrownianMotion(sigma=1.3, horizon=2.0),
         EuclideanBridge(sigma=0.8, horizon=2.0, endpoint=(1.5, -0.25)),
-        ProposedBridge(sigma=0.8, horizon=2.0, target=(0.1, -0.2), scale_by_sigma_sq=True),
+        ProposedBridge(sigma=0.8, horizon=2.0, target=(0.1, -0.2)),
         TrueBridge(sigma=0.8, horizon=2.0, target=(0.1, -0.2)),
     ], ids=lambda m: m.variant)
     def test_unchecked_kernel_gives_the_checked_bits(self, m):
@@ -596,7 +591,7 @@ def _ref_drift(m, tau, x):
     on_cut = np.any(np.abs(x - a - k) == 0.5, axis=-1)
     b = (a + k - x) / _expand(tau)
     b[np.broadcast_to(on_cut, b.shape[:-1])] = 0.0
-    return b * m.sigma**2 if m.scale_by_sigma_sq else b
+    return b
 
 
 def _bits(a):
@@ -640,7 +635,7 @@ class TestInPlaceKernelBits:
         TrueBridge(sigma=1.0, horizon=1.0, target=A0),
         TrueBridge(sigma=2.5, horizon=1.0, target=(-0.5, 0.25)),
         ProposedBridge(sigma=0.7, horizon=1.0, target=(0.1, -0.2)),
-        ProposedBridge(sigma=0.7, horizon=1.0, target=A0, scale_by_sigma_sq=True),
+        ProposedBridge(sigma=0.4, horizon=1.0, target=A0),
         ProposedBridge(sigma=1.3, horizon=1.0, target=(-0.5, 0.25)),
     ], ids=lambda m: f"{m.variant}-{m.sigma}")
     def test_drifts(self, m):

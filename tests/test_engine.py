@@ -59,15 +59,18 @@ class TestEulerStep:
             atol=1e-15,
         )
 
+    @pytest.mark.parametrize("x_shape, dW_shape", [((2,), (5, 2)), ((5, 2), (2,))],
+                             ids=["point-vs-stacked", "stacked-vs-pair"])
     @pytest.mark.parametrize("m", [
         ProposedBridge(sigma=0.7, horizon=1.0, target=(0.1, -0.2)),
         TrueBridge(sigma=0.7, horizon=1.0, target=(0.1, -0.2)),
     ], ids=lambda m: m.variant)
-    def test_single_point_broadcasts_against_stacked_increments(self, m):
-        """x of shape (2,) against dW of shape (5, 2): the drift is the one
-        point's, and each row is x + b dt + sigma dW with its bits."""
-        x, t, dt = np.array([0.3, -0.45]), 0.25, 0.01
-        dW = np.random.default_rng(5).normal(0.0, 0.1, size=(5, 2))
+    def test_single_point_broadcasts_against_stacked_increments(self, m, x_shape, dW_shape):
+        """x of shape (2,) against dW of shape (5, 2), and (5, 2) against (2,):
+        each row is x + b dt + sigma dW with its bits, b its own point's drift."""
+        rng = np.random.default_rng(5)
+        x, t, dt = rng.uniform(-0.5, 0.5, size=x_shape), 0.25, 0.01
+        dW = rng.normal(0.0, 0.1, size=dW_shape)
         out = euler_step(t, x, dt, dW, m)
         assert out.shape == (5, 2)
         expected = x + m.drift(t, x) * dt + m.sigma * dW
@@ -361,6 +364,16 @@ class TestSimulateBatch:
         with pytest.raises(ValueError):
             simulate_batch(cfg, weight_cutoff=1.0)
 
+    @pytest.mark.parametrize("step, shown", [(2.7, "2.7"), (True, "True"), (101, "101")])
+    def test_snapshot_step_must_be_a_grid_index(self, step, shown):
+        """A fraction or a bool is refused, not truncated, and so is a step past the grid."""
+        cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0), seed=4)
+        with pytest.raises(ValueError) as err:
+            simulate_batch(cfg, snapshot_steps=[50, step])
+        assert str(err.value) == f"snapshot step must be an integer in [0, 100]; got {shown}"
+        for steps in ([2.0, np.int64(100)], np.array([100, 2])):
+            assert simulate_batch(cfg, snapshot_steps=steps).snapshots.keys() == {2, 100}
+
 
 class TestCoupledSimulation:
     def test_identical_models_give_identical_paths(self):
@@ -552,11 +565,35 @@ class TestMemory:
             assert self._peak(cfg, keep_paths=True, weight_cutoff=cutoff) < state_bytes + 4 * 2**20
 
 
+# Each retired key, the values that give today's behaviour as its error names them,
+# those values, and other values with their repr in the error.
+_RETIRED = [
+    ("cut_locus_tol", "0", [0, 0.0, -0.0],
+     [(0.05, "0.05"), (True, "True"), (False, "False"), ("0", "'0'"), (None, "None"),
+      (1e-300, "1e-300"), (10**400, "1" + "0" * 400)]),
+    ("scale_by_sigma_sq", "false", [False],
+     [(True, "True"), ("false", "'false'"), (0, "0"), (None, "None")]),
+    ("record_increments", "true or false", [True, False],
+     [("false", "'false'"), ("true", "'true'"), (0, "0"), (1, "1"), (None, "None")]),
+]
+# One case per value, with None for the repr of a value that loads.
+_RETIRED_CASES = [(key, wanted, value, shown) for key, wanted, accepted, refused in _RETIRED
+                  for value, shown in [(v, None) for v in accepted] + refused]
+
+
+def _with_key(cfg, key, value):
+    """``cfg``'s dict with ``key`` set to ``value`` in the block whose class retired it."""
+    data = config_to_dict(cfg)
+    block = data if key in engine._RETIRED_KEYS[SimConfig] else data["model"]
+    block[key] = value
+    return data
+
+
 class TestConfigRoundTrip:
     @pytest.mark.parametrize("model", [
         FreeBrownianMotion(sigma=1.0, horizon=2.0),
         EuclideanBridge(sigma=0.5, horizon=1.0, endpoint=(1.5, -0.25)),
-        ProposedBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2), scale_by_sigma_sq=True),
+        ProposedBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2)),
         TrueBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2)),
     ])
     def test_dict_round_trip(self, model):
@@ -580,55 +617,48 @@ class TestConfigRoundTrip:
         assert SimConfig(model=FreeBrownianMotion(sigma=1.0, horizon=1e-10), start=A0,
                          n_steps=100, seed=0).dt == 1e-12
 
-    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
-    def test_record_increments_must_be_a_boolean(self, value):
-        """Older manifests hold a record_increments key; only true or false is dropped."""
-        data = config_to_dict(_cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0)))
-        with pytest.raises(ValueError, match="record_increments must be true or false"):
-            config_from_dict({**data, "record_increments": value})
+    @pytest.mark.parametrize("key, wanted, value, shown", _RETIRED_CASES,
+                             ids=[f"{key}={value!r:.8}" for key, _, value, _ in _RETIRED_CASES])
+    def test_retired_key(self, key, wanted, value, shown):
+        """Older manifests hold keys of retired fields: each is dropped when it holds a
+        value that gives today's behaviour, and any other value is one error line."""
+        cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2)))
+        if shown is None:
+            assert config_from_dict(_with_key(cfg, key, value)) == cfg
+        else:
+            with pytest.raises(ValueError) as err:
+                config_from_dict(_with_key(cfg, key, value))
+            assert str(err.value) == f"{key} must be {wanted}; got {shown}"
 
-    @pytest.mark.parametrize("value", [True, False])
-    def test_legacy_record_increments_key_is_dropped(self, value):
-        cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0))
-        assert config_from_dict({**config_to_dict(cfg), "record_increments": value}) == cfg
-
-    @pytest.mark.parametrize("value", [0, 0.0, -0.0])
-    def test_legacy_zero_cut_locus_tol_is_dropped(self, value):
-        """Proposal manifests held a cut_locus_tol key; a zero, the one tie rule, loads."""
-        model = ProposedBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2))
-        assert model_from_dict({**model_to_dict(model), "cut_locus_tol": value}) == model
-
-    @pytest.mark.parametrize("value, shown", [
-        (0.05, "0.05"), (True, "True"), (False, "False"), ("0", "'0'"), (None, "None"),
-        (1e-300, "1e-300"), (10**400, "1" + "0" * 400)])
-    def test_other_cut_locus_tol_is_refused(self, value, shown):
-        model = ProposedBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2))
-        with pytest.raises(ValueError, match=f"^cut_locus_tol must be 0; got {shown}$"):
-            model_from_dict({**model_to_dict(model), "cut_locus_tol": value})
+    def test_every_retired_key_is_tested(self):
+        assert ({key for keys in engine._RETIRED_KEYS.values() for key in keys}
+                == {key for key, *_ in _RETIRED})
 
     def test_cut_locus_tol_is_unknown_to_other_variants(self):
         with pytest.raises(ValueError, match=r"unknown key\(s\) \['cut_locus_tol'\]"):
             model_from_dict({"variant": "true-bridge", "sigma": 0.8, "horizon": 1.0,
                              "target": [0.1, -0.2], "cut_locus_tol": 0.0})
 
-
     def test_unknown_model_key_rejected(self):
         cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0))
         data = config_to_dict(cfg)
         data["model"]["bogus"] = 1
-        with pytest.raises(ValueError, match=r"'bogus'.*'proposed'.*scale_by_sigma_sq"):
+        with pytest.raises(ValueError, match=r"^unknown key\(s\) \['bogus'\] for model variant "
+                           r"'proposed'; its fields are \['sigma', 'horizon', 'target'\]$"):
             config_from_dict(data)
 
     def test_unknown_config_key_rejected(self):
         data = config_to_dict(_cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0)))
         data["bogus"] = 1
-        with pytest.raises(ValueError, match=r"unknown key\(s\) \['bogus'\].*n_paths"):
+        with pytest.raises(ValueError, match=r"^unknown key\(s\) \['bogus'\] for SimConfig; "
+                           r"its fields are \['model', 'start', 'n_steps', 'seed', 'n_paths'\]$"):
             config_from_dict(data)
 
     def test_missing_config_key_rejected(self):
         data = config_to_dict(_cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0)))
         del data["start"], data["n_paths"]  # n_paths has a default, start has none
-        with pytest.raises(ValueError, match=r"missing key\(s\) \['start'\];.*'n_steps'"):
+        with pytest.raises(ValueError, match=r"^SimConfig needs key\(s\) \['start'\]; "
+                           r"fields \['model', 'start', 'n_steps', 'seed', 'n_paths'\]$"):
             config_from_dict(data)
 
     def test_config_block_must_be_a_dict(self):
@@ -650,9 +680,8 @@ _PINNED_MODELS = [
     (EuclideanBridge(sigma=0.5, horizon=1.0, endpoint=(1.3, -0.7)),
      {"variant": "euclid-bridge", "sigma": 0.5, "horizon": 1.0, "endpoint": [1.3, -0.7]},
      (0.30000000000000004, 0.30000000000000004)),  # project((1.3, -0.7))
-    (ProposedBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2), scale_by_sigma_sq=True),
-     {"variant": "proposed", "sigma": 0.8, "horizon": 1.0, "target": [0.1, -0.2],
-      "scale_by_sigma_sq": True},
+    (ProposedBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2)),
+     {"variant": "proposed", "sigma": 0.8, "horizon": 1.0, "target": [0.1, -0.2]},
      (0.1, -0.2)),
     (TrueBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2)),
      {"variant": "true-bridge", "sigma": 0.8, "horizon": 1.0, "target": [0.1, -0.2]},

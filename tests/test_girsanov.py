@@ -176,10 +176,6 @@ class TestDriftBoundConstant:
         values = [drift_bound_constant(m, s) for s in (0.0, 0.25, 0.5, 0.75, 0.9)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_scaled_drift_scales_the_bound(self):
-        m = ProposedBridge(sigma=0.5, horizon=1.0, target=A0, scale_by_sigma_sq=True)
-        assert drift_bound_constant(m, 0.5) == pytest.approx(2.0 * 0.5**4, rel=1e-15)
-
     def test_wrong_variant_rejected(self):
         with pytest.raises(TypeError):
             drift_bound_constant(FreeBrownianMotion(sigma=1.0, horizon=1.0), 0.5)
