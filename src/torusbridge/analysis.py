@@ -121,8 +121,8 @@ class AgreementReport:
     agree: np.ndarray | None = field(repr=False, default=None)
 
 
-def _wilson_interval(k: int, n: int, conf: float = 0.95) -> tuple[float, float]:
-    z = ndtri(0.5 + conf / 2.0)
+def _wilson_interval(k: int, n: int) -> tuple[float, float]:
+    z = ndtri(0.975)  # the 95 % two-sided normal quantile
     p = k / n
     denom = 1.0 + z**2 / n
     centre = (p + z**2 / (2 * n)) / denom

@@ -34,11 +34,12 @@ and blocking thus bound the memory in flight without changing any output
 byte: with no path kept, a chunk holds one noise block and its current
 states, whatever the step count.  Each step before the weight cutoff adds its
 Girsanov term to the running log weights just before the state moves, in
-step order and so with the bits of one whole pass.  The per-step states exist
-only when paths are kept, and the whole increment array only in
-:func:`wiener_increments`, which :func:`simulate_path` attaches.  A coupled
-batch draws each block once for all its models and steps them in one loop,
-and the grid is validated once per batch, not once per step.
+step order and so with the bits of :func:`girsanov.log_girsanov_weight` for
+the same path.  The per-step states exist only when paths are kept, and the
+whole increment array only in :func:`wiener_increments`, which
+:func:`simulate_path` attaches.  A coupled batch draws each block once for
+all its models and steps them in one loop; the grid is validated once per
+batch and the log weights once per chunk, not once per step.
 """
 
 from __future__ import annotations
@@ -247,10 +248,7 @@ def _seed_words(seed: int, lo: int, hi: int) -> np.ndarray:
 
     The seed's words, padded to the pool size of 4, are hashed into the pool
     once; only the index words are mixed per row, one word below 2**32 and two
-    up to 2**64.  Indices beyond that are left to SeedSequence itself."""
-    if hi > 2**64:
-        return np.array([np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-                         .generate_state(4, np.uint64) for i in range(lo, hi)])
+    below 2**64, the bound on ``n_paths``."""
     hash_a = _hasher(_INIT_A, _MULT_A)
     pool = [hash_a(word) for word in (seed & _MASK32, seed >> 32, 0, 0)]
     for src in range(4):
@@ -285,13 +283,14 @@ def _streams(seed: int, lo: int, hi: int) -> list[np.random.Generator]:
 
 
 def wiener_increments(seed: int, path_index: int, n_steps: int, dt: float) -> np.ndarray:
-    """The (n_steps, 2) increment array dW driving path ``path_index``; a ValueError
-    unless the seed is 64-bit, the index and n_steps integers >= 0 and dt finite and > 0."""
+    """The (n_steps, 2) increment array dW driving path ``path_index``, drawn from the
+    path's ``SeedSequence`` child itself; a ValueError unless the seed is 64-bit, the
+    index and n_steps integers >= 0 and dt finite and > 0."""
     seed, i = _check_int("seed", seed, 0), _path_index(path_index)
     n_steps = _check_int("n_steps", n_steps, 0)
     if not (_finite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0; got {dt!r}")
-    rng, = _streams(seed, i, i + 1)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
     return rng.standard_normal((n_steps, 2)) * np.sqrt(dt)
 
 
@@ -314,12 +313,13 @@ def _run_chunk(
     Each block is drawn, then stepped.  A step copies its noise column through a
     16-byte view of the block into one reused (paths, 2) buffer, a pair per item,
     and scales it by sigma in place.  At each step before ``cutoff_step``, the
-    grid index of the weight cutoff (0 for no weights),
+    grid index of the weight cutoff (0 for no weights), the unchecked kernel
     :func:`girsanov.path_log_weights` adds that step's term to each model's
-    running log weights just before the model's state moves.
+    running log weights in place, just before the model's state moves.
 
     Returns, with one entry per model, the terminal and snapshot states, the
-    full states if kept, and the log weights; ``states`` is empty unless kept."""
+    full states if kept, and the log weights, which the caller checks for
+    overflow; ``states`` is empty unless kept."""
     dt, sigma, n = config.dt, config.model.sigma, config.n_steps
     width = min(NOISE_BLOCK, n)
     streams = _streams(config.seed, lo, hi)
@@ -342,9 +342,7 @@ def _run_chunk(
                 if states:
                     states[j][:, i] = xs[j]
                 if i < cutoff_step:
-                    log_weights[j] = girsanov.path_log_weights(
-                        times[i:i + 1], xs[j][:, None], block[:, b:b + 1], dt, model,
-                        log_weights[j])
+                    girsanov.path_log_weights(t, xs[j], block[:, b], dt, model, log_weights[j])
                 xs[j] = _step(t, xs[j], dt, noise, model)
             if i + 1 in snapshots:
                 snapshots[i + 1] = list(xs)
@@ -427,6 +425,8 @@ def simulate_batch(
         hi = min(lo + CHUNK_SIZE, n_paths)
         res = _run_chunk(grid, lo, hi, times, models, keep_paths, snapshot_list, cutoff_step)
         for j, out in enumerate(results):
+            if out.log_weights is not None:
+                girsanov._check_overflow(res["log_weights"][j], out.config.model.sigma)
             x = res["terminal"][j]
             if not (np.abs(x) <= MAX_PLANE_COORD).all():  # also NaN and inf
                 raise ValueError(

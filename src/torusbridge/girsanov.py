@@ -8,6 +8,10 @@ left-point rule on the same grid and increments that drove the
 simulation, so the weight corresponds exactly to the discrete path
 actually produced.
 
+:func:`path_log_weights` adds one step's term with no checks, for the
+engine's step loop; :func:`log_girsanov_weight` checks a recorded path once
+and sums the same kernel, so both give the same bits.
+
 The nearest-lift drift is uniformly bounded away from the terminal time
 (no point of the plane is farther than half a square diagonal from its
 attracting lift), which gives the explicit constant behind the moment
@@ -61,61 +65,29 @@ def cutoff_index(dt: float, n_steps: int, horizon: float, cutoff_S: float) -> in
 
 
 def path_log_weights(
-    times: np.ndarray,
-    states: np.ndarray,
-    increments: np.ndarray,
-    dt: float,
-    model: DriftModel,
-    partial: np.ndarray | float | None = None,
-) -> np.ndarray:
-    """Discretised log weights of the given steps, for one path or a stack of paths.
+    t: float, x: np.ndarray, dW: np.ndarray, dt: float, model: DriftModel, acc: np.ndarray
+) -> None:
+    """Add one step's term ``- u . dW - 1/2 |u|^2 dt``, ``u = b(t, x) / sigma``, to
+    the log weights ``acc`` of the points x (..., 2) in place, with no checks.
 
-    Adds ``- sum_i u_i . dW_i - 1/2 sum_i |u_i|^2 dt`` with
-    ``u_i = b(t_i, x_i) / sigma`` from the model's drift b over every step
-    given, in order, to ``partial``.  The caller picks the steps: the engine
-    passes each step before the cutoff, one at a time, and
-    :func:`log_girsanov_weight` a recorded path's.  Summed slice by slice in
-    step order, a path's weight has the bits of one whole pass.
-
-    Args:
-        times: the left-point times t_i of the m steps, shape (m,).
-        states: the left-point states x_i, shape (..., m, 2).
-        increments: the driving dW_i, shape (..., m, 2).
-        dt: the step.
-        model: drift model the path was simulated under.
-        partial: log weights summed over earlier steps (default zero); not
-            modified.
-
-    Returns:
-        Log weight(s) with the leading shape of ``states``.
-
-    Raises:
-        ValueError: if the inputs disagree, or a log weight is not a finite double.
-    """
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=float)
-    increments = np.asarray(increments, dtype=float)
-    if not (times.ndim == 1 and states.shape[-2:] == increments.shape[-2:] == (len(times), 2)):
-        raise ValueError("states, increments and times disagree on the step count")
-    if not np.isfinite([states.min(initial=0.0), states.max(initial=0.0)]).all():
-        raise ValueError("states must be finite")  # min/max: no state-sized temporary
-    if not ((times >= 0) & (times < model.horizon)).all():
-        raise HorizonError(f"times before the cutoff must lie in [0, {model.horizon})")
-    acc = np.zeros(states.shape[:-2]) if partial is None else np.asarray(partial, dtype=float)
-    # A small sigma can make |u|^2 overflow; the check below names it instead.
+    x must be finite and 0 <= t < T.  A small sigma can make a term overflow,
+    leaving ``acc`` not finite, which the callers check once: the engine per
+    chunk and :func:`log_girsanov_weight` per path."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, t in enumerate(times):
-            u = drift(t, states[..., i, :], model)
-            u /= model.sigma
-            ud = u * increments[..., i, :]
-            u *= u
-            # Two-term sums with the bits of .sum(axis=-1), whose -0.0 + -0.0 is 0.0.
-            acc = (acc - (0.0 + ud[..., 0] + ud[..., 1])
-                   - 0.5 * (0.0 + u[..., 0] + u[..., 1]) * dt)
-    if not np.isfinite(acc).all():
-        raise ValueError(f"the log weights overflow a double: sigma={model.sigma} is too "
+        u = drift(t, x, model)
+        u /= model.sigma
+        ud = u * dW
+        u *= u
+        # Two-term sums with the bits of .sum(axis=-1), whose -0.0 + -0.0 is 0.0.
+        acc -= 0.0 + ud[..., 0] + ud[..., 1]
+        acc -= 0.5 * (0.0 + u[..., 0] + u[..., 1]) * dt
+
+
+def _check_overflow(log_weights: np.ndarray, sigma: float) -> None:
+    """Refuse log weights that overflowed a double, in one line."""
+    if not np.isfinite(log_weights).all():
+        raise ValueError(f"the log weights overflow a double: sigma={sigma} is too "
                          "small for the drift before the cutoff")
-    return acc
 
 
 def log_girsanov_weight(path: "PathSample", model: DriftModel, cutoff_S: float) -> float:
@@ -125,15 +97,38 @@ def log_girsanov_weight(path: "PathSample", model: DriftModel, cutoff_S: float) 
     must be a grid time with 0 < S < T.  A zero-drift model gives exactly
     0.  Under this weight, expectations of path functionals on [0, S]
     computed from proposal samples estimate those of the driftless
-    sigma-scaled process.
+    sigma-scaled process.  The weight has the bits of the engine's.
+
+    Raises:
+        ValueError: if the path lacks increments or a step, its arrays disagree
+            on the step count, S is not a grid time in (0, T), a state or
+            increment before S is not finite or a time before S lies outside
+            [0, T) (a HorizonError), or the weight overflows a double.
     """
     if path.increments is None:
         raise ValueError("path does not carry recorded increments")
-    n_steps = len(path.times) - 1
+    times = np.asarray(path.times, dtype=float)
+    states = np.asarray(path.states, dtype=float)
+    increments = np.asarray(path.increments, dtype=float)
+    n_steps = times.size - 1
+    if not (times.ndim == 1 and states.shape == (n_steps + 1, 2)
+            and increments.shape == (n_steps, 2)):
+        raise ValueError("states, increments and times disagree on the step count")
+    if n_steps < 1:
+        raise ValueError(f"the path needs at least two times; got {times.size}")
     dt = model.horizon / n_steps
     k = cutoff_index(dt, n_steps, model.horizon, cutoff_S)
-    return float(path_log_weights(path.times[:k], path.states[:k], path.increments[:k], dt,
-                                  model))
+    if not np.isfinite(states[:k]).all():
+        raise ValueError("states must be finite")
+    if not np.isfinite(increments[:k]).all():
+        raise ValueError("increments must be finite")
+    if not ((times[:k] >= 0) & (times[:k] < model.horizon)).all():
+        raise HorizonError(f"times before the cutoff must lie in [0, {model.horizon})")
+    acc = np.zeros(())
+    for i in range(k):
+        path_log_weights(times[i], states[i], increments[i], dt, model, acc)
+    _check_overflow(acc, model.sigma)
+    return float(acc)
 
 
 def drift_bound_constant(model: DriftModel, cutoff_S: float) -> float:

@@ -84,28 +84,53 @@ class TestLogWeight:
 
     @pytest.mark.parametrize("field, value", [
         ("states", np.nan), ("states", np.inf), ("times", -0.1), ("times", np.nan),
+        ("increments", np.nan), ("steps", 1),
     ])
     def test_bad_path_rejected(self, field, value):
-        """The drift the weights evaluate is unchecked, so the weights check
-        the states and times of the steps they are given themselves, once."""
+        """The kernel is unchecked, so the weight checks the states, times and
+        increments before the cutoff itself, once; a NaN increment is not
+        called an overflow, and a path of one time gets a one-line error."""
         model = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
         cfg = SimConfig(model=model, start=A0, n_steps=10, seed=5, n_paths=1)
         path = simulate_path(cfg, 0)
-        arrays = {"states": path.states[:5].copy(), "times": path.times[:5].copy()}
-        arrays[field][3] = value
-        error = {"states": "states must be finite", "times": "times before the cutoff"}[field]
-        with pytest.raises(ValueError, match=error):
-            path_log_weights(arrays["times"], arrays["states"], path.increments[:5], cfg.dt,
-                             model)
+        arrays = {"states": path.states.copy(), "times": path.times.copy(),
+                  "increments": path.increments.copy()}
+        if field == "steps":
+            arrays = {"states": path.states[:value], "times": path.times[:value],
+                      "increments": path.increments[:value - 1]}
+        else:
+            arrays[field][3] = value
+        error = {"states": "states must be finite", "times": "times before the cutoff",
+                 "increments": "increments must be finite",
+                 "steps": "the path needs at least two times; got 1"}[field]
+        with pytest.raises(ValueError, match=error) as info:
+            log_girsanov_weight(PathSample(**arrays), model, 0.5)
+        assert "\n" not in str(info.value)
 
     def test_steps_must_agree(self):
-        """Times, states and increments must all hold the same steps."""
+        """Times, states and increments must all hold the same steps, beyond
+        the cutoff too."""
         model = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
         cfg = SimConfig(model=model, start=A0, n_steps=10, seed=5, n_paths=1)
         path = simulate_path(cfg, 0)
-        for times, states in ((path.times[:5], path.states), (path.times, path.states[:5])):
+        for field in ("times", "states", "increments"):
+            arrays = {"times": path.times, "states": path.states, "increments": path.increments}
+            arrays[field] = arrays[field][:-1]
             with pytest.raises(ValueError, match="disagree on the step count"):
-                path_log_weights(times, states, path.increments[:5], cfg.dt, model)
+                log_girsanov_weight(PathSample(**arrays), model, 0.5)
+
+    def test_overflow_is_one_error_line(self):
+        """At the smallest sigma the pull 0.45 / 1e-7 per axis over sigma squares
+        past the largest double: the batch, checking once per chunk, and the
+        single-path weight refuse it with the same line."""
+        model = ProposedBridge(sigma=2.0**-490, horizon=1e-7, target=(0.45, 0.45))
+        cfg = SimConfig(model=model, start=A0, n_steps=50, seed=1, n_paths=3)
+        with pytest.raises(ValueError, match="log weights overflow a double") as batch:
+            simulate_batch(cfg, keep_paths=False, weight_cutoff=5e-8)
+        with pytest.raises(ValueError, match="log weights overflow a double") as single:
+            log_girsanov_weight(simulate_path(cfg, 0), model, 5e-8)
+        assert str(batch.value) == str(single.value)
+        assert "\n" not in str(batch.value)
 
 
 class TestMartingaleProperty:
@@ -125,7 +150,8 @@ class TestMartingaleProperty:
         times = cfg.time_grid()
         for cutoff in (0.1, 0.2, 0.3, 0.4, 0.5):
             k = round(cutoff / cfg.dt)  # the steps before the cutoff
-            logw = path_log_weights(times[:k], states[:, :k], increments[:, :k], cfg.dt, model)
+            logw = _kernel_log_weights(times[:k], states, increments, cfg.dt, model,
+                                       np.zeros(len(states)))
             w = np.exp(logw)
             se = w.std(ddof=1) / np.sqrt(len(w))
             assert abs(w.mean() - 1.0) <= 3 * se, f"cutoff {cutoff}"
@@ -211,8 +237,17 @@ class TestNovikovBound:
         assert np.exp(partial[:, -1]).mean() <= np.exp(S * c_s)
 
 
+def _kernel_log_weights(times, states, increments, dt, model, partial):
+    """The kernel summed over the steps at ``times``, in order, from ``partial``;
+    ``states`` and ``increments`` hold those steps on their second-to-last axis."""
+    acc = np.array(partial, dtype=float)
+    for i, t in enumerate(times):
+        path_log_weights(t, states[..., i, :], increments[..., i, :], dt, model, acc)
+    return acc
+
+
 def _summed_log_weights(times, states, increments, dt, model, partial):
-    """path_log_weights with numpy's .sum(axis=-1) over each length-2 axis, the
+    """The kernel's sum with numpy's .sum(axis=-1) over each length-2 axis, the
     bitwise reference for its two-term sums."""
     acc = np.asarray(partial, dtype=float)
     for i, t in enumerate(times):
@@ -238,10 +273,10 @@ def test_two_term_sums_keep_the_bits_of_sum(model):
     increments[2, :, 1] = -0.0
     times = np.array([0.0, 0.1, 0.2])
     partial = np.array([-0.0, 0.0, -0.0, 0.3, -0.0, -1.5])
-    got = path_log_weights(times, states, increments, 0.1, model, partial)
+    got = _kernel_log_weights(times, states, increments, 0.1, model, partial)
     expected = _summed_log_weights(times, states, increments, 0.1, model, partial)
     np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
     assert np.signbit(got[[0, 2]]).all()
     for row in range(n_paths):
-        one = path_log_weights(times, states[row], increments[row], 0.1, model, partial[row])
-        assert np.asarray(one).view(np.int64) == expected[row].view(np.int64)
+        one = _kernel_log_weights(times, states[row], increments[row], 0.1, model, partial[row])
+        assert one.shape == () and one.view(np.int64) == expected[row].view(np.int64)

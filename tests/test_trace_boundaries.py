@@ -11,7 +11,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from torusbridge import acceptance, cli, engine, girsanov
+from torusbridge import ProposedBridge, SimConfig, acceptance, cli, engine, girsanov, simulate_batch
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -77,3 +77,20 @@ def test_weights_layer_stays_traceable():
     assert any(a.opname == "LOAD_GLOBAL" and a.argval == "girsanov"
                and b.opname in ("LOAD_ATTR", "LOAD_METHOD") and b.argval == "path_log_weights"
                for a, b in zip(ins, ins[1:]))
+
+
+def test_drift_calls_of_a_weighted_batch(monkeypatch):
+    # The benchmark's drift layers count the calls of the two module globals:
+    # a weighted batch makes one per step in the step loop and one per step
+    # before the cutoff in the weight pass, each on every path of the chunk.
+    counts = {}
+    for module in (engine, girsanov):
+        def counted(t, x, model, module=module, inner=module.drift):
+            calls, points = counts.get(module.__name__, (0, 0))
+            counts[module.__name__] = (calls + 1, points + x.size // 2)
+            return inner(t, x, model)
+        monkeypatch.setattr(module, "drift", counted)
+    model = ProposedBridge(sigma=1.0, horizon=1.0, target=(0.0, 0.0))
+    cfg = SimConfig(model=model, start=(0.0, 0.0), n_steps=10, seed=1, n_paths=3)
+    simulate_batch(cfg, keep_paths=False, weight_cutoff=0.5)
+    assert counts == {engine.__name__: (10, 30), girsanov.__name__: (5, 15)}
