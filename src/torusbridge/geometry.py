@@ -44,12 +44,13 @@ def as_point(p: ArrayLike, name: str = "point") -> np.ndarray:
         name: label used in error messages.
 
     Raises:
-        ValueError: if ``p`` is not numeric, the trailing dimension is not 2
-            or any coordinate is NaN or infinite.
+        ValueError: if ``p`` is not numeric (a non-numeric string or a
+            ragged list included), the trailing dimension is not 2 or any
+            coordinate is NaN or infinite.
     """
     try:
         arr = np.asarray(p, dtype=float)
-    except TypeError:
+    except (TypeError, ValueError):  # ValueError: a non-numeric string, a ragged list
         raise ValueError(f"{name} must hold numbers; got {p!r}") from None
     if arr.ndim == 0 or arr.shape[-1] != 2:
         raise ValueError(f"{name} must have trailing dimension 2; got shape {arr.shape}")

@@ -1,12 +1,16 @@
 """Tests for the command-line interface and its CSV contracts."""
 
 import dataclasses
+import errno
 import hashlib
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import types
 import warnings
@@ -236,6 +240,11 @@ class TestSimulate:
         (lambda m: m["config"].update(start=5), ("start",)),
         (lambda m: m["config"].update(start={"x": 1}), ("start",)),
         (lambda m: m["config"]["model"].update(target=5), ("target",)),
+        (lambda m: m["config"]["model"].update(target="ab"),
+         ("error: target must hold numbers; got 'ab'",)),
+        (lambda m: m["config"]["model"].update(target=[[0, 0], [1]]),
+         ("target must hold numbers",)),
+        (lambda m: m["config"].update(start="ab"), ("start must hold numbers; got 'ab'",)),
         (lambda m: m["config"]["model"].update(sigma="abc"), ("sigma",)),
         (lambda m: m["config"]["model"].update(sigma=None), ("sigma",)),
         # A manifest written before the true bridge summed every lift.
@@ -471,6 +480,122 @@ class TestWriterBytes:
     @example(-1e308)
     def test_percent_format_equals_format(self, v):
         assert "%.17g" % v == format(v, ".17g")
+
+
+def _count_forks(monkeypatch):
+    """Replace os.fork by a wrapper that records each call in this process."""
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWriter:
+    """With two usable CPUs (the ``cli._usable_cpus`` seam), a forked child
+    formats paths.csv from its middle block on.  The bytes are the serial
+    writer's, and no process or file outlives the command."""
+
+    SIM = ("simulate", "--model", "proposed", "--target", "0.3,-0.1", "--sigma", "0.7",
+           "--seed", "31")
+
+    # 1001 states make blocks of 2 paths: 64 paths split 16 : 16 blocks, 66
+    # paths 16 : 17.  --thin 3 keeps 335 states, blocks of 6 paths, so 195 paths
+    # make 32 full blocks and one of 3, split 16 : 17, and the child's path ids
+    # grow from 2 to 3 digits.
+    @pytest.mark.parametrize("paths, steps, thin", [(64, 1000, 1), (66, 1000, 1),
+                                                    (195, 1000, 3)])
+    def test_split_writes_the_serial_bytes(self, tmp_path, monkeypatch, paths, steps, thin):
+        seen = _capture(monkeypatch, "simulate_batch")
+        forks = _count_forks(monkeypatch)
+        written = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+            assert _run(*self.SIM, "--steps", steps, "--paths", paths, "--thin", thin,
+                        "--out", tmp_path / str(cpus)) == 0
+            assert len(forks) == cpus - 1
+            written.append((tmp_path / str(cpus) / "paths.csv").read_bytes())
+        assert written[0] == written[1] == _oracle_paths(seen[0], thin)
+        assert sorted(os.listdir(tmp_path / "2")) == ["endpoints.csv", "manifest.json",
+                                                      "paths.csv"]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("how, needle", [
+        ("raise", "error: [Errno 28] No space left on device"),
+        ("kill", "error: the process formatting paths.csv was killed by signal 9"),
+    ])
+    def test_failing_child_is_one_error_line(self, tmp_path, monkeypatch, capsys, how, needle):
+        real = cli._path_blocks
+
+        def blocks(paths, steps, times, first=0):
+            if first and how == "raise":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            if first:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(paths, steps, times, first)
+
+        monkeypatch.setattr(cli, "_path_blocks", blocks)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        assert _run(*self.SIM, "--steps", "1000", "--paths", "64", "--out", tmp_path) == 2
+        _assert_one_error_line(capsys, needle)
+        _assert_no_child_left()
+        assert os.listdir(tmp_path) == ["paths.csv"]
+
+    def test_failing_parent_kills_the_child(self, tmp_path, monkeypatch, capsys):
+        real = cli._path_blocks
+
+        def blocks(paths, steps, times, first=0):
+            if first:
+                time.sleep(60)  # the child outlives the command unless it is killed
+                return real(paths, steps, times, first)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "_path_blocks", blocks)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        started = time.monotonic()
+        assert _run(*self.SIM, "--steps", "1000", "--paths", "64", "--out", tmp_path) == 2
+        assert time.monotonic() - started < 30
+        _assert_one_error_line(capsys, "No space left on device")
+        _assert_no_child_left()
+        assert os.listdir(tmp_path) == ["paths.csv"]
+
+    def test_few_blocks_or_a_second_thread_stay_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        forks = _count_forks(monkeypatch)
+        # 3 paths of 21 states are one block; 62 paths of 1001 states are 31.
+        assert _run(*self.SIM, "--steps", "20", "--paths", "3", "--out", tmp_path / "a") == 0
+        assert _run(*self.SIM, "--steps", "1000", "--paths", "62", "--out", tmp_path / "c") == 0
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert _run(*self.SIM, "--steps", "1000", "--paths", "64",
+                        "--out", tmp_path / "b") == 0
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert forks == []
+
+    def test_failed_fork_formats_every_block_here(self, tmp_path, monkeypatch):
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        seen = _capture(monkeypatch, "simulate_batch")
+        assert _run(*self.SIM, "--steps", "1000", "--paths", "64", "--out", tmp_path) == 0
+        assert (tmp_path / "paths.csv").read_bytes() == _oracle_paths(seen[0], 1)
+        assert sorted(os.listdir(tmp_path)) == ["endpoints.csv", "manifest.json", "paths.csv"]
 
 
 def _layout_class(text):
@@ -847,6 +972,8 @@ class TestErrorLines:
         (("simulate", "--model", "free-bm", "--thin", "0"), ("--thin must be >= 1",)),
         (("field", "--model", "proposed", "--target", "0,0", "--t", "0.5", "--rect", "1,2,3"),
          ("--rect", "'1,2,3'")),
+        (("field", "--model", "proposed", "--target", "0,0", "--t", "0.5", "--rect", "a,b,c,d"),
+         ("error: --rect expects four numbers; got 'a,b,c,d'",)),
         (("check", "--criterion", "9"), ("criterion index", "got 9")),
         (("check", "--criterion", "0"), ("criterion index", "got 0")),
         (("weights", "--manifest", "manifest.json", "--cutoff", "0.5"), ("'variant'",)),

@@ -83,6 +83,11 @@ class TestProject:
         with pytest.raises(ValueError):
             project([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", ["ab", [[0.0, 1.0], [2.0]], {"x": 1.0}])
+    def test_non_numbers_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^point must hold numbers; got "):
+            project(bad)
+
     @given(p=arrays(float, st.tuples(st.integers(1, 4), st.just(2)),
                     elements=st.floats(-2.0**52, 2.0**52) | st.sampled_from(_PROJECT_EDGES)))
     @example(p=np.array([_PROJECT_EDGES[:2], _PROJECT_EDGES[2:4], _PROJECT_EDGES[4:6]]))
