@@ -24,14 +24,17 @@ paths.csv is formatted on two CPUs when it is large enough to pay for a fork
 (``_paths_rows``): a forked child formats the blocks from the middle one on
 into an anonymous file in the output directory while this process formats
 the rest, and the child's bytes are then copied in behind them, so the file
-is the same as from one process.  The batch itself runs on one thread before
-the fork, and --workers has no effect.
+is the same as from one process.  A large batch splits the same way before
+it (``engine.simulate_batch``), on the same fork helper (``engine._forked``),
+and --workers has no effect.  Each CSV file is written under a temporary
+name beside it and renamed over it after its last row (``_write_csv``), so a
+failed write leaves an earlier run's file whole.
 
 ``main`` freezes the garbage collector's heap once per process (``gc.freeze``),
 which takes about 50 ms off every command's exit, and keeps the forked
-writer's collections off the pages it shares with its parent.  The process
-still exits the normal way, so atexit handlers run and the standard streams
-are flushed; only the forked writer leaves through ``os._exit``.
+children's collections off the pages they share with their parent.  The
+process still exits the normal way, so atexit handlers run and the standard
+streams are flushed; only a forked child leaves through ``os._exit``.
 """
 
 from __future__ import annotations
@@ -41,14 +44,10 @@ import gc
 import json
 import math
 import os
-import signal
 import sys
-import tempfile
-import threading
 import time
 from dataclasses import fields
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -57,6 +56,8 @@ from .analysis import agreement_rate, drift_field
 from .drift import VARIANTS
 from .engine import (
     SimConfig,
+    _can_fork,
+    _forked,
     _json_object,
     config_from_dict,
     config_to_dict,
@@ -86,10 +87,19 @@ def _floats(text: str, flag: str, form: str = "x,y") -> tuple[float, ...]:
 
 def _write_csv(path: Path, header: str, rows) -> None:
     """Write ``header`` and then ``rows``, blocks of bytes (``bytes`` or uint8
-    arrays) that each end in a newline."""
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        fh.writelines(rows)
+    arrays) that each end in a newline, to ``path``.
+
+    The bytes go to a temporary file beside ``path``, which replaces it only
+    after the last row, so a write that fails leaves any earlier file there
+    as it was, and no temporary file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header.encode() + b"\n")
+            fh.writelines(rows)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _offset_text(k: list[int], unresolved: bool) -> bytes:
@@ -293,13 +303,6 @@ def _path_blocks(paths, steps, times, first=0):
         yield f[f != 0]
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 # The fork, the child's exit and its copy-on-write faults add about 9 ms (a
 # 65 MB process on a 2-vCPU Xeon), and two processes each format more slowly
 # than one alone, so the split pays from about 30 blocks: of 501 states, 25
@@ -310,15 +313,14 @@ _MIN_SPLIT_BLOCKS = 32
 def _paths_rows(paths, steps, times, out_dir: Path):
     """The rows of paths.csv, as ``_path_blocks`` yields them.
 
-    When ``os.fork`` exists, two CPUs are usable, no other Python thread runs
-    and there are at least ``_MIN_SPLIT_BLOCKS`` blocks, the blocks from the
-    middle one on are formatted in a forked child (``_forked_path_blocks``),
-    beside this process's own; otherwise every block is formatted here.
+    When a forked child may share the work (``engine._can_fork``) and there
+    are at least ``_MIN_SPLIT_BLOCKS`` blocks, the blocks from the middle one
+    on are formatted in a forked child (``_forked_path_blocks``), beside this
+    process's own; otherwise every block is formatted here.
     """
     per_block = _block_paths(len(steps))
     n_blocks = -(-len(paths) // per_block)
-    if (n_blocks < _MIN_SPLIT_BLOCKS or not hasattr(os, "fork") or _usable_cpus() < 2
-            or threading.active_count() != 1):
+    if n_blocks < _MIN_SPLIT_BLOCKS or not _can_fork():
         return _path_blocks(paths, steps, times)
     return _forked_path_blocks(paths, steps, times, n_blocks // 2 * per_block, out_dir)
 
@@ -328,60 +330,25 @@ _COPY_BYTES = 1 << 16  # bytes per read of the child's half: less than a block's
 
 def _forked_path_blocks(paths, steps, times, split, out_dir: Path):
     """``_path_blocks`` of all ``paths``, the paths from ``split`` on
-    formatted in a forked child into an anonymous file in ``out_dir``.
+    formatted in a forked child (``engine._forked``) into an anonymous file
+    in ``out_dir``.
 
     This process formats the paths before ``split``, reaps the child and then
     yields the child's bytes.  If the child fails, this raises ``OSError``
-    with the child's message; if this side fails or is closed early, it kills
-    and reaps the child.  If no process can be forked, every block is
+    with the child's message; if this side fails or is closed early, the
+    child is killed and reaped.  If no process can be forked, every block is
     formatted here.
     """
-    with tempfile.TemporaryFile(dir=out_dir) as tmp:
-        try:
-            pid = os.fork()
-        except OSError:
+    def format_half(out):
+        out.writelines(_path_blocks(paths[split:], steps, times, split))
+
+    with _forked(format_half, "formatting paths.csv", out_dir) as join:
+        if join is None:
             yield from _path_blocks(paths, steps, times)
             return
-        if not pid:
-            _format_in_child(tmp, paths[split:], steps, times, split)
-        try:
-            yield from _path_blocks(paths[:split], steps, times)
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            pid = 0
-        finally:
-            if pid:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        tmp.seek(0)
-        if code == 1:
-            raise OSError(tmp.read().decode(errors="replace"))
-        if code:
-            raise OSError("the process formatting paths.csv "
-                          + (f"was killed by signal {-code}" if code < 0 else f"exited with {code}"))
-        yield from iter(lambda: tmp.read(_COPY_BYTES), b"")
-
-
-def _format_in_child(tmp, paths, steps, times, first) -> NoReturn:
-    """Write ``_path_blocks(paths, steps, times, first)`` to ``tmp`` in a forked
-    child, and end the child: status 0 when done, else 1 with the error's
-    one-line message as ``tmp``'s whole content (2 if even that fails).
-
-    The child leaves only through ``os._exit``, so it flushes none of the
-    parent's buffers (paths.csv's header among them) a second time, runs no
-    exit handler and never returns into its caller.
-    """
-    try:
-        tmp.writelines(_path_blocks(paths, steps, times, first))
-        tmp.flush()
-        os._exit(0)
-    except Exception as exc:
-        tmp.seek(0)
-        tmp.truncate()
-        tmp.write((str(exc) or type(exc).__name__).encode())
-        tmp.flush()
-        os._exit(1)
-    finally:
-        os._exit(2)
+        yield from _path_blocks(paths[:split], steps, times)
+        child = join()
+        yield from iter(lambda: child.read(_COPY_BYTES), b"")
 
 
 # The namespace attribute (flag --<attr>) that sets each model field.  Unset flags leave
@@ -554,7 +521,7 @@ def _add_common_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_ignored_flags(p: argparse.ArgumentParser, *names: str) -> None:
-    # Batches run on one thread and the true bridge sums every lift, so --workers
+    # Batches pick their own split and the true bridge sums every lift, so --workers
     # and --truncation do nothing; they stay so that older command lines still parse.
     for name in names:
         p.add_argument(f"--{name}", type=int, default=None,

@@ -20,13 +20,20 @@ Consequences, all relied on by tests:
 
   * the same ``(seed, path_index)`` always reproduces the same path,
     bit for bit, whether simulated alone or inside any batch;
-  * batch results do not depend on the chunk size;
+  * batch results do not depend on the chunk size, nor on whether half
+    of the batch runs in a forked child;
   * two configurations sharing ``(seed, n_steps, horizon)`` consume the
     identical increment sequence per path index, which is how coupled
     model comparisons are driven.
 
-Batches run in path order, one fixed-size chunk of paths at a time; each
-chunk touches only its own streams and output slots.  Within a chunk the
+Batches run one fixed-size chunk of paths at a time; each chunk touches
+only its own streams and output slots, so the results do not depend on
+which process runs a chunk either.  A batch large enough to pay for a fork
+(:func:`_split_at`) runs its second half of paths in a forked child, in its
+own chunks, while this process runs the first; the child pickles its chunk
+results into an anonymous file (:func:`_forked`).  The results are then
+filled and checked in path order, one ``CHUNK_SIZE`` range at a time, so a
+bad run raises the error of a one-process run.  Within a chunk the
 noise is drawn ``NOISE_BLOCK`` steps at a time into one reused buffer, each
 stream continuing where its last block stopped; a numpy ``Generator`` keeps
 no cached normal, so this gives the bits of a whole-stream draw.  Chunking
@@ -44,9 +51,16 @@ batch and the log weights once per chunk, not once per step.
 
 from __future__ import annotations
 
+import contextlib
 import numbers
+import os
+import pickle
+import signal
+import tempfile
+import threading
 from dataclasses import MISSING, dataclass, fields
-from typing import Sequence
+from functools import partial
+from typing import NoReturn, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -294,6 +308,106 @@ def wiener_increments(seed: int, path_index: int, n_steps: int, dt: float) -> np
     return rng.standard_normal((n_steps, 2)) * np.sqrt(dt)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _can_fork() -> bool:
+    """Whether a forked child may share this process's work: ``os.fork``
+    exists, two CPUs are usable and no other Python thread runs, since a fork
+    copies only the calling thread and the locks the others hold."""
+    return hasattr(os, "fork") and _usable_cpus() >= 2 and threading.active_count() == 1
+
+
+@contextlib.contextmanager
+def _forked(work, what: str, dir=None):
+    """Run ``work(out=out)`` in a forked child, ``out`` an anonymous binary file
+    in ``dir``, while the ``with`` block runs here.
+
+    Yields ``join``, which waits for the child and returns ``out`` at its
+    start, or None if no process could be forked.  If the child fails,
+    ``join`` raises ``OSError`` with the child's one-line message, or with
+    ``what`` the child was doing and how it ended.  If the block ends before
+    ``join`` returns (an error here, or a generator closed early), the child
+    is killed and reaped, so no process outlives the block.
+    """
+    with tempfile.TemporaryFile(dir=dir) as out:
+        try:
+            pid = os.fork()
+        except OSError:
+            yield None
+            return
+        if not pid:
+            _child(work, out)
+
+        def join():
+            nonlocal pid
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid = 0
+            out.seek(0)
+            if code == 1:
+                raise OSError(out.read().decode(errors="replace"))
+            if code:
+                ended = f"was killed by signal {-code}" if code < 0 else f"exited with {code}"
+                raise OSError(f"the process {what} {ended}")
+            return out
+
+        try:
+            yield join
+        finally:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child(work, out) -> NoReturn:
+    """Run ``work(out=out)`` in a forked child and end the child: status 0 when
+    done, else 1 with the error's one-line message as ``out``'s whole content
+    (2 if even that fails).
+
+    The child leaves only through ``os._exit``, so it flushes none of the
+    parent's buffers a second time, runs no exit handler and never returns
+    into its caller.
+    """
+    try:
+        work(out=out)
+        out.flush()
+        os._exit(0)
+    except Exception as exc:
+        out.seek(0)
+        out.truncate()
+        out.write((str(exc) or type(exc).__name__).encode())
+        out.flush()
+        os._exit(1)
+    finally:
+        os._exit(2)
+
+
+# A batch splits when each half holds _MIN_SPLIT_PATHS paths and it takes at
+# least _MIN_SPLIT_WORK path-steps summed over its models.  The fork, the
+# child's exit and the pickled results cost about 10 ms, and the step loop's
+# per-step overhead does not halve.  Medians of 9 batches, serial against
+# split, in a process holding the CLI (2-vCPU Xeon): 2048 x 200 steps took
+# 28.7 against 33.8 ms; 1000 x 500 with kept paths and weights 50 against
+# 46-51 ms; 1024 x 1000 64-68 against 48-49 ms; 256 x 4000 90-95 against
+# 73-80 ms, but 128 x 4000 63 against 67 ms.
+_MIN_SPLIT_PATHS = 128
+_MIN_SPLIT_WORK = 1_000_000
+
+
+def _split_at(n_paths: int, model_steps: int) -> int:
+    """The first path of the half a forked child runs, for a batch of ``n_paths``
+    paths that steps ``model_steps`` models x steps each; ``n_paths`` to run
+    the whole batch here."""
+    half = n_paths // 2
+    if half < _MIN_SPLIT_PATHS or n_paths * model_steps < _MIN_SPLIT_WORK or not _can_fork():
+        return n_paths
+    return half
+
+
 def _chunk_increments(streams, out: np.ndarray, dt: float) -> np.ndarray:
     """Fill ``out``, shape (paths, steps, 2), with the next increments of each
     path's stream, one stream per row in order, and return it."""
@@ -351,6 +465,28 @@ def _run_chunk(
     return {"terminal": xs, "states": states, "snapshots": snapshots, "log_weights": log_weights}
 
 
+def _pickle_chunks(config: SimConfig, lo: int, hi: int, *args, out) -> None:
+    """Pickle into ``out`` the :func:`_run_chunk` results of paths [lo, hi) of
+    ``config``, one ``CHUNK_SIZE`` chunk at a time; ``args`` are the rest of
+    :func:`_run_chunk`'s arguments."""
+    for first in range(lo, hi, CHUNK_SIZE):
+        pickle.dump(_run_chunk(config, first, min(first + CHUNK_SIZE, hi), *args), out,
+                    protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _fill(results: list[BatchResult], lo: int, hi: int, times: np.ndarray, res: dict) -> None:
+    """Copy the :func:`_run_chunk` results ``res`` of paths [lo, hi) into each
+    model's batch result, unchecked."""
+    for j, out in enumerate(results):
+        out.terminal_points[lo:hi] = res["terminal"][j]
+        if out.log_weights is not None:
+            out.log_weights[lo:hi] = res["log_weights"][j]
+        for s, snapshot in (out.snapshots or {}).items():
+            snapshot[lo:hi] = res["snapshots"][s][j]
+        if out.paths is not None:
+            out.paths[lo:hi] = [PathSample(times=times, states=row) for row in res["states"][j]]
+
+
 def simulate_path(config: SimConfig, path_index: int = 0) -> PathSample:
     """Simulate a single path from its own (seed, path_index) stream.
 
@@ -373,6 +509,10 @@ def simulate_batch(
     weight_cutoff: float | None = None,
 ) -> BatchResult | list[BatchResult]:
     """Simulate config.n_paths independent paths and collect diagnostics.
+
+    A batch that :func:`_split_at` finds large enough runs its second half
+    of paths in a forked child, with the same results; if that child fails,
+    this raises ``OSError`` with its one-line message.
 
     Args:
         config: experiment description, or a sequence of coupled configs
@@ -419,30 +559,35 @@ def simulate_batch(
         )
         for c in configs
     ]
-    models = [c.model for c in configs]
+    args = (times, [c.model for c in configs], keep_paths, snapshot_list, cutoff_step)
+
+    split = _split_at(n_paths, grid.n_steps * len(configs))
+    child_work = partial(_pickle_chunks, grid, split, n_paths, *args)
+    with (_forked(child_work, f"simulating paths {split} to {n_paths - 1}")
+          if split < n_paths else contextlib.nullcontext()) as join:
+        if join is None:
+            split = n_paths
+        for lo in range(0, split, CHUNK_SIZE):
+            hi = min(lo + CHUNK_SIZE, split)
+            _fill(results, lo, hi, times, _run_chunk(grid, lo, hi, *args))
+        if split < n_paths:
+            child = join()
+            for lo in range(split, n_paths, CHUNK_SIZE):
+                _fill(results, lo, min(lo + CHUNK_SIZE, n_paths), times, pickle.load(child))
 
     for lo in range(0, n_paths, CHUNK_SIZE):
         hi = min(lo + CHUNK_SIZE, n_paths)
-        res = _run_chunk(grid, lo, hi, times, models, keep_paths, snapshot_list, cutoff_step)
-        for j, out in enumerate(results):
+        for out in results:
             if out.log_weights is not None:
-                girsanov._check_overflow(res["log_weights"][j], out.config.model.sigma)
-            x = res["terminal"][j]
+                girsanov._check_overflow(out.log_weights[lo:hi], out.config.model.sigma)
+            x = out.terminal_points[lo:hi]
             if not (np.abs(x) <= MAX_PLANE_COORD).all():  # also NaN and inf
                 raise ValueError(
                     f"{out.config.model.variant} terminal states exceed 2**52 in magnitude "
                     f"(sigma = {out.config.model.sigma}), beyond which a double cannot hold "
                     f"a torus position")
-            out.terminal_points[lo:hi] = x
             out.limiting_lattice_points[lo:hi], out.unresolved[lo:hi] = nearest_offset(
                 x - np.asarray(out.config.model.diagnostic_target))
-            if out.log_weights is not None:
-                out.log_weights[lo:hi] = res["log_weights"][j]
-            for s in snapshot_list:
-                out.snapshots[s][lo:hi] = res["snapshots"][s][j]
-            if out.paths is not None:
-                for row, idx in enumerate(range(lo, hi)):
-                    out.paths[idx] = PathSample(times=times, states=res["states"][j][row])
 
     return results[0] if isinstance(config, SimConfig) else results
 

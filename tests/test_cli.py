@@ -482,28 +482,17 @@ class TestWriterBytes:
         assert "%.17g" % v == format(v, ".17g")
 
 
-def _count_forks(monkeypatch):
-    """Replace os.fork by a wrapper that records each call in this process."""
-    forks = []
-    real = os.fork
-
-    def fork():
-        forks.append(1)
-        return real()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 class TestForkedWriter:
-    """With two usable CPUs (the ``cli._usable_cpus`` seam), a forked child
+    """With two usable CPUs (the ``engine._usable_cpus`` seam), a forked child
     formats paths.csv from its middle block on.  The bytes are the serial
-    writer's, and no process or file outlives the command."""
+    writer's, and no process or file outlives the command.  Every batch here
+    is below the engine's own split (``engine._MIN_SPLIT_WORK``), so the forks
+    counted are the writer's."""
 
     SIM = ("simulate", "--model", "proposed", "--target", "0.3,-0.1", "--sigma", "0.7",
            "--seed", "31")
@@ -514,12 +503,12 @@ class TestForkedWriter:
     # grow from 2 to 3 digits.
     @pytest.mark.parametrize("paths, steps, thin", [(64, 1000, 1), (66, 1000, 1),
                                                     (195, 1000, 3)])
-    def test_split_writes_the_serial_bytes(self, tmp_path, monkeypatch, paths, steps, thin):
+    def test_split_writes_the_serial_bytes(self, tmp_path, monkeypatch, forks, paths, steps,
+                                           thin):
         seen = _capture(monkeypatch, "simulate_batch")
-        forks = _count_forks(monkeypatch)
         written = []
         for cpus in (1, 2):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(engine, "_usable_cpus", lambda cpus=cpus: cpus)
             assert _run(*self.SIM, "--steps", steps, "--paths", paths, "--thin", thin,
                         "--out", tmp_path / str(cpus)) == 0
             assert len(forks) == cpus - 1
@@ -544,11 +533,11 @@ class TestForkedWriter:
             return real(paths, steps, times, first)
 
         monkeypatch.setattr(cli, "_path_blocks", blocks)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         assert _run(*self.SIM, "--steps", "1000", "--paths", "64", "--out", tmp_path) == 2
         _assert_one_error_line(capsys, needle)
         _assert_no_child_left()
-        assert os.listdir(tmp_path) == ["paths.csv"]
+        assert os.listdir(tmp_path) == []
 
     def test_failing_parent_kills_the_child(self, tmp_path, monkeypatch, capsys):
         real = cli._path_blocks
@@ -560,17 +549,16 @@ class TestForkedWriter:
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(cli, "_path_blocks", blocks)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         started = time.monotonic()
         assert _run(*self.SIM, "--steps", "1000", "--paths", "64", "--out", tmp_path) == 2
         assert time.monotonic() - started < 30
         _assert_one_error_line(capsys, "No space left on device")
         _assert_no_child_left()
-        assert os.listdir(tmp_path) == ["paths.csv"]
+        assert os.listdir(tmp_path) == []
 
-    def test_few_blocks_or_a_second_thread_stay_serial(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        forks = _count_forks(monkeypatch)
+    def test_few_blocks_or_a_second_thread_stay_serial(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         # 3 paths of 21 states are one block; 62 paths of 1001 states are 31.
         assert _run(*self.SIM, "--steps", "20", "--paths", "3", "--out", tmp_path / "a") == 0
         assert _run(*self.SIM, "--steps", "1000", "--paths", "62", "--out", tmp_path / "c") == 0
@@ -586,16 +574,100 @@ class TestForkedWriter:
         assert not waiter.is_alive()
         assert forks == []
 
+    @pytest.mark.parametrize("side", ["child", "parent"])
+    def test_failed_write_keeps_the_earlier_files(self, tmp_path, monkeypatch, capsys, side):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        assert _run(*self.SIM, "--steps", "1000", "--paths", "64", "--out", tmp_path) == 0
+        before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+        real = cli._path_blocks
+
+        def blocks(paths, steps, times, first=0):
+            if bool(first) == (side == "child"):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(paths, steps, times, first)
+
+        monkeypatch.setattr(cli, "_path_blocks", blocks)
+        assert _run(*self.SIM, "--steps", "1000", "--paths", "64", "--seed", "32",
+                    "--out", tmp_path) == 2
+        _assert_one_error_line(capsys, "No space left on device")
+        _assert_no_child_left()
+        assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
     def test_failed_fork_formats_every_block_here(self, tmp_path, monkeypatch):
         def fork():
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         seen = _capture(monkeypatch, "simulate_batch")
         assert _run(*self.SIM, "--steps", "1000", "--paths", "64", "--out", tmp_path) == 0
         assert (tmp_path / "paths.csv").read_bytes() == _oracle_paths(seen[0], 1)
         assert sorted(os.listdir(tmp_path)) == ["endpoints.csv", "manifest.json", "paths.csv"]
+
+
+class TestForkedBatch:
+    """With two usable CPUs, a batch of at least ``engine._MIN_SPLIT_WORK``
+    model path-steps runs its second half of paths in a forked child.  The
+    outputs are a one-process run's, a failure on either side is one error
+    line, and no process outlives the command."""
+
+    CMP = ("compare", "--sigma", "0.8", "--steps", "1000", "--pairs", "600", "--seed", "3")
+
+    def test_split_writes_the_serial_bytes(self, tmp_path, monkeypatch, forks):
+        # 11 states of 1000 paths are 6 writer blocks, so only the batch forks.
+        sim = ("simulate", "--model", "proposed", "--target", "0.3,-0.1", "--sigma", "0.7",
+               "--steps", "1000", "--paths", "1000", "--thin", "100", "--cutoff", "0.5")
+        for cpus in (1, 2):
+            monkeypatch.setattr(engine, "_usable_cpus", lambda cpus=cpus: cpus)
+            assert _run(*sim, "--out", tmp_path / "sim" / str(cpus)) == 0
+            assert _run(*self.CMP, "--out", tmp_path / "cmp" / str(cpus)) == 0
+            assert len(forks) == 2 * (cpus - 1)
+        for name in ("sim/paths.csv", "sim/endpoints.csv", "cmp/agreement.csv",
+                     "cmp/agreement_summary.json"):
+            command, file = name.split("/")
+            assert ((tmp_path / command / "1" / file).read_bytes()
+                    == (tmp_path / command / "2" / file).read_bytes())
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("how, needle", [
+        ("raise", "error: [Errno 12] Cannot allocate memory"),
+        ("kill", "error: the process simulating paths 300 to 599 was killed by signal 9"),
+    ])
+    def test_failing_child_is_one_error_line(self, tmp_path, monkeypatch, capsys, forks, how,
+                                             needle):
+        parent, real = os.getpid(), engine._run_chunk
+
+        def run_chunk(*args):
+            if os.getpid() != parent and how == "raise":
+                raise OSError(errno.ENOMEM, "Cannot allocate memory")
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "_run_chunk", run_chunk)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        assert _run(*self.CMP, "--out", tmp_path) == 2
+        _assert_one_error_line(capsys, needle)
+        _assert_no_child_left()
+        assert len(forks) == 1 and os.listdir(tmp_path) == []
+
+    def test_failing_parent_kills_the_child(self, tmp_path, monkeypatch, capsys, forks):
+        parent, real = os.getpid(), engine._run_chunk
+
+        def run_chunk(*args):
+            if os.getpid() != parent:
+                time.sleep(60)  # the child outlives the command unless it is killed
+                return real(*args)
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(engine, "_run_chunk", run_chunk)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        started = time.monotonic()
+        assert _run(*self.CMP, "--out", tmp_path) == 2
+        assert time.monotonic() - started < 30
+        _assert_one_error_line(capsys, "Cannot allocate memory")
+        _assert_no_child_left()
+        assert len(forks) == 1 and os.listdir(tmp_path) == []
 
 
 def _layout_class(text):

@@ -1,7 +1,10 @@
 """Tests for the Euler-Maruyama engine: stepping, streams, determinism, laws."""
 
+import errno
 import json
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -528,6 +531,14 @@ class TestCoupledSimulation:
 
 
 class TestMemory:
+    """Peaks of one process under ``tracemalloc``, which sees none of a forked
+    child's memory: the tests force a one-process batch through the
+    ``engine._usable_cpus`` seam, except where they measure a split's parent."""
+
+    @pytest.fixture(autouse=True)
+    def _one_cpu(self, monkeypatch):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+
     @staticmethod
     def _peak(config, **kw):
         tracemalloc.start()
@@ -563,6 +574,132 @@ class TestMemory:
         state_bytes = engine.CHUNK_SIZE * 501 * 2 * 8
         for cutoff in (None, 0.5):
             assert self._peak(cfg, keep_paths=True, weight_cutoff=cutoff) < state_bytes + 4 * 2**20
+
+
+    def test_split_parent_holds_half_a_chunk(self, monkeypatch, forks):
+        """A split batch's parent steps half the paths, so its noise block is
+        1 MiB, and it loads only the child's terminal states: 2048 paths,
+        single or a coupled pair, peak below 2.5 MiB here."""
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        models = (ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
+                  TrueBridge(sigma=0.8, horizon=1.0, target=A0))
+        pair = [_cfg(model, n_steps=1000, seed=38, n_paths=engine.CHUNK_SIZE) for model in models]
+        for config in (pair[0], pair):
+            assert self._peak(config, keep_paths=False, weight_cutoff=0.5) < 2.5 * 2**20
+        assert len(forks) == 2
+
+
+def _batch_arrays(result):
+    """Every array of a batch result by name, with the kept paths' states stacked."""
+    arrays = {"terminal": result.terminal_points, "offsets": result.limiting_lattice_points,
+              "unresolved": result.unresolved, "log_weights": result.log_weights}
+    arrays.update((f"snapshot {s}", a) for s, a in (result.snapshots or {}).items())
+    if result.paths is not None:
+        arrays["states"] = np.stack([path.states for path in result.paths])
+    return arrays
+
+
+def _assert_same_batches(a, b):
+    for x, y in zip(a, b):
+        assert x.config == y.config
+        arrays_x, arrays_y = _batch_arrays(x), _batch_arrays(y)
+        assert arrays_x.keys() == arrays_y.keys()
+        for name, array in arrays_x.items():
+            np.testing.assert_array_equal(array, arrays_y[name], err_msg=name)
+
+
+def _split_sizes():
+    """(n_paths, n_steps) of the smallest batch that splits, with the fewest paths."""
+    n_paths = 2 * engine._MIN_SPLIT_PATHS
+    return n_paths, -(-engine._MIN_SPLIT_WORK // n_paths)
+
+
+class TestForkedBatch:
+    """With two usable CPUs (the ``engine._usable_cpus`` seam), a batch of at
+    least ``engine._MIN_SPLIT_WORK`` model path-steps runs its second half of
+    paths in a forked child, with the bits of a one-process run."""
+
+    @staticmethod
+    def _serial_and_split(monkeypatch, forks, config, **kw):
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(engine, "_usable_cpus", lambda cpus=cpus: cpus)
+            result = simulate_batch(config, **kw)
+            runs.append(result if isinstance(result, list) else [result])
+            assert len(forks) == cpus - 1
+        return runs
+
+    # 97-path chunks give each half several chunks and a short last one.
+    @pytest.mark.parametrize("chunk", [engine.CHUNK_SIZE, 97])
+    def test_coupled_compare_batch(self, monkeypatch, forks, chunk):
+        monkeypatch.setattr(engine, "CHUNK_SIZE", chunk)
+        pair = [_cfg(model, n_steps=1000, seed=41, n_paths=601)
+                for model in (ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
+                              TrueBridge(sigma=0.8, horizon=1.0, target=A0))]
+        _assert_same_batches(*self._serial_and_split(monkeypatch, forks, pair, keep_paths=False))
+
+    def test_kept_paths_with_snapshots_and_weights(self, monkeypatch, forks):
+        cfg = _cfg(ProposedBridge(sigma=0.7, horizon=1.0, target=(0.3, -0.1)), start=(0.1, 0.2),
+                   n_steps=500, seed=42, n_paths=engine.CHUNK_SIZE + 1)
+        _assert_same_batches(*self._serial_and_split(
+            monkeypatch, forks, cfg, snapshot_steps=[0, 7, 250, 500], weight_cutoff=0.5))
+
+    def test_a_bad_run_raises_the_serial_error(self, monkeypatch, forks):
+        """The results are checked in path order after the child's half is
+        loaded, so a split run's error is the serial run's line."""
+        model = ProposedBridge(sigma=2.0**-490, horizon=1e-7, target=(0.45, 0.45))
+        cfg = _cfg(model, n_steps=50, seed=1, n_paths=engine._MIN_SPLIT_WORK // 50)
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(engine, "_usable_cpus", lambda cpus=cpus: cpus)
+            with pytest.raises(ValueError, match="log weights overflow a double") as err:
+                simulate_batch(cfg, keep_paths=False, weight_cutoff=5e-8)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1] and len(forks) == 1
+
+    def test_smallest_split(self, monkeypatch, forks):
+        n_paths, n_steps = _split_sizes()
+        cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0), n_steps=n_steps, seed=43,
+                   n_paths=n_paths)
+        _assert_same_batches(*self._serial_and_split(monkeypatch, forks, cfg, keep_paths=False))
+
+    def test_stays_serial(self, monkeypatch, forks):
+        """One usable CPU, a second live thread, too few paths per half or too
+        little work keep the batch in this process."""
+        n_paths, n_steps = _split_sizes()
+        model = FreeBrownianMotion(sigma=1.0, horizon=1.0)
+        big = _cfg(model, n_steps=n_steps, seed=44, n_paths=n_paths)
+        few_paths = _cfg(model, n_steps=2 * n_steps, seed=44, n_paths=n_paths - 1)
+        little_work = _cfg(model, n_steps=n_steps - 1, seed=44, n_paths=n_paths)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+        simulate_batch(big, keep_paths=False)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        for cfg in (few_paths, little_work):
+            simulate_batch(cfg, keep_paths=False)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            simulate_batch(big, keep_paths=False)
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert forks == []
+
+    def test_failed_fork_runs_every_chunk_here(self, monkeypatch):
+        n_paths, n_steps = _split_sizes()
+        cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0), n_steps=n_steps, seed=45,
+                   n_paths=n_paths)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+        serial = simulate_batch(cfg, snapshot_steps=[n_steps // 2])
+
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        _assert_same_batches([serial], [simulate_batch(cfg, snapshot_steps=[n_steps // 2])])
 
 
 # Each retired key, the values that give today's behaviour as its error names them,
