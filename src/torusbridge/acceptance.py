@@ -203,8 +203,8 @@ def check_drift_bound() -> CriterionResult:
     k = 500  # steps strictly before S
     limits = times[1 : k + 1] * c_s * (1 + 1e-12)
     n_path_viol = 0
-    for path in batch.paths:  # each path's kept states, read in place
-        bi = model.drift(times[:k], path.states[:k])
+    for states in batch.states:  # each path's kept states, read in place
+        bi = model.drift(times[:k], states[:k])
         bi *= bi
         n_path_viol += int(np.sum(np.cumsum((0.0 + bi[:, 0] + bi[:, 1]) * cfg.dt) > limits))
     ok = n_viol == 0 and n_path_viol == 0

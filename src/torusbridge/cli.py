@@ -16,8 +16,9 @@ rounded 17-digit decimal exactly, with Dekker's error-free product, and
 builds its text in four uint64 words from tables of digits and of masks;
 every other value goes through "%.17g" itself.  ``_format_g17`` shifts each
 text to the start of an S24 item.  paths.csv is laid out in numpy too, a few
-paths at a time (``_path_blocks``): each block's rows go into one uint8 frame
-of NUL-padded fields, and dropping the NULs leaves its bytes.  The other
+paths at a time (``_path_blocks``): each block's states are gathered from the
+batch's ``states`` array with one ``np.take``, its rows go into one uint8
+frame of NUL-padded fields, and dropping the NULs leaves its bytes.  The other
 files' rows are bytes "%" templates with the formatted floats as "%s" fields.
 
 paths.csv is formatted on two CPUs when it is large enough to pay for a fork
@@ -26,7 +27,8 @@ into an anonymous file in the output directory while this process formats
 the rest, and the child's bytes are then copied in behind them, so the file
 is the same as from one process.  A large batch splits the same way before
 it (``engine.simulate_batch``), on the same fork helper (``engine._forked``),
-and --workers has no effect.  Each CSV file is written under a temporary
+its child sending back the raw bytes of its rows of the batch's arrays, and
+--workers has no effect.  Each CSV file is written under a temporary
 name beside it and renamed over it after its last row (``_write_csv``), so a
 failed write leaves an earlier run's file whole.
 
@@ -40,6 +42,7 @@ streams are flushed; only a forked child leaves through ``os._exit``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import math
@@ -266,18 +269,19 @@ def _block_paths(n_states: int) -> int:
     return max(1, _G17_BLOCK // (2 * n_states))
 
 
-def _path_blocks(paths, steps, times, first=0):
-    """The rows of paths.csv, the states ``steps`` (at ``times``) of each path,
-    a block of paths (``_block_paths``) at a time; path ids start at ``first``.
+def _path_blocks(states, steps, times, first=0):
+    """The rows of paths.csv, the states ``steps`` (at ``times``) of each path of
+    ``states``, a block of paths (``_block_paths``) at a time; ids start at ``first``.
 
-    A block's rows are laid out in one reused uint8 frame, a row per state:
-    the path id and ",", the "step,t," text (the same for every path, so
-    formatted once), x1's 24 "%.17g" bytes, ",", x2's 24 bytes and a newline,
-    each field padded with NUL to its widest value or around its text.
-    Dropping the NULs in one pass leaves the block's bytes.
+    A block's states are gathered with one ``np.take``, and its rows are laid
+    out in one reused uint8 frame, a row per state: the path id and ",", the
+    "step,t," text (the same for every path, so formatted once), x1's 24
+    "%.17g" bytes, ",", x2's 24 bytes and a newline, each field padded with
+    NUL to its widest value or around its text.  Dropping the NULs in one pass
+    leaves the block's bytes.
     """
     stamps = np.array([b"%d,%s," % row for row in zip(steps.tolist(), _format_g17(times).tolist())])
-    width = len(b"%d," % (first + len(paths) - 1))  # of the widest path id and its ","
+    width = len(b"%d," % (first + len(states) - 1))  # of the widest path id and its ","
     per_block = _block_paths(len(steps))
     frame = np.zeros((per_block, len(steps), width + stamps.itemsize + 50), dtype=np.uint8)
     frame[:, :, width:-50] = stamps.view(np.uint8).reshape(len(steps), -1)
@@ -285,14 +289,13 @@ def _path_blocks(paths, steps, times, first=0):
     xs = np.empty((per_block, len(steps), 2))
     rows = np.empty((min(xs.size, _G17_BLOCK), 4), dtype=np.uint64)
     fields = rows.view(np.uint8)[:, 2:26].reshape(-1, 2, 24)  # x1 and x2 of a state
-    for lo in range(0, len(paths), per_block):
-        block = paths[lo:lo + per_block]
+    for lo in range(0, len(states), per_block):
+        block = states[lo:lo + per_block]
         f, x = frame[:len(block)], xs[:len(block)]
         ids = np.array([b"%d," % pid for pid in range(first + lo, first + lo + len(block))],
                        dtype=f"S{width}")
         f[:, :, :width] = ids.view(np.uint8).reshape(-1, 1, width)
-        for path, states in zip(block, x):
-            np.take(path.states, steps, axis=0, out=states, mode="clip")
+        np.take(block, steps, axis=1, out=x, mode="clip")
         flat, lines = x.reshape(-1), f.reshape(-1, f.shape[-1])
         for i in range(0, flat.size, _G17_BLOCK):  # more than one only for a long path
             part = flat[i:i + _G17_BLOCK]
@@ -308,47 +311,34 @@ def _path_blocks(paths, steps, times, first=0):
 # than one alone, so the split pays from about 30 blocks: of 501 states, 25
 # blocks took 25.5 ms serial and 29.1 ms split, 40 blocks 44.6 and 38.3 ms.
 _MIN_SPLIT_BLOCKS = 32
-
-
-def _paths_rows(paths, steps, times, out_dir: Path):
-    """The rows of paths.csv, as ``_path_blocks`` yields them.
-
-    When a forked child may share the work (``engine._can_fork``) and there
-    are at least ``_MIN_SPLIT_BLOCKS`` blocks, the blocks from the middle one
-    on are formatted in a forked child (``_forked_path_blocks``), beside this
-    process's own; otherwise every block is formatted here.
-    """
-    per_block = _block_paths(len(steps))
-    n_blocks = -(-len(paths) // per_block)
-    if n_blocks < _MIN_SPLIT_BLOCKS or not _can_fork():
-        return _path_blocks(paths, steps, times)
-    return _forked_path_blocks(paths, steps, times, n_blocks // 2 * per_block, out_dir)
-
-
 _COPY_BYTES = 1 << 16  # bytes per read of the child's half: less than a block's frame
 
 
-def _forked_path_blocks(paths, steps, times, split, out_dir: Path):
-    """``_path_blocks`` of all ``paths``, the paths from ``split`` on
-    formatted in a forked child (``engine._forked``) into an anonymous file
-    in ``out_dir``.
+def _paths_rows(states, steps, times, out_dir: Path):
+    """The rows of paths.csv, as ``_path_blocks`` yields them.
 
-    This process formats the paths before ``split``, reaps the child and then
-    yields the child's bytes.  If the child fails, this raises ``OSError``
-    with the child's message; if this side fails or is closed early, the
-    child is killed and reaped.  If no process can be forked, every block is
-    formatted here.
+    With at least ``_MIN_SPLIT_BLOCKS`` blocks and a child to share the work
+    (``engine._can_fork``), a forked child (``engine._forked``) formats the blocks
+    from the middle one on into an anonymous file in ``out_dir`` while this
+    process formats the rest, and its bytes are yielded last.  A failing child
+    raises ``OSError`` with its message; if this side fails or is closed early,
+    the child is killed and reaped.  Otherwise every block is formatted here.
     """
-    def format_half(out):
-        out.writelines(_path_blocks(paths[split:], steps, times, split))
+    n, per_block = len(states), _block_paths(len(steps))
+    n_blocks = -(-n // per_block)
+    split = n_blocks // 2 * per_block if n_blocks >= _MIN_SPLIT_BLOCKS and _can_fork() else n
 
-    with _forked(format_half, "formatting paths.csv", out_dir) as join:
+    def format_half(out):
+        out.writelines(_path_blocks(states[split:], steps, times, split))
+
+    with (_forked(format_half, "formatting paths.csv", out_dir) if split < n
+          else contextlib.nullcontext()) as join:
         if join is None:
-            yield from _path_blocks(paths, steps, times)
-            return
-        yield from _path_blocks(paths[:split], steps, times)
-        child = join()
-        yield from iter(lambda: child.read(_COPY_BYTES), b"")
+            split = n
+        yield from _path_blocks(states[:split], steps, times)
+        if split < n:
+            child = join()
+            yield from iter(lambda: child.read(_COPY_BYTES), b"")
 
 
 # The namespace attribute (flag --<attr>) that sets each model field.  Unset flags leave
@@ -411,7 +401,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     steps = np.arange(0, n + 1, min(thin, n))  # a stride past n keeps only 0 and n
     if steps[-1] != n:
         steps = np.append(steps, n)  # the terminal state is always kept
-    rows = _paths_rows(batch.paths, steps, config.time_grid()[steps], out_dir)
+    rows = _paths_rows(batch.states, steps, config.time_grid()[steps], out_dir)
     try:
         _write_csv(out_dir / "paths.csv", "path_id,step,t,x1,x2", rows)
     finally:

@@ -26,27 +26,28 @@ Consequences, all relied on by tests:
     identical increment sequence per path index, which is how coupled
     model comparisons are driven.
 
-Batches run one fixed-size chunk of paths at a time; each chunk touches
-only its own streams and output slots, so the results do not depend on
-which process runs a chunk either.  A batch large enough to pay for a fork
-(:func:`_split_at`) runs its second half of paths in a forked child, in its
-own chunks, while this process runs the first; the child pickles its chunk
-results into an anonymous file (:func:`_forked`).  The results are then
-filled and checked in path order, one ``CHUNK_SIZE`` range at a time, so a
-bad run raises the error of a one-process run.  Within a chunk the
-noise is drawn ``NOISE_BLOCK`` steps at a time into one reused buffer, each
-stream continuing where its last block stopped; a numpy ``Generator`` keeps
-no cached normal, so this gives the bits of a whole-stream draw.  Chunking
-and blocking thus bound the memory in flight without changing any output
-byte: with no path kept, a chunk holds one noise block and its current
-states, whatever the step count.  Each step before the weight cutoff adds its
-Girsanov term to the running log weights just before the state moves, in
-step order and so with the bits of :func:`girsanov.log_girsanov_weight` for
-the same path.  The per-step states exist only when paths are kept, and the
-whole increment array only in :func:`wiener_increments`, which
-:func:`simulate_path` attaches.  A coupled batch draws each block once for
-all its models and steps them in one loop; the grid is validated once per
-batch and the log weights once per chunk, not once per step.
+Batches run one fixed-size chunk of paths at a time; each chunk touches only
+its own streams and writes straight into its own rows of the batch's arrays,
+so the results do not depend on which process runs a chunk either.  A batch
+large enough to pay for a fork (:func:`_split_at`) runs its second half of
+paths in a forked child, in its own chunks, while this process runs the first;
+the child sends back the raw bytes of its rows through an anonymous file
+(:func:`_forked`).  The results are then checked in path order, one
+``CHUNK_SIZE`` range at a time, so a bad run raises the error of a one-process
+run.  Within a chunk the noise is drawn ``NOISE_BLOCK`` steps at a time into
+one reused buffer, each stream continuing where its last block stopped; a
+numpy ``Generator`` keeps no cached normal, so this gives the bits of a
+whole-stream draw.  Chunking and blocking thus bound the memory in flight
+without changing any output byte: with no path kept, a chunk holds one noise
+block and its current states, whatever the step count.  Each step before the
+weight cutoff adds its Girsanov term to the running log weights just before
+the state moves, in step order and so with the bits of
+:func:`girsanov.log_girsanov_weight` for the same path.  The per-step states
+exist only when paths are kept, and the whole increment array only in
+:func:`wiener_increments`, which :func:`simulate_path` attaches.  A coupled
+batch draws each block once for all its models and steps them in one loop; the
+grid is validated once per batch and the log weights once per chunk, not once
+per step.
 """
 
 from __future__ import annotations
@@ -54,12 +55,10 @@ from __future__ import annotations
 import contextlib
 import numbers
 import os
-import pickle
 import signal
 import tempfile
 import threading
-from dataclasses import MISSING, dataclass, fields
-from functools import partial
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import NoReturn, Sequence
 
 import numpy as np
@@ -173,28 +172,36 @@ class PathSample:
 
 @dataclass(frozen=True)
 class BatchResult:
-    """Paths plus per-path terminal diagnostics for a batch run.
+    """Per-path terminal diagnostics of a batch run, and its kept states.
 
     ``limiting_lattice_points`` holds, per path, the integer offset k such
     that the nearest lift of the diagnostic target to the terminal state
     is target + k; rows where the terminal state sits on the cut locus
     (no unique nearest lift) are flagged in ``unresolved`` and their k is
-    meaningless.  ``log_weights`` is filled when a weight cutoff was
-    requested, ``snapshots`` maps requested step indices to (n_paths, 2)
-    state arrays, and ``paths`` is None when path storage was disabled.
+    meaningless.  ``states`` holds the (n_paths, n_steps + 1, 2) kept states, or
+    None; ``log_weights`` is filled when a weight cutoff was requested, and
+    ``snapshots`` maps requested step indices to (n_paths, 2) state arrays.
     """
 
     config: SimConfig
     terminal_points: np.ndarray
     limiting_lattice_points: np.ndarray
     unresolved: np.ndarray
-    paths: list[PathSample] | None = None
+    states: np.ndarray | None = None
     log_weights: np.ndarray | None = None
     snapshots: dict[int, np.ndarray] | None = None
 
     @property
     def n_paths(self) -> int:
         return self.terminal_points.shape[0]
+
+    @property
+    def paths(self) -> list[PathSample] | None:
+        """The kept paths, :class:`PathSample` row views of ``states`` sharing one ``times``."""
+        if self.states is None:
+            return None
+        times = self.config.time_grid()
+        return [PathSample(times=times, states=row) for row in self.states]
 
 
 def euler_step(
@@ -388,7 +395,7 @@ def _child(work, out) -> NoReturn:
 
 # A batch splits when each half holds _MIN_SPLIT_PATHS paths and it takes at
 # least _MIN_SPLIT_WORK path-steps summed over its models.  The fork, the
-# child's exit and the pickled results cost about 10 ms, and the step loop's
+# child's exit and its results' trip back cost about 10 ms, and the step loop's
 # per-step overhead does not halve.  Medians of 9 batches, serial against
 # split, in a process holding the CLI (2-vCPU Xeon): 2048 x 200 steps took
 # 28.7 against 33.8 ms; 1000 x 500 with kept paths and weights 50 against
@@ -417,34 +424,30 @@ def _chunk_increments(streams, out: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _run_chunk(
-    config: SimConfig, lo: int, hi: int, times: np.ndarray, models: Sequence[DriftModel],
-    keep_states: bool, snapshot_steps: Sequence[int], cutoff_step: int,
-) -> dict:
+def _run_chunk(config: SimConfig, lo: int, hi: int, times: np.ndarray,
+               rows: Sequence[BatchResult], cutoff_step: int) -> None:
     """Step every model over paths [lo, hi) of ``config``'s grid on shared noise,
-    drawn ``NOISE_BLOCK`` steps at a time.
+    drawn ``NOISE_BLOCK`` steps at a time, into ``rows``, one result per model
+    narrowed to these paths (:func:`_rows`): their terminal, snapshot and, if
+    kept, per-step states, and their log weights, which the caller checks for
+    overflow.
 
     Each block is drawn, then stepped.  A step copies its noise column through a
     16-byte view of the block into one reused (paths, 2) buffer, a pair per item,
     and scales it by sigma in place.  At each step before ``cutoff_step``, the
     grid index of the weight cutoff (0 for no weights), the unchecked kernel
     :func:`girsanov.path_log_weights` adds that step's term to each model's
-    running log weights in place, just before the model's state moves.
-
-    Returns, with one entry per model, the terminal and snapshot states, the
-    full states if kept, and the log weights, which the caller checks for
-    overflow; ``states`` is empty unless kept."""
+    log weights in place, zero at the start, just before the model's state moves.
+    """
     dt, sigma, n = config.dt, config.model.sigma, config.n_steps
     width = min(NOISE_BLOCK, n)
     streams = _streams(config.seed, lo, hi)
     dW = np.empty((hi - lo, width, 2))
     noise = np.empty((hi - lo, 2))
     noise_pairs, dW_pairs = noise.view("V16")[:, 0], dW.view("V16")[..., 0]
-    xs = [np.full((hi - lo, 2), config.start) for _ in models]
-    states = [np.empty((hi - lo, n + 1, 2)) for _ in models] if keep_states else []
-    # Steps rebind xs[j], so step 0's entries keep the start states.
-    snapshots = {s: list(xs) for s in snapshot_steps}
-    log_weights = [np.zeros(hi - lo) for _ in models] if cutoff_step else None
+    models = [out.config.model for out in rows]
+    xs = [np.full((hi - lo, 2), config.start) for _ in rows]
+    snapshots = rows[0].snapshots or {}
     for first in range(0, n, width):
         last = min(first + width, n)
         block = _chunk_increments(streams, dW[:, :last - first], dt)
@@ -452,39 +455,43 @@ def _run_chunk(
             b = i - first
             noise_pairs[...] = dW_pairs[:, b]
             noise *= sigma
-            for j, model in enumerate(models):
-                if states:
-                    states[j][:, i] = xs[j]
+            for j, (out, model) in enumerate(zip(rows, models)):
+                if out.states is not None:
+                    out.states[:, i] = xs[j]
+                if i in snapshots:
+                    out.snapshots[i][...] = xs[j]
                 if i < cutoff_step:
-                    girsanov.path_log_weights(t, xs[j], block[:, b], dt, model, log_weights[j])
+                    girsanov.path_log_weights(t, xs[j], block[:, b], dt, model, out.log_weights)
                 xs[j] = _step(t, xs[j], dt, noise, model)
-            if i + 1 in snapshots:
-                snapshots[i + 1] = list(xs)
-    for run, x in zip(states, xs):
-        run[:, n] = x
-    return {"terminal": xs, "states": states, "snapshots": snapshots, "log_weights": log_weights}
+    for out, x in zip(rows, xs):
+        out.terminal_points[...] = x
+        if out.states is not None:
+            out.states[:, n] = x
+        if n in snapshots:
+            out.snapshots[n][...] = x
 
 
-def _pickle_chunks(config: SimConfig, lo: int, hi: int, *args, out) -> None:
-    """Pickle into ``out`` the :func:`_run_chunk` results of paths [lo, hi) of
-    ``config``, one ``CHUNK_SIZE`` chunk at a time; ``args`` are the rest of
-    :func:`_run_chunk`'s arguments."""
-    for first in range(lo, hi, CHUNK_SIZE):
-        pickle.dump(_run_chunk(config, first, min(first + CHUNK_SIZE, hi), *args), out,
-                    protocol=pickle.HIGHEST_PROTOCOL)
+def _results(configs: Sequence[SimConfig], n_paths: int, keep_paths: bool,
+             snapshot_steps: Sequence[int], weighted: bool) -> list[BatchResult]:
+    """One unfilled result of ``n_paths`` paths per config."""
+    return [BatchResult(
+        config=c,
+        terminal_points=np.empty((n_paths, 2)),
+        limiting_lattice_points=np.empty((n_paths, 2), dtype=np.int64),
+        unresolved=np.empty(n_paths, dtype=bool),
+        states=np.empty((n_paths, configs[0].n_steps + 1, 2)) if keep_paths else None,
+        log_weights=np.zeros(n_paths) if weighted else None,  # the step terms' sums
+        snapshots={s: np.empty((n_paths, 2)) for s in snapshot_steps} or None,
+    ) for c in configs]
 
 
-def _fill(results: list[BatchResult], lo: int, hi: int, times: np.ndarray, res: dict) -> None:
-    """Copy the :func:`_run_chunk` results ``res`` of paths [lo, hi) into each
-    model's batch result, unchecked."""
-    for j, out in enumerate(results):
-        out.terminal_points[lo:hi] = res["terminal"][j]
-        if out.log_weights is not None:
-            out.log_weights[lo:hi] = res["log_weights"][j]
-        for s, snapshot in (out.snapshots or {}).items():
-            snapshot[lo:hi] = res["snapshots"][s][j]
-        if out.paths is not None:
-            out.paths[lo:hi] = [PathSample(times=times, states=row) for row in res["states"][j]]
+def _rows(results: Sequence[BatchResult], lo: int, hi: int) -> list[BatchResult]:
+    """``results`` narrowed to the row views of paths [lo, hi) that :func:`_run_chunk` fills."""
+    return [replace(out, terminal_points=out.terminal_points[lo:hi],
+                    states=None if out.states is None else out.states[lo:hi],
+                    log_weights=None if out.log_weights is None else out.log_weights[lo:hi],
+                    snapshots={s: a[lo:hi] for s, a in (out.snapshots or {}).items()})
+            for out in results]
 
 
 def simulate_path(config: SimConfig, path_index: int = 0) -> PathSample:
@@ -496,8 +503,9 @@ def simulate_path(config: SimConfig, path_index: int = 0) -> PathSample:
     """
     path_index = _path_index(path_index, config.n_paths)
     times = config.time_grid()
-    res = _run_chunk(config, path_index, path_index + 1, times, [config.model], True, (), 0)
-    return PathSample(times=times, states=res["states"][0][0], increments=wiener_increments(
+    rows = _results([config], 1, True, (), False)
+    _run_chunk(config, path_index, path_index + 1, times, rows, 0)
+    return PathSample(times=times, states=rows[0].states[0], increments=wiener_increments(
         config.seed, path_index, config.n_steps, config.dt))
 
 
@@ -511,15 +519,15 @@ def simulate_batch(
     """Simulate config.n_paths independent paths and collect diagnostics.
 
     A batch that :func:`_split_at` finds large enough runs its second half
-    of paths in a forked child, with the same results; if that child fails,
-    this raises ``OSError`` with its one-line message.
+    of paths in a forked child, with the same results; if that child fails
+    or sends back results of the wrong size, this raises a one-line ``OSError``.
 
     Args:
         config: experiment description, or a sequence of coupled configs
             (see :func:`require_coupled`), whose models are stepped in one
             loop on one noise draw per chunk.
-        keep_paths: retain full PathSample objects (memory heavy for
-            large batches; diagnostics never need them).
+        keep_paths: keep every path's states in ``states`` (memory heavy
+            for large batches; diagnostics never need them).
         snapshot_steps: grid step indices whose states are stored for all
             paths regardless of ``keep_paths``.
         weight_cutoff: when set to a grid time S in (0, T), fill
@@ -547,33 +555,33 @@ def simulate_batch(
 
     times = grid.time_grid()
     n_paths = grid.n_paths
-    results = [
-        BatchResult(
-            config=c,
-            terminal_points=np.empty((n_paths, 2)),
-            limiting_lattice_points=np.empty((n_paths, 2), dtype=np.int64),
-            unresolved=np.empty(n_paths, dtype=bool),
-            paths=[None] * n_paths if keep_paths else None,  # type: ignore[list-item]
-            log_weights=np.empty(n_paths) if weight_cutoff is not None else None,
-            snapshots={s: np.empty((n_paths, 2)) for s in snapshot_list} or None,
-        )
-        for c in configs
-    ]
-    args = (times, [c.model for c in configs], keep_paths, snapshot_list, cutoff_step)
+    results = _results(configs, n_paths, keep_paths, snapshot_list, weight_cutoff is not None)
 
     split = _split_at(n_paths, grid.n_steps * len(configs))
-    child_work = partial(_pickle_chunks, grid, split, n_paths, *args)
-    with (_forked(child_work, f"simulating paths {split} to {n_paths - 1}")
-          if split < n_paths else contextlib.nullcontext()) as join:
+    what = f"simulating paths {split} to {n_paths - 1}"
+    # The child's rows of every array it fills, which it sends back as raw bytes.
+    half = [a[split:] for out in results for a in (out.terminal_points, out.log_weights,
+                                                    out.states, *(out.snapshots or {}).values())
+            if a is not None]
+
+    def run_half(out):  # the child's work
+        for lo in range(split, n_paths, CHUNK_SIZE):
+            hi = min(lo + CHUNK_SIZE, n_paths)
+            _run_chunk(grid, lo, hi, times, _rows(results, lo, hi), cutoff_step)
+        out.writelines(half)
+
+    with (_forked(run_half, what) if split < n_paths else contextlib.nullcontext()) as join:
         if join is None:
             split = n_paths
         for lo in range(0, split, CHUNK_SIZE):
             hi = min(lo + CHUNK_SIZE, split)
-            _fill(results, lo, hi, times, _run_chunk(grid, lo, hi, *args))
+            _run_chunk(grid, lo, hi, times, _rows(results, lo, hi), cutoff_step)
         if split < n_paths:
             child = join()
-            for lo in range(split, n_paths, CHUNK_SIZE):
-                _fill(results, lo, min(lo + CHUNK_SIZE, n_paths), times, pickle.load(child))
+            # Raw bytes carry no framing, so a short or long file is refused here.
+            if any(child.readinto(a) < a.nbytes for a in half) or child.read(1):
+                raise OSError(f"the process {what} left {os.fstat(child.fileno()).st_size} "
+                              f"bytes of results, not {sum(a.nbytes for a in half)}")
 
     for lo in range(0, n_paths, CHUNK_SIZE):
         hi = min(lo + CHUNK_SIZE, n_paths)

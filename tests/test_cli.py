@@ -12,7 +12,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import types
 import warnings
 from pathlib import Path
 
@@ -525,12 +524,12 @@ class TestForkedWriter:
     def test_failing_child_is_one_error_line(self, tmp_path, monkeypatch, capsys, how, needle):
         real = cli._path_blocks
 
-        def blocks(paths, steps, times, first=0):
+        def blocks(states, steps, times, first=0):
             if first and how == "raise":
                 raise OSError(errno.ENOSPC, "No space left on device")
             if first:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(paths, steps, times, first)
+            return real(states, steps, times, first)
 
         monkeypatch.setattr(cli, "_path_blocks", blocks)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
@@ -542,10 +541,10 @@ class TestForkedWriter:
     def test_failing_parent_kills_the_child(self, tmp_path, monkeypatch, capsys):
         real = cli._path_blocks
 
-        def blocks(paths, steps, times, first=0):
+        def blocks(states, steps, times, first=0):
             if first:
                 time.sleep(60)  # the child outlives the command unless it is killed
-                return real(paths, steps, times, first)
+                return real(states, steps, times, first)
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(cli, "_path_blocks", blocks)
@@ -581,10 +580,10 @@ class TestForkedWriter:
         before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
         real = cli._path_blocks
 
-        def blocks(paths, steps, times, first=0):
+        def blocks(states, steps, times, first=0):
             if bool(first) == (side == "child"):
                 raise OSError(errno.ENOSPC, "No space left on device")
-            return real(paths, steps, times, first)
+            return real(states, steps, times, first)
 
         monkeypatch.setattr(cli, "_path_blocks", blocks)
         assert _run(*self.SIM, "--steps", "1000", "--paths", "64", "--seed", "32",
@@ -648,6 +647,31 @@ class TestForkedBatch:
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         assert _run(*self.CMP, "--out", tmp_path) == 2
         _assert_one_error_line(capsys, needle)
+        _assert_no_child_left()
+        assert len(forks) == 1 and os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("edit, size", [
+        (lambda out: out.truncate(out.seek(-16, os.SEEK_END)), 9584),  # one terminal row short
+        (lambda out: out.write(bytes(16)), 9616),  # one row too many
+    ], ids=["short", "long"])
+    def test_a_wrong_sized_half_is_one_error_line(self, tmp_path, monkeypatch, capsys, forks,
+                                                  edit, size):
+        """The child's raw bytes carry no framing, so the parent checks that
+        they fill its arrays exactly: 2 models x 300 terminal states of 16
+        bytes are 9600 bytes."""
+        real = engine._forked
+
+        def forked(work, *args):
+            def wrong_size(out):
+                work(out=out)
+                edit(out)
+            return real(wrong_size, *args)
+
+        monkeypatch.setattr(engine, "_forked", forked)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        assert _run(*self.CMP, "--out", tmp_path) == 2
+        _assert_one_error_line(capsys, "error: the process simulating paths 300 to 599 left "
+                                       f"{size} bytes of results, not 9600")
         _assert_no_child_left()
         assert len(forks) == 1 and os.listdir(tmp_path) == []
 
@@ -765,10 +789,9 @@ class TestFormatG17:
                                           -1.2345678901234567e-300, 2.2250738585072009e-308])
         n_paths = -(-values.size // 5000)
         states = np.resize(values, (n_paths, 2500, 2))
-        paths = [types.SimpleNamespace(states=s) for s in states]
         steps = np.arange(2500)
         text = b"".join(block.tobytes() for block in cli._path_blocks(
-            paths, steps, np.linspace(0.0, 1.0, 2500)))
+            states, steps, np.linspace(0.0, 1.0, 2500)))
         fields = [line.split(b",")[3:] for line in text.splitlines()]
         assert fields == [[b"%.17g" % v for v in row] for row in states.reshape(-1, 2).tolist()]
 

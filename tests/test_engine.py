@@ -287,8 +287,23 @@ class TestSimulateBatch:
     def test_keep_paths_false_drops_paths_only(self):
         cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0), seed=17, n_paths=10)
         batch = simulate_batch(cfg, keep_paths=False)
-        assert batch.paths is None
+        assert batch.states is None and batch.paths is None
         assert batch.terminal_points.shape == (10, 2)
+
+    def test_paths_are_row_views_of_states(self):
+        """The kept states are one (n_paths, n_steps + 1, 2) array; each path
+        is a view of its row, and all paths share one time grid."""
+        cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0), n_steps=30, seed=17,
+                   n_paths=7)
+        batch = simulate_batch(cfg)
+        assert batch.states.shape == (7, 31, 2)
+        paths = batch.paths
+        assert len(paths) == 7
+        for i, path in enumerate(paths):
+            assert np.shares_memory(path.states, batch.states[i])
+            np.testing.assert_array_equal(path.states, batch.states[i])
+            assert path.times is paths[0].times and path.increments is None
+        np.testing.assert_array_equal(paths[0].times, cfg.time_grid())
 
     def test_free_terminal_moments(self):
         """Terminal mean start and componentwise variance sigma^2 T."""
@@ -590,12 +605,11 @@ class TestMemory:
 
 
 def _batch_arrays(result):
-    """Every array of a batch result by name, with the kept paths' states stacked."""
+    """Every array of a batch result by name."""
     arrays = {"terminal": result.terminal_points, "offsets": result.limiting_lattice_points,
-              "unresolved": result.unresolved, "log_weights": result.log_weights}
+              "unresolved": result.unresolved, "log_weights": result.log_weights,
+              "states": result.states}
     arrays.update((f"snapshot {s}", a) for s, a in (result.snapshots or {}).items())
-    if result.paths is not None:
-        arrays["states"] = np.stack([path.states for path in result.paths])
     return arrays
 
 

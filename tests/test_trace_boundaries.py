@@ -37,6 +37,11 @@ def test_write_csv_signature():
     assert list(inspect.signature(cli._write_csv).parameters) == ["path", "header", "rows"]
 
 
+def test_run_chunk_signature():
+    # The chunk layer's counter reads config, lo and hi as positional arguments 0 to 2.
+    assert list(inspect.signature(engine._run_chunk).parameters)[:3] == ["config", "lo", "hi"]
+
+
 def test_density_signature():
     # The density layer's counter reads x and y as positional arguments 1 and 3.
     params = inspect.signature(acceptance.wrapped_gaussian_log_density).parameters
