@@ -26,11 +26,14 @@ paths.csv is formatted on two CPUs when it is large enough to pay for a fork
 into an anonymous file in the output directory while this process formats
 the rest, and the child's bytes are then copied in behind them, so the file
 is the same as from one process.  A large batch splits the same way before
-it (``engine.simulate_batch``), on the same fork helper (``engine._forked``),
-its child sending back the raw bytes of its rows of the batch's arrays, and
---workers has no effect.  Each CSV file is written under a temporary
-name beside it and renamed over it after its last row (``_write_csv``), so a
-failed write leaves an earlier run's file whole.
+it (``engine.simulate_batch``), its child sending back the raw bytes of its
+rows of the batch's arrays.  Both go through one fork helper,
+``engine._forked``, which alone decides whether a child can run, so this
+module knows nothing of CPUs or threads; ``simulate --workers`` and
+``compare --workers/--truncation`` are accepted and have no effect.  Each
+CSV file is written under a temporary name beside it and renamed over it
+after its last row (``_write_csv``), so a failed write leaves an earlier
+run's file whole.
 
 ``main`` freezes the garbage collector's heap once per process (``gc.freeze``),
 which takes about 50 ms off every command's exit, and keeps the forked
@@ -42,7 +45,6 @@ streams are flushed; only a forked child leaves through ``os._exit``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
 import json
 import math
@@ -59,7 +61,6 @@ from .analysis import agreement_rate, drift_field
 from .drift import VARIANTS
 from .engine import (
     SimConfig,
-    _can_fork,
     _forked,
     _json_object,
     config_from_dict,
@@ -317,26 +318,25 @@ _COPY_BYTES = 1 << 16  # bytes per read of the child's half: less than a block's
 def _paths_rows(states, steps, times, out_dir: Path):
     """The rows of paths.csv, as ``_path_blocks`` yields them.
 
-    With at least ``_MIN_SPLIT_BLOCKS`` blocks and a child to share the work
-    (``engine._can_fork``), a forked child (``engine._forked``) formats the blocks
-    from the middle one on into an anonymous file in ``out_dir`` while this
-    process formats the rest, and its bytes are yielded last.  A failing child
+    With at least ``_MIN_SPLIT_BLOCKS`` blocks, a forked child formats the
+    blocks from the middle one on into an anonymous file in ``out_dir`` while
+    this process formats the rest, and its bytes are yielded last.  Whether a
+    child can run is ``engine._forked``'s decision alone.  A failing child
     raises ``OSError`` with its message; if this side fails or is closed early,
     the child is killed and reaped.  Otherwise every block is formatted here.
     """
     n, per_block = len(states), _block_paths(len(steps))
     n_blocks = -(-n // per_block)
-    split = n_blocks // 2 * per_block if n_blocks >= _MIN_SPLIT_BLOCKS and _can_fork() else n
+    split = n_blocks // 2 * per_block if n_blocks >= _MIN_SPLIT_BLOCKS else n
 
     def format_half(out):
         out.writelines(_path_blocks(states[split:], steps, times, split))
 
-    with (_forked(format_half, "formatting paths.csv", out_dir) if split < n
-          else contextlib.nullcontext()) as join:
+    with _forked(format_half if split < n else None, "formatting paths.csv", out_dir) as join:
         if join is None:
             split = n
         yield from _path_blocks(states[:split], steps, times)
-        if split < n:
+        if join:
             child = join()
             yield from iter(lambda: child.read(_COPY_BYTES), b"")
 
@@ -512,7 +512,7 @@ def _add_common_model_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_ignored_flags(p: argparse.ArgumentParser, *names: str) -> None:
     # Batches pick their own split and the true bridge sums every lift, so --workers
-    # and --truncation do nothing; they stay so that older command lines still parse.
+    # and --truncation do nothing; they stay where the benchmark's command lines pass them.
     for name in names:
         p.add_argument(f"--{name}", type=int, default=None,
                        help="has no effect; accepted for older command lines")
@@ -540,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None,
                    help="JSON config (a manifest 'config' block or a full manifest)")
     p.add_argument("--out", default=".", help="output directory")
-    _add_ignored_flags(p, "workers", "truncation")
+    _add_ignored_flags(p, "workers")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compare", help="coupled model pairs and agreement rate")
@@ -565,7 +565,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rect", default="-0.5,0.5,-0.5,0.5",
                    help="rectangle 'x1min,x1max,x2min,x2max'")
     p.add_argument("--out", default=".")
-    _add_ignored_flags(p, "truncation")
     p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("weights", help="recompute a run from its manifest and emit log weights")
@@ -573,7 +572,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=float, required=True,
                    help="grid time S in (0,T) the weights integrate to")
     p.add_argument("--out", default=None, help="output directory (default: manifest's)")
-    _add_ignored_flags(p, "workers")
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("check", help="run the acceptance suite")

@@ -29,14 +29,15 @@ Consequences, all relied on by tests:
 Batches run one fixed-size chunk of paths at a time; each chunk touches only
 its own streams and writes straight into its own rows of the batch's arrays,
 so the results do not depend on which process runs a chunk either.  A batch
-large enough to pay for a fork (:func:`_split_at`) runs its second half of
-paths in a forked child, in its own chunks, while this process runs the first;
-the child sends back the raw bytes of its rows through an anonymous file
-(:func:`_forked`).  The results are then checked in path order, one
-``CHUNK_SIZE`` range at a time, so a bad run raises the error of a one-process
-run.  Within a chunk the noise is drawn ``NOISE_BLOCK`` steps at a time into
-one reused buffer, each stream continuing where its last block stopped; a
-numpy ``Generator`` keeps no cached normal, so this gives the bits of a
+large enough to pay for a fork runs its second half of paths in a forked
+child, in its own chunks, while this process runs the first; the child sends
+back the raw bytes of its rows through an anonymous file.  :func:`_forked`
+alone decides whether a child can run; when none can, the batch runs whole
+here.  The results are then checked in path order, one ``CHUNK_SIZE`` range
+at a time, so a bad run raises the error of a one-process run.  Within a
+chunk the noise is drawn ``NOISE_BLOCK`` steps at a time into one reused
+buffer, each stream continuing where its last block stopped; a numpy
+``Generator`` keeps no cached normal, so this gives the bits of a
 whole-stream draw.  Chunking and blocking thus bound the memory in flight
 without changing any output byte: with no path kept, a chunk holds one noise
 block and its current states, whatever the step count.  Each step before the
@@ -322,25 +323,25 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _can_fork() -> bool:
-    """Whether a forked child may share this process's work: ``os.fork``
-    exists, two CPUs are usable and no other Python thread runs, since a fork
-    copies only the calling thread and the locks the others hold."""
-    return hasattr(os, "fork") and _usable_cpus() >= 2 and threading.active_count() == 1
-
-
 @contextlib.contextmanager
 def _forked(work, what: str, dir=None):
     """Run ``work(out=out)`` in a forked child, ``out`` an anonymous binary file
     in ``dir``, while the ``with`` block runs here.
 
     Yields ``join``, which waits for the child and returns ``out`` at its
-    start, or None if no process could be forked.  If the child fails,
+    start.  Yields None, and forks nothing, when ``work`` is None, when
+    ``os.fork`` is missing, when fewer than two CPUs are usable or another
+    Python thread runs (a fork copies only the calling thread and the locks
+    the others hold), or when ``os.fork`` fails.  If the child fails,
     ``join`` raises ``OSError`` with the child's one-line message, or with
     ``what`` the child was doing and how it ended.  If the block ends before
     ``join`` returns (an error here, or a generator closed early), the child
     is killed and reaped, so no process outlives the block.
     """
+    if (work is None or not hasattr(os, "fork") or _usable_cpus() < 2
+            or threading.active_count() > 1):
+        yield None
+        return
     with tempfile.TemporaryFile(dir=dir) as out:
         try:
             pid = os.fork()
@@ -403,16 +404,6 @@ def _child(work, out) -> NoReturn:
 # 73-80 ms, but 128 x 4000 63 against 67 ms.
 _MIN_SPLIT_PATHS = 128
 _MIN_SPLIT_WORK = 1_000_000
-
-
-def _split_at(n_paths: int, model_steps: int) -> int:
-    """The first path of the half a forked child runs, for a batch of ``n_paths``
-    paths that steps ``model_steps`` models x steps each; ``n_paths`` to run
-    the whole batch here."""
-    half = n_paths // 2
-    if half < _MIN_SPLIT_PATHS or n_paths * model_steps < _MIN_SPLIT_WORK or not _can_fork():
-        return n_paths
-    return half
 
 
 def _chunk_increments(streams, out: np.ndarray, dt: float) -> np.ndarray:
@@ -518,9 +509,11 @@ def simulate_batch(
 ) -> BatchResult | list[BatchResult]:
     """Simulate config.n_paths independent paths and collect diagnostics.
 
-    A batch that :func:`_split_at` finds large enough runs its second half
-    of paths in a forked child, with the same results; if that child fails
-    or sends back results of the wrong size, this raises a one-line ``OSError``.
+    A batch of at least ``_MIN_SPLIT_WORK`` path-steps, summed over its
+    models, with ``_MIN_SPLIT_PATHS`` paths per half, runs its second half
+    of paths in a forked child when :func:`_forked` can start one, with the
+    same results; if that child fails or sends back results of the wrong
+    size, this raises a one-line ``OSError``.
 
     Args:
         config: experiment description, or a sequence of coupled configs
@@ -557,7 +550,9 @@ def simulate_batch(
     n_paths = grid.n_paths
     results = _results(configs, n_paths, keep_paths, snapshot_list, weight_cutoff is not None)
 
-    split = _split_at(n_paths, grid.n_steps * len(configs))
+    split = n_paths // 2
+    if split < _MIN_SPLIT_PATHS or n_paths * grid.n_steps * len(configs) < _MIN_SPLIT_WORK:
+        split = n_paths
     what = f"simulating paths {split} to {n_paths - 1}"
     # The child's rows of every array it fills, which it sends back as raw bytes.
     half = [a[split:] for out in results for a in (out.terminal_points, out.log_weights,
@@ -570,13 +565,13 @@ def simulate_batch(
             _run_chunk(grid, lo, hi, times, _rows(results, lo, hi), cutoff_step)
         out.writelines(half)
 
-    with (_forked(run_half, what) if split < n_paths else contextlib.nullcontext()) as join:
+    with _forked(run_half if split < n_paths else None, what) as join:
         if join is None:
             split = n_paths
         for lo in range(0, split, CHUNK_SIZE):
             hi = min(lo + CHUNK_SIZE, split)
             _run_chunk(grid, lo, hi, times, _rows(results, lo, hi), cutoff_step)
-        if split < n_paths:
+        if join:
             child = join()
             # Raw bytes carry no framing, so a short or long file is refused here.
             if any(child.readinto(a) < a.nbytes for a in half) or child.read(1):

@@ -97,14 +97,15 @@ def as_torus_point(a: ArrayLike, name: str = "torus point") -> np.ndarray:
 def project(p: ArrayLike) -> np.ndarray:
     """Canonical projection of R^2 onto the fundamental domain [-1/2, 1/2)^2.
 
-    Returns the unique representative of p mod Z^2.  Idempotent, and maps
-    the boundary value +1/2 to -1/2 (half-open convention).
+    Returns the unique representative of p mod Z^2, exactly: p minus its
+    nearest offset k, a difference of at most 1/2 that a double holds.  A
+    point of the domain is returned bit for bit, the boundary value +1/2
+    maps to -1/2 (half-open convention), and the map is idempotent.
     """
     arr = as_point(p)
-    u = (arr + 0.5) % 1.0 - 0.5
-    # Guard against a floating-point mod landing exactly on 1.0 for inputs
-    # a hair below an integer, which would leak u == +0.5.
-    return np.where(u >= 0.5, u - 1.0, u)
+    k, _ = nearest_offset(arr)
+    u = np.where(k == 0, arr, arr - k)  # k == 0 keeps the sign of a zero
+    return np.where(u == 0.5, -0.5, u)
 
 
 def nearest_offset(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import torusbridge
@@ -592,6 +592,45 @@ class TestForkedWriter:
         _assert_no_child_left()
         assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
+    # tmp_path only holds the child's anonymous file, which no example leaves behind.
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n_paths=st.integers(1, 60), n_steps=st.integers(1, 40), thin=st.integers(1, 41),
+           g17_block=st.integers(1, 64).map(lambda n: 2 * n), min_blocks=st.integers(1, 4),
+           seed=st.integers(0, 2**32))
+    def test_every_layout_writes_the_serial_bytes(self, tmp_path, n_paths, n_steps, thin,
+                                                  g17_block, min_blocks, seed):
+        """With any block size and split threshold, the split writer yields the
+        serial writer's bytes, which are "%.17g"'s, and forks exactly when the
+        blocks reach the threshold.  The states span magnitudes from 1e-6 to
+        1e18, so both the fast and the "%.17g" path of the formatter run."""
+        rng = np.random.default_rng(seed)
+        states = (rng.standard_normal((n_paths, n_steps + 1, 2))
+                  * 10.0 ** rng.integers(-6, 19, size=(n_paths, n_steps + 1, 2)))
+        steps = np.arange(0, n_steps + 1, min(thin, n_steps))
+        steps = steps if steps[-1] == n_steps else np.append(steps, n_steps)
+        times = steps / n_steps
+        oracle = b"".join(b"%d,%d,%s,%s,%s\n" % (pid, i, b"%.17g" % t, b"%.17g" % x[0],
+                                                   b"%.17g" % x[1])
+                          for pid in range(n_paths) for i, t, x in zip(
+                              steps.tolist(), times.tolist(), states[pid, steps].tolist()))
+        forks, real_fork, written = [], os.fork, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_G17_BLOCK", g17_block)
+            mp.setattr(cli, "_MIN_SPLIT_BLOCKS", min_blocks)
+            mp.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+            n_blocks = -(-n_paths // cli._block_paths(len(steps)))
+            for cpus in (1, 2):
+                mp.setattr(engine, "_usable_cpus", lambda cpus=cpus: cpus)
+                rows = cli._paths_rows(states, steps, times, tmp_path)
+                try:
+                    written.append(b"".join(rows))
+                finally:
+                    rows.close()
+        assert written[0] == written[1] == oracle
+        assert len(forks) == (n_blocks >= min_blocks)
+        assert os.listdir(tmp_path) == []
+
     def test_failed_fork_formats_every_block_here(self, tmp_path, monkeypatch):
         def fork():
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
@@ -611,14 +650,14 @@ class TestForkedBatch:
     line, and no process outlives the command."""
 
     CMP = ("compare", "--sigma", "0.8", "--steps", "1000", "--pairs", "600", "--seed", "3")
+    # 11 states of 1000 paths are 6 writer blocks, so only the batch forks.
+    SIM = ("simulate", "--model", "proposed", "--target", "0.3,-0.1", "--sigma", "0.7",
+           "--steps", "1000", "--paths", "1000", "--thin", "100", "--cutoff", "0.5")
 
     def test_split_writes_the_serial_bytes(self, tmp_path, monkeypatch, forks):
-        # 11 states of 1000 paths are 6 writer blocks, so only the batch forks.
-        sim = ("simulate", "--model", "proposed", "--target", "0.3,-0.1", "--sigma", "0.7",
-               "--steps", "1000", "--paths", "1000", "--thin", "100", "--cutoff", "0.5")
         for cpus in (1, 2):
             monkeypatch.setattr(engine, "_usable_cpus", lambda cpus=cpus: cpus)
-            assert _run(*sim, "--out", tmp_path / "sim" / str(cpus)) == 0
+            assert _run(*self.SIM, "--out", tmp_path / "sim" / str(cpus)) == 0
             assert _run(*self.CMP, "--out", tmp_path / "cmp" / str(cpus)) == 0
             assert len(forks) == 2 * (cpus - 1)
         for name in ("sim/paths.csv", "sim/endpoints.csv", "cmp/agreement.csv",
@@ -627,6 +666,25 @@ class TestForkedBatch:
             assert ((tmp_path / command / "1" / file).read_bytes()
                     == (tmp_path / command / "2" / file).read_bytes())
         _assert_no_child_left()
+
+    def test_no_fork_on_the_platform_runs_here(self, tmp_path, monkeypatch, forks):
+        """Where ``os.fork`` is missing, the runs above that fork, with the
+        writer's threshold lowered so that paths.csv would split too, run in
+        this process and write the bytes of a one-CPU run."""
+        monkeypatch.setattr(cli, "_MIN_SPLIT_BLOCKS", 2)
+        for run in ("serial", "no-fork"):
+            if run == "no-fork":
+                monkeypatch.delattr(os, "fork")
+            monkeypatch.setattr(engine, "_usable_cpus", lambda: 1 if run == "serial" else 2)
+            assert _run(*self.SIM, "--out", tmp_path / run / "sim") == 0
+            assert _run(*self.CMP, "--out", tmp_path / run / "cmp") == 0
+        with engine._forked(lambda out: None, "doing nothing") as join:
+            assert join is None
+        for name in ("sim/paths.csv", "sim/endpoints.csv", "cmp/agreement.csv",
+                     "cmp/agreement_summary.json"):
+            assert (tmp_path / "serial" / name).read_bytes() == (
+                tmp_path / "no-fork" / name).read_bytes()
+        assert forks == []
 
     @pytest.mark.parametrize("how, needle", [
         ("raise", "error: [Errno 12] Cannot allocate memory"),
@@ -828,8 +886,9 @@ class TestFormatG17:
 
 
 class TestWorkersFlag:
-    """--workers and --truncation are accepted and ignored: batches run on one
-    thread and the true bridge sums every lift."""
+    """``simulate --workers`` and ``compare --workers/--truncation`` are
+    accepted and ignored: batches pick their own split and the true bridge
+    sums every lift.  The other commands' ignored flags are retired."""
 
     @pytest.mark.parametrize("flag, value", [
         pytest.param("--workers", 3, id="3"),
@@ -841,21 +900,27 @@ class TestWorkersFlag:
             "sim": ("simulate", "--model", "true-bridge", "--target", "0.1,-0.2", "--sigma", "0.9",
                     "--steps", "20", "--paths", "30", "--seed", "5", "--cutoff", "0.5"),
             "cmp": ("compare", "--sigma", "0.8", "--steps", "50", "--pairs", "30", "--seed", "6"),
-            "field": ("field", "--model", "true-bridge", "--target", "0.1,0", "--sigma", "0.8",
-                      "--t", "0.5", "--grid", "5", "--rect=-3,3,-1,1"),
-            "w": ("weights", "--manifest", tmp_path / "a" / "sim" / "manifest.json",
-                  "--cutoff", "0.3"),
         }
-        takes = {"--workers": ("sim", "cmp", "w"), "--truncation": ("sim", "cmp", "field")}[flag]
+        takes = {"--workers": ("sim", "cmp"), "--truncation": ("cmp",)}[flag]
         for flags, out in (((), tmp_path / "a"), ((flag, value), tmp_path / "b")):
             for name, args in runs.items():
                 assert _run(*args, *(flags if name in takes else ()), "--out", out / name) == 0
         for name in ("sim/paths.csv", "sim/endpoints.csv", "cmp/agreement.csv",
-                     "cmp/agreement_summary.json", "field/field.csv", "w/weights.csv"):
+                     "cmp/agreement_summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         manifest = json.loads((tmp_path / "b" / "sim" / "manifest.json").read_text())
         assert "workers" not in manifest["output"]
-        assert "truncation" not in manifest["config"]["model"]
+
+    @pytest.mark.parametrize("args", [
+        ("simulate", "--model", "true-bridge", "--target", "0,0", "--truncation", "2"),
+        ("field", "--model", "true-bridge", "--target", "0,0", "--t", "0.5", "--truncation", "2"),
+        ("weights", "--manifest", "manifest.json", "--cutoff", "0.5", "--workers", "2"),
+    ], ids=["simulate-truncation", "field-truncation", "weights-workers"])
+    def test_retired_flags_exit_2(self, tmp_path, capsys, args):
+        with pytest.raises(SystemExit) as exit_:
+            _run(*args, "--out", tmp_path)
+        assert exit_.value.code == 2 and os.listdir(tmp_path) == []
+        assert "unrecognized arguments: --" in capsys.readouterr().err
 
 
 class TestCompare:
@@ -885,6 +950,15 @@ class TestCompare:
              "--out", tmp_path)
         summary = json.loads((tmp_path / "agreement_summary.json").read_text())
         assert summary["rate"] in (0.0, 1.0)
+
+    def test_euclid_bridge_against_proposed_at_any_target(self, tmp_path):
+        """The Euclidean bridge's diagnostic target is its endpoint projected,
+        which is the typed target itself, so the pair conditions on one
+        target at 0.3,-0.1 as at 0,0."""
+        for target in ("0.3,-0.1", "0,0"):
+            assert _run("compare", "--model-a", "euclid-bridge", "--model-b", "proposed",
+                        "--target", target, "--steps", "50", "--pairs", "20", "--seed", "8",
+                        "--out", tmp_path / target) == 0
 
     def test_step_below_time_to_go_floor_fails(self, tmp_path, capsys):
         rc = _run("compare", "--T", "1e-300", "--steps", "50", "--pairs", "3", "--out", tmp_path)

@@ -25,6 +25,7 @@ from torusbridge import (
     euler_step,
     lattice_endpoint_histogram,
     log_girsanov_weight,
+    nearest_offset,
     simulate_batch,
     simulate_path,
     wiener_increments,
@@ -714,6 +715,72 @@ class TestForkedBatch:
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         _assert_same_batches([serial], [simulate_batch(cfg, snapshot_steps=[n_steps // 2])])
+
+
+def _model(variant, sigma, point):
+    """A model of ``variant`` at ``sigma`` with horizon 1, conditioned on
+    ``point`` where it takes a target or an endpoint."""
+    name = {"euclid-bridge": "endpoint", "proposed": "target", "true-bridge": "target"}
+    extra = {name[variant]: point} if variant in name else {}
+    return VARIANTS[variant](sigma=sigma, horizon=1.0, **extra)
+
+
+_DOMAIN_POINTS = st.tuples(*[st.floats(-0.5, 0.5, exclude_max=True)] * 2)
+
+
+@st.composite
+def _layouts(draw):
+    """A batch of one model or a coupled pair, its options, and a layout:
+    chunk size, noise block and whether a forked child runs the second half."""
+    n_paths, n_steps = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    sigma, start = draw(st.sampled_from([0.3, 0.8, 1.5])), draw(_DOMAIN_POINTS)
+    seed = draw(st.integers(0, 2**32))
+    configs = [SimConfig(model=_model(v, sigma, draw(_DOMAIN_POINTS)), start=start,
+                         n_steps=n_steps, seed=seed, n_paths=n_paths)
+               for v in draw(st.lists(st.sampled_from(sorted(VARIANTS)), min_size=1, max_size=2))]
+    cutoff_steps = st.integers(1, n_steps - 1) if n_steps > 1 else st.nothing()
+    options = dict(keep_paths=draw(st.booleans()),
+                   snapshot_steps=draw(st.lists(st.integers(0, n_steps), max_size=3)),
+                   weight_cutoff=draw(st.none() | cutoff_steps.map(lambda j: j / n_steps)))
+    layout = dict(CHUNK_SIZE=draw(st.integers(1, n_paths)),
+                  NOISE_BLOCK=draw(st.integers(1, n_steps + 1)))
+    return configs, options, layout, draw(st.booleans())
+
+
+def _raw(array):
+    """The bytes of ``array``, or None."""
+    return None if array is None else array.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(batch=_layouts())
+def test_every_layout_gives_the_bits_of_single_paths(batch):
+    """Whatever the chunk size, the noise block and the split, every path's
+    kept states, terminal state, offsets, snapshots and log weight are the
+    bits of ``simulate_path`` and ``log_girsanov_weight`` for its index.  The
+    references are drawn first, under the default noise block."""
+    configs, options, layout, split = batch
+    refs = [[simulate_path(cfg, i) for i in range(cfg.n_paths)] for cfg in configs]
+    forks, real_fork = [], os.fork
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in {**layout, "_MIN_SPLIT_PATHS": 1, "_MIN_SPLIT_WORK": 1}.items():
+            mp.setattr(engine, name, value)
+        mp.setattr(engine, "_usable_cpus", lambda: 2 if split else 1)
+        mp.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        results = simulate_batch(configs, **options)
+    assert len(forks) == (split and configs[0].n_paths >= 2)
+    cutoff = options["weight_cutoff"]
+    for cfg, result, paths in zip(configs, results, refs):
+        states = np.stack([path.states for path in paths])
+        assert _raw(result.terminal_points) == _raw(states[:, -1])
+        k, tie = nearest_offset(states[:, -1] - np.asarray(cfg.model.diagnostic_target))
+        np.testing.assert_array_equal(result.limiting_lattice_points, k)
+        np.testing.assert_array_equal(result.unresolved, tie)
+        assert _raw(result.states) == _raw(states if options["keep_paths"] else None)
+        assert ({s: a.tobytes() for s, a in (result.snapshots or {}).items()}
+                == {s: states[:, s].tobytes() for s in options["snapshot_steps"]})
+        assert _raw(result.log_weights) == _raw(None if cutoff is None else np.array(
+            [log_girsanov_weight(path, cfg.model, cutoff) for path in paths]))
 
 
 # Each retired key, the values that give today's behaviour as its error names them,

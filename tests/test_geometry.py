@@ -102,6 +102,17 @@ class TestProject:
         assert np.all(torus_distance(p, u) <= 1e-15 * scale)
 
 
+    @given(a=arrays(float, st.tuples(st.integers(1, 4), st.just(2)),
+                    elements=st.floats(-0.5, 0.5, exclude_max=True)))
+    @example(a=np.array([[0.2, 0.0], [0.3, -0.1], [-0.5, -0.0],
+                         [np.nextafter(0.5, 0.0), -1e-300]]))
+    def test_fundamental_domain_is_kept_bitwise(self, a):
+        """A point of [-1/2, 1/2)^2 projects to itself, bit for bit: 0.2 stays
+        0.2, not the 0.19999999999999996 that (0.2 + 1/2) mod 1 - 1/2 gives,
+        and -0 keeps its sign."""
+        np.testing.assert_array_equal(_bits(project(a)), _bits(a))
+
+
 class TestLiftNearest:
     def test_nearest_integer_point(self):
         np.testing.assert_array_equal(_lift((0.3, 0.4), (0.0, 0.0))[0], [0.0, 0.0])
