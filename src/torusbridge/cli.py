@@ -21,19 +21,26 @@ batch's ``states`` array with one ``np.take``, its rows go into one uint8
 frame of NUL-padded fields, and dropping the NULs leaves its bytes.  The other
 files' rows are bytes "%" templates with the formatted floats as "%s" fields.
 
-paths.csv is formatted on two CPUs when it is large enough to pay for a fork
-(``_paths_rows``): a forked child formats the blocks from the middle one on
-into an anonymous file in the output directory while this process formats
-the rest, and the child's bytes are then copied in behind them, so the file
-is the same as from one process.  A large batch splits the same way before
-it (``engine.simulate_batch``), its child sending back the raw bytes of its
-rows of the batch's arrays.  Both go through one fork helper,
-``engine._forked``, which alone decides whether a child can run, so this
-module knows nothing of CPUs or threads; ``simulate --workers`` and
-``compare --workers/--truncation`` are accepted and have no effect.  Each
-CSV file is written under a temporary name beside it and renamed over it
-after its last row (``_write_csv``), so a failed write leaves an earlier
-run's file whole.
+``simulate`` runs on two CPUs when paths.csv has ``_MIN_SPLIT_BLOCKS`` blocks
+or more, split at its middle block: a forked child steps paths [split, n)
+(``engine.simulate_batch`` with a ``rows`` range) and formats their blocks of
+paths.csv into an anonymous file in the output directory, while this process
+steps and formats paths [0, split).  The child sends back only its rows of
+the endpoint arrays and its paths.csv bytes, which are copied in behind this
+process's, so every file is the same as from one process.  A smaller
+paths.csv leaves the split to the batch itself, which forks when it is large
+enough, its child sending back the raw bytes of its rows of the batch's
+arrays.  Both go through one fork
+helper, ``engine._forked``, which alone decides whether a child can run and
+runs at most one at a time, so this module knows nothing of CPUs or threads;
+``simulate --workers`` and ``compare --workers/--truncation`` are accepted and
+have no effect.  Each CSV file is written under a temporary name beside it
+and renamed over it after its last row (``_write_csv``), so a failed write
+leaves an earlier run's file whole.
+
+A bad flag, like any other bad input, ends in one ``error:`` line on stderr
+and exit status 2: the parser raises ``ValueError`` rather than printing its
+usage and exiting (``_Parser``).
 
 ``main`` freezes the garbage collector's heap once per process (``gc.freeze``),
 which takes about 50 ms off every command's exit, and keeps the forked
@@ -51,8 +58,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -63,6 +71,7 @@ from .engine import (
     SimConfig,
     _forked,
     _json_object,
+    _read_rows,
     config_from_dict,
     config_to_dict,
     model_class,
@@ -315,30 +324,11 @@ _MIN_SPLIT_BLOCKS = 32
 _COPY_BYTES = 1 << 16  # bytes per read of the child's half: less than a block's frame
 
 
-def _paths_rows(states, steps, times, out_dir: Path):
-    """The rows of paths.csv, as ``_path_blocks`` yields them.
-
-    With at least ``_MIN_SPLIT_BLOCKS`` blocks, a forked child formats the
-    blocks from the middle one on into an anonymous file in ``out_dir`` while
-    this process formats the rest, and its bytes are yielded last.  Whether a
-    child can run is ``engine._forked``'s decision alone.  A failing child
-    raises ``OSError`` with its message; if this side fails or is closed early,
-    the child is killed and reaped.  Otherwise every block is formatted here.
-    """
-    n, per_block = len(states), _block_paths(len(steps))
-    n_blocks = -(-n // per_block)
-    split = n_blocks // 2 * per_block if n_blocks >= _MIN_SPLIT_BLOCKS else n
-
-    def format_half(out):
-        out.writelines(_path_blocks(states[split:], steps, times, split))
-
-    with _forked(format_half if split < n else None, "formatting paths.csv", out_dir) as join:
-        if join is None:
-            split = n
-        yield from _path_blocks(states[:split], steps, times)
-        if join:
-            child = join()
-            yield from iter(lambda: child.read(_COPY_BYTES), b"")
+def _endpoint_arrays(batch) -> dict:
+    """The arrays of ``batch`` that endpoints.csv is written from, by field name,
+    in the order a forked half of ``simulate`` sends back its rows of them."""
+    names = ("terminal_points", "limiting_lattice_points", "unresolved", "log_weights")
+    return {name: getattr(batch, name) for name in names if getattr(batch, name) is not None}
 
 
 # The namespace attribute (flag --<attr>) that sets each model field.  Unset flags leave
@@ -395,20 +385,41 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    batch = simulate_batch(config, keep_paths=True, weight_cutoff=cutoff)
+    n_steps, n = config.n_steps, config.n_paths
+    steps = np.arange(0, n_steps + 1, min(thin, n_steps))  # a stride past n_steps keeps its ends
+    if steps[-1] != n_steps:
+        steps = np.append(steps, n_steps)  # the terminal state is always kept
+    times = config.time_grid()[steps]
+    # The split, at the middle block of paths.csv; 0 runs the batch whole here.
+    per_block = _block_paths(len(steps))
+    n_blocks = -(-n // per_block)
+    split = n_blocks // 2 * per_block if n_blocks >= _MIN_SPLIT_BLOCKS else 0
+    what = f"simulating and formatting paths {split} to {n - 1}"
 
-    n = config.n_steps
-    steps = np.arange(0, n + 1, min(thin, n))  # a stride past n keeps only 0 and n
-    if steps[-1] != n:
-        steps = np.append(steps, n)  # the terminal state is always kept
-    rows = _paths_rows(batch.states, steps, config.time_grid()[steps], out_dir)
-    try:
-        _write_csv(out_dir / "paths.csv", "path_id,step,t,x1,x2", rows)
-    finally:
-        rows.close()  # a failed write ends a forked child here, not at collection
+    def run_half(out):  # the child's work: its endpoint rows, then its paths.csv bytes
+        half = simulate_batch(config, keep_paths=True, weight_cutoff=cutoff, rows=range(split, n))
+        out.writelines(_endpoint_arrays(half).values())
+        out.writelines(_path_blocks(half.states, steps, times, split))
+
+    with _forked(run_half if split else None, what, out_dir) as join:
+        if join is None:
+            split = n
+        batch = simulate_batch(config, keep_paths=True, weight_cutoff=cutoff, rows=range(split))
+        # Every path's endpoint columns: this process's rows, then the child's.
+        ends = {name: np.concatenate([a, np.empty((n - split, *a.shape[1:]), a.dtype)])
+                for name, a in _endpoint_arrays(batch).items()}
+
+        def paths_rows():
+            yield from _path_blocks(batch.states, steps, times)
+            if join:
+                child = _read_rows(join(), [a[split:] for a in ends.values()], what, rest=True)
+                yield from iter(lambda: child.read(_COPY_BYTES), b"")
+
+        _write_csv(out_dir / "paths.csv", "path_id,step,t,x1,x2", paths_rows())
+    batch = replace(batch, states=None, **ends)
 
     logw = batch.log_weights
-    logw_text = _format_g17(logw).tolist() if logw is not None else [b""] * batch.n_paths
+    logw_text = _format_g17(logw).tolist() if logw is not None else [b""] * n
     rows = (b"%d,%s,%s,%s,%d,%s\n" % (pid, *x, _offset_text(k, tie), tie, lw)
             for pid, (x, k, tie, lw) in enumerate(zip(
                 _format_g17(batch.terminal_points).tolist(),
@@ -423,7 +434,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
         "wall_time_s": time.perf_counter() - started,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {batch.n_paths} paths to {out_dir}")
+    print(f"wrote {n} paths to {out_dir}")
     return 0
 
 
@@ -518,8 +529,17 @@ def _add_ignored_flags(p: argparse.ArgumentParser, *names: str) -> None:
                        help="has no effect; accepted for older command lines")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ``ValueError`` with argparse's
+    message, for ``main`` to print as its one error line; its subcommand
+    parsers are of this class too.  ``--help`` and ``--version`` still exit 0."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torusbridge",
         description="Simulate Brownian bridges on the flat torus and export CSV diagnostics.",
     )
@@ -595,8 +615,8 @@ def main(argv=None) -> int:
     """
     if not gc.get_freeze_count():
         gc.freeze()
-    ns = _build_parser().parse_args(argv)
     try:
+        ns = _build_parser().parse_args(argv)
         return ns.func(ns)
     except (ValueError, OSError, MemoryError) as exc:  # MemoryError: e.g. a huge --grid
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -28,27 +28,28 @@ Consequences, all relied on by tests:
 
 Batches run one fixed-size chunk of paths at a time; each chunk touches only
 its own streams and writes straight into its own rows of the batch's arrays,
-so the results do not depend on which process runs a chunk either.  A batch
-large enough to pay for a fork runs its second half of paths in a forked
-child, in its own chunks, while this process runs the first; the child sends
-back the raw bytes of its rows through an anonymous file.  :func:`_forked`
-alone decides whether a child can run; when none can, the batch runs whole
-here.  The results are then checked in path order, one ``CHUNK_SIZE`` range
-at a time, so a bad run raises the error of a one-process run.  Within a
-chunk the noise is drawn ``NOISE_BLOCK`` steps at a time into one reused
-buffer, each stream continuing where its last block stopped; a numpy
-``Generator`` keeps no cached normal, so this gives the bits of a
-whole-stream draw.  Chunking and blocking thus bound the memory in flight
-without changing any output byte: with no path kept, a chunk holds one noise
-block and its current states, whatever the step count.  Each step before the
-weight cutoff adds its Girsanov term to the running log weights just before
-the state moves, in step order and so with the bits of
-:func:`girsanov.log_girsanov_weight` for the same path.  The per-step states
-exist only when paths are kept, and the whole increment array only in
-:func:`wiener_increments`, which :func:`simulate_path` attaches.  A coupled
-batch draws each block once for all its models and steps them in one loop; the
-grid is validated once per batch and the log weights once per chunk, not once
-per step.
+so the results do not depend on which process runs a chunk either, nor on
+whether the batch runs whole or as a range of its paths.  A batch large
+enough to pay for a fork runs its second half of paths in a forked child, in
+its own chunks, while this process runs the first; the child sends back the
+raw bytes of its rows through an anonymous file (:func:`_read_rows`).
+:func:`_forked` alone decides whether a child can run, and runs one at a
+time; when none can, the batch runs whole here.  The results are then
+checked in path order, one ``CHUNK_SIZE`` range at a time, so a bad run
+raises the error of a one-process run.  Within a chunk the noise is drawn
+``NOISE_BLOCK`` steps at a time into one reused buffer, each stream
+continuing where its last block stopped; a numpy ``Generator`` keeps no
+cached normal, so this gives the bits of a whole-stream draw.  Chunking and
+blocking thus bound the memory in flight without changing any output byte:
+with no path kept, a chunk holds one noise block and its current states,
+whatever the step count.  Each step before the weight cutoff adds its
+Girsanov term to the running log weights just before the state moves, in
+step order and so with the bits of :func:`girsanov.log_girsanov_weight` for
+the same path.  The per-step states exist only when paths are kept, and the
+whole increment array only in :func:`wiener_increments`, which
+:func:`simulate_path` attaches.  A coupled batch draws each block once for
+all its models and steps them in one loop; the grid is validated once per
+batch and the log weights once per chunk, not once per step.
 """
 
 from __future__ import annotations
@@ -182,6 +183,8 @@ class BatchResult:
     meaningless.  ``states`` holds the (n_paths, n_steps + 1, 2) kept states, or
     None; ``log_weights`` is filled when a weight cutoff was requested, and
     ``snapshots`` maps requested step indices to (n_paths, 2) state arrays.
+    A run of a range of the config's paths has one row per path of the range,
+    so ``n_paths`` is the range's length.
     """
 
     config: SimConfig
@@ -323,13 +326,19 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# True in the block of a _forked that forked, and in its child, which
+# inherits it: a command never runs more than two processes.
+_busy = False
+
+
 @contextlib.contextmanager
 def _forked(work, what: str, dir=None):
     """Run ``work(out=out)`` in a forked child, ``out`` an anonymous binary file
     in ``dir``, while the ``with`` block runs here.
 
     Yields ``join``, which waits for the child and returns ``out`` at its
-    start.  Yields None, and forks nothing, when ``work`` is None, when
+    start.  Yields None, and forks nothing, when ``work`` is None, inside
+    another such block whose child was forked or inside that child, when
     ``os.fork`` is missing, when fewer than two CPUs are usable or another
     Python thread runs (a fork copies only the calling thread and the locks
     the others hold), or when ``os.fork`` fails.  If the child fails,
@@ -338,14 +347,17 @@ def _forked(work, what: str, dir=None):
     ``join`` returns (an error here, or a generator closed early), the child
     is killed and reaped, so no process outlives the block.
     """
-    if (work is None or not hasattr(os, "fork") or _usable_cpus() < 2
+    global _busy
+    if (work is None or _busy or not hasattr(os, "fork") or _usable_cpus() < 2
             or threading.active_count() > 1):
         yield None
         return
     with tempfile.TemporaryFile(dir=dir) as out:
+        _busy = True
         try:
             pid = os.fork()
         except OSError:
+            _busy = False
             yield None
             return
         if not pid:
@@ -366,9 +378,25 @@ def _forked(work, what: str, dir=None):
         try:
             yield join
         finally:
+            _busy = False
             if pid:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+
+
+def _read_rows(child, arrays, what: str, rest: bool = False):
+    """Fill ``arrays``, in order, with the raw bytes at the start of ``child``,
+    the file that ``join`` of :func:`_forked` returned, and return ``child``
+    just after them.
+
+    Raw bytes carry no framing, so a file too short for them is refused with a
+    one-line ``OSError``, and so is one with bytes after them unless ``rest``
+    says that the caller reads those.
+    """
+    if any(child.readinto(a) < a.nbytes for a in arrays) or not rest and child.read(1):
+        raise OSError(f"the process {what} left {os.fstat(child.fileno()).st_size} bytes of "
+                      f"results, not {'at least ' * rest}{sum(a.nbytes for a in arrays)}")
+    return child
 
 
 def _child(work, out) -> NoReturn:
@@ -506,10 +534,12 @@ def simulate_batch(
     keep_paths: bool = True,
     snapshot_steps: Sequence[int] | None = None,
     weight_cutoff: float | None = None,
+    rows: range | None = None,
 ) -> BatchResult | list[BatchResult]:
-    """Simulate config.n_paths independent paths and collect diagnostics.
+    """Simulate config.n_paths independent paths, or the range ``rows`` of
+    them, and collect diagnostics.
 
-    A batch of at least ``_MIN_SPLIT_WORK`` path-steps, summed over its
+    A run of at least ``_MIN_SPLIT_WORK`` path-steps, summed over its
     models, with ``_MIN_SPLIT_PATHS`` paths per half, runs its second half
     of paths in a forked child when :func:`_forked` can start one, with the
     same results; if that child fails or sends back results of the wrong
@@ -526,6 +556,10 @@ def simulate_batch(
         weight_cutoff: when set to a grid time S in (0, T), fill
             ``log_weights`` with the Girsanov log weight of each path
             accumulated over [0, S).
+        rows: the path indices to run, a nonempty ``range`` of step 1
+            within [0, n_paths); the default is every path.  Row j of each
+            result array is then path ``rows[j]``, bitwise as in the whole
+            batch, and the checks run in path order over these paths only.
 
     Returns:
         BatchResult with terminal points, nearest-lift offsets relative
@@ -542,44 +576,46 @@ def simulate_batch(
         if not (_finite(s) and int(s) == s and 0 <= s <= grid.n_steps):
             raise ValueError(f"snapshot step must be an integer in [0, {grid.n_steps}]; got {s!r}")
     snapshot_list = sorted({int(s) for s in steps})
-    # Validate eagerly so a bad cutoff fails before any simulation work.
+    # Validate eagerly so a bad cutoff or range fails before any simulation work.
     cutoff_step = 0 if weight_cutoff is None else girsanov.cutoff_index(
         grid.dt, grid.n_steps, grid.model.horizon, weight_cutoff)
+    rows = range(grid.n_paths) if rows is None else rows
+    if not (isinstance(rows, range) and rows.step == 1
+            and 0 <= rows.start < rows.stop <= grid.n_paths):
+        raise ValueError(f"rows must be a nonempty range of step 1 within "
+                         f"[0, {grid.n_paths}); got {rows!r}")
 
     times = grid.time_grid()
-    n_paths = grid.n_paths
-    results = _results(configs, n_paths, keep_paths, snapshot_list, weight_cutoff is not None)
+    first, end = rows.start, rows.stop
+    n_rows = end - first
+    results = _results(configs, n_rows, keep_paths, snapshot_list, weight_cutoff is not None)
 
-    split = n_paths // 2
-    if split < _MIN_SPLIT_PATHS or n_paths * grid.n_steps * len(configs) < _MIN_SPLIT_WORK:
-        split = n_paths
-    what = f"simulating paths {split} to {n_paths - 1}"
+    split = first + n_rows // 2
+    if n_rows // 2 < _MIN_SPLIT_PATHS or n_rows * grid.n_steps * len(configs) < _MIN_SPLIT_WORK:
+        split = end
+    what = f"simulating paths {split} to {end - 1}"
     # The child's rows of every array it fills, which it sends back as raw bytes.
-    half = [a[split:] for out in results for a in (out.terminal_points, out.log_weights,
-                                                    out.states, *(out.snapshots or {}).values())
+    half = [a[split - first:] for out in results for a in (
+        out.terminal_points, out.log_weights, out.states, *(out.snapshots or {}).values())
             if a is not None]
 
     def run_half(out):  # the child's work
-        for lo in range(split, n_paths, CHUNK_SIZE):
-            hi = min(lo + CHUNK_SIZE, n_paths)
-            _run_chunk(grid, lo, hi, times, _rows(results, lo, hi), cutoff_step)
+        for lo in range(split, end, CHUNK_SIZE):
+            hi = min(lo + CHUNK_SIZE, end)
+            _run_chunk(grid, lo, hi, times, _rows(results, lo - first, hi - first), cutoff_step)
         out.writelines(half)
 
-    with _forked(run_half if split < n_paths else None, what) as join:
+    with _forked(run_half if split < end else None, what) as join:
         if join is None:
-            split = n_paths
-        for lo in range(0, split, CHUNK_SIZE):
+            split = end
+        for lo in range(first, split, CHUNK_SIZE):
             hi = min(lo + CHUNK_SIZE, split)
-            _run_chunk(grid, lo, hi, times, _rows(results, lo, hi), cutoff_step)
+            _run_chunk(grid, lo, hi, times, _rows(results, lo - first, hi - first), cutoff_step)
         if join:
-            child = join()
-            # Raw bytes carry no framing, so a short or long file is refused here.
-            if any(child.readinto(a) < a.nbytes for a in half) or child.read(1):
-                raise OSError(f"the process {what} left {os.fstat(child.fileno()).st_size} "
-                              f"bytes of results, not {sum(a.nbytes for a in half)}")
+            _read_rows(join(), half, what)
 
-    for lo in range(0, n_paths, CHUNK_SIZE):
-        hi = min(lo + CHUNK_SIZE, n_paths)
+    for lo in range(0, n_rows, CHUNK_SIZE):
+        hi = min(lo + CHUNK_SIZE, n_rows)
         for out in results:
             if out.log_weights is not None:
                 girsanov._check_overflow(out.log_weights[lo:hi], out.config.model.sigma)

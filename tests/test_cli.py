@@ -397,6 +397,24 @@ class TestPinnedBytes:
         }
 
 
+    # perfbench/workloads.py's simulate-paths command at benchmark seed 1,
+    # whose --seed is cli_seed("simulate-paths", 1).
+    WORKLOAD = ("simulate", "--model", "proposed", "--target", "0,0", "--sigma", "1", "--T", "1",
+                "--steps", "500", "--paths", "1000", "--seed", "2795388570", "--cutoff", "0.5",
+                "--workers", "1")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_simulate_paths_workload(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+        assert _run(*self.WORKLOAD, "--out", tmp_path) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("paths.csv", "endpoints.csv")}
+        assert digests == {
+            "paths.csv": "4a7571657dc69957c2c98c46403167983d790b9c906d03aaab367e98b65d8f94",
+            "endpoints.csv": "62bbd60790e9b5be0b25875e138325699451f22fd0b271b664e55c8fea65d1c5",
+        }
+
+
 class TestWriterBytes:
     """The CSV writers produce the reference writer's bytes."""
 
@@ -486,12 +504,13 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-class TestForkedWriter:
-    """With two usable CPUs (the ``engine._usable_cpus`` seam), a forked child
-    formats paths.csv from its middle block on.  The bytes are the serial
-    writer's, and no process or file outlives the command.  Every batch here
-    is below the engine's own split (``engine._MIN_SPLIT_WORK``), so the forks
-    counted are the writer's."""
+class TestForkedSimulate:
+    """With two usable CPUs (the ``engine._usable_cpus`` seam), a ``simulate``
+    whose paths.csv has at least ``cli._MIN_SPLIT_BLOCKS`` blocks steps and
+    formats the paths from its middle block on in one forked child.  The bytes
+    are a one-process run's, and no process or file outlives the command.
+    Every batch here is below the engine's own split
+    (``engine._MIN_SPLIT_WORK``), so the forks counted are the command's."""
 
     SIM = ("simulate", "--model", "proposed", "--target", "0.3,-0.1", "--sigma", "0.7",
            "--seed", "31")
@@ -500,26 +519,30 @@ class TestForkedWriter:
     # paths 16 : 17.  --thin 3 keeps 335 states, blocks of 6 paths, so 195 paths
     # make 32 full blocks and one of 3, split 16 : 17, and the child's path ids
     # grow from 2 to 3 digits.
-    @pytest.mark.parametrize("paths, steps, thin", [(64, 1000, 1), (66, 1000, 1),
-                                                    (195, 1000, 3)])
+    @pytest.mark.parametrize("paths, steps, thin, split", [(64, 1000, 1, 32), (66, 1000, 1, 32),
+                                                           (195, 1000, 3, 96)])
     def test_split_writes_the_serial_bytes(self, tmp_path, monkeypatch, forks, paths, steps,
-                                           thin):
+                                           thin, split):
         seen = _capture(monkeypatch, "simulate_batch")
         written = []
         for cpus in (1, 2):
             monkeypatch.setattr(engine, "_usable_cpus", lambda cpus=cpus: cpus)
             assert _run(*self.SIM, "--steps", steps, "--paths", paths, "--thin", thin,
-                        "--out", tmp_path / str(cpus)) == 0
+                        "--cutoff", "0.5", "--out", tmp_path / str(cpus)) == 0
             assert len(forks) == cpus - 1
-            written.append((tmp_path / str(cpus) / "paths.csv").read_bytes())
-        assert written[0] == written[1] == _oracle_paths(seen[0], thin)
+            written.append([(tmp_path / str(cpus) / name).read_bytes()
+                            for name in ("paths.csv", "endpoints.csv")])
+        assert written[0] == written[1] == [_oracle_paths(seen[0], thin),
+                                            _oracle_endpoints(seen[0])]
+        assert seen[1].n_paths == split  # this process's half of the split run
         assert sorted(os.listdir(tmp_path / "2")) == ["endpoints.csv", "manifest.json",
                                                       "paths.csv"]
         _assert_no_child_left()
 
     @pytest.mark.parametrize("how, needle", [
         ("raise", "error: [Errno 28] No space left on device"),
-        ("kill", "error: the process formatting paths.csv was killed by signal 9"),
+        ("kill", "error: the process simulating and formatting paths 32 to 63 was killed by "
+                 "signal 9"),
     ])
     def test_failing_child_is_one_error_line(self, tmp_path, monkeypatch, capsys, how, needle):
         real = cli._path_blocks
@@ -538,6 +561,25 @@ class TestForkedWriter:
         _assert_no_child_left()
         assert os.listdir(tmp_path) == []
 
+    def test_a_short_half_is_one_error_line(self, tmp_path, monkeypatch, capsys, forks):
+        """The child's file starts with its raw endpoint rows, which carry no
+        framing: 32 paths' terminal states, offsets and flags are 1056 bytes."""
+        real = cli._forked
+
+        def forked(work, *args):
+            def short(out):
+                work(out=out)
+                out.truncate(1000)
+            return real(short, *args)
+
+        monkeypatch.setattr(cli, "_forked", forked)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        assert _run(*self.SIM, "--steps", "1000", "--paths", "64", "--out", tmp_path) == 2
+        _assert_one_error_line(capsys, "error: the process simulating and formatting paths 32 "
+                                       "to 63 left 1000 bytes of results, not at least 1056")
+        _assert_no_child_left()
+        assert len(forks) == 1 and os.listdir(tmp_path) == []
+
     def test_failing_parent_kills_the_child(self, tmp_path, monkeypatch, capsys):
         real = cli._path_blocks
 
@@ -555,6 +597,57 @@ class TestForkedWriter:
         _assert_one_error_line(capsys, "No space left on device")
         _assert_no_child_left()
         assert os.listdir(tmp_path) == []
+
+    @staticmethod
+    def _spoil(monkeypatch, bad):
+        """Make every chunk leave the terminal state or log weight of the paths
+        ``bad`` names, ``{path index: field}``, infinite, in either process."""
+        real = engine._run_chunk
+
+        def run_chunk(config, lo, hi, times, rows, cutoff_step):
+            real(config, lo, hi, times, rows, cutoff_step)
+            for k, name in bad.items():
+                if lo <= k < hi:
+                    getattr(rows[0], name)[k - lo] = np.inf
+
+        monkeypatch.setattr(engine, "_run_chunk", run_chunk)
+
+    @pytest.mark.parametrize("bad, needle", [
+        ({40: "terminal_points"}, "error: proposed terminal states exceed 2**52"),
+        ({40: "log_weights"}, "error: the log weights overflow a double"),
+    ], ids=["terminal", "weight"])
+    def test_bad_path_in_the_childs_half_is_the_serial_error_line(
+            self, tmp_path, monkeypatch, capsys, forks, bad, needle):
+        """The child checks its own paths and sends back its error, which is
+        the line of a one-process run."""
+        self._spoil(monkeypatch, bad)
+        lines = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(engine, "_usable_cpus", lambda cpus=cpus: cpus)
+            assert _run(*self.SIM, "--steps", "1000", "--paths", "64", "--cutoff", "0.5",
+                        "--out", tmp_path) == 2
+            lines.append(capsys.readouterr().err)
+        assert lines[0] == lines[1] and lines[0].startswith(needle) and lines[0].count("\n") == 1
+        assert len(forks) == 1 and os.listdir(tmp_path) == []
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("bad, needle", [
+        ({3: "terminal_points", 40: "log_weights"}, "error: proposed terminal states exceed"),
+        ({3: "log_weights", 40: "terminal_points"}, "error: the log weights overflow a double"),
+    ], ids=["terminal-first", "weight-first"])
+    def test_with_both_halves_bad_the_first_half_wins(self, tmp_path, monkeypatch, capsys,
+                                                      forks, bad, needle):
+        """This process checks its half before it waits for the child, so its
+        error is the line.  A one-process run checks the weights of a chunk of
+        paths before their terminal states, so where the first half's terminal
+        state and the second half's weight are bad, it names the weight."""
+        self._spoil(monkeypatch, bad)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        assert _run(*self.SIM, "--steps", "1000", "--paths", "64", "--cutoff", "0.5",
+                    "--out", tmp_path) == 2
+        _assert_one_error_line(capsys, needle)
+        assert len(forks) == 1 and os.listdir(tmp_path) == []
+        _assert_no_child_left()
 
     def test_few_blocks_or_a_second_thread_stay_serial(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
@@ -592,7 +685,7 @@ class TestForkedWriter:
         _assert_no_child_left()
         assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
-    # tmp_path only holds the child's anonymous file, which no example leaves behind.
+    # tmp_path holds only the runs' outputs, which each example overwrites.
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(n_paths=st.integers(1, 60), n_steps=st.integers(1, 40), thin=st.integers(1, 41),
@@ -600,38 +693,52 @@ class TestForkedWriter:
            seed=st.integers(0, 2**32))
     def test_every_layout_writes_the_serial_bytes(self, tmp_path, n_paths, n_steps, thin,
                                                   g17_block, min_blocks, seed):
-        """With any block size and split threshold, the split writer yields the
-        serial writer's bytes, which are "%.17g"'s, and forks exactly when the
-        blocks reach the threshold.  The states span magnitudes from 1e-6 to
-        1e18, so both the fast and the "%.17g" path of the formatter run."""
+        """With any block size and split threshold, a split ``simulate`` writes
+        the one-process bytes, which are "%.17g"'s, and forks exactly when
+        paths.csv has at least two blocks and reaches the threshold.  A stand-in
+        batch gives states from 1e-6 to 1e18 in magnitude, so both the fast and
+        the "%.17g" path of the formatter run, and endpoint columns of every
+        kind, which the child sends back as raw rows."""
         rng = np.random.default_rng(seed)
         states = (rng.standard_normal((n_paths, n_steps + 1, 2))
                   * 10.0 ** rng.integers(-6, 19, size=(n_paths, n_steps + 1, 2)))
+        offsets = rng.integers(-2**40, 2**40, size=(n_paths, 2))
+        unresolved, log_weights = rng.random(n_paths) < 0.3, rng.standard_normal(n_paths)
+
+        def batch(config, *, keep_paths, weight_cutoff, rows=range(n_paths)):
+            part = slice(rows.start, rows.stop)
+            return engine.BatchResult(
+                config=config, terminal_points=states[part, -1].copy(),
+                limiting_lattice_points=offsets[part], unresolved=unresolved[part],
+                states=states[part], log_weights=log_weights[part])
+
         steps = np.arange(0, n_steps + 1, min(thin, n_steps))
         steps = steps if steps[-1] == n_steps else np.append(steps, n_steps)
-        times = steps / n_steps
-        oracle = b"".join(b"%d,%d,%s,%s,%s\n" % (pid, i, b"%.17g" % t, b"%.17g" % x[0],
-                                                   b"%.17g" % x[1])
-                          for pid in range(n_paths) for i, t, x in zip(
-                              steps.tolist(), times.tolist(), states[pid, steps].tolist()))
+        times = np.linspace(0.0, 1.0, n_steps + 1)[steps]
+        oracle = b"path_id,step,t,x1,x2\n" + b"".join(
+            b"%d,%d,%s,%s,%s\n" % (pid, i, b"%.17g" % t, b"%.17g" % x[0], b"%.17g" % x[1])
+            for pid in range(n_paths)
+            for i, t, x in zip(steps.tolist(), times.tolist(), states[pid, steps].tolist()))
         forks, real_fork, written = [], os.fork, []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_G17_BLOCK", g17_block)
             mp.setattr(cli, "_MIN_SPLIT_BLOCKS", min_blocks)
+            mp.setattr(cli, "simulate_batch", batch)
             mp.setattr(os, "fork", lambda: forks.append(1) or real_fork())
             n_blocks = -(-n_paths // cli._block_paths(len(steps)))
             for cpus in (1, 2):
                 mp.setattr(engine, "_usable_cpus", lambda cpus=cpus: cpus)
-                rows = cli._paths_rows(states, steps, times, tmp_path)
-                try:
-                    written.append(b"".join(rows))
-                finally:
-                    rows.close()
-        assert written[0] == written[1] == oracle
-        assert len(forks) == (n_blocks >= min_blocks)
-        assert os.listdir(tmp_path) == []
+                out = tmp_path / str(cpus)
+                assert _run("simulate", "--model", "free-bm", "--steps", n_steps, "--paths",
+                            n_paths, "--thin", thin, "--out", out) == 0
+                assert sorted(os.listdir(out)) == ["endpoints.csv", "manifest.json", "paths.csv"]
+                written.append([(out / name).read_bytes() for name in ("paths.csv",
+                                                                       "endpoints.csv")])
+        assert written[0] == written[1] == [oracle, _oracle_endpoints(batch(None, keep_paths=True,
+                                                                            weight_cutoff=None))]
+        assert len(forks) == (n_blocks >= max(min_blocks, 2))
 
-    def test_failed_fork_formats_every_block_here(self, tmp_path, monkeypatch):
+    def test_failed_fork_runs_every_path_here(self, tmp_path, monkeypatch):
         def fork():
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
@@ -639,7 +746,9 @@ class TestForkedWriter:
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         seen = _capture(monkeypatch, "simulate_batch")
         assert _run(*self.SIM, "--steps", "1000", "--paths", "64", "--out", tmp_path) == 0
+        assert seen[0].n_paths == 64
         assert (tmp_path / "paths.csv").read_bytes() == _oracle_paths(seen[0], 1)
+        assert (tmp_path / "endpoints.csv").read_bytes() == _oracle_endpoints(seen[0])
         assert sorted(os.listdir(tmp_path)) == ["endpoints.csv", "manifest.json", "paths.csv"]
 
 
@@ -665,6 +774,34 @@ class TestForkedBatch:
             command, file = name.split("/")
             assert ((tmp_path / command / "1" / file).read_bytes()
                     == (tmp_path / command / "2" / file).read_bytes())
+        _assert_no_child_left()
+
+    def test_simulate_without_thin_forks_once(self, tmp_path, monkeypatch):
+        """Without --thin, SIM's paths.csv has 500 blocks, so the command splits
+        at path 500 and its halves never fork again, even where the engine's
+        thresholds would split each half.  Forks are counted in every process
+        through a file, and the bytes are a one-CPU run's."""
+        log, real = tmp_path / "forks", os.fork
+
+        def fork():
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        sim = [arg for arg in self.SIM if arg not in ("--thin", "100")]
+        for run, cpus, min_work in (("serial", 1, None), ("split", 2, None), ("low", 2, 1)):
+            monkeypatch.setattr(engine, "_usable_cpus", lambda cpus=cpus: cpus)
+            if min_work:
+                monkeypatch.setattr(engine, "_MIN_SPLIT_PATHS", 1)
+                monkeypatch.setattr(engine, "_MIN_SPLIT_WORK", min_work)
+            log.write_text("")
+            assert _run(*sim, "--out", tmp_path / run) == 0
+            assert log.read_text().split() == [str(os.getpid())] * (cpus - 1)
+        for name in ("paths.csv", "endpoints.csv"):
+            serial = (tmp_path / "serial" / name).read_bytes()
+            assert (tmp_path / "split" / name).read_bytes() == serial
+            assert (tmp_path / "low" / name).read_bytes() == serial
         _assert_no_child_left()
 
     def test_no_fork_on_the_platform_runs_here(self, tmp_path, monkeypatch, forks):
@@ -917,10 +1054,8 @@ class TestWorkersFlag:
         ("weights", "--manifest", "manifest.json", "--cutoff", "0.5", "--workers", "2"),
     ], ids=["simulate-truncation", "field-truncation", "weights-workers"])
     def test_retired_flags_exit_2(self, tmp_path, capsys, args):
-        with pytest.raises(SystemExit) as exit_:
-            _run(*args, "--out", tmp_path)
-        assert exit_.value.code == 2 and os.listdir(tmp_path) == []
-        assert "unrecognized arguments: --" in capsys.readouterr().err
+        assert _run(*args, "--out", tmp_path) == 2 and os.listdir(tmp_path) == []
+        _assert_one_error_line(capsys, "unrecognized arguments: --")
 
 
 class TestCompare:
@@ -1146,6 +1281,14 @@ class TestErrorLines:
         (("check", "--criterion", "9"), ("criterion index", "got 9")),
         (("check", "--criterion", "0"), ("criterion index", "got 0")),
         (("weights", "--manifest", "manifest.json", "--cutoff", "0.5"), ("'variant'",)),
+        (("simulate", "--paths", "abc"),
+         ("error: argument --paths: invalid int value: 'abc'\n",)),
+        (("field", "--t", "0.5", "--truncation", "2"),
+         ("error: unrecognized arguments: --truncation 2\n",)),
+        (("field", "--target", "0,0"), ("error: the following arguments are required: --t\n",)),
+        (("simulate", "--model", "brownian"), ("argument --model: invalid choice: 'brownian'",)),
+        (("bridge",), ("argument command: invalid choice: 'bridge'",)),
+        ((), ("the following arguments are required: command",)),
     ])
     def test_bad_input_is_one_error_line(self, tmp_path, monkeypatch, capsys, args, needles):
         monkeypatch.chdir(tmp_path)
@@ -1153,6 +1296,18 @@ class TestErrorLines:
         assert _run(*args) == 2
         _assert_one_error_line(capsys, *needles)
         assert os.listdir() == ["manifest.json"]
+
+    @pytest.mark.parametrize("args, needle", [
+        (("--help",), "usage: torusbridge"),
+        (("simulate", "--help"), "usage: torusbridge simulate"),
+        (("--version",), f"torusbridge {torusbridge.__version__}"),
+    ])
+    def test_help_and_version_exit_0(self, capsys, args, needle):
+        with pytest.raises(SystemExit) as exit_:
+            _run(*args)
+        assert exit_.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(needle) and err == ""
 
 
 def _python(*args, cwd=None):

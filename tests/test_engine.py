@@ -717,6 +717,73 @@ class TestForkedBatch:
         _assert_same_batches([serial], [simulate_batch(cfg, snapshot_steps=[n_steps // 2])])
 
 
+class TestRowRange:
+    """``simulate_batch(..., rows=range(lo, hi))`` runs paths [lo, hi) of the
+    batch: each result array holds their rows, bitwise the whole batch's."""
+
+    CFG = _cfg(ProposedBridge(sigma=0.7, horizon=1.0, target=(0.3, -0.1)), start=(0.1, 0.2),
+               n_steps=40, seed=46, n_paths=300)
+    OPTIONS = dict(snapshot_steps=[0, 7, 40], weight_cutoff=0.5)
+
+    @pytest.mark.parametrize("rows", [range(300), range(1), range(299, 300), range(37, 261)])
+    def test_rows_of_the_whole_batch(self, monkeypatch, forks, rows):
+        """With the split thresholds at one path, a range also splits within
+        itself, at its own middle."""
+        monkeypatch.setattr(engine, "CHUNK_SIZE", 50)  # several chunks, the last one short
+        whole = simulate_batch(self.CFG, **self.OPTIONS)
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(engine, "_MIN_SPLIT_PATHS", 1)
+        monkeypatch.setattr(engine, "_MIN_SPLIT_WORK", 1)
+        part = simulate_batch(self.CFG, **self.OPTIONS, rows=rows)
+        assert part.config == whole.config and part.n_paths == len(rows)
+        arrays = _batch_arrays(part)
+        for name, array in _batch_arrays(whole).items():
+            np.testing.assert_array_equal(arrays[name], array[rows.start:rows.stop], err_msg=name)
+        assert len(forks) == (len(rows) >= 2)
+
+    @pytest.mark.parametrize("rows", [range(0), range(3, 3), range(0, 4, 2), range(3, 0, -1),
+                                      range(-1, 2), range(2, 301), [0, 1], slice(0, 2)])
+    def test_bad_range_is_one_line_before_any_work(self, monkeypatch, rows):
+        monkeypatch.setattr(engine, "_chunk_increments", None)  # any draw would fail
+        with pytest.raises(ValueError) as err:
+            simulate_batch(self.CFG, rows=rows)
+        assert str(err.value) == (f"rows must be a nonempty range of step 1 within [0, 300); "
+                                  f"got {rows!r}")
+
+
+class TestForkedHelper:
+    """``engine._forked`` runs one child at a time."""
+
+    def test_no_fork_in_a_child_or_while_one_runs(self, monkeypatch, forks):
+        """Inside the block of a ``_forked`` that forked, and inside its child,
+        another ``_forked`` yields None, so a command never runs more than two
+        processes; once the block ends, or a fork fails, the next one forks."""
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+
+        def nested(out):
+            with engine._forked(lambda out: None, "doing nothing") as join:
+                out.write(b"none" if join is None else b"forked")
+
+        with engine._forked(nested, "nesting") as join:
+            with engine._forked(lambda out: None, "doing nothing") as second:
+                assert second is None
+            assert join().read() == b"none"
+            with engine._forked(lambda out: None, "doing nothing") as second:
+                assert second is None  # joined, but the block has not ended
+        assert len(forks) == 1
+
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "fork", fork)
+            with engine._forked(lambda out: None, "doing nothing") as join:
+                assert join is None
+        with engine._forked(lambda out: out.write(b"again"), "writing again") as join:
+            assert join().read() == b"again"
+        assert len(forks) == 2
+
+
 def _model(variant, sigma, point):
     """A model of ``variant`` at ``sigma`` with horizon 1, conditioned on
     ``point`` where it takes a target or an endpoint."""
@@ -730,8 +797,9 @@ _DOMAIN_POINTS = st.tuples(*[st.floats(-0.5, 0.5, exclude_max=True)] * 2)
 
 @st.composite
 def _layouts(draw):
-    """A batch of one model or a coupled pair, its options, and a layout:
-    chunk size, noise block and whether a forked child runs the second half."""
+    """A batch of one model or a coupled pair, its options with the whole batch
+    or a range of its paths, and a layout: chunk size, noise block and whether
+    a forked child runs the second half."""
     n_paths, n_steps = draw(st.integers(1, 40)), draw(st.integers(1, 40))
     sigma, start = draw(st.sampled_from([0.3, 0.8, 1.5])), draw(_DOMAIN_POINTS)
     seed = draw(st.integers(0, 2**32))
@@ -742,6 +810,8 @@ def _layouts(draw):
     options = dict(keep_paths=draw(st.booleans()),
                    snapshot_steps=draw(st.lists(st.integers(0, n_steps), max_size=3)),
                    weight_cutoff=draw(st.none() | cutoff_steps.map(lambda j: j / n_steps)))
+    lo = draw(st.integers(0, n_paths - 1))
+    options["rows"] = draw(st.none() | st.integers(lo + 1, n_paths).map(lambda hi: range(lo, hi)))
     layout = dict(CHUNK_SIZE=draw(st.integers(1, n_paths)),
                   NOISE_BLOCK=draw(st.integers(1, n_steps + 1)))
     return configs, options, layout, draw(st.booleans())
@@ -755,12 +825,14 @@ def _raw(array):
 @settings(max_examples=30, deadline=None)
 @given(batch=_layouts())
 def test_every_layout_gives_the_bits_of_single_paths(batch):
-    """Whatever the chunk size, the noise block and the split, every path's
-    kept states, terminal state, offsets, snapshots and log weight are the
-    bits of ``simulate_path`` and ``log_girsanov_weight`` for its index.  The
-    references are drawn first, under the default noise block."""
+    """Whatever the chunk size, the noise block, the split and the range of
+    paths run, every path's kept states, terminal state, offsets, snapshots
+    and log weight are the bits of ``simulate_path`` and
+    ``log_girsanov_weight`` for its index.  The references are drawn first,
+    under the default noise block."""
     configs, options, layout, split = batch
-    refs = [[simulate_path(cfg, i) for i in range(cfg.n_paths)] for cfg in configs]
+    rows = options["rows"] or range(configs[0].n_paths)
+    refs = [[simulate_path(cfg, i) for i in rows] for cfg in configs]
     forks, real_fork = [], os.fork
     with pytest.MonkeyPatch.context() as mp:
         for name, value in {**layout, "_MIN_SPLIT_PATHS": 1, "_MIN_SPLIT_WORK": 1}.items():
@@ -768,7 +840,7 @@ def test_every_layout_gives_the_bits_of_single_paths(batch):
         mp.setattr(engine, "_usable_cpus", lambda: 2 if split else 1)
         mp.setattr(os, "fork", lambda: forks.append(1) or real_fork())
         results = simulate_batch(configs, **options)
-    assert len(forks) == (split and configs[0].n_paths >= 2)
+    assert len(forks) == (split and len(rows) >= 2)
     cutoff = options["weight_cutoff"]
     for cfg, result, paths in zip(configs, results, refs):
         states = np.stack([path.states for path in paths])
