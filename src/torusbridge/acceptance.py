@@ -92,7 +92,7 @@ def check_terminal_convergence() -> CriterionResult:
             seed=seed,
             n_paths=2000,
         )
-        batch = simulate_batch(cfg, keep_paths=False)
+        batch = simulate_batch(cfg)
         q99[n_steps] = terminal_convergence(batch, a).q99
     fine_ok = q99[1000] <= 0.10
     # Non-increasing under refinement, with 10% Monte Carlo slack.
@@ -117,8 +117,7 @@ def check_euclidean_bridge_law() -> CriterionResult:
         seed=1005,
         n_paths=10_000,
     )
-    batch = simulate_batch(cfg, keep_paths=False, snapshot_steps=[500])
-    x = batch.snapshots[500]
+    x = simulate_batch(cfg, keep_steps=[500]).states[:, 0]
     n = x.shape[0]
     mean_expect = np.array([0.15, 0.10])  # (t/T) * endpoint at t = 0.5
     var_expect = 0.25  # sigma^2 t (T - t) / T
@@ -155,15 +154,15 @@ def check_girsanov_consistency() -> CriterionResult:
         seed=1007,
         n_paths=10_000,
     )
-    prop = simulate_batch(cfg_prop, keep_paths=False, snapshot_steps=[500], weight_cutoff=S)
-    free = simulate_batch(cfg_free, keep_paths=False, snapshot_steps=[500])
+    prop = simulate_batch(cfg_prop, keep_steps=[500], weight_cutoff=S)
+    free = simulate_batch(cfg_free, keep_steps=[500])
     w = np.exp(prop.log_weights)
     n = len(w)
     mart_dev = abs(w.mean() - 1.0)
     mart_ok = mart_dev <= 3 * w.std(ddof=1) / np.sqrt(n)
 
-    xp = prop.snapshots[500]
-    xf = free.snapshots[500]
+    xp = prop.states[:, 0]
+    xf = free.states[:, 0]
     moment_ok = True
     worst = 0.0
     for f_p, f_f in ((xp, xf), (xp**2, xf**2)):
@@ -198,7 +197,7 @@ def check_drift_bound() -> CriterionResult:
     n_viol = int(np.sum(np.linalg.norm(b, axis=-1) > sup_bound * (1 + 1e-12)))
 
     cfg = SimConfig(model=model, start=a, n_steps=1000, seed=1009, n_paths=1000)
-    batch = simulate_batch(cfg, keep_paths=True)
+    batch = simulate_batch(cfg, keep_steps=range(cfg.n_steps + 1))
     times = cfg.time_grid()
     k = 500  # steps strictly before S
     limits = times[1 : k + 1] * c_s * (1 + 1e-12)
@@ -301,9 +300,11 @@ def check_determinism() -> CriterionResult:
              ["field", "--model", "true-bridge", "--target", "0.1,-0.2", "--sigma", "0.8",
               "--T", "1", "--t", "0.9", "--grid", "9"],
              ["field.csv"]),
-            ("weights",
-             ["weights", "--manifest", str(sim_dir / "manifest.json"), "--cutoff", "0.5"],
-             ["weights.csv"]),
+            # A finished run's log weights, recomputed from its manifest.
+            ("resimulate",
+             ["simulate", "--config", str(sim_dir / "manifest.json"), "--cutoff", "0.5",
+              "--thin", "7"],
+             ["paths.csv", "endpoints.csv"]),
         ]
         for name, args, files in jobs:
             dirs = [root / f"{name}_{i}" for i in range(3)]

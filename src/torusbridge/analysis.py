@@ -154,7 +154,7 @@ def agreement_rate(config_a: SimConfig, config_b: SimConfig) -> AgreementReport:
     """
     if config_a.model.diagnostic_target != config_b.model.diagnostic_target:
         raise ValueError("coupled configs must condition on the same target")
-    batch_a, batch_b = simulate_batch([config_a, config_b], keep_paths=False)
+    batch_a, batch_b = simulate_batch([config_a, config_b])
     resolved = ~(batch_a.unresolved | batch_b.unresolved)
     same = np.all(
         batch_a.limiting_lattice_points == batch_b.limiting_lattice_points, axis=-1

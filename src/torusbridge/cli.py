@@ -4,8 +4,10 @@ Subcommands:
   simulate   run a batch and write paths.csv, endpoints.csv, manifest.json
   compare    run coupled model pairs and write agreement.csv
   field      evaluate a drift vector field on a grid into field.csv
-  weights    recompute a finished run from its manifest and emit log weights
   check      run the acceptance suite and print one line per criterion
+
+A finished run's log weights come from ``simulate --config RUN/manifest.json
+--cutoff S``, with a large ``--thin`` to keep paths.csv short.
 
 Every floating-point CSV value is the bytes of "%.17g" (17 significant
 digits, enough to round-trip a double), and every run is a pure function of
@@ -16,9 +18,9 @@ rounded 17-digit decimal exactly, with Dekker's error-free product, and
 builds its text in four uint64 words from tables of digits and of masks;
 every other value goes through "%.17g" itself.  ``_format_g17`` shifts each
 text to the start of an S24 item.  paths.csv is laid out in numpy too, a few
-paths at a time (``_path_blocks``): each block's states are gathered from the
-batch's ``states`` array with one ``np.take``, its rows go into one uint8
-frame of NUL-padded fields, and dropping the NULs leaves its bytes.  The other
+paths at a time (``_path_blocks``) from the batch's ``states``, which hold
+only the states the file shows: each block's rows go into one uint8 frame of
+NUL-padded fields, and dropping the NULs leaves its bytes.  The other
 files' rows are bytes "%" templates with the formatted floats as "%s" fields.
 
 ``simulate`` runs on two CPUs when paths.csv has ``_MIN_SPLIT_BLOCKS`` blocks
@@ -280,15 +282,15 @@ def _block_paths(n_states: int) -> int:
 
 
 def _path_blocks(states, steps, times, first=0):
-    """The rows of paths.csv, the states ``steps`` (at ``times``) of each path of
-    ``states``, a block of paths (``_block_paths``) at a time; ids start at ``first``.
+    """The rows of paths.csv from ``states``, shape (paths, len(steps), 2): the
+    states of grid steps ``steps`` (at ``times``) of each path, a block of paths
+    (``_block_paths``) at a time; ids start at ``first``.
 
-    A block's states are gathered with one ``np.take``, and its rows are laid
-    out in one reused uint8 frame, a row per state: the path id and ",", the
-    "step,t," text (the same for every path, so formatted once), x1's 24
-    "%.17g" bytes, ",", x2's 24 bytes and a newline, each field padded with
-    NUL to its widest value or around its text.  Dropping the NULs in one pass
-    leaves the block's bytes.
+    A block's rows are laid out in one reused uint8 frame, a row per state:
+    the path id and ",", the "step,t," text (the same for every path, so
+    formatted once), x1's 24 "%.17g" bytes, ",", x2's 24 bytes and a newline,
+    each field padded with NUL to its widest value or around its text.
+    Dropping the NULs in one pass leaves the block's bytes.
     """
     stamps = np.array([b"%d,%s," % row for row in zip(steps.tolist(), _format_g17(times).tolist())])
     width = len(b"%d," % (first + len(states) - 1))  # of the widest path id and its ","
@@ -296,17 +298,15 @@ def _path_blocks(states, steps, times, first=0):
     frame = np.zeros((per_block, len(steps), width + stamps.itemsize + 50), dtype=np.uint8)
     frame[:, :, width:-50] = stamps.view(np.uint8).reshape(len(steps), -1)
     frame[:, :, -26], frame[:, :, -1] = ord(","), ord("\n")
-    xs = np.empty((per_block, len(steps), 2))
-    rows = np.empty((min(xs.size, _G17_BLOCK), 4), dtype=np.uint64)
+    rows = np.empty((min(per_block * len(steps) * 2, _G17_BLOCK), 4), dtype=np.uint64)
     fields = rows.view(np.uint8)[:, 2:26].reshape(-1, 2, 24)  # x1 and x2 of a state
     for lo in range(0, len(states), per_block):
         block = states[lo:lo + per_block]
-        f, x = frame[:len(block)], xs[:len(block)]
+        f = frame[:len(block)]
         ids = np.array([b"%d," % pid for pid in range(first + lo, first + lo + len(block))],
                        dtype=f"S{width}")
         f[:, :, :width] = ids.view(np.uint8).reshape(-1, 1, width)
-        np.take(block, steps, axis=1, out=x, mode="clip")
-        flat, lines = x.reshape(-1), f.reshape(-1, f.shape[-1])
+        flat, lines = block.reshape(-1), f.reshape(-1, f.shape[-1])
         for i in range(0, flat.size, _G17_BLOCK):  # more than one only for a long path
             part = flat[i:i + _G17_BLOCK]
             _g17_rows(part, rows[:part.size])
@@ -397,14 +397,15 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     what = f"simulating and formatting paths {split} to {n - 1}"
 
     def run_half(out):  # the child's work: its endpoint rows, then its paths.csv bytes
-        half = simulate_batch(config, keep_paths=True, weight_cutoff=cutoff, rows=range(split, n))
+        half = simulate_batch(config, keep_steps=steps, weight_cutoff=cutoff,
+                              rows=range(split, n))
         out.writelines(_endpoint_arrays(half).values())
         out.writelines(_path_blocks(half.states, steps, times, split))
 
     with _forked(run_half if split else None, what, out_dir) as join:
         if join is None:
             split = n
-        batch = simulate_batch(config, keep_paths=True, weight_cutoff=cutoff, rows=range(split))
+        batch = simulate_batch(config, keep_steps=steps, weight_cutoff=cutoff, rows=range(split))
         # Every path's endpoint columns: this process's rows, then the child's.
         ends = {name: np.concatenate([a, np.empty((n - split, *a.shape[1:]), a.dtype)])
                 for name, a in _endpoint_arrays(batch).items()}
@@ -486,20 +487,6 @@ def cmd_field(ns: argparse.Namespace) -> int:
             for row in _format_g17(np.concatenate([points, vectors], axis=1)).tolist())
     _write_csv(out_dir / "field.csv", "x1,x2,b1,b2", rows)
     print(f"wrote {len(points)} field samples to {out_dir / 'field.csv'}")
-    return 0
-
-
-def cmd_weights(ns: argparse.Namespace) -> int:
-    manifest = json.loads(Path(ns.manifest).read_text())
-    if not isinstance(manifest, dict) or "config" not in manifest:
-        raise ValueError(f"{ns.manifest} does not look like a run manifest")
-    config = config_from_dict(manifest["config"])
-    batch = simulate_batch(config, keep_paths=False, weight_cutoff=ns.cutoff)
-    out_dir = Path(ns.out) if ns.out else Path(ns.manifest).parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = (b"%d,%s\n" % row for row in enumerate(_format_g17(batch.log_weights).tolist()))
-    _write_csv(out_dir / "weights.csv", "path_id,log_weight", rows)
-    print(f"wrote {batch.n_paths} log weights to {out_dir / 'weights.csv'}")
     return 0
 
 
@@ -586,13 +573,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="rectangle 'x1min,x1max,x2min,x2max'")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_field)
-
-    p = sub.add_parser("weights", help="recompute a run from its manifest and emit log weights")
-    p.add_argument("--manifest", required=True, help="manifest.json of a finished run")
-    p.add_argument("--cutoff", type=float, required=True,
-                   help="grid time S in (0,T) the weights integrate to")
-    p.add_argument("--out", default=None, help="output directory (default: manifest's)")
-    p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("check", help="run the acceptance suite")
     p.add_argument("--criterion", type=int, action="append", default=None,

@@ -35,18 +35,19 @@ its own chunks, while this process runs the first; the child sends back the
 raw bytes of its rows through an anonymous file (:func:`_read_rows`).
 :func:`_forked` alone decides whether a child can run, and runs one at a
 time; when none can, the batch runs whole here.  The results are then
-checked in path order, one ``CHUNK_SIZE`` range at a time, so a bad run
-raises the error of a one-process run.  Within a chunk the noise is drawn
-``NOISE_BLOCK`` steps at a time into one reused buffer, each stream
+checked in path order, one ``CHUNK_SIZE`` range at a time, and the first bad
+path's error is raised, so a bad run raises the error of a one-process run
+whatever the split.  Within a chunk the noise is drawn ``NOISE_BLOCK`` steps
+at a time into one reused buffer, each stream
 continuing where its last block stopped; a numpy ``Generator`` keeps no
 cached normal, so this gives the bits of a whole-stream draw.  Chunking and
 blocking thus bound the memory in flight without changing any output byte:
-with no path kept, a chunk holds one noise block and its current states,
+with no step kept, a chunk holds one noise block and its current states,
 whatever the step count.  Each step before the weight cutoff adds its
 Girsanov term to the running log weights just before the state moves, in
 step order and so with the bits of :func:`girsanov.log_girsanov_weight` for
-the same path.  The per-step states exist only when paths are kept, and the
-whole increment array only in :func:`wiener_increments`, which
+the same path.  States are stored only at the steps asked for, and the
+whole increment array exists only in :func:`wiener_increments`, which
 :func:`simulate_path` attaches.  A coupled batch draws each block once for
 all its models and steps them in one loop; the grid is validated once per
 batch and the log weights once per chunk, not once per step.
@@ -87,11 +88,11 @@ __all__ = [
     "config_from_dict",
 ]
 
-# Paths per chunk, and steps per noise draw within a chunk.  Unless paths are
-# kept, a chunk's arrays in flight are its (CHUNK_SIZE, NOISE_BLOCK, 2) noise
-# buffer, 2 MiB, and its (CHUNK_SIZE, 2) states and weights; no output byte
-# depends on either size.  Wide chunks spread
-# the step loop's per-call numpy overhead over more paths; short blocks cost
+# Paths per chunk, and steps per noise draw within a chunk.  Besides the states
+# kept at the steps asked for, a chunk's arrays in flight are its (CHUNK_SIZE,
+# NOISE_BLOCK, 2) noise buffer, 2 MiB, and its (CHUNK_SIZE, 2) states and
+# weights; no output byte depends on either size.  Wide chunks spread the step
+# loop's per-call numpy overhead over more paths; short blocks cost
 # more per-stream draw calls: into one buffer, drawing a 2048 x 1000 chunk took
 # about 48 % longer in 64-step blocks than in one whole draw and 23 % longer
 # in 128-step ones (1024 paths: 45 % and 19 %), but 128 x 2048 would double
@@ -157,14 +158,14 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class PathSample:
-    """One discretised trajectory.
+    """One discretised trajectory, or the states of it at some grid steps.
 
-    ``times`` has length n_steps + 1 with times[0] = 0 and times[-1] = T;
-    ``states`` holds the plane states, shape (n_steps + 1, 2), with
-    states[0] equal to the configured start; ``increments`` holds the
-    driving dW per step, shape (n_steps, 2), from which the recursion can
-    be replayed exactly: :func:`simulate_path` attaches them, batch paths
-    carry states only.
+    ``states`` holds the plane states at the grid times ``times``, one row
+    each.  A path of :func:`simulate_path` holds every step: ``times`` has
+    length n_steps + 1 with times[0] = 0 and times[-1] = T, states[0] is the
+    configured start, and ``increments`` holds the driving dW per step,
+    shape (n_steps, 2), from which the recursion can be replayed exactly.
+    Batch paths hold the states of the batch's kept steps only.
     """
 
     times: np.ndarray
@@ -180,11 +181,12 @@ class BatchResult:
     that the nearest lift of the diagnostic target to the terminal state
     is target + k; rows where the terminal state sits on the cut locus
     (no unique nearest lift) are flagged in ``unresolved`` and their k is
-    meaningless.  ``states`` holds the (n_paths, n_steps + 1, 2) kept states, or
-    None; ``log_weights`` is filled when a weight cutoff was requested, and
-    ``snapshots`` maps requested step indices to (n_paths, 2) state arrays.
-    A run of a range of the config's paths has one row per path of the range,
-    so ``n_paths`` is the range's length.
+    meaningless.  ``kept_steps`` holds the grid step indices whose states
+    were kept, in step order, and ``states`` those states, shape
+    (n_paths, len(kept_steps), 2); both are None when no step was kept.
+    ``log_weights`` is filled when a weight cutoff was requested.  A run of
+    a range of the config's paths has one row per path of the range, so
+    ``n_paths`` is the range's length.
     """
 
     config: SimConfig
@@ -193,7 +195,7 @@ class BatchResult:
     unresolved: np.ndarray
     states: np.ndarray | None = None
     log_weights: np.ndarray | None = None
-    snapshots: dict[int, np.ndarray] | None = None
+    kept_steps: np.ndarray | None = None
 
     @property
     def n_paths(self) -> int:
@@ -201,10 +203,11 @@ class BatchResult:
 
     @property
     def paths(self) -> list[PathSample] | None:
-        """The kept paths, :class:`PathSample` row views of ``states`` sharing one ``times``."""
+        """The kept paths, :class:`PathSample` row views of ``states`` sharing one
+        ``times``, the grid times of ``kept_steps``."""
         if self.states is None:
             return None
-        times = self.config.time_grid()
+        times = self.config.time_grid()[self.kept_steps]
         return [PathSample(times=times, states=row) for row in self.states]
 
 
@@ -447,9 +450,9 @@ def _run_chunk(config: SimConfig, lo: int, hi: int, times: np.ndarray,
                rows: Sequence[BatchResult], cutoff_step: int) -> None:
     """Step every model over paths [lo, hi) of ``config``'s grid on shared noise,
     drawn ``NOISE_BLOCK`` steps at a time, into ``rows``, one result per model
-    narrowed to these paths (:func:`_rows`): their terminal, snapshot and, if
-    kept, per-step states, and their log weights, which the caller checks for
-    overflow.
+    narrowed to these paths (:func:`_rows`): their terminal states, their
+    states at the kept steps, each stored in its slot as the step is reached,
+    and their log weights, which the caller checks for overflow.
 
     Each block is drawn, then stepped.  A step copies its noise column through a
     16-byte view of the block into one reused (paths, 2) buffer, a pair per item,
@@ -466,7 +469,8 @@ def _run_chunk(config: SimConfig, lo: int, hi: int, times: np.ndarray,
     noise_pairs, dW_pairs = noise.view("V16")[:, 0], dW.view("V16")[..., 0]
     models = [out.config.model for out in rows]
     xs = [np.full((hi - lo, 2), config.start) for _ in rows]
-    snapshots = rows[0].snapshots or {}
+    kept = rows[0].kept_steps
+    slots = {} if kept is None else {s: j for j, s in enumerate(kept.tolist())}
     for first in range(0, n, width):
         last = min(first + width, n)
         block = _chunk_increments(streams, dW[:, :last - first], dt)
@@ -474,33 +478,32 @@ def _run_chunk(config: SimConfig, lo: int, hi: int, times: np.ndarray,
             b = i - first
             noise_pairs[...] = dW_pairs[:, b]
             noise *= sigma
+            slot = slots.get(i)
             for j, (out, model) in enumerate(zip(rows, models)):
-                if out.states is not None:
-                    out.states[:, i] = xs[j]
-                if i in snapshots:
-                    out.snapshots[i][...] = xs[j]
+                if slot is not None:
+                    out.states[:, slot] = xs[j]
                 if i < cutoff_step:
                     girsanov.path_log_weights(t, xs[j], block[:, b], dt, model, out.log_weights)
                 xs[j] = _step(t, xs[j], dt, noise, model)
+    slot = slots.get(n)
     for out, x in zip(rows, xs):
         out.terminal_points[...] = x
-        if out.states is not None:
-            out.states[:, n] = x
-        if n in snapshots:
-            out.snapshots[n][...] = x
+        if slot is not None:
+            out.states[:, slot] = x
 
 
-def _results(configs: Sequence[SimConfig], n_paths: int, keep_paths: bool,
-             snapshot_steps: Sequence[int], weighted: bool) -> list[BatchResult]:
-    """One unfilled result of ``n_paths`` paths per config."""
+def _results(configs: Sequence[SimConfig], n_paths: int, kept_steps: np.ndarray | None,
+             weighted: bool) -> list[BatchResult]:
+    """One unfilled result of ``n_paths`` paths per config, keeping the states
+    of the grid steps ``kept_steps`` (None: none)."""
     return [BatchResult(
         config=c,
         terminal_points=np.empty((n_paths, 2)),
         limiting_lattice_points=np.empty((n_paths, 2), dtype=np.int64),
         unresolved=np.empty(n_paths, dtype=bool),
-        states=np.empty((n_paths, configs[0].n_steps + 1, 2)) if keep_paths else None,
+        states=None if kept_steps is None else np.empty((n_paths, len(kept_steps), 2)),
         log_weights=np.zeros(n_paths) if weighted else None,  # the step terms' sums
-        snapshots={s: np.empty((n_paths, 2)) for s in snapshot_steps} or None,
+        kept_steps=kept_steps,
     ) for c in configs]
 
 
@@ -508,8 +511,7 @@ def _rows(results: Sequence[BatchResult], lo: int, hi: int) -> list[BatchResult]
     """``results`` narrowed to the row views of paths [lo, hi) that :func:`_run_chunk` fills."""
     return [replace(out, terminal_points=out.terminal_points[lo:hi],
                     states=None if out.states is None else out.states[lo:hi],
-                    log_weights=None if out.log_weights is None else out.log_weights[lo:hi],
-                    snapshots={s: a[lo:hi] for s, a in (out.snapshots or {}).items()})
+                    log_weights=None if out.log_weights is None else out.log_weights[lo:hi])
             for out in results]
 
 
@@ -522,17 +524,39 @@ def simulate_path(config: SimConfig, path_index: int = 0) -> PathSample:
     """
     path_index = _path_index(path_index, config.n_paths)
     times = config.time_grid()
-    rows = _results([config], 1, True, (), False)
+    rows = _results([config], 1, np.arange(config.n_steps + 1), False)
     _run_chunk(config, path_index, path_index + 1, times, rows, 0)
     return PathSample(times=times, states=rows[0].states[0], increments=wiener_increments(
         config.seed, path_index, config.n_steps, config.dt))
 
 
+def _check_paths(results: Sequence[BatchResult], lo: int, hi: int) -> None:
+    """Refuse rows [lo, hi) of ``results`` in one line if a path there has a
+    log weight that overflowed or a terminal state beyond 2**52: the first
+    such path's error, model by model its weight's and then its terminal
+    state's, so the line does not depend on how the rows were split."""
+    ok = np.ones(hi - lo, dtype=bool)
+    for out in results:
+        ok &= (np.abs(out.terminal_points[lo:hi]) <= MAX_PLANE_COORD).all(axis=1)  # NaN too
+        if out.log_weights is not None:
+            ok &= np.isfinite(out.log_weights[lo:hi])
+    if ok.all():
+        return
+    p = lo + int(ok.argmin())
+    for out in results:
+        if out.log_weights is not None:
+            girsanov._check_overflow(out.log_weights[p], out.config.model.sigma)
+        if not (np.abs(out.terminal_points[p]) <= MAX_PLANE_COORD).all():
+            raise ValueError(
+                f"{out.config.model.variant} terminal states exceed 2**52 in magnitude "
+                f"(sigma = {out.config.model.sigma}), beyond which a double cannot hold "
+                f"a torus position")
+
+
 def simulate_batch(
     config: SimConfig | Sequence[SimConfig],
     *,
-    keep_paths: bool = True,
-    snapshot_steps: Sequence[int] | None = None,
+    keep_steps: Sequence[int] | None = None,
     weight_cutoff: float | None = None,
     rows: range | None = None,
 ) -> BatchResult | list[BatchResult]:
@@ -549,10 +573,11 @@ def simulate_batch(
         config: experiment description, or a sequence of coupled configs
             (see :func:`require_coupled`), whose models are stepped in one
             loop on one noise draw per chunk.
-        keep_paths: keep every path's states in ``states`` (memory heavy
-            for large batches; diagnostics never need them).
-        snapshot_steps: grid step indices whose states are stored for all
-            paths regardless of ``keep_paths``.
+        keep_steps: the grid step indices, integers in [0, n_steps], whose
+            states are kept for every path, in ``states`` in step order, with
+            duplicates collapsed; None, the default, or an empty sequence
+            keeps none.  Each kept step costs 16 bytes per path; diagnostics
+            never need them.
         weight_cutoff: when set to a grid time S in (0, T), fill
             ``log_weights`` with the Girsanov log weight of each path
             accumulated over [0, S).
@@ -571,11 +596,11 @@ def simulate_batch(
     for other in configs[1:]:
         require_coupled(configs[0], other)
     grid = configs[0]
-    steps = [] if snapshot_steps is None else list(snapshot_steps)
+    steps = [] if keep_steps is None else list(keep_steps)
     for s in steps:
         if not (_finite(s) and int(s) == s and 0 <= s <= grid.n_steps):
-            raise ValueError(f"snapshot step must be an integer in [0, {grid.n_steps}]; got {s!r}")
-    snapshot_list = sorted({int(s) for s in steps})
+            raise ValueError(f"kept step must be an integer in [0, {grid.n_steps}]; got {s!r}")
+    kept = np.array(sorted({int(s) for s in steps}), dtype=np.intp) if steps else None
     # Validate eagerly so a bad cutoff or range fails before any simulation work.
     cutoff_step = 0 if weight_cutoff is None else girsanov.cutoff_index(
         grid.dt, grid.n_steps, grid.model.horizon, weight_cutoff)
@@ -588,16 +613,15 @@ def simulate_batch(
     times = grid.time_grid()
     first, end = rows.start, rows.stop
     n_rows = end - first
-    results = _results(configs, n_rows, keep_paths, snapshot_list, weight_cutoff is not None)
+    results = _results(configs, n_rows, kept, weight_cutoff is not None)
 
     split = first + n_rows // 2
     if n_rows // 2 < _MIN_SPLIT_PATHS or n_rows * grid.n_steps * len(configs) < _MIN_SPLIT_WORK:
         split = end
     what = f"simulating paths {split} to {end - 1}"
     # The child's rows of every array it fills, which it sends back as raw bytes.
-    half = [a[split - first:] for out in results for a in (
-        out.terminal_points, out.log_weights, out.states, *(out.snapshots or {}).values())
-            if a is not None]
+    half = [a[split - first:] for out in results
+            for a in (out.terminal_points, out.log_weights, out.states) if a is not None]
 
     def run_half(out):  # the child's work
         for lo in range(split, end, CHUNK_SIZE):
@@ -616,17 +640,10 @@ def simulate_batch(
 
     for lo in range(0, n_rows, CHUNK_SIZE):
         hi = min(lo + CHUNK_SIZE, n_rows)
+        _check_paths(results, lo, hi)
         for out in results:
-            if out.log_weights is not None:
-                girsanov._check_overflow(out.log_weights[lo:hi], out.config.model.sigma)
-            x = out.terminal_points[lo:hi]
-            if not (np.abs(x) <= MAX_PLANE_COORD).all():  # also NaN and inf
-                raise ValueError(
-                    f"{out.config.model.variant} terminal states exceed 2**52 in magnitude "
-                    f"(sigma = {out.config.model.sigma}), beyond which a double cannot hold "
-                    f"a torus position")
             out.limiting_lattice_points[lo:hi], out.unresolved[lo:hi] = nearest_offset(
-                x - np.asarray(out.config.model.diagnostic_target))
+                out.terminal_points[lo:hi] - np.asarray(out.config.model.diagnostic_target))
 
     return results[0] if isinstance(config, SimConfig) else results
 

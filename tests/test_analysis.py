@@ -40,7 +40,7 @@ class TestTerminalConvergence:
         distance once the terminal error is well inside one square."""
         cfg = _cfg(EuclideanBridge(sigma=0.5, horizon=1.0, endpoint=A0),
                    n_steps=1000, seed=60, n_paths=500)
-        batch = simulate_batch(cfg, keep_paths=False)
+        batch = simulate_batch(cfg)
         d_torus = terminal_distances(batch, A0)
         d_plane = np.linalg.norm(batch.terminal_points - A0, axis=-1)
         np.testing.assert_allclose(d_torus, d_plane, atol=1e-12)
@@ -53,7 +53,7 @@ class TestTerminalConvergence:
         for n_steps, seed in ((250, 61), (500, 62), (1000, 63)):
             cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
                        n_steps=n_steps, seed=seed, n_paths=1000)
-            batch = simulate_batch(cfg, keep_paths=False)
+            batch = simulate_batch(cfg)
             q99.append(terminal_convergence(batch, A0).q99)
         assert q99[1] <= 1.10 * q99[0]
         assert q99[2] <= 1.10 * q99[1]
@@ -64,7 +64,7 @@ class TestTerminalConvergence:
         (about 0.3989, from the area of the disc of mass 1/2)."""
         cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0),
                    n_steps=200, seed=2101, n_paths=4000)
-        batch = simulate_batch(cfg, keep_paths=False)
+        batch = simulate_batch(cfg)
         med = terminal_convergence(batch, A0).q50
         assert med == pytest.approx(np.sqrt(1.0 / (2.0 * np.pi)), abs=0.012)
 
@@ -84,7 +84,7 @@ class TestEndpointHistogram:
     def test_counts_conserve_paths(self):
         cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
                    n_steps=200, seed=64, n_paths=500)
-        hist = lattice_endpoint_histogram(simulate_batch(cfg, keep_paths=False))
+        hist = lattice_endpoint_histogram(simulate_batch(cfg))
         assert sum(hist.counts.values()) + hist.n_unresolved == hist.n_total == 500
 
     def test_single_endpoint_bridge_fills_one_bin(self):
@@ -92,7 +92,7 @@ class TestEndpointHistogram:
         relative to the projected endpoint."""
         cfg = _cfg(EuclideanBridge(sigma=0.5, horizon=1.0, endpoint=(1.0, 0.0)),
                    n_steps=1000, seed=65, n_paths=300)
-        hist = lattice_endpoint_histogram(simulate_batch(cfg, keep_paths=False))
+        hist = lattice_endpoint_histogram(simulate_batch(cfg))
         assert hist.counts == {(1, 0): 300}
         assert hist.mass((1, 0)) == 1.0
 
@@ -177,7 +177,7 @@ class TestAgreementRate:
         report = agreement_rate(cfg_a, cfg_b)
         for cfg, offsets, unresolved in ((cfg_a, report.offsets_a, report.unresolved_a),
                                          (cfg_b, report.offsets_b, report.unresolved_b)):
-            alone = simulate_batch(cfg, keep_paths=False)
+            alone = simulate_batch(cfg)
             np.testing.assert_array_equal(offsets, alone.limiting_lattice_points)
             np.testing.assert_array_equal(unresolved, alone.unresolved)
         assert 0 < report.n_agree < report.n_pairs

@@ -57,13 +57,16 @@ def _oracle_offsets(k, unresolved):
 
 
 def _oracle_paths(batch, thin):
+    """paths.csv at ``--thin thin`` from a batch that kept exactly those steps."""
     n = batch.config.n_steps
     steps = [i for i in range(n + 1) if i % thin == 0]
     if steps[-1] != n:
         steps.append(n)
+    assert batch.kept_steps.tolist() == steps
+    times = batch.config.time_grid()
     return _oracle_csv("path_id,step,t,x1,x2", (
-        [str(pid), str(i), _fmt(p.times[i]), _fmt(p.states[i, 0]), _fmt(p.states[i, 1])]
-        for pid, p in enumerate(batch.paths) for i in steps))
+        [str(pid), str(i), _fmt(times[i]), _fmt(x[0]), _fmt(x[1])]
+        for pid, states in enumerate(batch.states) for i, x in zip(steps, states)))
 
 
 def _oracle_endpoints(batch):
@@ -228,8 +231,6 @@ class TestSimulate:
         rc = _run("simulate", "--config", cfg_file, "--model", "free-bm", "--out", tmp_path)
         assert rc == 2
         _assert_one_error_line(capsys, "JSON object", "list")
-        assert _run("weights", "--manifest", cfg_file, "--cutoff", "0.5") == 2
-        _assert_one_error_line(capsys, "manifest")
 
 
     @pytest.mark.parametrize("edit, needles", [
@@ -277,7 +278,7 @@ class TestSimulate:
          ("cut_locus_tol must be 0; got 0.05",)),
         (lambda m: m["output"].update(thin=True), ("thin", "True")),
         (lambda m: m["output"].update(weight_cutoff=True), ("cutoff", "True")),
-        # simulate --config reads its block as strictly as weights --manifest.
+        # simulate --config reads its block strictly.
         (lambda m: m["config"].update(n_step=50), ("unknown key(s) ['n_step']",)),
         (lambda m: m["config"].update(bogus=1), ("unknown key(s) ['bogus']",)),
     ])
@@ -396,6 +397,22 @@ class TestPinnedBytes:
             "endpoints.csv": "77b871a153d76389ddacd39f7b8ba3668e5424751f13b29e5bbcec618a54f0e3",
         }
 
+    # Taken while batches still kept every step of a path and paths.csv picked
+    # the --thin steps from them.
+    @pytest.mark.parametrize("steps, paths, thin, digests", [
+        (200, 30, 7, {
+            "paths.csv": "7de6589dc7926a74aa964f301150d1744fad27a20387e2ed9f7642f6ce5b19ce",
+            "endpoints.csv": "e45aa1c95343c24e5bbdc91da98b33eb3e9078b48d203f720382a65a47e4bf11"}),
+        (20, 5, 1000, {
+            "paths.csv": "e3812cfa7be4fc2b00c5bce77fec5810fbc0a9223ef28de2714ffd973440de9a",
+            "endpoints.csv": "a25ac35c77bdc57fe8cade970a7a64449b091189ca25551e3a3ab3899a8c5007"}),
+    ], ids=["thin-7", "thin-past-steps"])
+    def test_simulate_thinned(self, tmp_path, steps, paths, thin, digests):
+        assert _run("simulate", "--model", "proposed", "--target", "0.3,-0.1", "--sigma", "0.7",
+                    "--seed", "11", "--cutoff", "0.5", "--steps", steps, "--paths", paths,
+                    "--thin", thin, "--out", tmp_path) == 0
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in digests} == digests
 
     # perfbench/workloads.py's simulate-paths command at benchmark seed 1,
     # whose --seed is cli_seed("simulate-paths", 1).
@@ -480,14 +497,14 @@ class TestWriterBytes:
         assert (tmp_path / "field.csv").read_bytes() == _oracle_csv("x1,x2,b1,b2", (
             [_fmt(p[0]), _fmt(p[1]), _fmt(b[0]), _fmt(b[1])] for p, b in zip(points, vectors)))
 
+        # A finished run's log weights at another cutoff, from its manifest.
         _run("simulate", "--model", "proposed", "--target", "0,0", "--steps", "10",
              "--paths", "3", "--seed", "8", "--out", tmp_path / "run")
         seen = _capture(monkeypatch, "simulate_batch")
-        _run("weights", "--manifest", tmp_path / "run" / "manifest.json", "--cutoff", "0.3",
-             "--out", tmp_path / "w")
-        assert (tmp_path / "w" / "weights.csv").read_bytes() == _oracle_csv(
-            "path_id,log_weight",
-            ([str(pid), _fmt(lw)] for pid, lw in enumerate(seen[0].log_weights)))
+        _run("simulate", "--config", tmp_path / "run" / "manifest.json", "--cutoff", "0.3",
+             "--thin", "10", "--out", tmp_path / "w")
+        assert (tmp_path / "w" / "endpoints.csv").read_bytes() == _oracle_endpoints(seen[0])
+        assert (tmp_path / "w" / "paths.csv").read_bytes() == _oracle_paths(seen[0], 10)
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
     @example(-0.0)
@@ -600,15 +617,17 @@ class TestForkedSimulate:
 
     @staticmethod
     def _spoil(monkeypatch, bad):
-        """Make every chunk leave the terminal state or log weight of the paths
-        ``bad`` names, ``{path index: field}``, infinite, in either process."""
+        """Make every chunk leave the terminal state or log weight, or both, of
+        the paths ``bad`` names, ``{path index: fields}``, infinite, in either
+        process."""
         real = engine._run_chunk
 
         def run_chunk(config, lo, hi, times, rows, cutoff_step):
             real(config, lo, hi, times, rows, cutoff_step)
-            for k, name in bad.items():
-                if lo <= k < hi:
-                    getattr(rows[0], name)[k - lo] = np.inf
+            for k, names in bad.items():
+                for name in names.split():
+                    if lo <= k < hi:
+                        getattr(rows[0], name)[k - lo] = np.inf
 
         monkeypatch.setattr(engine, "_run_chunk", run_chunk)
 
@@ -634,18 +653,22 @@ class TestForkedSimulate:
     @pytest.mark.parametrize("bad, needle", [
         ({3: "terminal_points", 40: "log_weights"}, "error: proposed terminal states exceed"),
         ({3: "log_weights", 40: "terminal_points"}, "error: the log weights overflow a double"),
-    ], ids=["terminal-first", "weight-first"])
-    def test_with_both_halves_bad_the_first_half_wins(self, tmp_path, monkeypatch, capsys,
-                                                      forks, bad, needle):
-        """This process checks its half before it waits for the child, so its
-        error is the line.  A one-process run checks the weights of a chunk of
-        paths before their terminal states, so where the first half's terminal
-        state and the second half's weight are bad, it names the weight."""
+        ({3: "log_weights terminal_points"}, "error: the log weights overflow a double"),
+    ], ids=["terminal-first", "weight-first", "both-in-one-path"])
+    def test_with_both_halves_bad_the_first_bad_path_wins(self, tmp_path, monkeypatch, capsys,
+                                                          forks, bad, needle):
+        """Paths are checked in order, and the first bad one's error is the
+        line, its weight's before its terminal state's: a split run, whose
+        process checks its half before it waits for the child, and a
+        one-process run, whose one chunk holds both bad paths, print the same."""
         self._spoil(monkeypatch, bad)
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-        assert _run(*self.SIM, "--steps", "1000", "--paths", "64", "--cutoff", "0.5",
-                    "--out", tmp_path) == 2
-        _assert_one_error_line(capsys, needle)
+        lines = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(engine, "_usable_cpus", lambda cpus=cpus: cpus)
+            assert _run(*self.SIM, "--steps", "1000", "--paths", "64", "--cutoff", "0.5",
+                        "--out", tmp_path) == 2
+            lines.append(capsys.readouterr().err)
+        assert lines[0] == lines[1] and lines[0].startswith(needle) and lines[0].count("\n") == 1
         assert len(forks) == 1 and os.listdir(tmp_path) == []
         _assert_no_child_left()
 
@@ -705,12 +728,13 @@ class TestForkedSimulate:
         offsets = rng.integers(-2**40, 2**40, size=(n_paths, 2))
         unresolved, log_weights = rng.random(n_paths) < 0.3, rng.standard_normal(n_paths)
 
-        def batch(config, *, keep_paths, weight_cutoff, rows=range(n_paths)):
+        def batch(config, *, keep_steps, weight_cutoff, rows=range(n_paths)):
             part = slice(rows.start, rows.stop)
             return engine.BatchResult(
                 config=config, terminal_points=states[part, -1].copy(),
                 limiting_lattice_points=offsets[part], unresolved=unresolved[part],
-                states=states[part], log_weights=log_weights[part])
+                states=states[part][:, keep_steps], log_weights=log_weights[part],
+                kept_steps=np.asarray(keep_steps))
 
         steps = np.arange(0, n_steps + 1, min(thin, n_steps))
         steps = steps if steps[-1] == n_steps else np.append(steps, n_steps)
@@ -734,7 +758,7 @@ class TestForkedSimulate:
                 assert sorted(os.listdir(out)) == ["endpoints.csv", "manifest.json", "paths.csv"]
                 written.append([(out / name).read_bytes() for name in ("paths.csv",
                                                                        "endpoints.csv")])
-        assert written[0] == written[1] == [oracle, _oracle_endpoints(batch(None, keep_paths=True,
+        assert written[0] == written[1] == [oracle, _oracle_endpoints(batch(None, keep_steps=steps,
                                                                             weight_cutoff=None))]
         assert len(forks) == (n_blocks >= max(min_blocks, 2))
 
@@ -1025,7 +1049,8 @@ class TestFormatG17:
 class TestWorkersFlag:
     """``simulate --workers`` and ``compare --workers/--truncation`` are
     accepted and ignored: batches pick their own split and the true bridge
-    sums every lift.  The other commands' ignored flags are retired."""
+    sums every lift.  The other commands' ignored flags are retired, and so is
+    the ``weights`` command that took one (see ``TestErrorLines``)."""
 
     @pytest.mark.parametrize("flag, value", [
         pytest.param("--workers", 3, id="3"),
@@ -1051,8 +1076,7 @@ class TestWorkersFlag:
     @pytest.mark.parametrize("args", [
         ("simulate", "--model", "true-bridge", "--target", "0,0", "--truncation", "2"),
         ("field", "--model", "true-bridge", "--target", "0,0", "--t", "0.5", "--truncation", "2"),
-        ("weights", "--manifest", "manifest.json", "--cutoff", "0.5", "--workers", "2"),
-    ], ids=["simulate-truncation", "field-truncation", "weights-workers"])
+    ], ids=["simulate-truncation", "field-truncation"])
     def test_retired_flags_exit_2(self, tmp_path, capsys, args):
         assert _run(*args, "--out", tmp_path) == 2 and os.listdir(tmp_path) == []
         _assert_one_error_line(capsys, "unrecognized arguments: --")
@@ -1157,21 +1181,36 @@ class TestField:
         _assert_one_error_line(capsys, needle)
 
 
+def _weights_text(endpoints):
+    """The text the retired ``weights`` command wrote to weights.csv, rebuilt
+    from the path_id and log_weight columns of an endpoints.csv file."""
+    _, rows = _read_csv(endpoints)
+    return "".join(f"{row[0]},{row[6]}\n" for row in [["path_id"] + [""] * 5 + ["log_weight"],
+                                                       *rows]).encode()
+
+
 class TestWeights:
+    """A finished run's log weights come from ``simulate --config
+    RUN/manifest.json --cutoff S``, which reads the manifest's config block
+    as strictly as the retired ``weights --manifest`` did."""
+
     def test_matches_simulate_cutoff_column(self, tmp_path):
         _run("simulate", "--model", "proposed", "--target", "0,0", "--steps", "100",
              "--paths", "8", "--seed", "21", "--cutoff", "0.5",
              "--out", tmp_path / "run")
-        rc = _run("weights", "--manifest", tmp_path / "run" / "manifest.json",
-                  "--cutoff", "0.5", "--out", tmp_path / "w")
+        _run("simulate", "--model", "proposed", "--target", "0,0", "--steps", "100",
+             "--paths", "8", "--seed", "21", "--out", tmp_path / "plain")
+        rc = _run("simulate", "--config", tmp_path / "plain" / "manifest.json",
+                  "--cutoff", "0.5", "--thin", "100", "--out", tmp_path / "w")
         assert rc == 0
-        _, endpoint_rows = _read_csv(tmp_path / "run" / "endpoints.csv")
-        _, weight_rows = _read_csv(tmp_path / "w" / "weights.csv")
-        assert [r[6] for r in endpoint_rows] == [r[1] for r in weight_rows]
+        assert ((tmp_path / "w" / "endpoints.csv").read_bytes()
+                == (tmp_path / "run" / "endpoints.csv").read_bytes())
+        _, rows = _read_csv(tmp_path / "w" / "paths.csv")
+        assert [row[1] for row in rows] == ["0", "100"] * 8
 
     @pytest.mark.parametrize("edit, needles", [
         (lambda c: c.update(bogus=1), ("'bogus'", "SimConfig")),
-        (lambda c: c.pop("start"), ("'start'", "SimConfig")),
+        (lambda c: c["model"].update(variant="proposed"), ("--target x,y is required",)),
         (lambda c: c.update(model=[1]), ("model block",)),
         (lambda c: c.update(start=5), ("start",)),
         (lambda c: c.update(n_steps=None), ("n_steps",)),
@@ -1202,22 +1241,23 @@ class TestWeights:
         edit(manifest["config"])
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
-        rc = _run("weights", "--manifest", tmp_path / "manifest.json", "--cutoff", "0.5")
+        rc = _run("simulate", "--config", tmp_path / "manifest.json", "--cutoff", "0.5",
+                  "--out", tmp_path / "w")
         assert rc == 2
         _assert_one_error_line(capsys, *needles)
+        assert not (tmp_path / "w").exists()
 
     def test_pre_change_manifest_reproduces_weights(self, tmp_path):
         """A manifest written while SimConfig had a record_increments field and
         ProposedBridge a tie-band width and a sigma^2 switch still loads, and gives
-        the weights.csv, paths.csv and endpoints.csv bytes it gave then."""
+        the paths.csv and endpoints.csv bytes it gave then, and the log weights
+        of the weights.csv that the retired weights command wrote from it."""
         old = {"command": "simulate", "version": "0.1.0", "config": {
             "model": {"cut_locus_tol": 0.0, "horizon": 1.0, "scale_by_sigma_sq": False,
                       "sigma": 0.8, "target": [0.1, -0.2], "variant": "proposed"},
             "n_paths": 6, "n_steps": 100, "record_increments": False, "seed": 21,
             "start": [0.0, 0.0]}, "output": {"thin": 1, "weight_cutoff": 0.5}}
         (tmp_path / "old.json").write_text(json.dumps(old))
-        assert _run("weights", "--manifest", tmp_path / "old.json", "--cutoff", "0.5",
-                    "--out", tmp_path / "old") == 0
         assert _run("simulate", "--config", tmp_path / "old.json", "--out", tmp_path / "old") == 0
         for name, digest in (
                 ("paths.csv", "1d030268a856c5b03a543089ce4d1d07f4a0194a26311548e6743577c895be97"),
@@ -1230,19 +1270,20 @@ class TestWeights:
         assert "record_increments" not in manifest["config"]
         assert manifest["config"]["model"] == {"variant": "proposed", "sigma": 0.8,
                                                "horizon": 1.0, "target": [0.1, -0.2]}
-        assert _run("weights", "--manifest", tmp_path / "manifest.json", "--cutoff", "0.5",
-                    "--out", tmp_path / "new") == 0
-        weights = (tmp_path / "old" / "weights.csv").read_bytes()
-        assert weights == (tmp_path / "new" / "weights.csv").read_bytes()
+        assert _run("simulate", "--config", tmp_path / "manifest.json", "--cutoff", "0.5",
+                    "--thin", "100", "--out", tmp_path / "new") == 0
+        weights = _weights_text(tmp_path / "old" / "endpoints.csv")
+        assert weights == _weights_text(tmp_path / "new" / "endpoints.csv")
         assert hashlib.sha256(weights).hexdigest() == (
             "cbd1ad6d3aa84419201457d1e2b432a3225c55a22e73eec8080b2c7196dddb23")
 
-    def test_cutoff_off_grid_fails(self, tmp_path):
+    def test_cutoff_off_grid_fails(self, tmp_path, capsys):
         _run("simulate", "--model", "proposed", "--target", "0,0", "--steps", "100",
              "--paths", "2", "--seed", "21", "--out", tmp_path / "run")
-        rc = _run("weights", "--manifest", tmp_path / "run" / "manifest.json",
+        rc = _run("simulate", "--config", tmp_path / "run" / "manifest.json",
                   "--cutoff", "0.5001", "--out", tmp_path / "w")
         assert rc == 2
+        _assert_one_error_line(capsys, "0.5001")
 
 
 class TestCheck:
@@ -1280,7 +1321,11 @@ class TestErrorLines:
          ("error: --rect expects four numbers; got 'a,b,c,d'",)),
         (("check", "--criterion", "9"), ("criterion index", "got 9")),
         (("check", "--criterion", "0"), ("criterion index", "got 0")),
-        (("weights", "--manifest", "manifest.json", "--cutoff", "0.5"), ("'variant'",)),
+        (("simulate", "--config", "manifest.json", "--cutoff", "0.5"),
+         ("a model is required",)),
+        # The retired weights command: simulate --config M --cutoff S gives its weights.
+        (("weights", "--manifest", "manifest.json", "--cutoff", "0.5"),
+         ("error: argument command: invalid choice: 'weights'",)),
         (("simulate", "--paths", "abc"),
          ("error: argument --paths: invalid int value: 'abc'\n",)),
         (("field", "--t", "0.5", "--truncation", "2"),

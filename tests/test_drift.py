@@ -683,7 +683,7 @@ class TestTrueBridgeLaw:
         sigma, n_paths = 3.0, 4000
         cfg = SimConfig(model=TrueBridge(sigma=sigma, horizon=1.0, target=A0), start=A0,
                         n_steps=500, seed=1, n_paths=n_paths)
-        batch = simulate_batch(cfg, keep_paths=False)
+        batch = simulate_batch(cfg)
         assert not batch.unresolved.any()
         k = batch.limiting_lattice_points.ravel()  # both coordinates, independent
         support = np.arange(-40, 41)
@@ -703,13 +703,12 @@ class TestTrueBridgeLaw:
                              n_steps=500, seed=11, n_paths=n_paths)
                    for cls in (TrueBridge, ProposedBridge)]
         steps = {0.5: 250, 0.9: 450}
-        exact, proposal = simulate_batch(configs, keep_paths=False,
-                                         snapshot_steps=list(steps.values()))
+        exact, proposal = simulate_batch(configs, keep_steps=list(steps.values()))
         # Cell masses of q_t by a 10 x 10 midpoint rule per cell.
         fine = cells * 10
         mid = (np.arange(fine) + 0.5) / fine - 0.5
         y = np.stack(np.meshgrid(mid, mid, indexing="ij"), axis=-1)
-        for t, step in steps.items():
+        for j, (t, step) in enumerate(steps.items()):
             log_q = (wrapped_gaussian_log_density(0.0, A0, t, y, sigma)
                      + wrapped_gaussian_log_density(t, y, 1.0, a, sigma)
                      - wrapped_gaussian_log_density(0.0, A0, 1.0, a, sigma))
@@ -718,7 +717,8 @@ class TestTrueBridgeLaw:
             # Sorted by mass, the smallest cells pool into one bin that expects 5 or more.
             order = np.argsort(mass)
             for batch, fits in ((exact, True), (proposal, False)):
-                x = project(batch.snapshots[step])
+                assert batch.kept_steps[j] == step
+                x = project(batch.states[:, j])
                 observed, _, _ = np.histogram2d(x[:, 0], x[:, 1], bins=cells,
                                                 range=[(-0.5, 0.5)] * 2)
                 stat, dof = _pooled_chi_square(observed.ravel()[order], n_paths * mass[order])

@@ -147,7 +147,7 @@ class TestNoiseStreams:
         monkeypatch.setattr(numpy.random.bit_generator, "SeedSequence", refuse)
         cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0), n_steps=20, seed=8,
                    n_paths=40)
-        simulate_batch(cfg, keep_paths=False, weight_cutoff=0.5)
+        simulate_batch(cfg, weight_cutoff=0.5)
 
     @pytest.mark.parametrize("seed, path_index, dt, message", [
         (2**64, 0, 0.01, "seed must be an integer in [0, 2**64); got 18446744073709551616"),
@@ -222,7 +222,7 @@ class TestSimulatePath:
         paths carry states only."""
         cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0), n_steps=300,
                    seed=2, n_paths=3)
-        batch = simulate_batch(cfg)
+        batch = simulate_batch(cfg, keep_steps=range(301))
         for i in range(3):
             path = simulate_path(cfg, i)
             np.testing.assert_array_equal(
@@ -250,54 +250,66 @@ class TestSimulatePath:
 class TestSimulateBatch:
     def test_batch_of_one_equals_single_path(self):
         cfg = _cfg(TrueBridge(sigma=0.8, horizon=1.0, target=A0), n_steps=120, seed=13)
-        batch = simulate_batch(cfg)
+        batch = simulate_batch(cfg, keep_steps=range(121))
         single = simulate_path(cfg, 0)
         np.testing.assert_array_equal(batch.paths[0].states, single.states)
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
         cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
                    n_steps=80, seed=14, n_paths=300)
-        whole = simulate_batch(cfg, snapshot_steps=[40], weight_cutoff=0.5)
+        whole = simulate_batch(cfg, keep_steps=[40], weight_cutoff=0.5)
         monkeypatch.setattr(engine, "CHUNK_SIZE", 16)
-        split = simulate_batch(cfg, snapshot_steps=[40], weight_cutoff=0.5)
+        split = simulate_batch(cfg, keep_steps=[40], weight_cutoff=0.5)
         np.testing.assert_array_equal(whole.terminal_points, split.terminal_points)
         np.testing.assert_array_equal(whole.limiting_lattice_points,
                                       split.limiting_lattice_points)
         np.testing.assert_array_equal(whole.unresolved, split.unresolved)
         np.testing.assert_array_equal(whole.log_weights, split.log_weights)
-        np.testing.assert_array_equal(whole.snapshots[40], split.snapshots[40])
+        np.testing.assert_array_equal(whole.states, split.states)
 
     def test_paths_across_chunk_boundary_match_single_runs(self):
         """Chunked execution is invisible: any path equals its standalone run."""
         cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0),
                    n_steps=20, seed=15, n_paths=1030)
-        batch = simulate_batch(cfg)
+        batch = simulate_batch(cfg, keep_steps=range(21))
         for idx in (0, 1023, 1024, 1029):
             np.testing.assert_array_equal(
                 batch.paths[idx].states, simulate_path(cfg, idx).states
             )
 
-    def test_snapshots_match_stored_paths(self):
+    def test_kept_steps_match_every_step(self):
+        """Kept steps are sorted and collapse duplicates, and each holds the
+        states of that step of a batch that keeps every step."""
         cfg = _cfg(EuclideanBridge(sigma=1.0, horizon=1.0, endpoint=(0.3, 0.2)),
                    n_steps=100, seed=16, n_paths=50)
-        batch = simulate_batch(cfg, snapshot_steps=[0, 50, 100])
-        for s in (0, 50, 100):
-            stacked = np.stack([p.states[s] for p in batch.paths])
-            np.testing.assert_array_equal(batch.snapshots[s], stacked)
+        every = simulate_batch(cfg, keep_steps=range(101))
+        batch = simulate_batch(cfg, keep_steps=[100, 0, 50, 100])
+        assert batch.kept_steps.tolist() == [0, 50, 100]
+        np.testing.assert_array_equal(batch.states, every.states[:, [0, 50, 100]])
+        np.testing.assert_array_equal(batch.paths[7].times, cfg.time_grid()[[0, 50, 100]])
 
-    def test_keep_paths_false_drops_paths_only(self):
+    @pytest.mark.parametrize("keep", [None, [], ()])
+    def test_default_keeps_no_state(self, keep):
         cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0), seed=17, n_paths=10)
-        batch = simulate_batch(cfg, keep_paths=False)
-        assert batch.states is None and batch.paths is None
+        batch = simulate_batch(cfg, keep_steps=keep)
+        assert batch.states is None and batch.paths is None and batch.kept_steps is None
         assert batch.terminal_points.shape == (10, 2)
+        _assert_same_batches([simulate_batch(cfg)], [batch])
+
+    @pytest.mark.parametrize("keyword", ["keep_paths", "snapshot_steps"])
+    def test_retired_keywords_are_refused(self, keyword):
+        cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0), seed=17, n_paths=10)
+        with pytest.raises(TypeError, match=keyword):
+            simulate_batch(cfg, **{keyword: True})
 
     def test_paths_are_row_views_of_states(self):
         """The kept states are one (n_paths, n_steps + 1, 2) array; each path
         is a view of its row, and all paths share one time grid."""
         cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0), n_steps=30, seed=17,
                    n_paths=7)
-        batch = simulate_batch(cfg)
+        batch = simulate_batch(cfg, keep_steps=range(31))
         assert batch.states.shape == (7, 31, 2)
+        np.testing.assert_array_equal(batch.kept_steps, np.arange(31))
         paths = batch.paths
         assert len(paths) == 7
         for i, path in enumerate(paths):
@@ -311,7 +323,7 @@ class TestSimulateBatch:
         sigma, horizon, n = 1.0, 1.0, 10_000
         cfg = _cfg(FreeBrownianMotion(sigma=sigma, horizon=horizon),
                    start=(0.25, -0.1), n_steps=200, seed=18, n_paths=n)
-        batch = simulate_batch(cfg, keep_paths=False)
+        batch = simulate_batch(cfg)
         x = batch.terminal_points
         se_mean = sigma * np.sqrt(horizon / n)
         se_var = sigma**2 * horizon * np.sqrt(2.0 / (n - 1))
@@ -323,8 +335,7 @@ class TestSimulateBatch:
         n = 10_000
         cfg = _cfg(EuclideanBridge(sigma=1.0, horizon=1.0, endpoint=(0.3, 0.2)),
                    n_steps=500, seed=19, n_paths=n)
-        batch = simulate_batch(cfg, keep_paths=False, snapshot_steps=[250])
-        x = batch.snapshots[250]
+        x = simulate_batch(cfg, keep_steps=[250]).states[:, 0]
         mean_expect = np.array([0.15, 0.10])
         var_expect = 0.25
         se_mean = x.std(0, ddof=1) / np.sqrt(n)
@@ -353,7 +364,7 @@ class TestSimulateBatch:
         endpoint (measured 99% quantile is below 0.10)."""
         cfg = _cfg(EuclideanBridge(sigma=1.0, horizon=1.0, endpoint=(1.0, 0.0)),
                    n_steps=1000, seed=2103, n_paths=1000)
-        batch = simulate_batch(cfg, keep_paths=False)
+        batch = simulate_batch(cfg)
         err = np.linalg.norm(batch.terminal_points - [1.0, 0.0], axis=1)
         assert (err <= 0.15).mean() >= 0.99
 
@@ -361,7 +372,7 @@ class TestSimulateBatch:
         """Starting on a lift, the dynamics are symmetric under k -> -k."""
         cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
                    n_steps=1000, seed=2104, n_paths=2000)
-        batch = simulate_batch(cfg, keep_paths=False)
+        batch = simulate_batch(cfg)
         hist = lattice_endpoint_histogram(batch)
         assert sum(hist.counts.values()) + hist.n_unresolved == 2000
         for k, nk in hist.counts.items():
@@ -372,26 +383,26 @@ class TestSimulateBatch:
     def test_small_noise_stays_in_one_square(self):
         cfg = _cfg(ProposedBridge(sigma=0.3, horizon=1.0, target=A0),
                    n_steps=1000, seed=2102, n_paths=4000)
-        batch = simulate_batch(cfg, keep_paths=False)
+        batch = simulate_batch(cfg)
         hist = lattice_endpoint_histogram(batch)
         assert hist.mass((0, 0)) >= 0.99
 
     def test_invalid_options_rejected(self):
         cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0), seed=4)
         with pytest.raises(ValueError):
-            simulate_batch(cfg, snapshot_steps=[200])
+            simulate_batch(cfg, keep_steps=[200])
         with pytest.raises(ValueError):
             simulate_batch(cfg, weight_cutoff=1.0)
 
     @pytest.mark.parametrize("step, shown", [(2.7, "2.7"), (True, "True"), (101, "101")])
-    def test_snapshot_step_must_be_a_grid_index(self, step, shown):
+    def test_kept_step_must_be_a_grid_index(self, step, shown):
         """A fraction or a bool is refused, not truncated, and so is a step past the grid."""
         cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0), seed=4)
         with pytest.raises(ValueError) as err:
-            simulate_batch(cfg, snapshot_steps=[50, step])
-        assert str(err.value) == f"snapshot step must be an integer in [0, 100]; got {shown}"
-        for steps in ([2.0, np.int64(100)], np.array([100, 2])):
-            assert simulate_batch(cfg, snapshot_steps=steps).snapshots.keys() == {2, 100}
+            simulate_batch(cfg, keep_steps=[50, step])
+        assert str(err.value) == f"kept step must be an integer in [0, 100]; got {shown}"
+        for steps in ([2.0, np.int64(100)], np.array([100, 2]), range(2, 101, 98)):
+            assert simulate_batch(cfg, keep_steps=steps).kept_steps.tolist() == [2, 100]
 
 
 class TestCoupledSimulation:
@@ -418,8 +429,8 @@ class TestCoupledSimulation:
         base = dict(start=(0.1, 0.1), n_steps=500, seed=31, n_paths=100)
         cfg_p = SimConfig(model=ProposedBridge(sigma=0.1, horizon=1.0, target=A0), **base)
         cfg_t = SimConfig(model=TrueBridge(sigma=0.1, horizon=1.0, target=A0), **base)
-        ba = simulate_batch(cfg_p, keep_paths=False)
-        bb = simulate_batch(cfg_t, keep_paths=False)
+        ba = simulate_batch(cfg_p)
+        bb = simulate_batch(cfg_t)
         assert np.array_equal(ba.limiting_lattice_points, bb.limiting_lattice_points)
         assert not ba.unresolved.any() and not bb.unresolved.any()
 
@@ -435,19 +446,13 @@ class TestCoupledSimulation:
             SimConfig(model=TrueBridge(sigma=0.8, horizon=1.0, target=(0.2, 0.1)), **base),
             SimConfig(model=EuclideanBridge(sigma=0.8, horizon=1.0, endpoint=(1.3, 0.4)), **base),
         ]
-        kw = dict(snapshot_steps=[0, 17, 60], weight_cutoff=0.5)
+        kw = dict(keep_steps=range(61), weight_cutoff=0.5)
         coupled = simulate_batch(configs, **kw)
         assert isinstance(coupled, list) and len(coupled) == 3
         for cfg, got in zip(configs, coupled):
             alone = simulate_batch(cfg, **kw)
             assert got.config is cfg
-            for name in ("terminal_points", "limiting_lattice_points", "unresolved", "log_weights"):
-                np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
-            assert got.snapshots.keys() == alone.snapshots.keys() == {0, 17, 60}
-            for s in (0, 17, 60):
-                np.testing.assert_array_equal(got.snapshots[s], alone.snapshots[s])
-            for p, q in zip(got.paths, alone.paths, strict=True):
-                np.testing.assert_array_equal(p.states, q.states)
+            _assert_same_batches([got], [alone])
         # The coupled paths are the euler_step recursion on the same increments.
         path = coupled[1].paths[39]
         dW = wiener_increments(base["seed"], 39, 60, configs[1].dt)
@@ -469,7 +474,7 @@ class TestCoupledSimulation:
         base = dict(start=A0, n_steps=block + 20, seed=33, n_paths=40)
         configs = [SimConfig(model=ProposedBridge(sigma=0.8, horizon=1.0, target=A0), **base),
                    SimConfig(model=TrueBridge(sigma=0.8, horizon=1.0, target=A0), **base)]
-        simulate_batch(configs, keep_paths=False)
+        simulate_batch(configs)
         assert calls == [(16, block), (16, 20), (16, block), (16, 20), (8, block), (8, 20)]
 
     @pytest.mark.parametrize("n_steps", [293, 42])
@@ -495,10 +500,11 @@ class TestCoupledSimulation:
             return dW, np.stack(states)
 
         configs = [SimConfig(model=m, **base) for m in models]
-        coupled = simulate_batch(configs, snapshot_steps=[mid])
+        every = range(n_steps + 1)
+        coupled = simulate_batch(configs, keep_steps=every)
         for cfg, together in zip(configs, coupled):
-            alone = simulate_batch(cfg, snapshot_steps=[mid])
-            bare = simulate_batch(cfg, keep_paths=False, snapshot_steps=[mid])
+            alone = simulate_batch(cfg, keep_steps=every)
+            bare = simulate_batch(cfg, keep_steps=[mid])
             for idx in picks:
                 dW, states = replay(cfg, idx)
                 single = simulate_path(cfg, idx)
@@ -507,7 +513,7 @@ class TestCoupledSimulation:
                 np.testing.assert_array_equal(single.increments, dW)
                 for batch in (together, alone, bare):
                     np.testing.assert_array_equal(batch.terminal_points[idx], states[-1])
-                    np.testing.assert_array_equal(batch.snapshots[mid][idx], states[mid])
+                np.testing.assert_array_equal(bare.states[idx, 0], states[mid])
 
     @pytest.mark.parametrize("block", [3, 128])
     def test_block_weights_equal_whole_path_weights(self, monkeypatch, block):
@@ -528,9 +534,9 @@ class TestCoupledSimulation:
                  for j, cfg in enumerate(configs) for idx in picks}
         for step in (1, block, block + 1, n_steps - 1):
             cutoff = step / n_steps
-            for keep in (True, False):
-                coupled = simulate_batch(configs, keep_paths=keep, weight_cutoff=cutoff)
-                alone = simulate_batch(configs[0], keep_paths=keep, weight_cutoff=cutoff)
+            for keep in (range(n_steps + 1), None):
+                coupled = simulate_batch(configs, keep_steps=keep, weight_cutoff=cutoff)
+                alone = simulate_batch(configs[0], keep_steps=keep, weight_cutoff=cutoff)
                 for (j, idx), path in paths.items():
                     whole = log_girsanov_weight(path, configs[j].model, cutoff)
                     assert coupled[j].log_weights[idx] == whole, (step, keep, j, idx)
@@ -576,11 +582,11 @@ class TestMemory:
             cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
                        n_steps=n_steps, seed=36, n_paths=engine.CHUNK_SIZE)
             for cutoff in (None, 0.5):
-                assert self._peak(cfg, keep_paths=False, weight_cutoff=cutoff) < 4 * 2**20
+                assert self._peak(cfg, weight_cutoff=cutoff) < 4 * 2**20
         pair = [_cfg(model, n_steps=200, seed=37, n_paths=engine.CHUNK_SIZE)
                 for model in (ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
                               TrueBridge(sigma=0.8, horizon=1.0, target=A0))]
-        assert self._peak(pair, keep_paths=False, weight_cutoff=0.5) < 5 * 2**20
+        assert self._peak(pair, weight_cutoff=0.5) < 5 * 2**20
 
     def test_kept_paths_hold_no_increments(self):
         """Kept paths, with a weight cutoff or without, hold their states and
@@ -589,7 +595,17 @@ class TestMemory:
                    n_steps=500, seed=39, n_paths=engine.CHUNK_SIZE)
         state_bytes = engine.CHUNK_SIZE * 501 * 2 * 8
         for cutoff in (None, 0.5):
-            assert self._peak(cfg, keep_paths=True, weight_cutoff=cutoff) < state_bytes + 4 * 2**20
+            assert (self._peak(cfg, keep_steps=range(501), weight_cutoff=cutoff)
+                    < state_bytes + 4 * 2**20)
+
+    def test_thinned_steps_hold_only_their_states(self):
+        """Every 100th of 1000 steps keeps 11 states per path, 352 KiB for
+        2048 paths, on top of the noise chunk's bound, not the 31.3 MiB of every
+        step."""
+        cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
+                   n_steps=1000, seed=39, n_paths=engine.CHUNK_SIZE)
+        kept_bytes = engine.CHUNK_SIZE * 11 * 2 * 8
+        assert self._peak(cfg, keep_steps=range(0, 1001, 100)) < kept_bytes + 4 * 2**20
 
 
     def test_split_parent_holds_half_a_chunk(self, monkeypatch, forks):
@@ -601,17 +617,15 @@ class TestMemory:
                   TrueBridge(sigma=0.8, horizon=1.0, target=A0))
         pair = [_cfg(model, n_steps=1000, seed=38, n_paths=engine.CHUNK_SIZE) for model in models]
         for config in (pair[0], pair):
-            assert self._peak(config, keep_paths=False, weight_cutoff=0.5) < 2.5 * 2**20
+            assert self._peak(config, weight_cutoff=0.5) < 2.5 * 2**20
         assert len(forks) == 2
 
 
 def _batch_arrays(result):
     """Every array of a batch result by name."""
-    arrays = {"terminal": result.terminal_points, "offsets": result.limiting_lattice_points,
-              "unresolved": result.unresolved, "log_weights": result.log_weights,
-              "states": result.states}
-    arrays.update((f"snapshot {s}", a) for s, a in (result.snapshots or {}).items())
-    return arrays
+    return {"terminal": result.terminal_points, "offsets": result.limiting_lattice_points,
+            "unresolved": result.unresolved, "log_weights": result.log_weights,
+            "states": result.states, "kept_steps": result.kept_steps}
 
 
 def _assert_same_batches(a, b):
@@ -651,13 +665,14 @@ class TestForkedBatch:
         pair = [_cfg(model, n_steps=1000, seed=41, n_paths=601)
                 for model in (ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
                               TrueBridge(sigma=0.8, horizon=1.0, target=A0))]
-        _assert_same_batches(*self._serial_and_split(monkeypatch, forks, pair, keep_paths=False))
+        _assert_same_batches(*self._serial_and_split(monkeypatch, forks, pair))
 
-    def test_kept_paths_with_snapshots_and_weights(self, monkeypatch, forks):
+    @pytest.mark.parametrize("keep", [range(501), [500, 7, 0, 250]], ids=["every", "some"])
+    def test_kept_steps_and_weights(self, monkeypatch, forks, keep):
         cfg = _cfg(ProposedBridge(sigma=0.7, horizon=1.0, target=(0.3, -0.1)), start=(0.1, 0.2),
                    n_steps=500, seed=42, n_paths=engine.CHUNK_SIZE + 1)
         _assert_same_batches(*self._serial_and_split(
-            monkeypatch, forks, cfg, snapshot_steps=[0, 7, 250, 500], weight_cutoff=0.5))
+            monkeypatch, forks, cfg, keep_steps=keep, weight_cutoff=0.5))
 
     def test_a_bad_run_raises_the_serial_error(self, monkeypatch, forks):
         """The results are checked in path order after the child's half is
@@ -668,7 +683,7 @@ class TestForkedBatch:
         for cpus in (1, 2):
             monkeypatch.setattr(engine, "_usable_cpus", lambda cpus=cpus: cpus)
             with pytest.raises(ValueError, match="log weights overflow a double") as err:
-                simulate_batch(cfg, keep_paths=False, weight_cutoff=5e-8)
+                simulate_batch(cfg, weight_cutoff=5e-8)
             errors.append(str(err.value))
         assert errors[0] == errors[1] and len(forks) == 1
 
@@ -676,7 +691,7 @@ class TestForkedBatch:
         n_paths, n_steps = _split_sizes()
         cfg = _cfg(FreeBrownianMotion(sigma=1.0, horizon=1.0), n_steps=n_steps, seed=43,
                    n_paths=n_paths)
-        _assert_same_batches(*self._serial_and_split(monkeypatch, forks, cfg, keep_paths=False))
+        _assert_same_batches(*self._serial_and_split(monkeypatch, forks, cfg))
 
     def test_stays_serial(self, monkeypatch, forks):
         """One usable CPU, a second live thread, too few paths per half or too
@@ -687,15 +702,15 @@ class TestForkedBatch:
         few_paths = _cfg(model, n_steps=2 * n_steps, seed=44, n_paths=n_paths - 1)
         little_work = _cfg(model, n_steps=n_steps - 1, seed=44, n_paths=n_paths)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
-        simulate_batch(big, keep_paths=False)
+        simulate_batch(big)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         for cfg in (few_paths, little_work):
-            simulate_batch(cfg, keep_paths=False)
+            simulate_batch(cfg)
         release = threading.Event()
         waiter = threading.Thread(target=release.wait)
         waiter.start()
         try:
-            simulate_batch(big, keep_paths=False)
+            simulate_batch(big)
         finally:
             release.set()
             waiter.join(timeout=10)
@@ -707,14 +722,14 @@ class TestForkedBatch:
         cfg = _cfg(ProposedBridge(sigma=0.8, horizon=1.0, target=A0), n_steps=n_steps, seed=45,
                    n_paths=n_paths)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
-        serial = simulate_batch(cfg, snapshot_steps=[n_steps // 2])
+        serial = simulate_batch(cfg, keep_steps=[n_steps // 2])
 
         def fork():
             raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
 
         monkeypatch.setattr(os, "fork", fork)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
-        _assert_same_batches([serial], [simulate_batch(cfg, snapshot_steps=[n_steps // 2])])
+        _assert_same_batches([serial], [simulate_batch(cfg, keep_steps=[n_steps // 2])])
 
 
 class TestRowRange:
@@ -723,7 +738,7 @@ class TestRowRange:
 
     CFG = _cfg(ProposedBridge(sigma=0.7, horizon=1.0, target=(0.3, -0.1)), start=(0.1, 0.2),
                n_steps=40, seed=46, n_paths=300)
-    OPTIONS = dict(snapshot_steps=[0, 7, 40], weight_cutoff=0.5)
+    OPTIONS = dict(keep_steps=[0, 7, 40], weight_cutoff=0.5)
 
     @pytest.mark.parametrize("rows", [range(300), range(1), range(299, 300), range(37, 261)])
     def test_rows_of_the_whole_batch(self, monkeypatch, forks, rows):
@@ -738,7 +753,9 @@ class TestRowRange:
         assert part.config == whole.config and part.n_paths == len(rows)
         arrays = _batch_arrays(part)
         for name, array in _batch_arrays(whole).items():
-            np.testing.assert_array_equal(arrays[name], array[rows.start:rows.stop], err_msg=name)
+            if name != "kept_steps":
+                array = array[rows.start:rows.stop]
+            np.testing.assert_array_equal(arrays[name], array, err_msg=name)
         assert len(forks) == (len(rows) >= 2)
 
     @pytest.mark.parametrize("rows", [range(0), range(3, 3), range(0, 4, 2), range(3, 0, -1),
@@ -807,8 +824,9 @@ def _layouts(draw):
                          n_steps=n_steps, seed=seed, n_paths=n_paths)
                for v in draw(st.lists(st.sampled_from(sorted(VARIANTS)), min_size=1, max_size=2))]
     cutoff_steps = st.integers(1, n_steps - 1) if n_steps > 1 else st.nothing()
-    options = dict(keep_paths=draw(st.booleans()),
-                   snapshot_steps=draw(st.lists(st.integers(0, n_steps), max_size=3)),
+    # No step, every step, every step but the terminal one, or a few in any order.
+    keep = st.sampled_from([None, range(n_steps + 1), range(n_steps)])
+    options = dict(keep_steps=draw(keep | st.lists(st.integers(0, n_steps), max_size=4)),
                    weight_cutoff=draw(st.none() | cutoff_steps.map(lambda j: j / n_steps)))
     lo = draw(st.integers(0, n_paths - 1))
     options["rows"] = draw(st.none() | st.integers(lo + 1, n_paths).map(lambda hi: range(lo, hi)))
@@ -826,7 +844,7 @@ def _raw(array):
 @given(batch=_layouts())
 def test_every_layout_gives_the_bits_of_single_paths(batch):
     """Whatever the chunk size, the noise block, the split and the range of
-    paths run, every path's kept states, terminal state, offsets, snapshots
+    paths run, every path's states at the kept steps, terminal state, offsets
     and log weight are the bits of ``simulate_path`` and
     ``log_girsanov_weight`` for its index.  The references are drawn first,
     under the default noise block."""
@@ -848,9 +866,9 @@ def test_every_layout_gives_the_bits_of_single_paths(batch):
         k, tie = nearest_offset(states[:, -1] - np.asarray(cfg.model.diagnostic_target))
         np.testing.assert_array_equal(result.limiting_lattice_points, k)
         np.testing.assert_array_equal(result.unresolved, tie)
-        assert _raw(result.states) == _raw(states if options["keep_paths"] else None)
-        assert ({s: a.tobytes() for s, a in (result.snapshots or {}).items()}
-                == {s: states[:, s].tobytes() for s in options["snapshot_steps"]})
+        kept = sorted(set(options["keep_steps"] or ()))
+        assert _raw(result.kept_steps) == _raw(np.array(kept, dtype=np.intp) if kept else None)
+        assert _raw(result.states) == _raw(states[:, kept] if kept else None)
         assert _raw(result.log_weights) == _raw(None if cutoff is None else np.array(
             [log_girsanov_weight(path, cfg.model, cutoff) for path in paths]))
 

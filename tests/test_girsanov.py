@@ -25,7 +25,7 @@ def _states_and_increments(model, n_paths, n_steps, seed):
     """A batch's config, its states (n_paths, n_steps + 1, 2) and the
     increments (n_paths, n_steps, 2) that drove them."""
     cfg = SimConfig(model=model, start=A0, n_steps=n_steps, seed=seed, n_paths=n_paths)
-    states = np.stack([p.states for p in simulate_batch(cfg, keep_paths=True).paths])
+    states = simulate_batch(cfg, keep_steps=range(n_steps + 1)).states
     increments = np.stack([wiener_increments(seed, i, n_steps, cfg.dt) for i in range(n_paths)])
     return cfg, states, increments
 
@@ -62,7 +62,7 @@ class TestLogWeight:
     def test_matches_engine_accumulated_weights(self):
         model = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
         cfg = SimConfig(model=model, start=A0, n_steps=100, seed=2, n_paths=40)
-        batch = simulate_batch(cfg, keep_paths=False, weight_cutoff=0.5)
+        batch = simulate_batch(cfg, weight_cutoff=0.5)
         for i in (0, 7, 39):
             assert log_girsanov_weight(simulate_path(cfg, i), model, 0.5) == batch.log_weights[i]
 
@@ -70,7 +70,7 @@ class TestLogWeight:
         """Batch paths carry states only, so they give no weight."""
         cfg = SimConfig(model=FreeBrownianMotion(sigma=1.0, horizon=1.0), start=A0,
                         n_steps=10, seed=3, n_paths=1)
-        path = simulate_batch(cfg).paths[0]
+        path = simulate_batch(cfg, keep_steps=range(11)).paths[0]
         with pytest.raises(ValueError):
             log_girsanov_weight(path, cfg.model, 0.5)
 
@@ -126,7 +126,7 @@ class TestLogWeight:
         model = ProposedBridge(sigma=2.0**-490, horizon=1e-7, target=(0.45, 0.45))
         cfg = SimConfig(model=model, start=A0, n_steps=50, seed=1, n_paths=3)
         with pytest.raises(ValueError, match="log weights overflow a double") as batch:
-            simulate_batch(cfg, keep_paths=False, weight_cutoff=5e-8)
+            simulate_batch(cfg, weight_cutoff=5e-8)
         with pytest.raises(ValueError, match="log weights overflow a double") as single:
             log_girsanov_weight(simulate_path(cfg, 0), model, 5e-8)
         assert str(batch.value) == str(single.value)
@@ -138,7 +138,7 @@ class TestMartingaleProperty:
         """E[exp(log weight)] = 1 at the cutoff, within Monte Carlo error."""
         model = ProposedBridge(sigma=1.0, horizon=1.0, target=A0)
         cfg = SimConfig(model=model, start=A0, n_steps=1000, seed=6, n_paths=10_000)
-        batch = simulate_batch(cfg, keep_paths=False, weight_cutoff=0.5)
+        batch = simulate_batch(cfg, weight_cutoff=0.5)
         w = np.exp(batch.log_weights)
         se = w.std(ddof=1) / np.sqrt(len(w))
         assert abs(w.mean() - 1.0) <= 3 * se
@@ -166,10 +166,9 @@ class TestImportanceSampling:
                              start=A0, n_steps=500, seed=8, n_paths=n)
         free_cfg = SimConfig(model=FreeBrownianMotion(sigma=1.0, horizon=1.0),
                              start=A0, n_steps=500, seed=9, n_paths=n)
-        prop = simulate_batch(prop_cfg, keep_paths=False, snapshot_steps=[250],
-                              weight_cutoff=S)
-        free = simulate_batch(free_cfg, keep_paths=False, snapshot_steps=[250])
-        xp, xf = prop.snapshots[250], free.snapshots[250]
+        prop = simulate_batch(prop_cfg, keep_steps=[250], weight_cutoff=S)
+        free = simulate_batch(free_cfg, keep_steps=[250])
+        xp, xf = prop.states[:, 0], free.states[:, 0]
         _assert_weighted_means_match(np.exp(prop.log_weights), [(xp, xf), (xp**2, xf**2)])
 
     def test_weighted_moments_match_free_process_below_unit_sigma(self):
@@ -182,10 +181,9 @@ class TestImportanceSampling:
                              start=A0, n_steps=200, seed=10, n_paths=n)
         free_cfg = SimConfig(model=FreeBrownianMotion(sigma=sigma, horizon=1.0),
                              start=A0, n_steps=200, seed=11, n_paths=n)
-        prop = simulate_batch(prop_cfg, keep_paths=False, snapshot_steps=[100],
-                              weight_cutoff=S)
-        free = simulate_batch(free_cfg, keep_paths=False, snapshot_steps=[100])
-        xp, xf = prop.snapshots[100], free.snapshots[100]
+        prop = simulate_batch(prop_cfg, keep_steps=[100], weight_cutoff=S)
+        free = simulate_batch(free_cfg, keep_steps=[100])
+        xp, xf = prop.states[:, 0], free.states[:, 0]
         near_p, near_f = ((np.hypot(*x.T) < 0.2)[:, None] for x in (xp, xf))
         _assert_weighted_means_match(np.exp(prop.log_weights),
                                      [(xp, xf), (xp**2, xf**2), (near_p, near_f)])

@@ -97,5 +97,5 @@ def test_drift_calls_of_a_weighted_batch(monkeypatch):
         monkeypatch.setattr(module, "drift", counted)
     model = ProposedBridge(sigma=1.0, horizon=1.0, target=(0.0, 0.0))
     cfg = SimConfig(model=model, start=(0.0, 0.0), n_steps=10, seed=1, n_paths=3)
-    simulate_batch(cfg, keep_paths=False, weight_cutoff=0.5)
+    simulate_batch(cfg, weight_cutoff=0.5)
     assert counts == {engine.__name__: (10, 30), girsanov.__name__: (5, 15)}
