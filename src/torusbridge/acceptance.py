@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import filecmp
+import functools
 import io
 import tempfile
 from dataclasses import dataclass
@@ -306,19 +307,23 @@ def check_determinism() -> CriterionResult:
               "--thin", "7"],
              ["paths.csv", "endpoints.csv"]),
         ]
+        # The first two runs draw each chunk's 200 steps of noise in one block; the
+        # third splits the 64 paths and 32 pairs into several chunks, and the 200
+        # steps, with the weights summed over them, into 7-step blocks.
+        sizes = [(engine.CHUNK_SIZE, engine.NOISE_BLOCK)] * 2 + [(16, 7)]
+        draws = {size: set() for size in sizes}  # the steps of each noise draw, by layout
         for name, args, files in jobs:
             dirs = [root / f"{name}_{i}" for i in range(3)]
-            # The third run splits the 64 paths and 32 pairs into several chunks,
-            # and the 200 steps, with the weights summed over them, into 7-step blocks.
-            sizes = [(engine.CHUNK_SIZE, engine.NOISE_BLOCK)] * 2 + [(16, 7)]
             for d, (chunk, block) in zip(dirs, sizes):
-                saved = engine.CHUNK_SIZE, engine.NOISE_BLOCK
+                saved = engine.CHUNK_SIZE, engine.NOISE_BLOCK, engine._chunk_increments
                 engine.CHUNK_SIZE, engine.NOISE_BLOCK = chunk, block
+                engine._chunk_increments = functools.partial(
+                    _record_draw, draws[chunk, block], saved[2])
                 try:  # each run's own "wrote ..." line is not part of check's output
                     with contextlib.redirect_stdout(io.StringIO()):
                         rc = cli.main(args + ["--out", str(d)])
                 finally:
-                    engine.CHUNK_SIZE, engine.NOISE_BLOCK = saved
+                    engine.CHUNK_SIZE, engine.NOISE_BLOCK, engine._chunk_increments = saved
                 if rc != 0:
                     return CriterionResult(8, "determinism", False, f"{name} run failed (exit {rc})")
             for f in files:
@@ -330,9 +335,17 @@ def check_determinism() -> CriterionResult:
         8,
         "determinism",
         ok,
-        "all commands byte-identical across re-runs, chunk sizes {%d,16} and noise blocks "
-        "{%d,7}" % (engine.CHUNK_SIZE, engine.NOISE_BLOCK) if ok else f"mismatch in {mismatches}",
+        "all commands byte-identical across re-runs, chunk sizes {%s} and noise blocks of {%s} "
+        "steps" % (",".join(str(chunk) for chunk, _ in draws),
+                   ",".join(str(max(seen)) for seen in draws.values()))
+        if ok else f"mismatch in {mismatches}",
     )
+
+
+def _record_draw(seen: set, draw, streams, out, dt):
+    """``draw(streams, out, dt)``, once the steps of the block ``out`` are added to ``seen``."""
+    seen.add(out.shape[1])
+    return draw(streams, out, dt)
 
 
 CRITERIA: list[Callable[[], CriterionResult]] = [

@@ -356,8 +356,12 @@ def _merge_model(variant: str | None, cfg_model: dict, ns: argparse.Namespace):
 
 
 def _load_config_file(path: str) -> tuple[dict, dict]:
-    """Read a config file (bare config block or a full manifest)."""
-    data = json.loads(Path(path).read_text())
+    """Read a config file (bare config block or a full manifest); an error that the
+    file is not JSON text names the file."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path} must hold a JSON object; got {type(data).__name__}")
     if "config" in data:

@@ -20,9 +20,10 @@ and differ only in how they pull the process toward its target:
     Gaussian kernel.
 
 Each class has a class-level ``variant`` name, the checked entry
-``drift(t, x)``, an unchecked kernel ``_drift(tau, x)`` of the time to go
-and a ``diagnostic_target``, the torus point terminal lattice offsets are
-reported against (the origin, the projected endpoint, or the target).
+``drift(t, x)``, an unchecked kernel ``_drift(tau, x)`` of the time to go,
+a float or an array, and a ``diagnostic_target``, the torus point terminal
+lattice offsets are reported against (the origin, the projected endpoint, or
+the target).
 ``VARIANTS`` maps names to classes; :func:`drift` evaluates any model's
 kernel unchecked, for the engine, which validates its grid once.
 Evaluations are pure and vectorised over points of shape (..., 2); ``t``
@@ -141,8 +142,8 @@ class FreeBrownianMotion(DriftModel):
     # Offsets then index the unit square the path ended in.
     diagnostic_target: ClassVar[tuple[float, float]] = (0.0, 0.0)
 
-    def _drift(self, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.zeros(np.broadcast_shapes(_expand(tau).shape, x.shape))
+    def _drift(self, tau: np.ndarray | float, x: np.ndarray) -> np.ndarray:
+        return np.zeros(np.broadcast_shapes(np.shape(_expand(tau)), x.shape))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -160,7 +161,7 @@ class EuclideanBridge(DriftModel):
     def diagnostic_target(self) -> tuple[float, float]:
         return _point_pair(project(self.endpoint))
 
-    def _drift(self, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _drift(self, tau: np.ndarray | float, x: np.ndarray) -> np.ndarray:
         """Single-endpoint bridge drift (endpoint - x) / (T - t)."""
         return (_filled(self.endpoint, x.shape) - x) / _expand(tau)
 
@@ -193,7 +194,7 @@ class ProposedBridge(_LiftBridge):
 
     variant: ClassVar[str] = "proposed"
 
-    def _drift(self, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _drift(self, tau: np.ndarray | float, x: np.ndarray) -> np.ndarray:
         """Nearest-lift drift, zero on the cut locus of the target.
 
         Returns (nearest lift of target - x) / (T - t) where the nearest
@@ -205,7 +206,7 @@ class ProposedBridge(_LiftBridge):
         b += a
         b -= x
         # A time array may be wider than the points, which b cannot hold.
-        b = b / _expand(tau) if tau.ndim else np.divide(b, tau, out=b)
+        b = b / _expand(tau) if getattr(tau, "ndim", 0) else np.divide(b, tau, out=b)
         if np.count_nonzero(on_cut):  # rarely true; cheaper than the masked write or .any()
             b[np.broadcast_to(on_cut, b.shape[:-1])] = 0.0  # to b's leading shape
         return b
@@ -219,7 +220,7 @@ class TrueBridge(_LiftBridge):
 
     variant: ClassVar[str] = "true-bridge"
 
-    def _drift(self, tau: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def _drift(self, tau: np.ndarray | float, x: np.ndarray) -> np.ndarray:
         """Exact bridge drift sigma^2 grad log sum_k exp(-|a + k - x|^2 / (2 sigma^2 (T - t))).
 
         Equals the mean pull sum_k g_k (a + k - x) / (T - t) with g the
@@ -235,9 +236,9 @@ VARIANTS: dict[str, type[DriftModel]] = {
 }
 
 
-def _expand(tau: np.ndarray) -> np.ndarray:
-    """Align a time-to-go array against a trailing coordinate axis."""
-    return tau[..., None] if tau.ndim else tau
+def _expand(tau: np.ndarray | float) -> np.ndarray | float:
+    """Align a time-to-go array against a trailing coordinate axis; a scalar stays."""
+    return tau[..., None] if getattr(tau, "ndim", 0) else tau
 
 
 @functools.lru_cache(maxsize=4)
@@ -378,7 +379,7 @@ def _per_axis(d: np.ndarray, v: ArrayLike, direct, theta) -> np.ndarray:
     row and a per-point time give the same bits.
     """
     r = d - np.rint(d)
-    if np.ndim(v) == 0:
+    if not getattr(v, "ndim", 0):
         v = float(v)
         return (direct if v <= _THETA_SPLIT else theta)(r, v)
     r, v = np.broadcast_arrays(r, v)
@@ -405,7 +406,13 @@ def _axis_log_density(d: np.ndarray, v: ArrayLike) -> np.ndarray:
 def drift(t: ArrayLike, x: np.ndarray, model: DriftModel) -> np.ndarray:
     """Evaluate any model's kernel at (t, x) with no checks: ``x`` must be a float
     array of finite points (..., 2) and 0 <= t < T.  The engine's step loop and
-    weight pass call it; ``model.drift(t, x)`` is the checked entry."""
+    weight pass call it; ``model.drift(t, x)`` is the checked entry.
+
+    A float ``t``, such as the grid's ``np.float64`` times, gets its time to go
+    in scalar arithmetic, with the bits of the array path and none of its 0-d
+    ufunc calls; the kernels take it as a Python float."""
+    if isinstance(t, float):
+        return model._drift(max(model.horizon - float(t), MIN_TIME_TO_GO), x)
     return model._drift(np.maximum(model.horizon - np.asarray(t, dtype=float), MIN_TIME_TO_GO), x)
 
 

@@ -37,20 +37,22 @@ raw bytes of its rows through an anonymous file (:func:`_read_rows`).
 time; when none can, the batch runs whole here.  The results are then
 checked in path order, one ``CHUNK_SIZE`` range at a time, and the first bad
 path's error is raised, so a bad run raises the error of a one-process run
-whatever the split.  Within a chunk the noise is drawn ``NOISE_BLOCK`` steps
-at a time into one reused buffer, each stream
-continuing where its last block stopped; a numpy ``Generator`` keeps no
-cached normal, so this gives the bits of a whole-stream draw.  Chunking and
-blocking thus bound the memory in flight without changing any output byte:
-with no step kept, a chunk holds one noise block and its current states,
-whatever the step count.  Each step before the weight cutoff adds its
-Girsanov term to the running log weights just before the state moves, in
-step order and so with the bits of :func:`girsanov.log_girsanov_weight` for
-the same path.  States are stored only at the steps asked for, and the
-whole increment array exists only in :func:`wiener_increments`, which
-:func:`simulate_path` attaches.  A coupled batch draws each block once for
-all its models and steps them in one loop; the grid is validated once per
-batch and the log weights once per chunk, not once per step.
+whatever the split.  Within a chunk the noise is drawn in blocks of steps
+into one reused buffer of at most ``CHUNK_SIZE * NOISE_BLOCK`` increment
+pairs, so a chunk narrower than ``CHUNK_SIZE`` draws more steps per block;
+each stream continues where its last block stopped, and a numpy
+``Generator`` keeps no cached normal, so this gives the bits of a
+whole-stream draw.  Chunking and blocking thus bound the memory in flight
+without changing any output byte: with no step kept, a chunk holds one
+noise block and its current states, whatever the step count.  Each step
+before the weight cutoff adds its Girsanov term to the running log weights
+just before the state moves, in step order and so with the bits of
+:func:`girsanov.log_girsanov_weight` for the same path.  States are stored
+only at the steps asked for, and the whole increment array exists only in
+:func:`wiener_increments`, which :func:`simulate_path` attaches.  A coupled
+batch draws each block once for all its models and steps them in one loop;
+the grid is validated once per batch and the log weights once per chunk,
+not once per step.
 """
 
 from __future__ import annotations
@@ -88,15 +90,18 @@ __all__ = [
     "config_from_dict",
 ]
 
-# Paths per chunk, and steps per noise draw within a chunk.  Besides the states
-# kept at the steps asked for, a chunk's arrays in flight are its (CHUNK_SIZE,
-# NOISE_BLOCK, 2) noise buffer, 2 MiB, and its (CHUNK_SIZE, 2) states and
-# weights; no output byte depends on either size.  Wide chunks spread the step
-# loop's per-call numpy overhead over more paths; short blocks cost
-# more per-stream draw calls: into one buffer, drawing a 2048 x 1000 chunk took
-# about 48 % longer in 64-step blocks than in one whole draw and 23 % longer
-# in 128-step ones (1024 paths: 45 % and 19 %), but 128 x 2048 would double
-# the buffer to 4 MiB.
+# Paths per chunk, and steps per noise draw of a full chunk: a chunk of w paths
+# draws min(n_steps, CHUNK_SIZE * NOISE_BLOCK // w) steps per block, so its noise
+# buffer never exceeds the CHUNK_SIZE x NOISE_BLOCK pairs, 2 MiB, of a full chunk.
+# Besides the states kept at the steps asked for, a chunk's arrays in flight are
+# that buffer and its (w, 2) states and weights; no output byte depends on either
+# size.  Wide chunks spread the step loop's per-call numpy overhead over more
+# paths; short blocks cost more per-stream draw calls, about 1.4 us each: into
+# one buffer, drawing a 2048 x 1000 chunk took about 48 % longer in 64-step
+# blocks than in one whole draw and 23 % longer in 128-step ones (1024 paths:
+# 45 % and 19 %), but 128 x 2048 would double the buffer to 4 MiB; a chunk of
+# 1024 paths, such as a forked half of a full one, draws 128-step blocks into
+# the same 2 MiB.
 CHUNK_SIZE = 2048
 NOISE_BLOCK = 64
 
@@ -449,7 +454,8 @@ def _chunk_increments(streams, out: np.ndarray, dt: float) -> np.ndarray:
 def _run_chunk(config: SimConfig, lo: int, hi: int, times: np.ndarray,
                rows: Sequence[BatchResult], cutoff_step: int) -> None:
     """Step every model over paths [lo, hi) of ``config``'s grid on shared noise,
-    drawn ``NOISE_BLOCK`` steps at a time, into ``rows``, one result per model
+    drawn as many steps at a time as fill ``CHUNK_SIZE * NOISE_BLOCK`` increment
+    pairs (all of them, if they fit), into ``rows``, one result per model
     narrowed to these paths (:func:`_rows`): their terminal states, their
     states at the kept steps, each stored in its slot as the step is reached,
     and their log weights, which the caller checks for overflow.
@@ -462,17 +468,17 @@ def _run_chunk(config: SimConfig, lo: int, hi: int, times: np.ndarray,
     log weights in place, zero at the start, just before the model's state moves.
     """
     dt, sigma, n = config.dt, config.model.sigma, config.n_steps
-    width = min(NOISE_BLOCK, n)
+    per_block = min(n, CHUNK_SIZE * NOISE_BLOCK // (hi - lo))
     streams = _streams(config.seed, lo, hi)
-    dW = np.empty((hi - lo, width, 2))
+    dW = np.empty((hi - lo, per_block, 2))
     noise = np.empty((hi - lo, 2))
     noise_pairs, dW_pairs = noise.view("V16")[:, 0], dW.view("V16")[..., 0]
     models = [out.config.model for out in rows]
     xs = [np.full((hi - lo, 2), config.start) for _ in rows]
     kept = rows[0].kept_steps
     slots = {} if kept is None else {s: j for j, s in enumerate(kept.tolist())}
-    for first in range(0, n, width):
-        last = min(first + width, n)
+    for first in range(0, n, per_block):
+        last = min(first + per_block, n)
         block = _chunk_increments(streams, dW[:, :last - first], dt)
         for i, t in enumerate(times[first:last], first):
             b = i - first

@@ -27,9 +27,14 @@ def test_criterion(runner):
 
 
 def test_determinism_check_prints_nothing(capsys):
-    """Criterion 8's in-process CLI runs keep their own output lines out of check's."""
-    assert acceptance.check_determinism().passed
+    """Criterion 8's in-process CLI runs keep their own output lines out of check's,
+    and its detail line names the noise blocks the runs drew: each default chunk
+    of 64 paths or 32 pairs draws its 200 steps at once."""
+    result = acceptance.check_determinism()
+    assert result.passed
     assert capsys.readouterr().out == ""
+    assert result.details == ("all commands byte-identical across re-runs, chunk sizes "
+                              "{2048,16} and noise blocks of {200,7} steps")
 
 
 def test_density_normalization_builds_the_grid_in_row_blocks():

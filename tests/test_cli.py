@@ -232,6 +232,17 @@ class TestSimulate:
         assert rc == 2
         _assert_one_error_line(capsys, "JSON object", "list")
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"{bad", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ])
+    def test_malformed_config_file_names_itself(self, tmp_path, capsys, content, reason):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_bytes(content)
+        rc = _run("simulate", "--config", cfg_file, "--out", tmp_path)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {cfg_file}: {reason}\n"
+
 
     @pytest.mark.parametrize("edit, needles", [
         (lambda m: m["config"].update(model=[1]), ("model block", "list")),

@@ -15,6 +15,7 @@ from torusbridge import (
     SimConfig,
     TrueBridge,
     drift,
+    euler_step,
     project,
     simulate_batch,
     wrapped_gaussian_log_density,
@@ -654,6 +655,47 @@ class TestInPlaceKernelBits:
         for points, wide in ((x[5], taus), (x[:7], taus[:, None])):
             np.testing.assert_array_equal(_bits(m._drift(wide, points)),
                                           _bits(_ref_drift(m, wide, points)))
+
+
+# Every variant, one with an integer horizon.
+_SCALAR_TIME_MODELS = [
+    FreeBrownianMotion(sigma=0.8, horizon=1.0),
+    EuclideanBridge(sigma=0.8, horizon=1.0, endpoint=(1.3, -0.4)),
+    ProposedBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2)),
+    TrueBridge(sigma=0.8, horizon=1.0, target=(0.1, -0.2)),
+    TrueBridge(sigma=0.3, horizon=2, target=(-0.5, 0.25)),
+]
+
+
+class TestScalarTimeToGo:
+    """A float time takes the time to go in scalar arithmetic, with the bits
+    of the array path that a 0-d array time takes."""
+
+    @pytest.mark.parametrize("m", _SCALAR_TIME_MODELS,
+                             ids=lambda m: f"{m.variant}-{m.horizon!r}")
+    def test_float_times_give_the_bits_of_array_times(self, m):
+        T = float(m.horizon)
+        grid = np.linspace(0.0, T, 1001)
+        # t = 0, grid times, and times within MIN_TIME_TO_GO of T, where the clamp fires.
+        times = [0.0, *grid[[1, 333, 500, 999]], T - 0.5 * MIN_TIME_TO_GO, np.nextafter(T, 0.0)]
+        assert T - times[-1] < MIN_TIME_TO_GO and T - times[-2] < MIN_TIME_TO_GO
+        x = np.array([[0.1, -0.2], [0.6, -0.2], [0.35, 0.4], [-2.7, 3.1], [0.0, 0.0]])
+        for t in times:
+            ref = _bits(drift(np.array(t), x, m))
+            for scalar in (float(t), np.float64(t)):
+                np.testing.assert_array_equal(_bits(drift(scalar, x, m)), ref)
+                np.testing.assert_array_equal(_bits(drift(scalar, x[2], m)),
+                                              _bits(drift(np.array(t), x[2], m)))
+            np.testing.assert_array_equal(_bits(m.drift(float(t), x)), ref)
+
+    @pytest.mark.parametrize("m", _SCALAR_TIME_MODELS,
+                             ids=lambda m: f"{m.variant}-{m.horizon!r}")
+    def test_euler_step_takes_an_int_time(self, m):
+        x = np.array([[0.1, -0.2], [0.6, -0.2]])
+        dW = np.array([[0.03, -0.01], [0.0, 0.02]])
+        ref = _bits(euler_step(np.array(0.0), x, 0.01, dW, m))
+        for t in (0, 0.0, np.float64(0.0)):
+            np.testing.assert_array_equal(_bits(euler_step(t, x, 0.01, dW, m)), ref)
 
 
 def _pooled_chi_square(observed, expected, min_expected=5.0):

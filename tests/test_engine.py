@@ -463,7 +463,9 @@ class TestCoupledSimulation:
 
     def test_coupled_batch_draws_noise_once_per_chunk(self, monkeypatch):
         """Each chunk draws each noise block once for both models: 40 paths
-        are chunks of 16, 16 and 8, and NOISE_BLOCK + 20 steps two blocks."""
+        are chunks of 16, 16 and 8, and NOISE_BLOCK + 20 steps two blocks of
+        a full chunk, but one block of the half-width chunk, whose buffer
+        holds twice the steps."""
         calls = []
         draw = engine._chunk_increments
         monkeypatch.setattr(engine, "_chunk_increments",
@@ -475,7 +477,7 @@ class TestCoupledSimulation:
         configs = [SimConfig(model=ProposedBridge(sigma=0.8, horizon=1.0, target=A0), **base),
                    SimConfig(model=TrueBridge(sigma=0.8, horizon=1.0, target=A0), **base)]
         simulate_batch(configs)
-        assert calls == [(16, block), (16, 20), (16, block), (16, 20), (8, block), (8, 20)]
+        assert calls == [(16, block), (16, 20), (16, block), (16, 20), (8, block + 20)]
 
     @pytest.mark.parametrize("n_steps", [293, 42])
     def test_block_draws_give_whole_stream_bits(self, monkeypatch, n_steps):
@@ -609,15 +611,20 @@ class TestMemory:
 
 
     def test_split_parent_holds_half_a_chunk(self, monkeypatch, forks):
-        """A split batch's parent steps half the paths, so its noise block is
-        1 MiB, and it loads only the child's terminal states: 2048 paths,
-        single or a coupled pair, peak below 2.5 MiB here."""
-        monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+        """A split batch's parent steps half the paths, drawing twice the steps
+        per block into the same 2 MiB noise budget, and loads only the child's
+        terminal states and weights: 2048 paths, single or a coupled pair, peak
+        below the one-process run of the same batch and below the 4 MiB chunk
+        bound."""
         models = (ProposedBridge(sigma=0.8, horizon=1.0, target=A0),
                   TrueBridge(sigma=0.8, horizon=1.0, target=A0))
         pair = [_cfg(model, n_steps=1000, seed=38, n_paths=engine.CHUNK_SIZE) for model in models]
         for config in (pair[0], pair):
-            assert self._peak(config, weight_cutoff=0.5) < 2.5 * 2**20
+            whole = self._peak(config, weight_cutoff=0.5)
+            monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+            split = self._peak(config, weight_cutoff=0.5)
+            monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+            assert split < min(whole, 4 * 2**20), (split, whole)
         assert len(forks) == 2
 
 
@@ -847,18 +854,36 @@ def test_every_layout_gives_the_bits_of_single_paths(batch):
     paths run, every path's states at the kept steps, terminal state, offsets
     and log weight are the bits of ``simulate_path`` and
     ``log_girsanov_weight`` for its index.  The references are drawn first,
-    under the default noise block."""
+    under the default noise block.
+
+    Every noise buffer this process fills, (paths, steps), stays within the
+    budget of CHUNK_SIZE x NOISE_BLOCK pairs, and a chunk's blocks use as
+    much of it as the steps allow: a chunk narrower than CHUNK_SIZE with steps
+    to spare draws more than NOISE_BLOCK steps per call."""
     configs, options, layout, split = batch
     rows = options["rows"] or range(configs[0].n_paths)
     refs = [[simulate_path(cfg, i) for i in rows] for cfg in configs]
     forks, real_fork = [], os.fork
+    buffers, draw = [], engine._chunk_increments
     with pytest.MonkeyPatch.context() as mp:
         for name, value in {**layout, "_MIN_SPLIT_PATHS": 1, "_MIN_SPLIT_WORK": 1}.items():
             mp.setattr(engine, name, value)
         mp.setattr(engine, "_usable_cpus", lambda: 2 if split else 1)
         mp.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        mp.setattr(engine, "_chunk_increments",
+                   lambda streams, out, dt: buffers.append(out.shape[:2]) or draw(streams, out, dt))
         results = simulate_batch(configs, **options)
     assert len(forks) == (split and len(rows) >= 2)
+    n_steps, budget = configs[0].n_steps, layout["CHUNK_SIZE"] * layout["NOISE_BLOCK"]
+    while buffers:  # one chunk's blocks at a time, all of its width
+        width, steps = buffers[0]
+        assert width * steps <= budget
+        assert steps == n_steps or width * (steps + 1) > budget
+        if width < layout["CHUNK_SIZE"] and width * (layout["NOISE_BLOCK"] + 1) <= budget:
+            assert steps > min(layout["NOISE_BLOCK"], n_steps - 1)
+        blocks = [(width, min(steps, n_steps - first)) for first in range(0, n_steps, steps)]
+        assert buffers[:len(blocks)] == blocks
+        del buffers[:len(blocks)]
     cutoff = options["weight_cutoff"]
     for cfg, result, paths in zip(configs, results, refs):
         states = np.stack([path.states for path in paths])
