@@ -25,14 +25,14 @@ files' rows are bytes "%" templates with the formatted floats as "%s" fields.
 
 ``simulate`` runs on two CPUs when paths.csv has ``_MIN_SPLIT_BLOCKS`` blocks
 or more, split at its middle block: a forked child steps paths [split, n)
-(``engine.simulate_batch`` with a ``rows`` range) and formats their blocks of
-paths.csv into an anonymous file in the output directory, while this process
-steps and formats paths [0, split).  The child sends back only its rows of
-the endpoint arrays and its paths.csv bytes, which are copied in behind this
-process's, so every file is the same as from one process.  A smaller
-paths.csv leaves the split to the batch itself, which forks when it is large
-enough, its child sending back the raw bytes of its rows of the batch's
-arrays.  Both go through one fork
+(``engine.simulate_batch`` with a ``rows`` range) and writes their rows of
+endpoints.csv, then of paths.csv, into an anonymous file in the output
+directory, while this process steps and formats paths [0, split).  This
+process reads back the child's n - split newline-ended endpoint rows and copies
+each file's part behind its own, so every file is the same as from one
+process.  A smaller paths.csv leaves the split to the batch itself, which forks
+when it is large enough, its child sending back the raw bytes of its rows of
+the batch's arrays.  Both go through one fork
 helper, ``engine._forked``, which alone decides whether a child can run and
 runs at most one at a time, so this module knows nothing of CPUs or threads;
 ``simulate --workers`` and ``compare --workers/--truncation`` are accepted and
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import math
 import os
@@ -73,7 +74,6 @@ from .engine import (
     SimConfig,
     _forked,
     _json_object,
-    _read_rows,
     config_from_dict,
     config_to_dict,
     model_class,
@@ -324,11 +324,16 @@ _MIN_SPLIT_BLOCKS = 32
 _COPY_BYTES = 1 << 16  # bytes per read of the child's half: less than a block's frame
 
 
-def _endpoint_arrays(batch) -> dict:
-    """The arrays of ``batch`` that endpoints.csv is written from, by field name,
-    in the order a forked half of ``simulate`` sends back its rows of them."""
-    names = ("terminal_points", "limiting_lattice_points", "unresolved", "log_weights")
-    return {name: getattr(batch, name) for name in names if getattr(batch, name) is not None}
+def _endpoint_rows(batch, first=0):
+    """The rows of endpoints.csv from ``batch``, ids from ``first``; the columns
+    are formatted at the call, so the rows keep no reference to ``batch``."""
+    logw = batch.log_weights
+    logw_text = _format_g17(logw).tolist() if logw is not None else [b""] * batch.n_paths
+    return (b"%d,%s,%s,%s,%d,%s\n" % (pid, *x, _offset_text(k, tie), tie, lw)
+            for pid, (x, k, tie, lw) in enumerate(zip(
+                _format_g17(batch.terminal_points).tolist(),
+                batch.limiting_lattice_points.tolist(), batch.unresolved.tolist(), logw_text),
+                first))
 
 
 # The namespace attribute (flag --<attr>) that sets each model field.  Unset flags leave
@@ -400,36 +405,36 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     split = n_blocks // 2 * per_block if n_blocks >= _MIN_SPLIT_BLOCKS else 0
     what = f"simulating and formatting paths {split} to {n - 1}"
 
-    def run_half(out):  # the child's work: its endpoint rows, then its paths.csv bytes
+    def run_half(out):  # the child's work: its endpoints.csv rows, then its paths.csv bytes
         half = simulate_batch(config, keep_steps=steps, weight_cutoff=cutoff,
                               rows=range(split, n))
-        out.writelines(_endpoint_arrays(half).values())
+        out.writelines(_endpoint_rows(half, split))
         out.writelines(_path_blocks(half.states, steps, times, split))
 
     with _forked(run_half if split else None, what, out_dir) as join:
         if join is None:
             split = n
         batch = simulate_batch(config, keep_steps=steps, weight_cutoff=cutoff, rows=range(split))
-        # Every path's endpoint columns: this process's rows, then the child's.
-        ends = {name: np.concatenate([a, np.empty((n - split, *a.shape[1:]), a.dtype)])
-                for name, a in _endpoint_arrays(batch).items()}
+        child = None
 
         def paths_rows():
+            nonlocal child
             yield from _path_blocks(batch.states, steps, times)
             if join:
-                child = _read_rows(join(), [a[split:] for a in ends.values()], what, rest=True)
+                child = join()
+                for got in range(n - split):
+                    if not child.readline().endswith(b"\n"):
+                        raise OSError(f"the process {what} left {got} of its {n - split} "
+                                      f"endpoint rows")
                 yield from iter(lambda: child.read(_COPY_BYTES), b"")
 
         _write_csv(out_dir / "paths.csv", "path_id,step,t,x1,x2", paths_rows())
-    batch = replace(batch, states=None, **ends)
-
-    logw = batch.log_weights
-    logw_text = _format_g17(logw).tolist() if logw is not None else [b""] * n
-    rows = (b"%d,%s,%s,%s,%d,%s\n" % (pid, *x, _offset_text(k, tie), tie, lw)
-            for pid, (x, k, tie, lw) in enumerate(zip(
-                _format_g17(batch.terminal_points).tolist(),
-                batch.limiting_lattice_points.tolist(), batch.unresolved.tolist(), logw_text)))
-    _write_csv(out_dir / "endpoints.csv", "path_id,xT1,xT2,k1,k2,unresolved,log_weight", rows)
+        batch = replace(batch, states=None)  # freed before the endpoint columns' text is made
+        rows = _endpoint_rows(batch)
+        if child:
+            child.seek(0)
+            rows = itertools.chain(rows, itertools.islice(child, n - split))
+        _write_csv(out_dir / "endpoints.csv", "path_id,xT1,xT2,k1,k2,unresolved,log_weight", rows)
     manifest = {
         "command": "simulate",
         "version": __version__,
@@ -487,8 +492,8 @@ def cmd_field(ns: argparse.Namespace) -> int:
     )
     out_dir = Path(ns.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = (b"%s,%s,%s,%s\n" % tuple(row)
-            for row in _format_g17(np.concatenate([points, vectors], axis=1)).tolist())
+    rows = (b"%s,%s,%s,%s\n" % (*p, *b)
+            for p, b in zip(_format_g17(points).tolist(), _format_g17(vectors).tolist()))
     _write_csv(out_dir / "field.csv", "x1,x2,b1,b2", rows)
     print(f"wrote {len(points)} field samples to {out_dir / 'field.csv'}")
     return 0

@@ -32,7 +32,8 @@ so the results do not depend on which process runs a chunk either, nor on
 whether the batch runs whole or as a range of its paths.  A batch large
 enough to pay for a fork runs its second half of paths in a forked child, in
 its own chunks, while this process runs the first; the child sends back the
-raw bytes of its rows through an anonymous file (:func:`_read_rows`).
+raw bytes of its rows through an anonymous file, and this process reads them
+into the same rows, refusing a file of any other size.
 :func:`_forked` alone decides whether a child can run, and runs one at a
 time; when none can, the batch runs whole here.  The results are then
 checked in path order, one ``CHUNK_SIZE`` range at a time, and the first bad
@@ -224,14 +225,16 @@ def euler_step(
     Vectorised over states of shape (..., 2); dW must broadcast against x.
 
     Raises:
-        ValueError if the step leaves [0, T] or dt <= 0.
+        ValueError if the step leaves [0, T] or dt <= 0, or if x or dW is
+        not numeric, has a trailing dimension other than 2 or holds a NaN or
+        infinite coordinate.
     """
     if not dt > 0:
         raise ValueError(f"dt must be > 0; got {dt}")
     horizon = model.horizon
     if not (0 <= t and t + dt <= horizon * (1.0 + 1e-9) + 1e-12):  # NaN fails too
         raise ValueError(f"step [{t}, {t + dt}] leaves the horizon [0, {horizon}]")
-    noise = model.sigma * np.asarray(dW, dtype=float)
+    noise = model.sigma * as_point(dW, "dW")
     arr = as_point(x, "x")
     # One point against stacked increments steps as that many copies of the point.
     return _step(t, np.broadcast_to(arr, np.broadcast_shapes(arr.shape, noise.shape)), dt,
@@ -390,21 +393,6 @@ def _forked(work, what: str, dir=None):
             if pid:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-
-
-def _read_rows(child, arrays, what: str, rest: bool = False):
-    """Fill ``arrays``, in order, with the raw bytes at the start of ``child``,
-    the file that ``join`` of :func:`_forked` returned, and return ``child``
-    just after them.
-
-    Raw bytes carry no framing, so a file too short for them is refused with a
-    one-line ``OSError``, and so is one with bytes after them unless ``rest``
-    says that the caller reads those.
-    """
-    if any(child.readinto(a) < a.nbytes for a in arrays) or not rest and child.read(1):
-        raise OSError(f"the process {what} left {os.fstat(child.fileno()).st_size} bytes of "
-                      f"results, not {'at least ' * rest}{sum(a.nbytes for a in arrays)}")
-    return child
 
 
 def _child(work, out) -> NoReturn:
@@ -642,7 +630,11 @@ def simulate_batch(
             hi = min(lo + CHUNK_SIZE, split)
             _run_chunk(grid, lo, hi, times, _rows(results, lo - first, hi - first), cutoff_step)
         if join:
-            _read_rows(join(), half, what)
+            # Raw bytes carry no framing, so they must fill the child's rows exactly.
+            child = join()
+            if any(child.readinto(a) < a.nbytes for a in half) or child.read(1):
+                raise OSError(f"the process {what} left {os.fstat(child.fileno()).st_size} "
+                              f"bytes of results, not {sum(a.nbytes for a in half)}")
 
     for lo in range(0, n_rows, CHUNK_SIZE):
         hi = min(lo + CHUNK_SIZE, n_rows)

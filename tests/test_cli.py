@@ -589,24 +589,54 @@ class TestForkedSimulate:
         _assert_no_child_left()
         assert os.listdir(tmp_path) == []
 
-    def test_a_short_half_is_one_error_line(self, tmp_path, monkeypatch, capsys, forks):
-        """The child's file starts with its raw endpoint rows, which carry no
-        framing: 32 paths' terminal states, offsets and flags are 1056 bytes."""
+    @pytest.mark.parametrize("cut, whole", [
+        (lambda rows: len(rows[0]) + 5, 1),
+        (lambda rows: len(rows[0]) + len(rows[1]), 2),
+        (lambda rows: 0, 0),
+    ], ids=["inside-a-row", "between-rows", "empty"])
+    def test_a_short_half_is_one_error_line(self, tmp_path, monkeypatch, capsys, forks, cut,
+                                            whole):
+        """The child's file starts with its 32 rows of endpoints.csv, each
+        ended by a newline, and the parent reads back exactly that many before
+        it copies the paths.csv bytes behind them: a file cut inside a row,
+        between two rows or before the first is refused."""
         real = cli._forked
 
         def forked(work, *args):
             def short(out):
                 work(out=out)
-                out.truncate(1000)
+                out.seek(0)
+                out.truncate(cut([out.readline(), out.readline()]))
             return real(short, *args)
 
         monkeypatch.setattr(cli, "_forked", forked)
         monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
         assert _run(*self.SIM, "--steps", "1000", "--paths", "64", "--out", tmp_path) == 2
         _assert_one_error_line(capsys, "error: the process simulating and formatting paths 32 "
-                                       "to 63 left 1000 bytes of results, not at least 1056")
+                                       f"to 63 left {whole} of its 32 endpoint rows")
         _assert_no_child_left()
         assert len(forks) == 1 and os.listdir(tmp_path) == []
+
+    def test_split_parent_peaks_below_one_process(self, tmp_path, monkeypatch, forks):
+        """A split parent formats only its own half's endpoint columns and
+        copies the child's rows as text, so its traced peak falls below a
+        one-process run's, whose peak is the text of every path's endpoint
+        columns.  40 000 paths of 2 kept states are 40 writer blocks."""
+        peaks = []
+        tracemalloc.start()
+        try:
+            for cpus in (1, 2):
+                monkeypatch.setattr(engine, "_usable_cpus", lambda cpus=cpus: cpus)
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                assert _run(*self.SIM, "--paths", "40000", "--steps", "4", "--thin", "4",
+                            "--cutoff", "0.5", "--out", tmp_path / str(cpus)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        serial, split = peaks
+        assert len(forks) == 1
+        assert split < 0.8 * serial
 
     def test_failing_parent_kills_the_child(self, tmp_path, monkeypatch, capsys):
         real = cli._path_blocks
@@ -732,7 +762,7 @@ class TestForkedSimulate:
         paths.csv has at least two blocks and reaches the threshold.  A stand-in
         batch gives states from 1e-6 to 1e18 in magnitude, so both the fast and
         the "%.17g" path of the formatter run, and endpoint columns of every
-        kind, which the child sends back as raw rows."""
+        kind, whose rows of endpoints.csv the child formats as text."""
         rng = np.random.default_rng(seed)
         states = (rng.standard_normal((n_paths, n_steps + 1, 2))
                   * 10.0 ** rng.integers(-6, 19, size=(n_paths, n_steps + 1, 2)))

@@ -94,6 +94,18 @@ class TestEulerStep:
             with pytest.raises(ValueError):
                 euler_step(t, (0.1, 0.1), dt, (0, 0), m)
 
+    @pytest.mark.parametrize("dW, needle", [
+        ((float("nan"), 0.0), "dW must be finite"),
+        ((0.0, float("inf")), "dW must be finite"),
+        ([[0.1, 0.2], [0.3]], "dW must hold numbers"),
+        ((0.1, 0.2, 0.3), "dW must have trailing dimension 2"),
+    ], ids=["nan", "inf", "ragged", "3-wide"])
+    def test_bad_increments_rejected(self, dW, needle):
+        # The step loop's update is unchecked, so euler_step checks dW as it checks x.
+        m = ProposedBridge(sigma=0.8, horizon=1.0, target=(0, 0))
+        with pytest.raises(ValueError, match=needle):
+            euler_step(0.0, (0.1, 0.2), 0.01, dW, m)
+
 
 class TestNoiseStreams:
     def test_streams_are_reproducible(self):

@@ -1,6 +1,7 @@
-"""The README's library example runs, the names it shows exist, and its command
-lines parse."""
+"""The README's library example runs, the names it shows exist, its command
+lines parse, and the numbers it ties to constants equal them."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -48,3 +49,39 @@ def test_cli_lines_parse():
     assert len(lines) >= 6
     for line in lines:
         cli._build_parser().parse_args(shlex.split(line)[1:])  # ValueError if refused
+
+
+# A number tied to constants: "N (`mod.NAME`)" or "N × M (`mod.A` × `mod.B`)",
+# up to three words between, as in "2048 paths (`engine.CHUNK_SIZE`)".  Numbers
+# group thousands with spaces, as in "1 000 000".
+_NUMBER = r"\d+(?: \d{3})*"
+_TIED = re.compile(rf"\b({_NUMBER}(?: × {_NUMBER})*)(?: [a-z-]+){{0,3}} "
+                   rf"\((`\w+\.\w+`(?: × `\w+\.\w+`)*)\)")
+
+
+def _tied_numbers() -> list[tuple[int, str]]:
+    """(number, ``module.NAME``) for each number README ties to a constant of
+    a ``torusbridge`` module, line breaks read as spaces."""
+    text = " ".join(README.read_text().split())
+    pairs = []
+    for numbers, names in _TIED.findall(text):
+        numbers, names = numbers.split(" × "), re.findall(r"`(\w+\.\w+)`", names)
+        assert len(numbers) == len(names), (numbers, names)
+        pairs += [(int(n.replace(" ", "")), name) for n, name in zip(numbers, names)]
+    return pairs
+
+
+def test_tied_numbers_equal_their_constants():
+    """A number README gives for a constant it names is that constant's value,
+    so changing either alone fails here."""
+    pairs = _tied_numbers()
+    assert {name for _, name in pairs} >= {
+        "cli._MIN_SPLIT_BLOCKS", "cli._G17_BLOCK", "engine.CHUNK_SIZE", "engine.NOISE_BLOCK",
+        "engine._MIN_SPLIT_WORK", "engine._MIN_SPLIT_PATHS"}
+    wrong = []
+    for number, name in pairs:
+        module, attr = name.split(".")
+        value = getattr(importlib.import_module(f"torusbridge.{module}"), attr)
+        if number != value:
+            wrong.append((name, number, value))
+    assert wrong == []
